@@ -1,6 +1,6 @@
 //! Experiment T18 — the zero-copy label plane.
 //!
-//! Three claims about the serving-side label plane, each self-asserted:
+//! Two claims about the serving-side label plane, each self-asserted:
 //!
 //! * **Lazy open wins cold starts.** `ForbiddenSetOracle::open_with(..,
 //!   Lazy)` maps the segment and validates only header + index, so
@@ -14,12 +14,10 @@
 //!   the window per varint. The gate: >= 1.2x decode throughput over
 //!   `codec::decode` on the |F|=4 working set (the six labels — s, t,
 //!   and four faults — a faulty query actually touches).
-//! * **The canonical codec earns its bit packing.** An ablation decodes
-//!   the same labels through the byte-aligned group-varint codec
-//!   (`fsdl_labels::groupvarint`); the canonical delta+bitpack encoding
-//!   must stay within 1.1x of group-varint's mean bytes/label (it is
-//!   normally well under 1x — smaller, at a decode-speed cost the
-//!   batched reader claws back).
+//!
+//! (A third leg compared the canonical delta+bitpack codec with a
+//! byte-aligned group-varint codec; group-varint measured larger and
+//! ~1.9x slower and was removed — see EXPERIMENTS.md T18.)
 //!
 //! Before any timing is trusted, a probe matrix with faults is asserted
 //! bit-identical between the eager- and lazy-opened oracles — zero
@@ -34,7 +32,7 @@ use std::time::Instant;
 use fsdl_bench::tables::{f1, Table};
 use fsdl_graph::{generators, FaultSet, Graph, NodeId};
 use fsdl_labels::codec::{self, VarintScratch};
-use fsdl_labels::{groupvarint, ForbiddenSetOracle, OpenMode};
+use fsdl_labels::{ForbiddenSetOracle, OpenMode};
 
 struct Measurement {
     family: String,
@@ -44,8 +42,6 @@ struct Measurement {
     single_ns_per_label: f64,
     batched_ns_per_label: f64,
     canonical_bytes_per_label: f64,
-    groupvarint_bytes_per_label: f64,
-    groupvarint_ns_per_label: f64,
     probes: usize,
 }
 
@@ -56,10 +52,6 @@ impl Measurement {
 
     fn decode_speedup(&self) -> f64 {
         self.single_ns_per_label / self.batched_ns_per_label.max(1e-3)
-    }
-
-    fn size_ratio(&self) -> f64 {
-        self.canonical_bytes_per_label / self.groupvarint_bytes_per_label.max(1e-6)
     }
 }
 
@@ -181,34 +173,7 @@ fn measure(family: &str, g: &Graph, dir: &std::path::Path, rounds: usize) -> Mea
         batched_ns_per_label = batched_ns_per_label.min(time_decodes(true, rounds));
     }
 
-    // Codec ablation: same labels through the byte-aligned group-varint
-    // codec — bytes/label and decode ns/label.
-    let gv_payloads: Vec<Vec<u8>> = (0..n)
-        .map(|v| {
-            let label = built.label(NodeId::from_index(v));
-            groupvarint::encode(&label, n).expect("groupvarint encode")
-        })
-        .collect();
-    for (v, bytes) in gv_payloads.iter().enumerate() {
-        let label = groupvarint::decode(bytes, n).expect("groupvarint decode");
-        assert_eq!(label, *built.label(NodeId::from_index(v)), "ablation lied");
-    }
-    let start = Instant::now();
-    let mut decoded = 0usize;
-    for _ in 0..rounds {
-        for q in 0..queries {
-            for v in working_set(q, n) {
-                std::hint::black_box(
-                    groupvarint::decode(&gv_payloads[v], n).expect("groupvarint decode"),
-                );
-                decoded += 1;
-            }
-        }
-    }
-    let groupvarint_ns_per_label = start.elapsed().as_nanos() as f64 / decoded as f64;
-
     let canonical_bytes: usize = payloads.iter().map(|(b, _)| b.len()).sum();
-    let gv_bytes: usize = gv_payloads.iter().map(Vec::len).sum();
 
     Measurement {
         family: family.to_string(),
@@ -218,8 +183,6 @@ fn measure(family: &str, g: &Graph, dir: &std::path::Path, rounds: usize) -> Mea
         single_ns_per_label,
         batched_ns_per_label,
         canonical_bytes_per_label: canonical_bytes as f64 / n as f64,
-        groupvarint_bytes_per_label: gv_bytes as f64 / n as f64,
-        groupvarint_ns_per_label,
         probes,
     }
 }
@@ -233,8 +196,7 @@ fn json_artifact(results: &[Measurement]) -> String {
              \"eager_open_ms\": {:.3}, \"lazy_open_ms\": {:.3}, \"open_speedup\": {:.3}, \
              \"single_ns_per_label\": {:.1}, \"batched_ns_per_label\": {:.1}, \
              \"decode_speedup\": {:.3}, \
-             \"canonical_bytes_per_label\": {:.2}, \"groupvarint_bytes_per_label\": {:.2}, \
-             \"groupvarint_ns_per_label\": {:.1}, \"size_ratio\": {:.3}, \"probes\": {}}}{}",
+             \"canonical_bytes_per_label\": {:.2}, \"probes\": {}}}{}",
             r.family,
             r.n,
             r.eager_open_ms,
@@ -244,9 +206,6 @@ fn json_artifact(results: &[Measurement]) -> String {
             r.batched_ns_per_label,
             r.decode_speedup(),
             r.canonical_bytes_per_label,
-            r.groupvarint_bytes_per_label,
-            r.groupvarint_ns_per_label,
-            r.size_ratio(),
             r.probes,
             if k + 1 < results.len() { "," } else { "" },
         );
@@ -266,7 +225,7 @@ fn main() {
         .unwrap_or("BENCH_labelplane.json")
         .to_string();
 
-    println!("Experiment T18: zero-copy label plane — lazy open, batched decode, codec ablation (eps = 1)\n");
+    println!("Experiment T18: zero-copy label plane — lazy open, batched decode (eps = 1)\n");
 
     let scale = if quick { 1 } else { 2 };
     let rounds = if quick { 8 } else { 40 };
@@ -307,16 +266,8 @@ fn main() {
     println!();
 
     let mut decode_table = Table::new(
-        "decode ns/label on the |F|=4 working set + codec ablation",
-        &[
-            "family",
-            "single ns",
-            "batched ns",
-            "speedup",
-            "canon B/label",
-            "gv B/label",
-            "gv ns",
-        ],
+        "decode ns/label on the |F|=4 working set",
+        &["family", "single ns", "batched ns", "speedup", "B/label"],
     );
     for r in &results {
         decode_table.row(&[
@@ -325,8 +276,6 @@ fn main() {
             f1(r.batched_ns_per_label),
             format!("{:.2}x", r.decode_speedup()),
             f1(r.canonical_bytes_per_label),
-            f1(r.groupvarint_bytes_per_label),
-            f1(r.groupvarint_ns_per_label),
         ]);
     }
     decode_table.print();
@@ -337,7 +286,7 @@ fn main() {
     println!("\nExpected shape: lazy open skips both the whole-file checksum and the");
     println!("O(n) prewarm, so its open-to-first-answer cost is a handful of label");
     println!("decodes; the batched reader amortizes window loads across each field");
-    println!("stream; and the canonical codec stays at or under group-varint's size.");
+    println!("stream.");
 
     // Gate 1 — at the largest graph, lazy open-to-first-answer must beat
     // the eager warm open by >= 5x. Enforced in quick mode too.
@@ -363,26 +312,10 @@ fn main() {
         largest.family
     );
 
-    // Gate 3 — the canonical codec may not pay more than 10% size over
-    // the byte-aligned ablation on any family (it normally wins).
-    for r in &results {
-        assert!(
-            r.size_ratio() <= 1.1,
-            "canonical codec is {:.3}x the group-varint size on {} — over the 1.1x bar",
-            r.size_ratio(),
-            r.family
-        );
-    }
-
     println!(
-        "\nacceptance: lazy open {:.1}x (>= 5x) and batched decode {:.2}x (>= 1.2x) at {}; \
-         worst size ratio {:.3}x (<= 1.1x)",
+        "\nacceptance: lazy open {:.1}x (>= 5x) and batched decode {:.2}x (>= 1.2x) at {}",
         largest.open_speedup(),
         largest.decode_speedup(),
         largest.family,
-        results
-            .iter()
-            .map(Measurement::size_ratio)
-            .fold(0.0, f64::max),
     );
 }

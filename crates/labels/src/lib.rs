@@ -62,7 +62,6 @@ pub mod crash;
 pub mod decode;
 mod dynamic;
 pub mod failure_free;
-pub mod groupvarint;
 mod label;
 mod oracle;
 mod params;

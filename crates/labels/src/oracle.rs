@@ -454,16 +454,19 @@ impl ForbiddenSetOracle {
     }
 
     /// Collects the fault labels for the well-formed subset of `faults`
-    /// (see the type-level docs on malformed fault sets).
+    /// (see the type-level docs on malformed fault sets), in sorted id
+    /// order so the answer does not depend on how `faults` was built.
     fn fault_labels(&self, faults: &FaultSet, varints: &mut VarintScratch) -> FaultLabels {
         let g = self.labeling.graph();
         let vertex_labels: Vec<Arc<Label>> = faults
-            .vertices()
+            .sorted_vertices()
+            .into_iter()
             .filter(|&f| g.contains(f))
             .map(|f| self.label_scoped(f, varints))
             .collect();
         let edge_labels: Vec<(Arc<Label>, Arc<Label>)> = faults
-            .edges()
+            .sorted_edges()
+            .into_iter()
             .filter(|e| g.contains(e.lo()) && g.contains(e.hi()) && g.has_edge(e.lo(), e.hi()))
             .map(|e| {
                 (
@@ -904,6 +907,48 @@ mod tests {
         }
         assert_eq!(oracle.query_batch(&queries), sequential);
         assert!(oracle.query_batch(&[]).is_empty());
+    }
+
+    #[test]
+    fn witness_path_is_independent_of_fault_insertion_order() {
+        // Equal fault sets must give equal answers — witness path
+        // included — however they were assembled. The sketch is built in
+        // the order the fault labels are handed over and `FaultSet`
+        // iterates in per-instance hash order, so these cases (found by
+        // search: equally short sketch paths whose tie that order breaks,
+        // on a graph long enough for labels to be local) answered with
+        // different paths from one instance to the next.
+        let g = generators::grid2d(3, 150);
+        let oracle = ForbiddenSetOracle::new(&g, 2.0);
+        let mut scratch = DecodeScratch::new();
+        let cases: [(u32, u32, &[u32]); 10] = [
+            (431, 27, &[282, 382]),
+            (87, 440, &[99, 254]),
+            (58, 418, &[109, 236]),
+            (11, 419, &[224, 399]),
+            (30, 431, &[202, 372]),
+            (34, 436, &[138, 262]),
+            (33, 427, &[102, 174, 185, 250]),
+            (27, 432, &[108, 214, 243, 328]),
+            (15, 408, &[148, 180, 355, 390]),
+            (26, 414, &[103, 175, 187, 222]),
+        ];
+        for (s, t, ids) in cases {
+            let (s, t) = (NodeId::new(s), NodeId::new(t));
+            let ascending = FaultSet::from_vertices(ids.iter().map(|&v| NodeId::new(v)));
+            let expected = oracle.query_with(s, t, &ascending, &mut scratch);
+            assert!(expected.path.len() > 2, "{s}->{t}: a real witness path");
+            // Fresh instances (fresh hash seeds), descending insertion.
+            for _ in 0..4 {
+                let mut descending = FaultSet::empty();
+                for &v in ids.iter().rev() {
+                    descending.forbid_vertex(NodeId::new(v));
+                }
+                assert_eq!(ascending, descending);
+                let got = oracle.query_with(s, t, &descending, &mut scratch);
+                assert_eq!(got, expected, "{s}->{t} with faults {ids:?}");
+            }
+        }
     }
 
     #[test]

@@ -7,11 +7,9 @@
 //! as [`ClientError::Server`], transport failures as
 //! [`ClientError::Io`]/[`ClientError::Wire`].
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
+use crate::plane::Stream;
 use crate::protocol::{
     self, BatchItem, ErrorReply, FrameError, FrameRead, LabelFetchReply, QueryReply, Request,
     Response, RouteReply, StatsReply, UpdateOp, WireError, WireFaults,
@@ -74,36 +72,6 @@ impl From<FrameError> for ClientError {
     }
 }
 
-enum Stream {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            Stream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            Stream::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// One connection to an fsdl server.
 pub struct Client {
     stream: Stream,
@@ -118,12 +86,8 @@ impl Client {
     ///
     /// Propagates connect failures.
     pub fn connect(endpoint: &Endpoint) -> Result<Client, ClientError> {
-        let stream = match endpoint {
-            Endpoint::Tcp(addr) => Stream::Tcp(TcpStream::connect(addr.as_str())?),
-            Endpoint::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
-        };
         Ok(Client {
-            stream,
+            stream: endpoint.connect()?,
             encode_buf: Vec::new(),
             frame_buf: Vec::new(),
         })

@@ -8,25 +8,30 @@
 //! service:
 //!
 //! - [`protocol`] — a small length-prefixed binary protocol
-//!   (`query` / `batch` / `route` / `update` / `stats` / `shutdown`),
+//!   (`query` / `batch` / `route` / `update` / `stats` / `shutdown` /
+//!   `label-fetch`),
 //!   little-endian, distances on the wire as raw `u32` with
 //!   `u32::MAX` = unreachable so answers round-trip bit-identically.
 //!   Every decode path is bounds-checked and panic-free on arbitrary
 //!   bytes; violations come back as typed [`protocol::ErrorReply`]
 //!   frames.
-//! - [`server`] — [`server::Server`]: one readiness-driven event loop
+//! - the connection plane (private) — one readiness-driven event loop
 //!   (raw `epoll` via `fsdl-reactor`, `poll(2)` off-Linux) owning every
 //!   nonblocking socket and its frame-reassembly/write buffers, so idle
-//!   and slow connections cost nothing; only *complete* frames reach
-//!   the fixed worker pool (sized by
+//!   and slow connections cost nothing; a fixed worker pool (sized by
 //!   [`fsdl_nets::parallel::background_workers`], never below one
-//!   worker), each worker reusing one
-//!   [`fsdl_labels::DecodeScratch`] so the PR-3 zero-allocation decode
-//!   fast path survives the network hop. Serves a static
-//!   [`fsdl_routing::Network`] or a durable
-//!   [`fsdl_labels::DynamicOracle`]; graceful shutdown drains in-flight
-//!   requests and any background rebuild, and slow-loris clients are
-//!   cut by a per-connection frame deadline.
+//!   worker); slow-loris frame deadlines; graceful drain. Both fronts
+//!   below are handlers on it and share all of that.
+//! - [`server`] — [`server::Server`]: hands every *complete* frame to a
+//!   worker, each worker reusing one [`fsdl_labels::DecodeScratch`] so
+//!   the zero-allocation decode fast path survives the network hop.
+//!   Serves a static [`fsdl_routing::Network`], a durable
+//!   [`fsdl_labels::DynamicOracle`] (draining any background rebuild on
+//!   shutdown), or one shard of a partitioned label store.
+//! - [`router`] — [`router::Router`]: the same front over a shard fleet:
+//!   scatters `label-fetch` frames to the shards owning a query's
+//!   `2 + |F|` labels, gathers, and decodes on its workers —
+//!   bit-identical to the single-process server.
 //! - [`client`] — [`client::Client`]: a blocking connection with typed
 //!   helpers, used by the CLI, the load generator, and the tests.
 //!
@@ -56,6 +61,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod plane;
 pub mod protocol;
 pub mod router;
 pub mod server;

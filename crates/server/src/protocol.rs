@@ -48,6 +48,7 @@
 use std::io::{Read, Write};
 
 use fsdl_graph::{Dist, FaultSet, NodeId};
+use fsdl_labels::QueryAnswer;
 
 /// Hard ceiling on a frame's payload length. A frame claiming more than
 /// this is a protocol error: the connection's framing can no longer be
@@ -324,6 +325,13 @@ pub enum Request {
     },
 }
 
+/// Narrows a counter to its `u32` wire field, saturating to the
+/// `u32::MAX` sentinel (see the module doc) instead of silently wrapping
+/// like a bare `as u32` cast would.
+pub(crate) fn sat_u32(v: usize) -> u32 {
+    v.try_into().unwrap_or(u32::MAX)
+}
+
 /// The reply to a [`Request::Query`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QueryReply {
@@ -338,6 +346,22 @@ pub struct QueryReply {
 }
 
 impl QueryReply {
+    /// The wire form of a decoder answer (sketch sizes saturate, see the
+    /// module doc).
+    pub(crate) fn from_answer(answer: &QueryAnswer) -> QueryReply {
+        let BatchItem {
+            distance,
+            sketch_vertices,
+            sketch_edges,
+        } = BatchItem::from_answer(answer);
+        QueryReply {
+            distance,
+            sketch_vertices,
+            sketch_edges,
+            path: answer.path.iter().map(|v| v.raw()).collect(),
+        }
+    }
+
     /// The distance as a [`Dist`].
     pub fn dist(&self) -> Dist {
         if self.distance == u32::MAX {
@@ -359,6 +383,17 @@ pub struct BatchItem {
     pub sketch_vertices: u32,
     /// Admitted sketch edge count.
     pub sketch_edges: u32,
+}
+
+impl BatchItem {
+    /// The wire form of a decoder answer, without its witness path.
+    pub(crate) fn from_answer(answer: &QueryAnswer) -> BatchItem {
+        BatchItem {
+            distance: answer.distance.raw(),
+            sketch_vertices: sat_u32(answer.sketch_vertices),
+            sketch_edges: sat_u32(answer.sketch_edges),
+        }
+    }
 }
 
 /// The reply to a [`Request::Route`].
@@ -450,6 +485,14 @@ pub struct ErrorReply {
     pub code: ErrorCode,
     /// Human-readable detail.
     pub message: String,
+}
+
+/// A typed error reply.
+pub(crate) fn error_reply(code: ErrorCode, message: impl Into<String>) -> Response {
+    Response::Error(ErrorReply {
+        code,
+        message: message.into(),
+    })
 }
 
 /// A server reply.

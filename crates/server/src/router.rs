@@ -8,10 +8,11 @@
 //! shards. The router is the piece that reassembles the illusion of a
 //! single oracle:
 //!
-//! 1. **Accept** client `query` / `batch` frames on the same
-//!    readiness-driven reactor loop the single-process server uses —
-//!    one [`fsdl_reactor::Poller`] owns the listener, every client
-//!    socket, *and* every upstream shard socket.
+//! 1. **Accept** client `query` / `batch` frames on the crate's
+//!    connection plane — the same event loop, connection slab, deadlines
+//!    and drain [`crate::Server`] runs (DESIGN.md §4.5). The router is a
+//!    handler on it that answers `stats` / `shutdown` / typed rejections
+//!    inline and owns the upstream shard sockets on the plane's poller.
 //! 2. **Scatter**: map each needed vertex id to its shard through the
 //!    [`PartitionPlan`], and send `label-fetch` frames over pooled
 //!    nonblocking upstream connections (chunked at
@@ -25,16 +26,6 @@
 //!    runs [`fsdl_labels::query_with_scratch`] — the *same* entry point
 //!    the single-process server uses — so answers are bit-identical:
 //!    same distances, same sketch sizes, same witness paths.
-//!
-//! ## Token namespace
-//!
-//! The server's connection tokens are `(generation << 32) | slot`. The
-//! router shares one poller between client and upstream sockets, so it
-//! partitions the token space on bit 63: client tokens keep bit 63
-//! clear (the generation is masked to 31 bits), upstream tokens are
-//! `UPSTREAM_BIT | index` with a small fixed index. The reserved
-//! listener/wake tokens live at the top of the upstream half, far above
-//! any real upstream index.
 //!
 //! ## Failure semantics
 //!
@@ -54,15 +45,8 @@
 //!   range checks behave identically.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::Read;
-use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
-use std::os::unix::fs::FileTypeExt;
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fsdl_graph::NodeId;
@@ -72,26 +56,12 @@ use fsdl_labels::{query_with_scratch, DecodeScratch, Label, QueryLabels, SchemeP
 use fsdl_reactor::{Interest, Poller};
 
 use crate::client::{Client, ClientError};
+use crate::plane::{handler_token, ConnPlane, Core, Handler, PlaneConfig, PlaneCounters, Wire};
 use crate::protocol::{
-    self, BatchItem, ErrorCode, ErrorReply, FrameError, FrameStep, QueryReply, Request, Response,
-    StatsReply, WireFaults, MAX_FRAME, MAX_LABEL_FETCH, MAX_LABEL_FRAME,
+    error_reply, BatchItem, ErrorCode, ErrorReply, FrameStep, QueryReply, Request, Response,
+    StatsReply, WireError, WireFaults, MAX_FRAME, MAX_LABEL_FETCH, MAX_LABEL_FRAME,
 };
-use crate::server::{BoundListener, Conn, Endpoint, ShutdownHandle, LISTENER_TOKEN, WAKE_TOKEN};
-
-/// Upstream tokens set bit 63; client tokens never do (their generation
-/// is masked to 31 bits), so one poller can route both kinds.
-const UPSTREAM_BIT: u64 = 1 << 63;
-
-/// Composes the next client-connection token: a 31-bit generation in
-/// bits 32..63 (bit 63 stays clear — that half of the token space
-/// belongs to upstream sockets) over the slot index. The server-side
-/// `next_token` loop that dodges the reserved tokens is unnecessary
-/// here: [`LISTENER_TOKEN`] and [`WAKE_TOKEN`] both have bit 63 set, so
-/// no client token can collide with them by construction.
-fn client_token(next_generation: &mut u32, slot: usize) -> u64 {
-    *next_generation = next_generation.wrapping_add(1);
-    (u64::from(*next_generation & 0x7FFF_FFFF) << 32) | slot as u64
-}
+use crate::server::{Endpoint, ShutdownHandle};
 
 /// Router tunables.
 #[derive(Clone, Debug)]
@@ -186,15 +156,28 @@ pub struct RouterReport {
     pub deadline_closes: u64,
 }
 
+/// The gather handler's counters next to the plane's.
 #[derive(Default)]
 struct Counters {
-    connections: AtomicU64,
+    plane: Arc<PlaneCounters>,
     queries: AtomicU64,
     batch_queries: AtomicU64,
     upstream_fetches: AtomicU64,
-    protocol_errors: AtomicU64,
     shard_failures: AtomicU64,
-    deadline_closes: AtomicU64,
+}
+
+impl Counters {
+    fn report(&self) -> RouterReport {
+        RouterReport {
+            connections: self.plane.connections.load(Ordering::Relaxed),
+            queries: self.queries.load(Ordering::Relaxed),
+            batch_queries: self.batch_queries.load(Ordering::Relaxed),
+            upstream_fetches: self.upstream_fetches.load(Ordering::Relaxed),
+            protocol_errors: self.plane.protocol_errors.load(Ordering::Relaxed),
+            shard_failures: self.shard_failures.load(Ordering::Relaxed),
+            deadline_closes: self.plane.deadline_closes.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// What one shard fleet member looks like after the handshake.
@@ -209,33 +192,37 @@ struct ShardIdentity {
 /// A parsed client request the router can answer (everything else is
 /// rejected before join state is created).
 enum PlannedRequest {
-    Query {
-        s: u32,
-        t: u32,
-        faults: WireFaults,
-    },
+    Query { s: u32, t: u32, faults: WireFaults },
     Batch(Vec<(u32, u32, WireFaults)>),
 }
+
+/// vertex id -> (encoded bytes, bit length), filled as chunks land.
+type Gathered = HashMap<u32, (Vec<u8>, u32)>;
 
 /// Join state for one in-flight scatter-gather.
 struct Pending {
     client: u64,
-    request: PlannedRequest,
-    /// vertex id -> (encoded bytes, bit length), filled as chunks land.
-    labels: HashMap<u32, (Vec<u8>, u32)>,
+    /// The request with the labels gathered for it so far.
+    job: GatherJob,
     /// Chunks still unanswered.
     outstanding: usize,
     /// First failure, if any; the reply once everything lands.
     failed: Option<ErrorReply>,
 }
 
-/// One pooled upstream connection to a shard.
+/// A gathered request on its way to a decode worker.
+struct GatherJob {
+    request: PlannedRequest,
+    labels: Gathered,
+}
+
+/// One pooled upstream connection to a shard, registered on the plane's
+/// poller as handler socket number = its index in the pool.
 struct Upstream {
     shard: usize,
     endpoint: Endpoint,
-    conn: Option<Conn>,
-    assembler: protocol::FrameAssembler,
-    write_buf: protocol::WriteBuffer,
+    /// `None` while the connection is down; redialled on a throttle.
+    wire: Option<Wire>,
     /// In-flight chunks in send order — the pending-request id plus the
     /// ids that chunk asked for; the protocol is strict request/reply
     /// per connection, so the front entry owns the next reply frame.
@@ -243,75 +230,17 @@ struct Upstream {
     /// (the shard packs to its byte budget) and the tail must be
     /// re-requested.
     fifo: VecDeque<(u64, Vec<u32>)>,
-    registered: Interest,
     last_attempt: Instant,
 }
 
-impl Upstream {
-    fn desired_interest(&self) -> Interest {
-        Interest {
-            readable: true,
-            writable: !self.write_buf.is_empty(),
-        }
-    }
-}
-
-/// Per-client-connection state (mirror of the server's `Connection`).
-struct ClientConn {
-    stream: Conn,
-    assembler: protocol::FrameAssembler,
-    write_buf: protocol::WriteBuffer,
-    token: u64,
-    /// A scatter-gather (or local compute) owes this connection a
-    /// reply; readability is not watched meanwhile.
-    in_flight: bool,
-    peer_closed: bool,
-    close_after_flush: bool,
-    deadline: Option<Instant>,
-    registered: Interest,
-}
-
-impl ClientConn {
-    fn desired_interest(&self, draining: bool) -> Interest {
-        Interest {
-            readable: !self.in_flight && !self.close_after_flush && !self.peer_closed && !draining,
-            writable: !self.write_buf.is_empty(),
-        }
-    }
-}
-
-/// A gathered request on its way to a decode worker.
-struct ComputeJob {
-    token: u64,
-    request: PlannedRequest,
-    labels: HashMap<u32, (Vec<u8>, u32)>,
-}
-
-/// An encoded reply on its way back from a worker.
-struct Completion {
-    token: u64,
-    payload: Vec<u8>,
-}
-
-fn connect_upstream(endpoint: &Endpoint) -> std::io::Result<Conn> {
-    Ok(match endpoint {
-        Endpoint::Tcp(addr) => Conn::Tcp(TcpStream::connect(addr.as_str())?),
-        Endpoint::Unix(path) => Conn::Unix(UnixStream::connect(path)?),
-    })
+/// Dials `endpoint` and registers the socket as handler socket `index`.
+fn dial(endpoint: &Endpoint, poller: &mut Poller, index: usize) -> std::io::Result<Wire> {
+    Wire::register(endpoint.connect()?, poller, handler_token(index))
 }
 
 /// A bound, not-yet-running router.
 pub struct Router {
-    listener: BoundListener,
-    plan: PartitionPlan,
-    params: Arc<SchemeParams>,
-    expected_generation: Vec<u64>,
-    config: RouterConfig,
-    shutdown: Arc<AtomicBool>,
-    poller: Poller,
-    wake_rx: UnixStream,
-    wake_tx: Arc<UnixStream>,
-    upstreams: Vec<Upstream>,
+    plane: ConnPlane<Gather>,
 }
 
 impl Router {
@@ -353,75 +282,51 @@ impl Router {
             )));
         }
         let params = Arc::new(SchemeParams::with_c(epsilon, identity[0].c, n as usize));
+        let mut core = Core::bind(
+            endpoint,
+            PlaneConfig {
+                workers: config.workers,
+                max_frame: config.max_frame,
+                poll_interval: config.poll_interval,
+                frame_deadline: config.frame_deadline,
+            },
+        )?;
 
-        let listener = match endpoint {
-            Endpoint::Tcp(addr) => {
-                let l = TcpListener::bind(addr.as_str())?;
-                l.set_nonblocking(true)?;
-                BoundListener::Tcp(l)
-            }
-            Endpoint::Unix(path) => {
-                if let Ok(meta) = std::fs::symlink_metadata(path) {
-                    if meta.file_type().is_socket() {
-                        std::fs::remove_file(path)?;
-                    }
-                }
-                let l = UnixListener::bind(path)?;
-                l.set_nonblocking(true)?;
-                BoundListener::Unix(l, path.clone())
-            }
-        };
-        let mut poller = Poller::new()?;
-        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
-        let (wake_tx, wake_rx) = UnixStream::pair()?;
-        wake_tx.set_nonblocking(true)?;
-        wake_rx.set_nonblocking(true)?;
-        poller.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::READABLE)?;
-
-        // The pool: `pool_per_shard` connections per shard, registered
-        // under fixed `UPSTREAM_BIT | index` tokens. Indexes are stable
-        // for the router's lifetime; redials reuse them.
+        // The pool: `pool_per_shard` connections per shard; a connection's
+        // index is stable for the router's lifetime and redials reuse it.
         let pool = config.pool_per_shard.max(1);
         let mut upstreams = Vec::with_capacity(shard_endpoints.len() * pool);
         for (shard, ep) in shard_endpoints.iter().enumerate() {
             for _ in 0..pool {
-                let idx = upstreams.len();
-                let token = UPSTREAM_BIT | idx as u64;
-                let conn = match connect_upstream(ep) {
-                    Ok(c) => {
-                        c.set_nonblocking(true)?;
-                        poller.register(c.as_raw_fd(), token, Interest::READABLE)?;
-                        Some(c)
-                    }
-                    // The handshake just succeeded, so a dial failure
-                    // here is a race with a shard restart; the redial
-                    // loop will heal it.
-                    Err(_) => None,
-                };
                 upstreams.push(Upstream {
                     shard,
                     endpoint: ep.clone(),
-                    conn,
-                    assembler: protocol::FrameAssembler::new(),
-                    write_buf: protocol::WriteBuffer::new(),
+                    // The handshake just succeeded, so a dial failure
+                    // here is a race with a shard restart; the redial
+                    // loop will heal it.
+                    wire: dial(ep, &mut core.poller, upstreams.len()).ok(),
                     fifo: VecDeque::new(),
-                    registered: Interest::READABLE,
                     last_attempt: Instant::now(),
                 });
             }
         }
 
-        Ok(Router {
-            listener,
+        let gather = Gather {
+            rr: vec![0; shard_endpoints.len()],
             plan,
             params,
             expected_generation: identity.iter().map(|i| i.generation).collect(),
-            config,
-            shutdown: Arc::new(AtomicBool::new(false)),
-            poller,
-            wake_rx,
-            wake_tx: Arc::new(wake_tx),
+            redial_interval: config.redial_interval,
+            counters: Arc::new(Counters {
+                plane: Arc::clone(&core.counters),
+                ..Counters::default()
+            }),
             upstreams,
+            pending: HashMap::new(),
+            next_pending: 0,
+        };
+        Ok(Router {
+            plane: ConnPlane::new(core, gather),
         })
     }
 
@@ -449,18 +354,12 @@ impl Router {
         }
         let first = &identity[0];
         for (shard, id) in identity.iter().enumerate() {
-            if (id.epsilon_bits, id.c, id.vertices)
-                != (first.epsilon_bits, first.c, first.vertices)
+            if (id.epsilon_bits, id.c, id.vertices) != (first.epsilon_bits, first.c, first.vertices)
             {
                 return Err(RouterError::Plan(format!(
                     "shard {shard} disagrees with shard 0: \
                      (epsilon_bits, c, n) = ({}, {}, {}) vs ({}, {}, {})",
-                    id.epsilon_bits,
-                    id.c,
-                    id.vertices,
-                    first.epsilon_bits,
-                    first.c,
-                    first.vertices
+                    id.epsilon_bits, id.c, id.vertices, first.epsilon_bits, first.c, first.vertices
                 )));
             }
         }
@@ -473,135 +372,28 @@ impl Router {
     ///
     /// Propagates `local_addr` failures.
     pub fn local_endpoint(&self) -> std::io::Result<Endpoint> {
-        Ok(match &self.listener {
-            BoundListener::Tcp(l) => {
-                let addr: SocketAddr = l.local_addr()?;
-                Endpoint::Tcp(addr.to_string())
-            }
-            BoundListener::Unix(_, path) => Endpoint::Unix(path.clone()),
-        })
+        self.plane.local_endpoint()
     }
 
     /// A handle that can request shutdown from another thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle::new(Arc::clone(&self.shutdown))
+        self.plane.shutdown_handle()
     }
 
     /// Runs the router until shutdown; blocks the calling thread.
     pub fn run(self) -> RouterReport {
-        let workers = if self.config.workers == 0 {
-            fsdl_nets::parallel::background_workers(usize::MAX)
-        } else {
-            self.config.workers
-        };
-        assert!(workers >= 1, "router worker pool must not be empty");
-        let counters = Arc::new(Counters::default());
-        let shutdown = Arc::clone(&self.shutdown);
-        let (job_tx, job_rx): (Sender<ComputeJob>, Receiver<ComputeJob>) =
-            std::sync::mpsc::channel();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let completions: Arc<Mutex<VecDeque<Completion>>> = Arc::new(Mutex::new(VecDeque::new()));
-
-        let Router {
-            listener,
-            plan,
-            params,
-            expected_generation,
-            config,
-            poller,
-            wake_rx,
-            wake_tx,
-            upstreams,
-            ..
-        } = self;
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let job_rx = Arc::clone(&job_rx);
-                let params = Arc::clone(&params);
-                let counters = Arc::clone(&counters);
-                let completions = Arc::clone(&completions);
-                let wake_tx = Arc::clone(&wake_tx);
-                scope.spawn(move || {
-                    let mut scratch = DecodeScratch::new();
-                    let mut varints = VarintScratch::new();
-                    loop {
-                        let job = {
-                            let guard = job_rx.lock().unwrap_or_else(|e| e.into_inner());
-                            guard.recv()
-                        };
-                        let Ok(job) = job else { break };
-                        let response =
-                            compute_answer(&job, &params, &counters, &mut scratch, &mut varints);
-                        if matches!(response, Response::Error(_)) {
-                            counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                        let mut payload = Vec::new();
-                        response.encode(&mut payload);
-                        completions
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .push_back(Completion {
-                                token: job.token,
-                                payload,
-                            });
-                        let _ = (&*wake_tx).write(&[1]);
-                    }
-                });
-            }
-
-            let mut reactor = RouterLoop {
-                poller,
-                listener: &listener,
-                wake_rx: &wake_rx,
-                config: &config,
-                counters: &counters,
-                shutdown: &shutdown,
-                job_tx,
-                completions: &completions,
-                plan: &plan,
-                expected_generation,
-                upstreams,
-                rr: vec![0; plan.num_shards() as usize],
-                pending: HashMap::new(),
-                next_pending: 0,
-                slab: Vec::new(),
-                free: Vec::new(),
-                next_generation: 0,
-                armed_deadlines: 0,
-                open: 0,
-            };
-            reactor.run();
-        });
-
-        if let BoundListener::Unix(_, path) = &listener {
-            let _ = std::fs::remove_file(path);
-        }
-
-        RouterReport {
-            connections: counters.connections.load(Ordering::Relaxed),
-            queries: counters.queries.load(Ordering::Relaxed),
-            batch_queries: counters.batch_queries.load(Ordering::Relaxed),
-            upstream_fetches: counters.upstream_fetches.load(Ordering::Relaxed),
-            protocol_errors: counters.protocol_errors.load(Ordering::Relaxed),
-            shard_failures: counters.shard_failures.load(Ordering::Relaxed),
-            deadline_closes: counters.deadline_closes.load(Ordering::Relaxed),
-        }
+        self.plane.run().counters.report()
     }
 }
 
-/// The readiness-driven core of [`Router::run`].
-struct RouterLoop<'a> {
-    poller: Poller,
-    listener: &'a BoundListener,
-    wake_rx: &'a UnixStream,
-    config: &'a RouterConfig,
-    counters: &'a Counters,
-    shutdown: &'a AtomicBool,
-    job_tx: Sender<ComputeJob>,
-    completions: &'a Mutex<VecDeque<Completion>>,
-    plan: &'a PartitionPlan,
+/// The router's [`Handler`]: plans scatter-gathers over the upstream
+/// pool and hands fully gathered requests to the decode workers.
+struct Gather {
+    plan: PartitionPlan,
+    params: Arc<SchemeParams>,
     expected_generation: Vec<u64>,
+    redial_interval: Duration,
+    counters: Arc<Counters>,
     upstreams: Vec<Upstream>,
     /// Round-robin cursor per shard over its pool slice.
     rr: Vec<usize>,
@@ -610,411 +402,145 @@ struct RouterLoop<'a> {
     /// can never be confused with a later one.
     pending: HashMap<u64, Pending>,
     next_pending: u64,
-    slab: Vec<Option<ClientConn>>,
-    free: Vec<usize>,
-    next_generation: u32,
-    armed_deadlines: usize,
-    open: usize,
 }
 
-impl RouterLoop<'_> {
+/// One decode worker's state, kept for its lifetime.
+struct GatherWorker {
+    params: Arc<SchemeParams>,
+    counters: Arc<Counters>,
+    scratch: DecodeScratch,
+    varints: VarintScratch,
+}
+
+impl Handler for Gather {
+    type Work = GatherJob;
+    type Worker = GatherWorker;
+
+    fn worker(&self) -> GatherWorker {
+        GatherWorker {
+            params: Arc::clone(&self.params),
+            counters: Arc::clone(&self.counters),
+            scratch: DecodeScratch::new(),
+            varints: VarintScratch::new(),
+        }
+    }
+
+    fn work(worker: &mut GatherWorker, job: GatherJob) -> Response {
+        compute_answer(&job, worker)
+    }
+
+    /// Answers one client frame: inline when possible, otherwise by
+    /// starting a scatter-gather.
+    fn on_frame(&mut self, core: &mut Core<GatherJob>, token: u64, frame: Vec<u8>) {
+        let reply = match Request::decode(&frame) {
+            Err(wire_err) => error_reply(wire_err.code(), wire_err.to_string()),
+            Ok(Request::Query { s, t, faults }) => {
+                return self.start_gather(core, token, PlannedRequest::Query { s, t, faults });
+            }
+            Ok(Request::Batch(queries)) => {
+                return self.start_gather(core, token, PlannedRequest::Batch(queries));
+            }
+            Ok(Request::Stats) => {
+                let totals = self.counters.report();
+                Response::Stats(StatsReply {
+                    vertices: self.plan.num_vertices() as u64,
+                    dynamic: 0,
+                    active_faults: 0,
+                    connections: totals.connections,
+                    queries: totals.queries,
+                    batch_queries: totals.batch_queries,
+                    routes: 0,
+                    updates: 0,
+                    protocol_errors: totals.protocol_errors,
+                    deadline_closes: totals.deadline_closes,
+                    label_fetches: totals.upstream_fetches,
+                })
+            }
+            Ok(Request::Shutdown) => Response::Shutdown,
+            Ok(Request::Route { .. }) => error_reply(
+                ErrorCode::UnsupportedInMode,
+                "route requires a single-process static server; \
+                 the router serves distance queries only",
+            ),
+            Ok(Request::Update(_)) => error_reply(
+                ErrorCode::UnsupportedInMode,
+                "update requires a dynamic oracle; the router fronts immutable shards",
+            ),
+            Ok(Request::LabelFetch { .. }) => error_reply(
+                ErrorCode::UnsupportedInMode,
+                "label-fetch is the shard-facing op; send query or batch frames here",
+            ),
+        };
+        core.reply(token, &reply);
+    }
+
+    fn on_socket(&mut self, core: &mut Core<GatherJob>, idx: usize, writable: bool) {
+        let Some(wire) = self.upstreams.get_mut(idx).and_then(|up| up.wire.as_mut()) else {
+            return;
+        };
+        let mut dead = (writable && wire.flush().is_err()) || !matches!(wire.fill(), Ok(true));
+        // Serve every complete reply frame that arrived, even when the
+        // connection died right after sending them. Label-plane replies
+        // read under the larger MAX_LABEL_FRAME cap: labels are
+        // poly(1/eps, log n) bytes each, so a legitimate multi-label
+        // reply can exceed the client-facing frame ceiling.
+        while let Some(wire) = self.upstreams[idx].wire.as_mut() {
+            let reply = match wire.assembler.next_frame(MAX_LABEL_FRAME) {
+                FrameStep::Frame(payload) => Response::decode(payload),
+                FrameStep::Incomplete => break,
+                FrameStep::Oversized { .. } => {
+                    dead = true;
+                    break;
+                }
+            };
+            if !self.absorb_upstream_reply(idx, reply, core) {
+                dead = true;
+                break;
+            }
+        }
+        if dead {
+            self.fail_upstream(core, idx);
+        } else {
+            self.update_upstream_interest(core, idx);
+        }
+    }
+
+    fn on_tick(&mut self, core: &mut Core<GatherJob>) {
+        self.redial_dead_upstreams(core);
+    }
+}
+
+impl Gather {
     fn pool(&self) -> usize {
         self.upstreams.len() / self.rr.len().max(1)
     }
 
-    fn run(&mut self) {
-        let mut events = Vec::new();
-        let mut draining = false;
-        let mut drain_deadline = Instant::now();
-        loop {
-            if !draining && self.shutdown.load(Ordering::SeqCst) {
-                draining = true;
-                drain_deadline = Instant::now() + self.config.frame_deadline;
-                let _ = self.poller.deregister(self.listener.as_raw_fd());
-                self.close_quiescent();
-            }
-            if draining {
-                if self.open == 0 {
-                    break;
-                }
-                if Instant::now() >= drain_deadline {
-                    self.close_all_clients();
-                    break;
-                }
-            }
-
-            let timeout = self.wait_timeout(draining.then_some(drain_deadline));
-            if self.poller.wait(&mut events, Some(timeout)).is_err() {
-                self.shutdown.store(true, Ordering::SeqCst);
-                continue;
-            }
-            for ev in &events {
-                match ev.token {
-                    LISTENER_TOKEN if !draining => self.accept_ready(),
-                    LISTENER_TOKEN => {}
-                    WAKE_TOKEN => self.drain_wake_pipe(),
-                    token if token & UPSTREAM_BIT != 0 => {
-                        self.upstream_ready((token & !UPSTREAM_BIT) as usize, ev.writable);
-                    }
-                    token => self.client_ready(token, ev.writable, draining),
-                }
-            }
-            self.drain_completions(draining);
-            if self.armed_deadlines > 0 && !draining {
-                self.expire_deadlines();
-            }
-            if !draining {
-                self.redial_dead_upstreams();
-            }
-        }
-        // Drop the upstream pool explicitly so shard servers see clean
-        // EOFs before the router's report is assembled.
-        for up in &mut self.upstreams {
-            if let Some(conn) = up.conn.take() {
-                let _ = self.poller.deregister(conn.as_raw_fd());
-            }
-        }
-    }
-
-    fn wait_timeout(&self, drain_deadline: Option<Instant>) -> Duration {
-        let mut timeout = self.config.poll_interval;
-        let now = Instant::now();
-        if self.armed_deadlines > 0 {
-            for conn in self.slab.iter().flatten() {
-                if let Some(d) = conn.deadline {
-                    timeout = timeout.min(d.saturating_duration_since(now));
-                }
-            }
-        }
-        if let Some(d) = drain_deadline {
-            timeout = timeout.min(d.saturating_duration_since(now));
-        }
-        timeout
-    }
-
-    // ---- client side -------------------------------------------------
-
-    fn accept_ready(&mut self) {
-        loop {
-            let accepted = match self.listener {
-                BoundListener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
-                BoundListener::Unix(l, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
-            };
-            match accepted {
-                Ok(conn) => {
-                    if conn.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    self.counters.connections.fetch_add(1, Ordering::Relaxed);
-                    self.insert_client(conn);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.shutdown.store(true, Ordering::SeqCst);
-                    break;
-                }
-            }
-        }
-    }
-
-    fn insert_client(&mut self, conn: Conn) {
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.slab.push(None);
-            self.slab.len() - 1
-        });
-        let token = client_token(&mut self.next_generation, slot);
-        let fd = conn.as_raw_fd();
-        let connection = ClientConn {
-            stream: conn,
-            assembler: protocol::FrameAssembler::new(),
-            write_buf: protocol::WriteBuffer::new(),
-            token,
-            in_flight: false,
-            peer_closed: false,
-            close_after_flush: false,
-            deadline: None,
-            registered: Interest::READABLE,
-        };
-        if self.poller.register(fd, token, Interest::READABLE).is_err() {
-            self.free.push(slot);
-            return;
-        }
-        self.slab[slot] = Some(connection);
-        self.open += 1;
-    }
-
-    fn live_slot(&self, token: u64) -> Option<usize> {
-        let slot = (token & 0xFFFF_FFFF) as usize;
-        match self.slab.get(slot) {
-            Some(Some(conn)) if conn.token == token => Some(slot),
-            _ => None,
-        }
-    }
-
-    fn close_client(&mut self, slot: usize) {
-        if let Some(conn) = self.slab[slot].take() {
-            if conn.deadline.is_some() {
-                self.armed_deadlines -= 1;
-            }
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            self.free.push(slot);
-            self.open -= 1;
-        }
-    }
-
-    fn close_quiescent(&mut self) {
-        for slot in 0..self.slab.len() {
-            let quiescent = matches!(
-                &self.slab[slot],
-                Some(conn) if !conn.in_flight && conn.write_buf.is_empty()
-            );
-            if quiescent {
-                self.close_client(slot);
-            }
-        }
-    }
-
-    fn close_all_clients(&mut self) {
-        for slot in 0..self.slab.len() {
-            self.close_client(slot);
-        }
-    }
-
-    fn drain_wake_pipe(&mut self) {
-        let mut sink = [0u8; 256];
-        let mut pipe = self.wake_rx;
-        loop {
-            match pipe.read(&mut sink) {
-                Ok(0) => break,
-                Ok(_) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
-        }
-    }
-
-    fn client_ready(&mut self, token: u64, writable: bool, draining: bool) {
-        let Some(slot) = self.live_slot(token) else {
-            return;
-        };
-        if writable && !self.flush_client(slot) {
-            return;
-        }
-        let conn = self.slab[slot].as_mut().expect("live slot");
-        if !conn.peer_closed && !conn.close_after_flush {
-            loop {
-                match conn.assembler.read_from(&mut conn.stream) {
-                    Ok(0) => {
-                        conn.peer_closed = true;
-                        break;
-                    }
-                    Ok(_) => {}
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        self.close_client(slot);
-                        return;
-                    }
-                }
-            }
-        }
-        self.pump_client(slot, draining);
-    }
-
-    /// Moves buffered frames through the request pipeline and settles
-    /// the connection's deadline, interest, and close state. Locally
-    /// answerable frames (stats, errors) are served in a loop; a frame
-    /// that starts a scatter-gather sets `in_flight` and stops it.
-    fn pump_client(&mut self, slot: usize, draining: bool) {
-        loop {
-            let conn = self.slab[slot].as_mut().expect("live slot");
-            if conn.in_flight || conn.close_after_flush || draining {
-                break;
-            }
-            match conn.assembler.next_frame(self.config.max_frame) {
-                FrameStep::Frame(payload) => {
-                    let frame = payload.to_vec();
-                    self.disarm_deadline(slot);
-                    self.handle_client_frame(slot, &frame);
-                    // `handle_client_frame` may have closed the slot
-                    // (upstream dial storm is not a path here, but a
-                    // queued reply may have flushed a close).
-                    if self.slab[slot].is_none() {
-                        return;
-                    }
-                }
-                FrameStep::Incomplete => {
-                    let conn = self.slab[slot].as_mut().expect("live slot");
-                    if conn.peer_closed {
-                        if conn.write_buf.is_empty() && !conn.in_flight {
-                            self.close_client(slot);
-                        } else {
-                            conn.close_after_flush = true;
-                        }
-                        return;
-                    }
-                    if conn.assembler.buffered() > 0 {
-                        if conn.deadline.is_none() {
-                            conn.deadline = Some(Instant::now() + self.config.frame_deadline);
-                            self.armed_deadlines += 1;
-                        }
-                    } else {
-                        self.disarm_deadline(slot);
-                    }
-                    break;
-                }
-                FrameStep::Oversized { len, max } => {
-                    self.counters
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    let message = FrameError::Oversized { len, max }.to_string();
-                    conn.write_buf.queue_response(&Response::Error(ErrorReply {
-                        code: ErrorCode::Oversized,
-                        message,
-                    }));
-                    conn.close_after_flush = true;
-                    self.disarm_deadline(slot);
-                    break;
-                }
-            }
-        }
-        if self.slab[slot].is_none() || !self.flush_client(slot) {
-            return;
-        }
-        self.update_client_interest(slot, draining);
-    }
-
-    fn disarm_deadline(&mut self, slot: usize) {
-        let conn = self.slab[slot].as_mut().expect("live slot");
-        if conn.deadline.take().is_some() {
-            self.armed_deadlines -= 1;
-        }
-    }
-
-    fn flush_client(&mut self, slot: usize) -> bool {
-        let Some(conn) = self.slab[slot].as_mut() else {
-            return false;
-        };
-        match conn.write_buf.flush(&mut conn.stream) {
-            Ok(true) => {
-                if conn.close_after_flush {
-                    self.close_client(slot);
-                    return false;
-                }
-                true
-            }
-            Ok(false) => true,
-            Err(_) => {
-                self.close_client(slot);
-                false
-            }
-        }
-    }
-
-    fn update_client_interest(&mut self, slot: usize, draining: bool) {
-        let Some(conn) = self.slab[slot].as_mut() else {
-            return;
-        };
-        let desired = conn.desired_interest(draining);
-        if desired != conn.registered {
-            conn.registered = desired;
-            let fd = conn.stream.as_raw_fd();
-            let token = conn.token;
-            if self.poller.modify(fd, token, desired).is_err() {
-                self.close_client(slot);
-            }
-        }
-    }
-
-    /// Answers one decoded client frame: locally when possible,
-    /// otherwise by starting a scatter-gather.
-    fn handle_client_frame(&mut self, slot: usize, frame: &[u8]) {
-        let request = match Request::decode(frame) {
-            Ok(r) => r,
-            Err(wire_err) => {
-                self.reply_error(slot, wire_err.code(), wire_err.to_string());
-                return;
-            }
-        };
-        match request {
-            Request::Query { s, t, faults } => {
-                self.start_gather(slot, PlannedRequest::Query { s, t, faults });
-            }
-            Request::Batch(queries) => {
-                self.start_gather(slot, PlannedRequest::Batch(queries));
-            }
-            Request::Stats => {
-                let reply = Response::Stats(StatsReply {
-                    vertices: self.plan.num_vertices() as u64,
-                    dynamic: 0,
-                    active_faults: 0,
-                    connections: self.counters.connections.load(Ordering::Relaxed),
-                    queries: self.counters.queries.load(Ordering::Relaxed),
-                    batch_queries: self.counters.batch_queries.load(Ordering::Relaxed),
-                    routes: 0,
-                    updates: 0,
-                    protocol_errors: self.counters.protocol_errors.load(Ordering::Relaxed),
-                    deadline_closes: self.counters.deadline_closes.load(Ordering::Relaxed),
-                    label_fetches: self.counters.upstream_fetches.load(Ordering::Relaxed),
-                });
-                let conn = self.slab[slot].as_mut().expect("live slot");
-                conn.write_buf.queue_response(&reply);
-            }
-            Request::Shutdown => {
-                self.shutdown.store(true, Ordering::SeqCst);
-                let conn = self.slab[slot].as_mut().expect("live slot");
-                conn.write_buf.queue_response(&Response::Shutdown);
-                conn.close_after_flush = true;
-            }
-            Request::Route { .. } => {
-                self.reply_error(
-                    slot,
-                    ErrorCode::UnsupportedInMode,
-                    "route requires a single-process static server; \
-                     the router serves distance queries only",
-                );
-            }
-            Request::Update(_) => {
-                self.reply_error(
-                    slot,
-                    ErrorCode::UnsupportedInMode,
-                    "update requires a dynamic oracle; the router fronts immutable shards",
-                );
-            }
-            Request::LabelFetch { .. } => {
-                self.reply_error(
-                    slot,
-                    ErrorCode::UnsupportedInMode,
-                    "label-fetch is the shard-facing op; send query or batch frames here",
-                );
-            }
-        }
-    }
-
-    fn reply_error(&mut self, slot: usize, code: ErrorCode, message: impl Into<String>) {
+    /// Queues one `label-fetch` for `ids` on upstream `idx`, owed to
+    /// pending request `pending_id`.
+    fn enqueue_fetch(&mut self, idx: usize, pending_id: u64, ids: Vec<u32>) {
         self.counters
-            .protocol_errors
+            .upstream_fetches
             .fetch_add(1, Ordering::Relaxed);
-        let conn = self.slab[slot].as_mut().expect("live slot");
-        conn.write_buf.queue_response(&Response::Error(ErrorReply {
-            code,
-            message: message.into(),
-        }));
+        let mut payload = Vec::new();
+        Request::LabelFetch {
+            vertices: ids.clone(),
+        }
+        .encode(&mut payload);
+        let up = &mut self.upstreams[idx];
+        if let Some(wire) = up.wire.as_mut() {
+            wire.write_buf.queue_frame(&payload);
+        }
+        up.fifo.push_back((pending_id, ids));
     }
 
     /// Plans and launches one scatter-gather, or answers immediately
     /// when validation fails or a needed shard has no live connection.
-    fn start_gather(&mut self, slot: usize, request: PlannedRequest) {
+    fn start_gather(&mut self, core: &mut Core<GatherJob>, token: u64, request: PlannedRequest) {
         let n = self.plan.num_vertices();
         let ids = needed_ids(&request);
         if let Some(&bad) = ids.iter().find(|&&v| v as usize >= n) {
-            self.reply_error(
-                slot,
-                ErrorCode::BadRequest,
-                format!("vertex {bad} out of range for a graph of {n} vertices"),
-            );
-            return;
+            let message = format!("vertex {bad} out of range for a graph of {n} vertices");
+            return core.reply(token, &error_reply(ErrorCode::BadRequest, message));
         }
         // Group the (sorted, deduped) ids by owning shard, then chunk
         // each group at the wire cap.
@@ -1030,53 +556,36 @@ impl RouterLoop<'_> {
         // FIFO slots for a reply we already know we cannot assemble.
         let mut routes: Vec<(usize, Vec<u32>)> = Vec::with_capacity(by_shard.len());
         for (&shard, group) in &by_shard {
-            match self.pick_upstream(shard as usize) {
-                Some(_) => {
-                    for chunk in group.chunks(MAX_LABEL_FETCH as usize) {
-                        routes.push((shard as usize, chunk.to_vec()));
-                    }
-                }
-                None => {
-                    self.counters.shard_failures.fetch_add(1, Ordering::Relaxed);
-                    self.reply_error(
-                        slot,
-                        ErrorCode::Unavailable,
-                        format!("shard {shard} is unavailable"),
-                    );
-                    return;
-                }
+            if self.pick_upstream(shard as usize).is_none() {
+                self.counters.shard_failures.fetch_add(1, Ordering::Relaxed);
+                let message = format!("shard {shard} is unavailable");
+                return core.reply(token, &error_reply(ErrorCode::Unavailable, message));
+            }
+            for chunk in group.chunks(MAX_LABEL_FETCH as usize) {
+                routes.push((shard as usize, chunk.to_vec()));
             }
         }
-        let token = self.slab[slot].as_ref().expect("live slot").token;
         let id = self.next_pending;
         self.next_pending += 1;
         self.pending.insert(
             id,
             Pending {
                 client: token,
-                request,
-                labels: HashMap::with_capacity(ids.len()),
+                job: GatherJob {
+                    request,
+                    labels: HashMap::with_capacity(ids.len()),
+                },
                 outstanding: routes.len(),
                 failed: None,
             },
         );
-        self.slab[slot].as_mut().expect("live slot").in_flight = true;
+        core.hold(token);
         for (shard, chunk) in routes {
             let idx = self
                 .pick_upstream(shard)
                 .expect("liveness was checked before enqueueing");
-            self.counters
-                .upstream_fetches
-                .fetch_add(1, Ordering::Relaxed);
-            let mut payload = Vec::new();
-            Request::LabelFetch {
-                vertices: chunk.clone(),
-            }
-            .encode(&mut payload);
-            let up = &mut self.upstreams[idx];
-            up.write_buf.queue_frame(&payload);
-            up.fifo.push_back((id, chunk));
-            self.update_upstream_interest(idx);
+            self.enqueue_fetch(idx, id, chunk);
+            self.update_upstream_interest(core, idx);
         }
     }
 
@@ -1087,7 +596,7 @@ impl RouterLoop<'_> {
         let base = shard * pool;
         for step in 0..pool {
             let idx = base + (self.rr[shard] + step) % pool;
-            if self.upstreams[idx].conn.is_some() {
+            if self.upstreams[idx].wire.is_some() {
                 self.rr[shard] = (self.rr[shard] + step + 1) % pool;
                 return Some(idx);
             }
@@ -1095,71 +604,21 @@ impl RouterLoop<'_> {
         None
     }
 
-    // ---- upstream side ----------------------------------------------
-
-    fn upstream_ready(&mut self, idx: usize, writable: bool) {
-        if idx >= self.upstreams.len() {
-            return;
-        }
-        if writable && !self.flush_upstream(idx) {
-            return;
-        }
-        let up = &mut self.upstreams[idx];
-        let Some(conn) = up.conn.as_mut() else {
-            return;
-        };
-        let mut dead = false;
-        loop {
-            match up.assembler.read_from(conn) {
-                Ok(0) => {
-                    dead = true;
-                    break;
-                }
-                Ok(_) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
-            }
-        }
-        // Serve every complete reply frame that arrived, even when the
-        // connection died right after sending them. Label-plane replies
-        // read under the larger MAX_LABEL_FRAME cap: labels are
-        // poly(1/eps, log n) bytes each, so a legitimate multi-label
-        // reply can exceed the client-facing frame ceiling.
-        loop {
-            let frame = match self.upstreams[idx].assembler.next_frame(MAX_LABEL_FRAME) {
-                FrameStep::Frame(payload) => payload.to_vec(),
-                FrameStep::Incomplete => break,
-                FrameStep::Oversized { .. } => {
-                    dead = true;
-                    break;
-                }
-            };
-            if !self.absorb_upstream_frame(idx, &frame) {
-                dead = true;
-                break;
-            }
-        }
-        if dead {
-            self.fail_upstream(idx);
-        } else {
-            self.update_upstream_interest(idx);
-        }
-    }
-
-    /// Matches one upstream reply frame to the front of the FIFO and
-    /// folds it into the pending request. Returns `false` when the
-    /// stream is desynchronized and the connection must be dropped.
-    fn absorb_upstream_frame(&mut self, idx: usize, frame: &[u8]) -> bool {
+    /// Matches one upstream reply to the front of the FIFO and folds it
+    /// into the pending request. Returns `false` when the stream is
+    /// desynchronized and the connection must be dropped.
+    fn absorb_upstream_reply(
+        &mut self,
+        idx: usize,
+        reply: Result<Response, WireError>,
+        core: &mut Core<GatherJob>,
+    ) -> bool {
         let shard = self.upstreams[idx].shard;
         let Some((pending_id, requested)) = self.upstreams[idx].fifo.pop_front() else {
             // A reply nobody asked for: protocol desync.
             return false;
         };
-        let outcome = match Response::decode(frame) {
+        let outcome = match reply {
             Ok(Response::LabelFetch(reply)) => {
                 if reply.generation != self.expected_generation[shard] {
                     self.counters.shard_failures.fetch_add(1, Ordering::Relaxed);
@@ -1193,7 +652,10 @@ impl RouterLoop<'_> {
             }
             Ok(Response::Error(e)) => Err(ErrorReply {
                 code: ErrorCode::Internal,
-                message: format!("shard {shard} rejected a label-fetch [{}]: {}", e.code, e.message),
+                message: format!(
+                    "shard {shard} rejected a label-fetch [{}]: {}",
+                    e.code, e.message
+                ),
             }),
             Ok(other) => Err(ErrorReply {
                 code: ErrorCode::Internal,
@@ -1211,226 +673,98 @@ impl RouterLoop<'_> {
         // When the pending was already failed and reaped (its other
         // chunks died with another connection) there is nothing to fold
         // and a short reply's tail is not worth fetching.
-        let mut short_tail: Option<Vec<u32>> = None;
-        let mut complete = false;
+        let Some(pending) = self.pending.get_mut(&pending_id) else {
+            return !desynced;
+        };
+        let mut short_tail = None;
         match outcome {
             Ok(labels) => {
-                if let Some(pending) = self.pending.get_mut(&pending_id) {
-                    let served = labels.len();
-                    for lb in labels {
-                        pending.labels.insert(lb.vertex, (lb.bytes, lb.bit_len));
-                    }
-                    if served < requested.len() {
-                        short_tail = Some(requested[served..].to_vec());
-                    } else {
-                        pending.outstanding -= 1;
-                        complete = pending.outstanding == 0;
-                    }
+                if labels.len() < requested.len() {
+                    short_tail = Some(requested[labels.len()..].to_vec());
+                }
+                for lb in labels {
+                    pending.job.labels.insert(lb.vertex, (lb.bytes, lb.bit_len));
                 }
             }
             Err(e) => {
-                if let Some(pending) = self.pending.get_mut(&pending_id) {
-                    pending.failed.get_or_insert(e);
-                    pending.outstanding -= 1;
-                    complete = pending.outstanding == 0;
-                }
+                pending.failed.get_or_insert(e);
             }
         }
-        if let Some(tail) = short_tail {
-            // Short reply: the shard packed to its byte budget. The
-            // chunk stays outstanding; re-request the unserved suffix on
-            // the same connection so FIFO order keeps holding.
-            self.counters
-                .upstream_fetches
-                .fetch_add(1, Ordering::Relaxed);
-            let mut payload = Vec::new();
-            Request::LabelFetch {
-                vertices: tail.clone(),
-            }
-            .encode(&mut payload);
-            let up = &mut self.upstreams[idx];
-            up.write_buf.queue_frame(&payload);
-            up.fifo.push_back((pending_id, tail));
-        }
-        if complete {
-            self.finish_pending(pending_id);
+        match short_tail {
+            // Short reply: the shard packed to its byte budget. The chunk
+            // stays outstanding; re-request the unserved suffix on the
+            // same connection so FIFO order keeps holding.
+            Some(tail) => self.enqueue_fetch(idx, pending_id, tail),
+            None => self.chunk_done(core, pending_id),
         }
         !desynced
     }
 
-    /// A pending is fully gathered (or fully failed): hand it to a
-    /// worker or answer the client with the recorded failure.
-    fn finish_pending(&mut self, pending_id: u64) {
-        let Some(pending) = self.pending.remove(&pending_id) else {
+    /// One chunk of `pending_id` was answered or failed. Once none are
+    /// outstanding the request goes to a worker, or its recorded failure
+    /// goes to the client.
+    fn chunk_done(&mut self, core: &mut Core<GatherJob>, pending_id: u64) {
+        let Some(pending) = self.pending.get_mut(&pending_id) else {
             return;
         };
-        let Some(slot) = self.live_slot(pending.client) else {
-            return; // client left mid-gather; drop the work
-        };
+        pending.outstanding -= 1;
+        if pending.outstanding > 0 {
+            return;
+        }
+        let pending = self.pending.remove(&pending_id).expect("looked up above");
         match pending.failed {
-            Some(err) => {
-                self.counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                let conn = self.slab[slot].as_mut().expect("live slot");
-                conn.in_flight = false;
-                conn.write_buf.queue_response(&Response::Error(err));
-                self.pump_client(slot, false);
-            }
-            None => {
-                let job = ComputeJob {
-                    token: pending.client,
-                    request: pending.request,
-                    labels: pending.labels,
-                };
-                if self.job_tx.send(job).is_err() {
-                    self.close_client(slot);
-                }
-            }
+            Some(err) => core.reply(pending.client, &Response::Error(err)),
+            None => core.submit(pending.client, pending.job),
         }
     }
 
-    fn flush_upstream(&mut self, idx: usize) -> bool {
-        let up = &mut self.upstreams[idx];
-        let Some(conn) = up.conn.as_mut() else {
-            return false;
-        };
-        match up.write_buf.flush(conn) {
-            Ok(_) => true,
-            Err(_) => {
-                self.fail_upstream(idx);
-                false
-            }
-        }
-    }
-
-    fn update_upstream_interest(&mut self, idx: usize) {
-        let up = &mut self.upstreams[idx];
-        let Some(conn) = up.conn.as_ref() else {
+    fn update_upstream_interest(&mut self, core: &mut Core<GatherJob>, idx: usize) {
+        let Some(wire) = self.upstreams[idx].wire.as_mut() else {
             return;
         };
-        let desired = up.desired_interest();
-        if desired != up.registered {
-            up.registered = desired;
-            let fd = conn.as_raw_fd();
-            let token = UPSTREAM_BIT | idx as u64;
-            if self.poller.modify(fd, token, desired).is_err() {
-                self.fail_upstream(idx);
-            }
+        let desired = Interest {
+            readable: true,
+            writable: !wire.write_buf.is_empty(),
+        };
+        if wire
+            .set_interest(&mut core.poller, handler_token(idx), desired)
+            .is_err()
+        {
+            self.fail_upstream(core, idx);
         }
     }
 
     /// Tears down one upstream connection: every request waiting on its
-    /// FIFO fails with `Unavailable`, buffers reset, and the redial
-    /// throttle starts.
-    fn fail_upstream(&mut self, idx: usize) {
-        let shard = self.upstreams[idx].shard;
-        if let Some(conn) = self.upstreams[idx].conn.take() {
-            let _ = self.poller.deregister(conn.as_raw_fd());
+    /// FIFO fails with `Unavailable`, and the redial throttle starts.
+    fn fail_upstream(&mut self, core: &mut Core<GatherJob>, idx: usize) {
+        let up = &mut self.upstreams[idx];
+        let shard = up.shard;
+        if let Some(wire) = up.wire.take() {
+            wire.close(&mut core.poller);
             self.counters.shard_failures.fetch_add(1, Ordering::Relaxed);
         }
-        let up = &mut self.upstreams[idx];
-        up.assembler = protocol::FrameAssembler::new();
-        up.write_buf = protocol::WriteBuffer::new();
         up.last_attempt = Instant::now();
         let orphans: Vec<(u64, Vec<u32>)> = up.fifo.drain(..).collect();
         for (pending_id, _requested) in orphans {
-            let Some(pending) = self.pending.get_mut(&pending_id) else {
-                continue;
-            };
-            pending.failed.get_or_insert(ErrorReply {
-                code: ErrorCode::Unavailable,
-                message: format!("shard {shard} connection failed mid-request"),
-            });
-            pending.outstanding -= 1;
-            if pending.outstanding == 0 {
-                self.finish_pending(pending_id);
+            if let Some(pending) = self.pending.get_mut(&pending_id) {
+                pending.failed.get_or_insert(ErrorReply {
+                    code: ErrorCode::Unavailable,
+                    message: format!("shard {shard} connection failed mid-request"),
+                });
             }
+            self.chunk_done(core, pending_id);
         }
     }
 
     /// Redials dead upstream connections on a throttle. The connect is
     /// blocking but local-fleet-fast; a dead host is bounded by the OS
     /// connect timeout and the redial interval keeps it rare.
-    fn redial_dead_upstreams(&mut self) {
-        for idx in 0..self.upstreams.len() {
-            if self.upstreams[idx].conn.is_some()
-                || self.upstreams[idx].last_attempt.elapsed() < self.config.redial_interval
-            {
-                continue;
+    fn redial_dead_upstreams(&mut self, core: &mut Core<GatherJob>) {
+        for (idx, up) in self.upstreams.iter_mut().enumerate() {
+            if up.wire.is_none() && up.last_attempt.elapsed() >= self.redial_interval {
+                up.last_attempt = Instant::now();
+                up.wire = dial(&up.endpoint, &mut core.poller, idx).ok();
             }
-            self.upstreams[idx].last_attempt = Instant::now();
-            let endpoint = self.upstreams[idx].endpoint.clone();
-            let Ok(conn) = connect_upstream(&endpoint) else {
-                continue;
-            };
-            if conn.set_nonblocking(true).is_err() {
-                continue;
-            }
-            let token = UPSTREAM_BIT | idx as u64;
-            if self
-                .poller
-                .register(conn.as_raw_fd(), token, Interest::READABLE)
-                .is_err()
-            {
-                continue;
-            }
-            let up = &mut self.upstreams[idx];
-            up.conn = Some(conn);
-            up.registered = Interest::READABLE;
-        }
-    }
-
-    // ---- completions and deadlines ----------------------------------
-
-    fn drain_completions(&mut self, draining: bool) {
-        loop {
-            let completion = {
-                let mut queue = self.completions.lock().unwrap_or_else(|e| e.into_inner());
-                queue.pop_front()
-            };
-            let Some(completion) = completion else { break };
-            let Some(slot) = self.live_slot(completion.token) else {
-                continue;
-            };
-            let conn = self.slab[slot].as_mut().expect("live slot");
-            if !conn.in_flight {
-                continue; // stale completion for a recycled slot
-            }
-            conn.in_flight = false;
-            conn.write_buf.queue_frame(&completion.payload);
-            if draining {
-                conn.close_after_flush = true;
-            }
-            self.pump_client(slot, draining);
-        }
-    }
-
-    fn expire_deadlines(&mut self) {
-        let now = Instant::now();
-        for slot in 0..self.slab.len() {
-            let expired = matches!(
-                &self.slab[slot],
-                Some(conn) if conn.deadline.is_some_and(|d| d <= now)
-            );
-            if !expired {
-                continue;
-            }
-            self.counters
-                .deadline_closes
-                .fetch_add(1, Ordering::Relaxed);
-            self.disarm_deadline(slot);
-            let conn = self.slab[slot].as_mut().expect("live slot");
-            conn.write_buf.queue_response(&Response::Error(ErrorReply {
-                code: ErrorCode::DeadlineExceeded,
-                message: format!(
-                    "frame not completed within {:?}; closing",
-                    self.config.frame_deadline
-                ),
-            }));
-            let conn = self.slab[slot].as_mut().expect("live slot");
-            let _ = conn.write_buf.flush(&mut conn.stream);
-            self.close_client(slot);
         }
     }
 }
@@ -1468,7 +802,7 @@ fn needed_ids(request: &PlannedRequest) -> Vec<u32> {
 /// consistency — a shard that returns bytes for the wrong vertex or a
 /// corrupt label is a typed `Internal` error, never a wrong answer.
 fn decode_gathered(
-    labels: &HashMap<u32, (Vec<u8>, u32)>,
+    labels: &Gathered,
     n: usize,
     varints: &mut VarintScratch,
 ) -> Result<HashMap<u32, Label>, Response> {
@@ -1496,8 +830,8 @@ fn decode_gathered(
 
 /// Answers one (s, t, F) against the decoded label map — the same
 /// [`query_with_scratch`] call, fed the same labels in the same
-/// [`QueryLabels`] order as the single-process server, so the answer is
-/// bit-identical.
+/// [`QueryLabels`] order (sorted fault ids) as the single-process server,
+/// so the answer is bit-identical.
 fn answer_one(
     s: u32,
     t: u32,
@@ -1506,55 +840,42 @@ fn answer_one(
     params: &SchemeParams,
     scratch: &mut DecodeScratch,
 ) -> Result<fsdl_labels::QueryAnswer, Response> {
-    let missing = |v: u32| {
-        Response::Error(ErrorReply {
-            code: ErrorCode::Internal,
-            message: format!("gathered label set is missing vertex {v}"),
+    let label = |v: NodeId| {
+        decoded.get(&v.raw()).ok_or_else(|| {
+            error_reply(
+                ErrorCode::Internal,
+                format!("gathered label set is missing vertex {v}"),
+            )
         })
     };
-    let source = decoded.get(&s).ok_or_else(|| missing(s))?;
-    let target = decoded.get(&t).ok_or_else(|| missing(t))?;
     let fault_set = faults.to_fault_set();
-    let mut fault_vertices = Vec::with_capacity(fault_set.len());
-    for v in fault_set.vertices() {
-        fault_vertices.push(decoded.get(&v.raw()).ok_or_else(|| missing(v.raw()))?);
+    let mut query_labels = QueryLabels::none();
+    for v in fault_set.sorted_vertices() {
+        query_labels.fault_vertices.push(label(v)?);
     }
-    let mut fault_edges = Vec::new();
-    for e in fault_set.edges() {
-        let a = decoded
-            .get(&e.lo().raw())
-            .ok_or_else(|| missing(e.lo().raw()))?;
-        let b = decoded
-            .get(&e.hi().raw())
-            .ok_or_else(|| missing(e.hi().raw()))?;
-        fault_edges.push((a, b));
+    for e in fault_set.sorted_edges() {
+        query_labels
+            .fault_edges
+            .push((label(e.lo())?, label(e.hi())?));
     }
-    let query_labels = QueryLabels {
-        fault_vertices,
-        fault_edges,
-    };
     Ok(query_with_scratch(
         params,
-        source,
-        target,
+        label(NodeId::new(s))?,
+        label(NodeId::new(t))?,
         &query_labels,
         scratch,
     ))
 }
 
-fn sat_u32(v: usize) -> u32 {
-    v.try_into().unwrap_or(u32::MAX)
-}
-
 /// The worker-side terminal: decode the gathered labels, answer every
-/// query in the frame, encode the reply.
-fn compute_answer(
-    job: &ComputeJob,
-    params: &SchemeParams,
-    counters: &Counters,
-    scratch: &mut DecodeScratch,
-    varints: &mut VarintScratch,
-) -> Response {
+/// query in the frame.
+fn compute_answer(job: &GatherJob, worker: &mut GatherWorker) -> Response {
+    let GatherWorker {
+        params,
+        counters,
+        scratch,
+        varints,
+    } = worker;
     let decoded = match decode_gathered(&job.labels, params.n(), varints) {
         Ok(d) => d,
         Err(resp) => return resp,
@@ -1564,12 +885,7 @@ fn compute_answer(
             match answer_one(*s, *t, faults, &decoded, params, scratch) {
                 Ok(answer) => {
                     counters.queries.fetch_add(1, Ordering::Relaxed);
-                    Response::Query(QueryReply {
-                        distance: answer.distance.raw(),
-                        sketch_vertices: sat_u32(answer.sketch_vertices),
-                        sketch_edges: sat_u32(answer.sketch_edges),
-                        path: answer.path.iter().map(|v| v.raw()).collect(),
-                    })
+                    Response::Query(QueryReply::from_answer(&answer))
                 }
                 Err(resp) => resp,
             }
@@ -1578,11 +894,7 @@ fn compute_answer(
             let mut out = Vec::with_capacity(items.len());
             for (s, t, faults) in items {
                 match answer_one(*s, *t, faults, &decoded, params, scratch) {
-                    Ok(answer) => out.push(BatchItem {
-                        distance: answer.distance.raw(),
-                        sketch_vertices: sat_u32(answer.sketch_vertices),
-                        sketch_edges: sat_u32(answer.sketch_edges),
-                    }),
+                    Ok(answer) => out.push(BatchItem::from_answer(&answer)),
                     Err(resp) => return resp,
                 }
             }
@@ -1597,32 +909,6 @@ fn compute_answer(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn client_tokens_never_enter_the_upstream_namespace() {
-        // Even a wrapped generation at the highest slot keeps bit 63
-        // clear, so no client token can route to an upstream, the
-        // listener, or the wake pipe.
-        let mut generation = u32::MAX - 3;
-        for _ in 0..8 {
-            let token = client_token(&mut generation, 0xFFFF_FFFF);
-            assert_eq!(token & UPSTREAM_BIT, 0);
-            assert_ne!(token, LISTENER_TOKEN);
-            assert_ne!(token, WAKE_TOKEN);
-        }
-    }
-
-    #[test]
-    fn client_token_same_slot_reuse_always_differs() {
-        let mut generation = 0x7FFF_FFFE; // about to wrap the 31-bit mask
-        let first = client_token(&mut generation, 42);
-        let second = client_token(&mut generation, 42);
-        let third = client_token(&mut generation, 42);
-        assert_ne!(first, second);
-        assert_ne!(second, third);
-        assert_eq!(first & 0xFFFF_FFFF, 42);
-        assert_eq!(second & 0xFFFF_FFFF, 42);
-    }
 
     #[test]
     fn needed_ids_dedups_and_follows_fault_set_filtering() {

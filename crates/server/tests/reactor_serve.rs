@@ -2,7 +2,9 @@
 //! read chunks, interleaved connections, write buffering under a lazy
 //! reader, slow-loris deadlines, and worker-starvation immunity — the
 //! properties the readiness-driven event loop exists to provide and the
-//! old connection-per-worker server could not.
+//! old connection-per-worker server could not. Every case runs against
+//! both fronts of the connection plane: the single-process server and the
+//! router over a 2-shard fleet.
 
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
@@ -12,10 +14,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fsdl_graph::generators;
-use fsdl_labels::ForbiddenSetOracle;
+use fsdl_labels::partition::{shard_dir_name, PartitionPlan, ShardStore};
+use fsdl_labels::{write_shard_stores, ForbiddenSetOracle};
 use fsdl_routing::Network;
 use fsdl_server::{
-    Client, Endpoint, ErrorCode, Request, Response, ServeEngine, Server, ServerConfig, WireFaults,
+    Client, Endpoint, ErrorCode, Request, Response, Router, RouterConfig, ServeEngine, Server,
+    ServerConfig, ShutdownHandle, WireFaults,
 };
 
 fn scratch_sock(tag: &str) -> PathBuf {
@@ -27,21 +31,134 @@ fn scratch_sock(tag: &str) -> PathBuf {
     ))
 }
 
-fn spawn_server(
-    sock: PathBuf,
-    config: ServerConfig,
-) -> (Endpoint, std::thread::JoinHandle<fsdl_server::ServeReport>) {
+/// What a case talks to.
+#[derive(Clone, Copy, Debug)]
+enum Front {
+    /// One static server.
+    Server,
+    /// The router over two shard servers.
+    Router,
+}
+
+const FRONTS: [Front; 2] = [Front::Server, Front::Router];
+
+/// The totals the cases assert on, from either front's report.
+#[derive(Debug)]
+struct Totals {
+    connections: u64,
+    queries: u64,
+    batch_queries: u64,
+    protocol_errors: u64,
+    deadline_closes: u64,
+}
+
+/// A running front; `join` after the shutdown frame.
+struct Running {
+    front: std::thread::JoinHandle<Totals>,
+    shards: Vec<(
+        std::thread::JoinHandle<fsdl_server::ServeReport>,
+        ShutdownHandle,
+    )>,
+    shard_dir: Option<PathBuf>,
+}
+
+impl Running {
+    fn join(self) -> Totals {
+        let totals = self.front.join().expect("front thread");
+        for (thread, shutdown) in self.shards {
+            shutdown.signal();
+            thread.join().expect("shard thread");
+        }
+        if let Some(dir) = self.shard_dir {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        totals
+    }
+}
+
+/// Serves the 6x6 grid behind `front` on `sock`; `config`'s loop tunables
+/// apply to the front either way.
+fn spawn_front(front: Front, sock: PathBuf, config: ServerConfig) -> (Endpoint, Running) {
     let g = generators::grid2d(6, 6);
     let oracle = ForbiddenSetOracle::new(&g, 0.5);
-    let server = Server::bind(
-        &Endpoint::Unix(sock),
-        ServeEngine::Static(Arc::new(Network::from_oracle(oracle))),
-        config,
-    )
-    .expect("bind");
-    let endpoint = server.local_endpoint().expect("endpoint");
-    let handle = std::thread::spawn(move || server.run());
-    (endpoint, handle)
+    match front {
+        Front::Server => {
+            let server = Server::bind(
+                &Endpoint::Unix(sock),
+                ServeEngine::Static(Arc::new(Network::from_oracle(oracle))),
+                config,
+            )
+            .expect("bind");
+            let endpoint = server.local_endpoint().expect("endpoint");
+            let front = std::thread::spawn(move || {
+                let r = server.run();
+                Totals {
+                    connections: r.connections,
+                    queries: r.queries,
+                    batch_queries: r.batch_queries,
+                    protocol_errors: r.protocol_errors,
+                    deadline_closes: r.deadline_closes,
+                }
+            });
+            let running = Running {
+                front,
+                shards: Vec::new(),
+                shard_dir: None,
+            };
+            (endpoint, running)
+        }
+        Front::Router => {
+            let dir = sock.with_extension("shards");
+            std::fs::create_dir_all(&dir).expect("shard dir");
+            let plan = PartitionPlan::for_oracle(&oracle, 2);
+            let mut shard_endpoints = Vec::new();
+            let mut shards = Vec::new();
+            for report in write_shard_stores(&oracle, &dir, &plan).expect("write shard stores") {
+                let store = ShardStore::open(&dir.join(shard_dir_name(report.shard)))
+                    .expect("open shard store");
+                let endpoint = Endpoint::Unix(dir.join(format!("shard-{}.sock", report.shard)));
+                let shard_config = ServerConfig {
+                    workers: 1,
+                    ..ServerConfig::default()
+                };
+                let server = Server::bind(&endpoint, ServeEngine::from_shard(store), shard_config)
+                    .expect("bind shard");
+                let shutdown = server.shutdown_handle();
+                shards.push((std::thread::spawn(move || server.run()), shutdown));
+                shard_endpoints.push(endpoint);
+            }
+            let router = Router::bind(
+                &Endpoint::Unix(sock),
+                shard_endpoints,
+                plan,
+                RouterConfig {
+                    workers: config.workers,
+                    max_frame: config.max_frame,
+                    poll_interval: config.poll_interval,
+                    frame_deadline: config.frame_deadline,
+                    ..RouterConfig::default()
+                },
+            )
+            .expect("bind router");
+            let endpoint = router.local_endpoint().expect("endpoint");
+            let front = std::thread::spawn(move || {
+                let r = router.run();
+                Totals {
+                    connections: r.connections,
+                    queries: r.queries,
+                    batch_queries: r.batch_queries,
+                    protocol_errors: r.protocol_errors,
+                    deadline_closes: r.deadline_closes,
+                }
+            });
+            let running = Running {
+                front,
+                shards,
+                shard_dir: Some(dir),
+            };
+            (endpoint, running)
+        }
+    }
 }
 
 fn connect_raw(endpoint: &Endpoint) -> UnixStream {
@@ -98,7 +215,11 @@ fn read_reply(stream: &mut UnixStream) -> Option<Vec<u8>> {
 /// whole — the reassembler cannot care where the kernel splits reads.
 #[test]
 fn drip_fed_frames_are_reassembled_across_every_boundary() {
-    let (endpoint, handle) = spawn_server(scratch_sock("drip"), ServerConfig::default());
+    FRONTS.into_iter().for_each(drip_fed_frames);
+}
+
+fn drip_fed_frames(front: Front) {
+    let (endpoint, handle) = spawn_front(front, scratch_sock("drip"), ServerConfig::default());
 
     let request = Request::Query {
         s: 0,
@@ -138,7 +259,7 @@ fn drip_fed_frames_are_reassembled_across_every_boundary() {
 
     let mut client = Client::connect(&endpoint).expect("connect");
     client.shutdown().expect("shutdown");
-    let report = handle.join().expect("server");
+    let report = handle.join();
     assert_eq!(report.protocol_errors, 0);
     assert_eq!(report.queries, 4);
 }
@@ -147,7 +268,12 @@ fn drip_fed_frames_are_reassembled_across_every_boundary() {
 /// answer: per-connection assembler state never bleeds across sockets.
 #[test]
 fn interleaved_partial_frames_stay_per_connection() {
-    let (endpoint, handle) = spawn_server(scratch_sock("interleave"), ServerConfig::default());
+    FRONTS.into_iter().for_each(interleaved_partial_frames);
+}
+
+fn interleaved_partial_frames(front: Front) {
+    let (endpoint, handle) =
+        spawn_front(front, scratch_sock("interleave"), ServerConfig::default());
 
     let frame_a = encode_frame(&Request::Query {
         s: 0,
@@ -199,7 +325,7 @@ fn interleaved_partial_frames_stay_per_connection() {
     assert_ne!(a.distance, b.distance, "distinct queries chosen to differ");
 
     client.shutdown().expect("shutdown");
-    let report = handle.join().expect("server");
+    let report = handle.join();
     assert_eq!(report.protocol_errors, 0);
 }
 
@@ -208,7 +334,13 @@ fn interleaved_partial_frames_stay_per_connection() {
 /// fills); every reply still arrives complete and in order.
 #[test]
 fn pipelined_batches_with_a_lazy_reader_exercise_the_write_buffer() {
-    let (endpoint, handle) = spawn_server(scratch_sock("lazy"), ServerConfig::default());
+    FRONTS
+        .into_iter()
+        .for_each(pipelined_batches_with_a_lazy_reader);
+}
+
+fn pipelined_batches_with_a_lazy_reader(front: Front) {
+    let (endpoint, handle) = spawn_front(front, scratch_sock("lazy"), ServerConfig::default());
 
     const BATCHES: usize = 8;
     const PER_BATCH: usize = 2048;
@@ -251,7 +383,7 @@ fn pipelined_batches_with_a_lazy_reader_exercise_the_write_buffer() {
     }
 
     client.shutdown().expect("shutdown");
-    let report = handle.join().expect("server");
+    let report = handle.join();
     assert_eq!(report.protocol_errors, 0);
     assert_eq!(
         report.batch_queries,
@@ -264,11 +396,15 @@ fn pipelined_batches_with_a_lazy_reader_exercise_the_write_buffer() {
 /// count; a connection that is merely idle (no partial frame) is immune.
 #[test]
 fn slow_loris_hits_the_deadline_while_idle_connections_are_immune() {
+    FRONTS.into_iter().for_each(slow_loris_and_idle);
+}
+
+fn slow_loris_and_idle(front: Front) {
     let config = ServerConfig {
         frame_deadline: Duration::from_millis(200),
         ..ServerConfig::default()
     };
-    let (endpoint, handle) = spawn_server(scratch_sock("loris"), config);
+    let (endpoint, handle) = spawn_front(front, scratch_sock("loris"), config);
 
     // Idle connection: open, never writes. Must survive many deadlines.
     let mut idle = connect_raw(&endpoint);
@@ -302,7 +438,7 @@ fn slow_loris_hits_the_deadline_while_idle_connections_are_immune() {
 
     let mut client = Client::connect(&endpoint).expect("connect");
     client.shutdown().expect("shutdown");
-    let report = handle.join().expect("server");
+    let report = handle.join();
     assert_eq!(report.deadline_closes, 1);
     assert_eq!(
         report.protocol_errors, 0,
@@ -316,11 +452,15 @@ fn slow_loris_hits_the_deadline_while_idle_connections_are_immune() {
 /// first idle connection forever; the reactor must answer promptly.
 #[test]
 fn one_worker_with_many_idle_connections_still_serves() {
+    FRONTS.into_iter().for_each(one_worker_behind_idle_crowd);
+}
+
+fn one_worker_behind_idle_crowd(front: Front) {
     let config = ServerConfig {
         workers: 1,
         ..ServerConfig::default()
     };
-    let (endpoint, handle) = spawn_server(scratch_sock("starve"), config);
+    let (endpoint, handle) = spawn_front(front, scratch_sock("starve"), config);
 
     let idle: Vec<UnixStream> = (0..50).map(|_| connect_raw(&endpoint)).collect();
 
@@ -340,7 +480,7 @@ fn one_worker_with_many_idle_connections_still_serves() {
 
     drop(idle);
     client.shutdown().expect("shutdown");
-    let report = handle.join().expect("server");
+    let report = handle.join();
     assert_eq!(report.queries, 50);
     assert_eq!(report.connections, 51);
 }

@@ -8,17 +8,21 @@
 //! or bit-identical answers, never a panic and never a silent wrong
 //! answer.
 
+use std::io::Read;
+use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 use fsdl_graph::{generators, FaultSet, Graph, NodeId};
 use fsdl_labels::partition::{shard_dir_name, PartitionPlan, ShardStore};
-use fsdl_labels::{write_shard_stores, DecodeScratch, ForbiddenSetOracle};
+use fsdl_labels::{write_shard_stores, DecodeScratch, ForbiddenSetOracle, SchemeParams};
 use fsdl_routing::Network;
 use fsdl_server::{
-    Client, ClientError, Endpoint, ErrorCode, Router, RouterConfig, ServeEngine, ServeReport,
-    Server, ServerConfig, ShutdownHandle, WireFaults,
+    protocol, Client, ClientError, Endpoint, ErrorCode, LabelFetchReply, Response, Router,
+    RouterConfig, ServeEngine, ServeReport, Server, ServerConfig, ShutdownHandle, WireFaults,
+    MAX_FRAME,
 };
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -236,51 +240,70 @@ fn router_matches_unsharded_oracle_across_fault_matrix() {
 
 /// A single-process static server is a valid 1-shard backend: the
 /// router's handshake accepts its generation-0 label plane and answers
-/// match the oracle exactly.
+/// match the oracle exactly. The second input is a graph long enough for
+/// labels to be local, with queries whose equally short witness paths tie
+/// on the order fault labels reach the decoder: the router assembles
+/// them in sorted id order like the oracle, so the paths agree too.
 #[test]
 fn router_fronts_a_static_server_as_one_shard() {
-    let g = generators::grid2d(6, 5);
-    let oracle = ForbiddenSetOracle::new(&g, 0.5);
-    let plan = PartitionPlan::contiguous(g.num_vertices(), 1);
-    let net = Network::from_oracle(ForbiddenSetOracle::new(&g, 0.5));
-    let dir = TempDir::new("static1");
-    let backend_ep = Endpoint::Unix(dir.path().join("backend.sock"));
-    let backend = Server::bind(
-        &backend_ep,
-        ServeEngine::from_network(net),
-        ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind backend");
-    let backend_shutdown = backend.shutdown_handle();
-    let backend_thread = std::thread::spawn(move || backend.run());
-
-    let (endpoint, _shutdown, router_thread) = spawn_router(vec![backend_ep], plan);
-    let mut client = connect(&endpoint);
-    let mut scratch = DecodeScratch::new();
-    let faults = FaultSet::from_vertices([NodeId::new(7)]);
-    let expected = oracle.query_with(NodeId::new(0), NodeId::new(29), &faults, &mut scratch);
-    let reply = client
-        .query(
-            0,
-            29,
-            WireFaults {
-                vertices: vec![7],
-                edges: vec![],
+    /// `(s, t, fault vertices)`
+    type Query = (u32, u32, &'static [u32]);
+    let inputs: [(Graph, f64, &[Query]); 2] = [
+        (generators::grid2d(6, 5), 0.5, &[(0, 29, &[7])]),
+        (
+            generators::grid2d(3, 150),
+            2.0,
+            &[
+                (431, 27, &[282, 382]),
+                (58, 418, &[109, 236]),
+                (33, 427, &[102, 174, 185, 250]),
+                (15, 408, &[148, 180, 355, 390]),
+            ],
+        ),
+    ];
+    for (g, epsilon, queries) in inputs {
+        let oracle = ForbiddenSetOracle::new(&g, epsilon);
+        let plan = PartitionPlan::contiguous(g.num_vertices(), 1);
+        let net = Network::from_oracle(ForbiddenSetOracle::new(&g, epsilon));
+        let dir = TempDir::new("static1");
+        let backend_ep = Endpoint::Unix(dir.path().join("backend.sock"));
+        let backend = Server::bind(
+            &backend_ep,
+            ServeEngine::from_network(net),
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
             },
         )
-        .expect("query through 1-shard router");
-    assert_eq!(reply.distance, expected.distance.raw());
-    assert_eq!(
-        reply.path,
-        expected.path.iter().map(|v| v.raw()).collect::<Vec<_>>()
-    );
-    client.shutdown().expect("shutdown");
-    router_thread.join().expect("router thread");
-    backend_shutdown.signal();
-    backend_thread.join().expect("backend thread");
+        .expect("bind backend");
+        let backend_shutdown = backend.shutdown_handle();
+        let backend_thread = std::thread::spawn(move || backend.run());
+
+        let (endpoint, _shutdown, router_thread) = spawn_router(vec![backend_ep], plan);
+        let mut client = connect(&endpoint);
+        let mut scratch = DecodeScratch::new();
+        for &(s, t, fault_ids) in queries {
+            let faults = FaultSet::from_vertices(fault_ids.iter().map(|&v| NodeId::new(v)));
+            let expected = oracle.query_with(NodeId::new(s), NodeId::new(t), &faults, &mut scratch);
+            let wire = WireFaults {
+                vertices: fault_ids.to_vec(),
+                edges: vec![],
+            };
+            let reply = client
+                .query(s, t, wire)
+                .expect("query through 1-shard router");
+            assert_eq!(reply.distance, expected.distance.raw());
+            assert_eq!(
+                reply.path,
+                expected.path.iter().map(|v| v.raw()).collect::<Vec<_>>(),
+                "witness path {s}->{t} with faults {fault_ids:?}"
+            );
+        }
+        client.shutdown().expect("shutdown");
+        router_thread.join().expect("router thread");
+        backend_shutdown.signal();
+        backend_thread.join().expect("backend thread");
+    }
 }
 
 /// Requests the router can reject without the fleet stay typed:
@@ -401,6 +424,94 @@ fn shard_down_yields_unavailable_not_panic() {
         handle.signal();
         let _ = thread.join();
     }
+}
+
+/// A gather that fails *after* shutdown was signalled must still release
+/// its client: the typed reply flushes, the connection closes, and
+/// `run()` returns at once instead of sitting out the drain grace period
+/// (`frame_deadline`, 10 s by default) on a connection nobody owes
+/// anything.
+#[test]
+fn gather_failing_during_drain_does_not_stall_shutdown() {
+    // A fake shard: answers the identity handshake, accepts the router's
+    // one pool connection, reports the label-fetch that arrives on it,
+    // and never answers; dropping the sockets is the kill.
+    let dir = TempDir::new("stall");
+    let sock = dir.path().join("fake.sock");
+    let listener = UnixListener::bind(&sock).expect("bind fake shard");
+    let n = 12usize;
+    let params = SchemeParams::new(0.5, n);
+    let identity = Response::LabelFetch(LabelFetchReply {
+        generation: 1,
+        epsilon_bits: params.epsilon().to_bits(),
+        c: params.c(),
+        vertices: n as u64,
+        labels: Vec::new(),
+    });
+    let (fetch_seen_tx, fetch_seen_rx) = mpsc::channel::<()>();
+    let (kill_tx, kill_rx) = mpsc::channel::<()>();
+    let fake_shard = std::thread::spawn(move || {
+        let mut buf = Vec::new();
+        let (mut handshake, _) = listener.accept().expect("handshake connection");
+        protocol::read_frame(&mut handshake, MAX_FRAME, &mut buf).expect("handshake request");
+        protocol::send_response(&mut handshake, &identity, &mut buf).expect("handshake reply");
+        let (mut pooled, _) = listener.accept().expect("pool connection");
+        protocol::read_frame(&mut pooled, MAX_FRAME, &mut buf).expect("label-fetch request");
+        fetch_seen_tx.send(()).expect("test is waiting");
+        kill_rx.recv().expect("test sends the kill");
+    });
+
+    let router = Router::bind(
+        &Endpoint::Tcp("127.0.0.1:0".into()),
+        vec![Endpoint::Unix(sock)],
+        PartitionPlan::contiguous(n, 1),
+        RouterConfig {
+            pool_per_shard: 1,
+            ..RouterConfig::default()
+        },
+    )
+    .expect("bind router");
+    let endpoint = router.local_endpoint().expect("router endpoint");
+    let shutdown = router.shutdown_handle();
+    let router_thread = std::thread::spawn(move || router.run());
+
+    // An idle connection: the router closes it the moment it starts
+    // draining, which is how the test knows the drain has begun.
+    let Endpoint::Tcp(addr) = &endpoint else {
+        panic!("bound a tcp endpoint");
+    };
+    let mut idle = std::net::TcpStream::connect(addr.as_str()).expect("idle connection");
+    let query_endpoint = endpoint.clone();
+    let query = std::thread::spawn(move || {
+        connect(&query_endpoint).query(0, n as u32 - 1, WireFaults::empty())
+    });
+    fetch_seen_rx.recv().expect("the query reaches the shard");
+
+    shutdown.signal();
+    assert_eq!(
+        idle.read(&mut [0u8; 1])
+            .expect("idle connection closes cleanly"),
+        0,
+        "draining closes quiescent connections"
+    );
+    // Shutdown is in force with the query still outstanding: kill the shard.
+    let killed = Instant::now();
+    kill_tx.send(()).expect("fake shard is waiting");
+    fake_shard.join().expect("fake shard thread");
+
+    match query.join().expect("query thread") {
+        Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::Unavailable, "{e:?}"),
+        other => panic!("a gather cut off mid-drain must be typed Unavailable, got {other:?}"),
+    }
+    let report = router_thread.join().expect("router thread");
+    let drained_in = killed.elapsed();
+    assert!(
+        drained_in < Duration::from_secs(3),
+        "run() took {drained_in:?} to return after the last reply was owed: \
+         the failed gather's connection was left open for the drain deadline"
+    );
+    assert_eq!(report.protocol_errors, 1);
+    assert!(report.shard_failures > 0);
 }
 
 /// Label-fetch replies are byte-budgeted: a shard packs the longest
