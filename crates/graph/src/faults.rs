@@ -125,26 +125,6 @@ impl FaultSet {
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
         self.edges.iter().copied()
     }
-
-    /// The forbidden vertices in ascending id order. Among equally short
-    /// witness paths the decoder reports the one its sketch meets first,
-    /// and the sketch is built in the order fault labels are handed over —
-    /// so every place that gathers labels for a query walks this and
-    /// [`FaultSet::sorted_edges`], never the hash order. Equal fault sets
-    /// then give equal paths however they were built or transported.
-    pub fn sorted_vertices(&self) -> Vec<NodeId> {
-        let mut vertices: Vec<NodeId> = self.vertices().collect();
-        vertices.sort_unstable();
-        vertices
-    }
-
-    /// The forbidden edges in ascending `(lo, hi)` order; see
-    /// [`FaultSet::sorted_vertices`].
-    pub fn sorted_edges(&self) -> Vec<Edge> {
-        let mut edges: Vec<Edge> = self.edges().collect();
-        edges.sort_unstable();
-        edges
-    }
 }
 
 impl Extend<NodeId> for FaultSet {

@@ -84,6 +84,18 @@ impl<'a> QueryLabels<'a> {
     pub fn is_empty(&self) -> bool {
         self.fault_vertices.is_empty() && self.fault_edges.is_empty()
     }
+
+    /// Puts the fault labels in ascending owner-id order. Among equally
+    /// short witness paths the decoder reports the one its sketch meets
+    /// first, and the sketch is built in the order of these vectors — so
+    /// whoever gathers labels by walking an unordered
+    /// [`fsdl_graph::FaultSet`] calls this, and equal fault sets give
+    /// equal paths however they were built or transported.
+    pub fn sort_by_owner(&mut self) {
+        self.fault_vertices.sort_unstable_by_key(|l| l.owner);
+        self.fault_edges
+            .sort_unstable_by_key(|(a, b)| (a.owner, b.owner));
+    }
 }
 
 /// The decoder's answer to one query.

@@ -454,19 +454,16 @@ impl ForbiddenSetOracle {
     }
 
     /// Collects the fault labels for the well-formed subset of `faults`
-    /// (see the type-level docs on malformed fault sets), in sorted id
-    /// order so the answer does not depend on how `faults` was built.
+    /// (see the type-level docs on malformed fault sets).
     fn fault_labels(&self, faults: &FaultSet, varints: &mut VarintScratch) -> FaultLabels {
         let g = self.labeling.graph();
         let vertex_labels: Vec<Arc<Label>> = faults
-            .sorted_vertices()
-            .into_iter()
+            .vertices()
             .filter(|&f| g.contains(f))
             .map(|f| self.label_scoped(f, varints))
             .collect();
         let edge_labels: Vec<(Arc<Label>, Arc<Label>)> = faults
-            .sorted_edges()
-            .into_iter()
+            .edges()
             .filter(|e| g.contains(e.lo()) && g.contains(e.hi()) && g.has_edge(e.lo(), e.hi()))
             .map(|e| {
                 (
@@ -573,13 +570,14 @@ impl ForbiddenSetOracle {
         let source = self.label_with(s, scratch);
         let target = self.label_with(t, scratch);
         let (vertex_labels, edge_labels) = self.fault_labels(faults, scratch.varints_mut());
-        let query_labels = QueryLabels {
+        let mut query_labels = QueryLabels {
             fault_vertices: vertex_labels.iter().map(Arc::as_ref).collect(),
             fault_edges: edge_labels
                 .iter()
                 .map(|(a, b)| (a.as_ref(), b.as_ref()))
                 .collect(),
         };
+        query_labels.sort_by_owner();
         decode::query_with_scratch(self.params(), &source, &target, &query_labels, scratch)
     }
 
@@ -655,13 +653,14 @@ impl ForbiddenSetOracle {
             .map(|&t| self.label_with(t, scratch))
             .collect();
         let (vertex_labels, edge_labels) = self.fault_labels(faults, scratch.varints_mut());
-        let query_labels = QueryLabels {
+        let mut query_labels = QueryLabels {
             fault_vertices: vertex_labels.iter().map(Arc::as_ref).collect(),
             fault_edges: edge_labels
                 .iter()
                 .map(|(a, b)| (a.as_ref(), b.as_ref()))
                 .collect(),
         };
+        query_labels.sort_by_owner();
         let target_refs: Vec<&Label> = target_labels.iter().map(Arc::as_ref).collect();
         decode::query_many_with_scratch(
             self.params(),

@@ -15,13 +15,10 @@
 //!   Every decode path is bounds-checked and panic-free on arbitrary
 //!   bytes; violations come back as typed [`protocol::ErrorReply`]
 //!   frames.
-//! - the connection plane (private) — one readiness-driven event loop
-//!   (raw `epoll` via `fsdl-reactor`, `poll(2)` off-Linux) owning every
-//!   nonblocking socket and its frame-reassembly/write buffers, so idle
-//!   and slow connections cost nothing; a fixed worker pool (sized by
-//!   [`fsdl_nets::parallel::background_workers`], never below one
-//!   worker); slow-loris frame deadlines; graceful drain. Both fronts
-//!   below are handlers on it and share all of that.
+//! - the connection plane (private; DESIGN.md §4.5) — the one
+//!   readiness-driven event loop and worker pool. Both fronts below are
+//!   handlers on it and share its buffers, backpressure, slow-loris
+//!   deadline and graceful drain.
 //! - [`server`] — [`server::Server`]: hands every *complete* frame to a
 //!   worker, each worker reusing one [`fsdl_labels::DecodeScratch`] so
 //!   the zero-allocation decode fast path survives the network hop.

@@ -302,11 +302,7 @@ pub(crate) struct PlaneConfig {
 }
 
 impl PlaneConfig {
-    /// The worker-pool size: `workers == 0` reserves one core for the
-    /// event-loop thread via [`fsdl_nets::parallel::background_workers`].
-    /// Guaranteed `>= 1` on every host, single-core included — asserted,
-    /// because a zero-worker pool would accept connections and serve
-    /// nothing.
+    /// The worker-pool size; see [`crate::Server::resolved_workers`].
     pub(crate) fn resolved_workers(&self) -> usize {
         let workers = if self.workers == 0 {
             // Cap irrelevant here (usize::MAX jobs): we want avail - 1.
@@ -359,6 +355,11 @@ pub(crate) trait Handler {
 
     /// Called once per loop iteration outside a drain.
     fn on_tick(&mut self, _core: &mut Core<Self::Work>) {}
+
+    /// Called once when the drain is over and the workers are joined,
+    /// before a unix socket file is removed: whatever a supervisor may
+    /// assume once the socket is gone has to be true when this returns.
+    fn on_drained(&self) {}
 }
 
 /// Work on its way to a worker, tagged with the connection that is owed
@@ -898,13 +899,18 @@ impl<H: Handler> ConnPlane<H> {
     }
 
     /// Runs the event loop on the calling thread until shutdown has
-    /// drained, joins the workers, removes a unix socket file, and hands
-    /// the handler back for its totals.
+    /// drained, joins the workers, lets the handler finish
+    /// ([`Handler::on_drained`]), removes a unix socket file, and hands the
+    /// handler back for its totals.
     pub(crate) fn run(self) -> H {
         let ConnPlane {
             mut handler,
             mut core,
         } = self;
+        let socket_path = match &core.listener {
+            Listener::Unix(_, path) => Some(path.clone()),
+            Listener::Tcp(_) => None,
+        };
         std::thread::scope(|scope| {
             for _ in 0..core.config.resolved_workers() {
                 let mut worker = handler.worker();
@@ -937,13 +943,14 @@ impl<H: Handler> ConnPlane<H> {
                 });
             }
             core.run(&mut handler);
-            if let Listener::Unix(_, path) = &core.listener {
-                let _ = std::fs::remove_file(path);
-            }
             // Hangs up the job channel: workers drain the queue and exit,
             // the scope joins them.
             drop(core);
         });
+        handler.on_drained();
+        if let Some(path) = socket_path {
+            let _ = std::fs::remove_file(path);
+        }
         handler
     }
 }

@@ -850,14 +850,15 @@ fn answer_one(
     };
     let fault_set = faults.to_fault_set();
     let mut query_labels = QueryLabels::none();
-    for v in fault_set.sorted_vertices() {
+    for v in fault_set.vertices() {
         query_labels.fault_vertices.push(label(v)?);
     }
-    for e in fault_set.sorted_edges() {
+    for e in fault_set.edges() {
         query_labels
             .fault_edges
             .push((label(e.lo())?, label(e.hi())?));
     }
+    query_labels.sort_by_owner();
     Ok(query_with_scratch(
         params,
         label(NodeId::new(s))?,

@@ -1,48 +1,25 @@
 //! The long-running oracle server: the connection plane with a handler
 //! that hands every complete request frame to a worker.
 //!
-//! ## Threading model
+//! The event loop, connection buffers, backpressure, frame deadline and
+//! shutdown drain are the crate's connection plane, which
+//! [`crate::Router`] runs too; DESIGN.md §4.5 states them once. This
+//! module is what the server adds as a handler on it:
 //!
-//! [`Server::run`] is the event loop of the crate's connection plane (the
-//! same loop [`crate::Router`] runs; DESIGN.md §4.5): the calling thread
-//! owns the listener and every accepted connection, all nonblocking,
-//! through an [`fsdl_reactor::Poller`], reassembles length-prefixed
-//! frames per connection and buffers replies a full socket cannot take
-//! yet. Only *complete* request frames are handed to the worker pool, so
-//! a thousand idle keep-alive connections and a client that drips one
-//! header byte per second cost the workers nothing.
-//!
-//! Workers decode and dispatch one frame at a time and push the encoded
-//! reply back to the loop. Each worker owns one [`DecodeScratch`] for its
-//! entire lifetime, so the zero-allocation decode fast path survives the
-//! network hop. The pool size defaults to
-//! [`fsdl_nets::parallel::background_workers`] (available parallelism
-//! minus the event-loop thread, never below one). A connection has at
-//! most one frame in flight; while a worker holds it the loop stops
-//! reading that socket, so a client that pipelines faster than the engine
-//! answers is throttled by TCP itself.
-//!
-//! ## Failure containment
-//!
-//! A malformed payload gets a typed [`Response::Error`] on the same
-//! connection and the connection keeps serving; a broken *frame* (length
-//! header past the cap) gets a final typed error and closes only that
-//! connection. A connection that starts a frame and stalls past
-//! [`ServerConfig::frame_deadline`] (a slow-loris client) gets a typed
-//! [`ErrorCode::DeadlineExceeded`] reply, one flush attempt, and a
-//! close, counted in [`ServeReport::deadline_closes`]. Nothing in the
-//! serving path panics on untrusted input — the decode layer is the
-//! panic-free path proven by the `labels::corrupt` harnesses.
-//!
-//! ## Shutdown
-//!
-//! A `shutdown` frame (or [`ShutdownHandle::signal`]) flips a shared
-//! flag. The event loop deregisters the listener, stops dispatching
-//! buffered frames, lets in-flight requests finish and their replies
-//! flush, closes idle connections immediately, and force-closes
-//! stragglers after one frame deadline. In dynamic mode the oracle then
-//! drains any background rebuild before [`Server::run`] returns, so the
-//! WAL and store are consistent on exit.
+//! - **Decode on workers.** The loop hands over each complete frame
+//!   undecoded; a worker decodes it, dispatches it to the engine and
+//!   encodes the reply. Each worker owns one [`DecodeScratch`] for its
+//!   entire lifetime, so the zero-allocation decode fast path survives
+//!   the network hop.
+//! - **Typed errors.** A malformed payload gets a typed
+//!   [`Response::Error`] on the same connection and the connection keeps
+//!   serving. Nothing in the serving path panics on untrusted input — the
+//!   decode layer is the panic-free path proven by the `labels::corrupt`
+//!   harnesses.
+//! - **Rebuild drain.** In dynamic mode, once the plane has drained, the
+//!   oracle finishes any background rebuild before the unix socket file is
+//!   removed and [`Server::run`] returns, so the WAL and store are
+//!   consistent on exit.
 
 use std::borrow::Cow;
 use std::path::PathBuf;
@@ -267,6 +244,14 @@ impl Handler for Serve {
     fn on_frame(&mut self, core: &mut Core<Vec<u8>>, token: u64, frame: Vec<u8>) {
         core.submit(token, frame);
     }
+
+    /// Drains any background rebuild, so the store and WAL are consistent
+    /// before the socket file goes and the process can exit.
+    fn on_drained(&self) {
+        if let ServeEngine::Dynamic(dyn_oracle) = &self.engine {
+            read_lock(dyn_oracle).wait_for_rebuild();
+        }
+    }
 }
 
 /// A bound, not-yet-running server.
@@ -338,13 +323,7 @@ impl Server {
     /// Runs the event loop until shutdown, then drains and returns the
     /// totals. Blocks the calling thread (spawn it for in-process use).
     pub fn run(self) -> ServeReport {
-        let serve = self.plane.run();
-        // Drain any background rebuild so the store and WAL are
-        // consistent before the process can exit.
-        if let ServeEngine::Dynamic(dyn_oracle) = &serve.engine {
-            read_lock(dyn_oracle).wait_for_rebuild();
-        }
-        serve.counters.report()
+        self.plane.run().counters.report()
     }
 }
 

@@ -243,7 +243,7 @@ fn router_matches_unsharded_oracle_across_fault_matrix() {
 /// match the oracle exactly. The second input is a graph long enough for
 /// labels to be local, with queries whose equally short witness paths tie
 /// on the order fault labels reach the decoder: the router assembles
-/// them in sorted id order like the oracle, so the paths agree too.
+/// them in owner-id order like the oracle, so the paths agree too.
 #[test]
 fn router_fronts_a_static_server_as_one_shard() {
     /// `(s, t, fault vertices)`
