@@ -571,8 +571,8 @@ fn cmd_label<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
             text.push_str(&format!(
                 "  level {i}: {} points, {} virtual, {} real\n",
                 level.points.len(),
-                level.virtual_edges.len(),
-                level.real_edges.len()
+                level.num_virtual_edges(),
+                level.num_real_edges()
             ));
         }
     } else if let Some(raw) = args.option("threads") {
@@ -642,7 +642,7 @@ fn cmd_query<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
     }
     let elapsed = start.elapsed();
     let mut text = format!(
-        "delta(v{s}, v{t}, |F|={}) = {} (sketch: {} vertices, {} edges)\n",
+        "delta(v{s}, v{t}, |F|={}) = {} (search reached {} sketch vertices, relaxed {} edges)\n",
         faults.len(),
         answer.distance,
         answer.sketch_vertices,
@@ -779,7 +779,7 @@ fn cmd_trace<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
     };
     let trace = fsdl_labels::trace_query(oracle.params(), &source, &target, &ql);
     let mut text = format!(
-        "delta(v{s}, v{t}, |F|={}) = {} (sketch {}x{})\n",
+        "delta(v{s}, v{t}, |F|={}) = {} (whole sketch: {} vertices, {} edges)\n",
         faults.len(),
         trace.distance,
         trace.sketch_size.0,

@@ -11,7 +11,9 @@
 //! * BFS primitives in [`bfs`]: exact distances, truncated balls `B(v, r)`
 //!   with reusable scratch, multi-source searches, and ground-truth
 //!   `d_{G∖F}` queries avoiding a [`FaultSet`];
-//! * the weighted [`SketchGraph`] with Dijkstra, used by the label decoder;
+//! * the weighted [`SketchGraph`] with Dijkstra — the label decoder's
+//!   reference `H` — and the [`Interner`] it shares with the decoder's
+//!   lazy search;
 //! * workload [`generators`] for every family in the evaluation (grids
 //!   `G_{p,d}` and `H_{p,d}` from the paper's lower bound, unit-disk graphs,
 //!   trees, contrast families);
@@ -42,6 +44,7 @@ mod error;
 mod faults;
 pub mod generators;
 mod ids;
+mod intern;
 pub mod io;
 pub mod render;
 mod sketch;
@@ -53,5 +56,6 @@ pub use csr::{Graph, GraphBuilder};
 pub use error::GraphError;
 pub use faults::FaultSet;
 pub use ids::{Dist, Edge, NodeId};
-pub use sketch::{DijkstraScratch, SketchGraph};
+pub use intern::Interner;
+pub use sketch::SketchGraph;
 pub use stats::GraphStats;

@@ -12,19 +12,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::ids::NodeId;
-
-/// Largest edge weight the Dial (bucket) queue accepts. Sketch-graph
-/// weights are level distances bounded by `λ(top)`, far below this for the
-/// parameter ranges the scheme targets; anything heavier (or a zero
-/// weight) falls back to the binary heap.
-const DIAL_MAX_WEIGHT: u64 = 1 << 14;
-
-/// Vertex ids below this bound are interned through a direct-indexed,
-/// epoch-stamped slot array (one array read, no hashing); larger ids —
-/// possible only from hand-built labels, since real graphs index vertices
-/// densely from zero — fall back to a spill map so a hostile id cannot
-/// force a multi-gigabyte allocation.
-const DENSE_INTERN_LIMIT: usize = 1 << 21;
+use crate::intern::Interner;
 
 /// Multiply-xor hasher for the `u64` edge keys of the dedup index: the
 /// keys are already well-mixed pairs of dense indices, so a single
@@ -70,96 +58,14 @@ type EdgeIndex = HashMap<u64, (u32, u32), BuildHasherDefault<EdgeKeyHasher>>;
 /// assert_eq!(h.shortest_distance(NodeId::new(0), NodeId::new(9)), Some(7));
 /// assert_eq!(h.shortest_distance(NodeId::new(0), NodeId::new(77)), None);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SketchGraph {
-    /// Direct-indexed intern table: `slots[id] = (stamp, idx)` is live only
-    /// when `stamp == epoch`, so [`SketchGraph::reset`] is O(1) — it bumps
-    /// the epoch instead of clearing the array.
-    slots: Vec<(u32, u32)>,
-    epoch: u32,
-    /// Intern spill for ids at or above [`DENSE_INTERN_LIMIT`].
-    spill: HashMap<NodeId, u32>,
+    ids: Interner,
     /// Dedup index: canonical edge key → positions of the two directed
     /// copies in `adj`, replacing a linear adjacency scan per insertion.
     edge_slots: EdgeIndex,
-    names: Vec<NodeId>,
+    /// Adjacency rows by dense index.
     adj: Vec<Vec<(u32, u64)>>,
-}
-
-impl Default for SketchGraph {
-    fn default() -> Self {
-        SketchGraph {
-            slots: Vec::new(),
-            // Epoch 0 is reserved so zero-initialized slots are never live.
-            epoch: 1,
-            spill: HashMap::new(),
-            edge_slots: EdgeIndex::default(),
-            names: Vec::new(),
-            adj: Vec::new(),
-        }
-    }
-}
-
-/// Reusable buffers for [`SketchGraph`] Dijkstra runs, so a worker serving
-/// many queries allocates nothing per query once the buffers have grown to
-/// the working-set size.
-///
-/// # Examples
-///
-/// ```
-/// use fsdl_graph::{DijkstraScratch, NodeId, SketchGraph};
-///
-/// let mut h = SketchGraph::new();
-/// h.add_edge(NodeId::new(0), NodeId::new(1), 2);
-/// let mut scratch = DijkstraScratch::new();
-/// let (d, _) = h.shortest_path_with(NodeId::new(0), NodeId::new(1), &mut scratch).unwrap();
-/// assert_eq!(d, 2);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct DijkstraScratch {
-    dist: Vec<u64>,
-    prev: Vec<u32>,
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Circular Dial buckets, indexed by `distance % width`; sound because
-    /// every tentative distance in flight lies within one `width` window of
-    /// the sweep distance.
-    buckets: Vec<Vec<u32>>,
-    /// Bucket slots touched by the current Dial run, cleared afterwards so
-    /// the next run starts from empty buckets without a full sweep.
-    touched: Vec<u32>,
-}
-
-impl DijkstraScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        DijkstraScratch::default()
-    }
-
-    /// The distance computed by the last
-    /// [`SketchGraph::distances_from_with`] run for dense intern index
-    /// `idx`, or `None` when unreachable (or `idx` out of range).
-    pub fn distance_at(&self, idx: usize) -> Option<u64> {
-        match self.dist.get(idx) {
-            Some(&d) if d != u64::MAX => Some(d),
-            _ => None,
-        }
-    }
-
-    /// Resets the buffers for a graph of `n` interned vertices.
-    fn reset(&mut self, n: usize) {
-        self.dist.clear();
-        self.dist.resize(n, u64::MAX);
-        self.prev.clear();
-        self.prev.resize(n, u32::MAX);
-        self.heap.clear();
-        // Dial runs clean their buckets on exit; drain defensively so a
-        // scratch poisoned mid-run (e.g. by a panic) cannot leak entries
-        // into the next query.
-        for &slot in &self.touched {
-            self.buckets[slot as usize].clear();
-        }
-        self.touched.clear();
-    }
 }
 
 impl SketchGraph {
@@ -168,87 +74,28 @@ impl SketchGraph {
         SketchGraph::default()
     }
 
-    /// Clears the graph for reuse, retaining every allocation: the intern
-    /// slot array (invalidated in O(1) by the epoch bump), the dedup
-    /// index's capacity, and the per-vertex adjacency vectors (which
-    /// [`SketchGraph::intern`] hands back out as vertices reappear).
-    pub fn reset(&mut self) {
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(e) => e,
-            None => {
-                // Epoch wrap: old stamps could alias, so pay one full clear.
-                self.slots.fill((0, 0));
-                1
-            }
-        };
-        self.spill.clear();
-        self.edge_slots.clear();
-        self.names.clear();
-        for nbrs in &mut self.adj {
-            nbrs.clear();
-        }
-    }
-
     /// Interns `v`, returning its dense index; inserts it if new.
     pub fn intern(&mut self, v: NodeId) -> u32 {
-        let i = v.index();
-        if i >= DENSE_INTERN_LIMIT {
-            return match self.spill.entry(v) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    let idx = Self::push_name(&mut self.names, &mut self.adj, v);
-                    e.insert(idx);
-                    idx
-                }
-            };
-        }
-        if i >= self.slots.len() {
-            self.slots.resize(i + 1, (0, 0));
-        }
-        let (stamp, idx) = self.slots[i];
-        if stamp == self.epoch {
-            return idx;
-        }
-        let idx = Self::push_name(&mut self.names, &mut self.adj, v);
-        self.slots[i] = (self.epoch, idx);
-        idx
-    }
-
-    fn push_name(names: &mut Vec<NodeId>, adj: &mut Vec<Vec<(u32, u64)>>, v: NodeId) -> u32 {
-        let idx = names.len() as u32;
-        names.push(v);
-        // After `reset` the pool may already hold a cleared row for this
-        // index; only grow when the pool is exhausted.
-        if adj.len() < names.len() {
-            adj.push(Vec::new());
+        let idx = self.ids.intern(v);
+        if self.adj.len() < self.ids.len() {
+            self.adj.push(Vec::new());
         }
         idx
     }
 
     /// Returns the dense index of `v` if it has been interned.
     pub fn index_of(&self, v: NodeId) -> Option<u32> {
-        let i = v.index();
-        if i >= DENSE_INTERN_LIMIT {
-            return self.spill.get(&v).copied();
-        }
-        match self.slots.get(i) {
-            Some(&(stamp, idx)) if stamp == self.epoch => Some(idx),
-            _ => None,
-        }
+        self.ids.index_of(v)
     }
 
     /// Number of interned vertices.
     pub fn num_vertices(&self) -> usize {
-        self.names.len()
+        self.ids.len()
     }
 
     /// Number of (deduplicated) undirected edges.
     pub fn num_edges(&self) -> usize {
-        self.adj[..self.names.len()]
-            .iter()
-            .map(Vec::len)
-            .sum::<usize>()
-            / 2
+        self.adj.iter().map(Vec::len).sum::<usize>() / 2
     }
 
     /// Returns `true` if `v` has been interned.
@@ -301,67 +148,28 @@ impl SketchGraph {
     /// Deterministic: ties are broken by smaller dense index, which follows
     /// insertion order.
     pub fn shortest_path(&self, s: NodeId, t: NodeId) -> Option<(u64, Vec<NodeId>)> {
-        self.shortest_path_with(s, t, &mut DijkstraScratch::new())
-    }
-
-    /// [`SketchGraph::shortest_path`] with caller-provided scratch buffers,
-    /// for hot paths that answer many queries (same result, no per-call
-    /// `dist`/`prev`/heap allocation after warm-up).
-    pub fn shortest_path_with(
-        &self,
-        s: NodeId,
-        t: NodeId,
-        scratch: &mut DijkstraScratch,
-    ) -> Option<(u64, Vec<NodeId>)> {
         let is = self.index_of(s)?;
         let it = self.index_of(t)?;
-        scratch.reset(self.names.len());
-        self.run_dijkstra(is, Some(it), scratch);
-        if scratch.dist[it as usize] == u64::MAX {
+        let (dist, prev) = self.dijkstra(is, Some(it));
+        if dist[it as usize] == u64::MAX {
             return None;
         }
-        let mut path = vec![self.names[it as usize]];
+        let mut path = vec![self.ids.name(it)];
         let mut cur = it;
         while cur != is {
-            cur = scratch.prev[cur as usize];
-            path.push(self.names[cur as usize]);
+            cur = prev[cur as usize];
+            path.push(self.ids.name(cur));
         }
         path.reverse();
-        Some((scratch.dist[it as usize], path))
+        Some((dist[it as usize], path))
     }
 
-    /// Dispatches between the Dial bucket queue and the binary heap. Both
-    /// settle vertices in identical `(distance, dense index)` order, so
-    /// `dist`/`prev` — and therefore paths and answers — are bit-identical
-    /// whichever runs.
-    fn run_dijkstra(&self, is: u32, target: Option<u32>, scratch: &mut DijkstraScratch) {
-        match self.dial_width() {
-            Some(width) => self.run_dial(is, target, width, scratch),
-            None => self.run_heap(is, target, scratch),
-        }
-    }
-
-    /// Bucket count for a Dial run — `max_weight + 1`, so every tentative
-    /// distance in flight maps to a distinct circular slot — or `None`
-    /// (heap fallback) when any weight is zero or above
-    /// [`DIAL_MAX_WEIGHT`].
-    fn dial_width(&self) -> Option<u64> {
-        let mut max_w = 0u64;
-        for nbrs in &self.adj[..self.names.len()] {
-            for &(_, w) in nbrs {
-                if w == 0 || w > DIAL_MAX_WEIGHT {
-                    return None;
-                }
-                max_w = max_w.max(w);
-            }
-        }
-        Some(max_w + 1)
-    }
-
-    fn run_heap(&self, is: u32, target: Option<u32>, scratch: &mut DijkstraScratch) {
-        let DijkstraScratch {
-            dist, prev, heap, ..
-        } = scratch;
+    /// Dijkstra from dense index `is`, stopping once `target` is settled;
+    /// returns `(dist, prev)` by dense index (`u64::MAX` for unreached).
+    fn dijkstra(&self, is: u32, target: Option<u32>) -> (Vec<u64>, Vec<u32>) {
+        let mut dist = vec![u64::MAX; self.ids.len()];
+        let mut prev = vec![u32::MAX; self.ids.len()];
+        let mut heap = BinaryHeap::new();
         dist[is as usize] = 0;
         heap.push(Reverse((0, is)));
         while let Some(Reverse((d, u))) = heap.pop() {
@@ -380,73 +188,7 @@ impl SketchGraph {
                 }
             }
         }
-    }
-
-    /// Dial's algorithm with `width` circular buckets. With every weight
-    /// `>= 1`, a relaxation out of the current bucket lands strictly later,
-    /// so each bucket can be drained in full; sorting the drained batch by
-    /// dense index reproduces the heap's lexicographic `(d, u)` pop order
-    /// exactly, including the early exit at `target`.
-    fn run_dial(&self, is: u32, target: Option<u32>, width: u64, scratch: &mut DijkstraScratch) {
-        let DijkstraScratch {
-            dist,
-            prev,
-            buckets,
-            touched,
-            ..
-        } = scratch;
-        if (buckets.len() as u64) < width {
-            buckets.resize_with(width as usize, Vec::new);
-        }
-        dist[is as usize] = 0;
-        buckets[0].push(is);
-        touched.push(0);
-        let mut pending = 1usize;
-        let mut d = 0u64;
-        while pending > 0 {
-            let slot = (d % width) as usize;
-            if buckets[slot].is_empty() {
-                d += 1;
-                continue;
-            }
-            let mut batch = std::mem::take(&mut buckets[slot]);
-            pending -= batch.len();
-            batch.sort_unstable();
-            let mut done = false;
-            for &u in &batch {
-                if d > dist[u as usize] {
-                    continue; // superseded by a shorter route
-                }
-                if Some(u) == target {
-                    done = true;
-                    break;
-                }
-                for &(v, weight) in &self.adj[u as usize] {
-                    let nd = d + weight;
-                    if nd < dist[v as usize] {
-                        dist[v as usize] = nd;
-                        prev[v as usize] = u;
-                        let ns = (nd % width) as usize;
-                        if buckets[ns].is_empty() {
-                            touched.push(ns as u32);
-                        }
-                        buckets[ns].push(v);
-                        pending += 1;
-                    }
-                }
-            }
-            // Hand the drained vector back so its capacity is reused.
-            batch.clear();
-            buckets[slot] = batch;
-            if done {
-                break;
-            }
-            d += 1;
-        }
-        for &slot in touched.iter() {
-            buckets[slot as usize].clear();
-        }
-        touched.clear();
+        (dist, prev)
     }
 
     /// Single-source Dijkstra: the distance from `s` to every interned
@@ -454,35 +196,18 @@ impl SketchGraph {
     /// or `None` if `s` was never interned. Use [`SketchGraph::index_of`]
     /// to address the result.
     pub fn distances_from(&self, s: NodeId) -> Option<Vec<u64>> {
-        let mut scratch = DijkstraScratch::new();
-        self.distances_from_with(s, &mut scratch)
-            .then_some(scratch.dist)
-    }
-
-    /// [`SketchGraph::distances_from`] into caller-provided scratch: fills
-    /// `scratch.dist` (indexed by dense intern index) and returns `true`, or
-    /// returns `false` when `s` was never interned. The caller reads
-    /// distances via [`DijkstraScratch::distance_at`].
-    pub fn distances_from_with(&self, s: NodeId, scratch: &mut DijkstraScratch) -> bool {
-        let Some(is) = self.index_of(s) else {
-            return false;
-        };
-        scratch.reset(self.names.len());
-        self.run_dijkstra(is, None, scratch);
-        true
+        let is = self.index_of(s)?;
+        Some(self.dijkstra(is, None).0)
     }
 
     /// Iterates over all edges as `(a, b, weight)` with each undirected edge
     /// reported once.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
-        self.adj[..self.names.len()]
-            .iter()
-            .enumerate()
-            .flat_map(move |(i, nbrs)| {
-                nbrs.iter()
-                    .filter(move |&&(j, _)| j as usize > i)
-                    .map(move |&(j, w)| (self.names[i], self.names[j as usize], w))
-            })
+        self.adj.iter().enumerate().flat_map(move |(i, nbrs)| {
+            nbrs.iter()
+                .filter(move |&&(j, _)| j as usize > i)
+                .map(move |&(j, w)| (self.ids.name(i as u32), self.ids.name(j), w))
+        })
     }
 }
 
@@ -582,98 +307,6 @@ mod tests {
             }
         }
         assert!(h.distances_from(v(42)).is_none());
-    }
-
-    #[test]
-    fn scratch_reuse_matches_fresh_runs() {
-        let mut h = SketchGraph::new();
-        h.add_edge(v(0), v(1), 2);
-        h.add_edge(v(1), v(2), 3);
-        h.add_edge(v(0), v(2), 10);
-        h.intern(v(9)); // isolated
-        let mut scratch = DijkstraScratch::new();
-        // Reuse across pairs: every run must match the allocating API.
-        for (s, t) in [(0u32, 2u32), (2, 0), (0, 9), (1, 2), (0, 0)] {
-            assert_eq!(
-                h.shortest_path_with(v(s), v(t), &mut scratch),
-                h.shortest_path(v(s), v(t)),
-                "{s}->{t}"
-            );
-        }
-        // Single-source variant agrees too.
-        assert!(h.distances_from_with(v(0), &mut scratch));
-        let table = h.distances_from(v(0)).unwrap();
-        for (idx, &d) in table.iter().enumerate() {
-            let expected = if d == u64::MAX { None } else { Some(d) };
-            assert_eq!(scratch.distance_at(idx), expected);
-        }
-        assert_eq!(scratch.distance_at(99), None);
-        assert!(!h.distances_from_with(v(42), &mut scratch));
-    }
-
-    #[test]
-    fn dial_and_heap_settle_identically() {
-        // Mixed small weights: the public API picks Dial; calling the heap
-        // directly on the same graph must reproduce dist and prev exactly,
-        // including tie-breaks by dense index.
-        let mut h = SketchGraph::new();
-        let edges = [
-            (0u32, 1u32, 2u64),
-            (0, 2, 2),
-            (1, 3, 1),
-            (2, 3, 1),
-            (3, 4, 5),
-            (0, 4, 9),
-            (2, 5, 7),
-            (5, 4, 1),
-        ];
-        for &(a, b, w) in &edges {
-            h.add_edge(v(a), v(b), w);
-        }
-        assert!(h.dial_width().is_some());
-        for target in [None, Some(h.index_of(v(4)).unwrap())] {
-            let mut dial = DijkstraScratch::new();
-            dial.reset(h.num_vertices());
-            h.run_dial(0, target, h.dial_width().unwrap(), &mut dial);
-            let mut heap = DijkstraScratch::new();
-            heap.reset(h.num_vertices());
-            h.run_heap(0, target, &mut heap);
-            assert_eq!(dial.dist, heap.dist, "target {target:?}");
-            // prev must agree wherever the vertex was settled before the
-            // early exit; both runs stop at the same point, so the whole
-            // array matches.
-            assert_eq!(dial.prev, heap.prev, "target {target:?}");
-        }
-    }
-
-    #[test]
-    fn heavy_weights_fall_back_to_heap() {
-        let mut h = SketchGraph::new();
-        h.add_edge(v(0), v(1), DIAL_MAX_WEIGHT + 1);
-        h.add_edge(v(1), v(2), 3);
-        assert!(h.dial_width().is_none());
-        assert_eq!(h.shortest_distance(v(0), v(2)), Some(DIAL_MAX_WEIGHT + 4));
-    }
-
-    #[test]
-    fn reset_reuses_capacity_and_clears_state() {
-        let mut h = SketchGraph::new();
-        h.add_edge(v(0), v(1), 2);
-        h.add_edge(v(1), v(2), 3);
-        h.reset();
-        assert_eq!(h.num_vertices(), 0);
-        assert_eq!(h.num_edges(), 0);
-        assert_eq!(h.edges().count(), 0);
-        assert!(!h.contains(v(0)));
-        // Rebuild with different vertices: pooled rows must start empty.
-        h.add_edge(v(7), v(8), 5);
-        assert_eq!(h.num_vertices(), 2);
-        assert_eq!(h.num_edges(), 1);
-        assert_eq!(h.shortest_distance(v(7), v(8)), Some(5));
-        assert_eq!(h.shortest_distance(v(7), v(0)), None);
-        // Fewer vertices than before the reset: stale pool rows beyond
-        // names.len() stay invisible to num_edges/edges.
-        assert_eq!(h.edges().collect::<Vec<_>>(), vec![(v(7), v(8), 5)]);
     }
 
     #[test]

@@ -110,7 +110,7 @@ pub fn audit(labeling: &Labeling, samples: usize) -> AuditReport {
                     .violations
                     .push(format!("{owner} level {i}: no waypoint-level point stored"));
             }
-            for e in &level.virtual_edges {
+            for e in level.virtual_edges() {
                 report.edges_checked += 1;
                 let x = level.points[e.a as usize].vertex;
                 let y = level.points[e.b as usize].vertex;

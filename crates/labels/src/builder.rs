@@ -23,6 +23,8 @@
 //! Σ_{x high} |B(x, λᵢ)|)` BFS work — polynomial, and measured by the
 //! `preprocessing` bench.
 
+use std::sync::OnceLock;
+
 use fsdl_graph::bfs::{self, BfsScratch};
 use fsdl_graph::{Graph, NodeId};
 use fsdl_nets::{parallel, NetHierarchy};
@@ -118,6 +120,11 @@ pub struct Labeling {
     params: SchemeParams,
     nets: NetHierarchy,
     all_pairs: bool,
+    /// Per label level: the first level label built whose ball held the
+    /// whole stored net. Its edges are a function of the graph and the
+    /// level alone, so every later such level of any vertex shares its
+    /// edge rows instead of enumerating (and storing) them again.
+    saturated: Vec<OnceLock<LevelLabel>>,
 }
 
 /// Construction options for [`Labeling::build_with_options`].
@@ -197,11 +204,13 @@ impl Labeling {
             .verify_invariants()
             .map_err(BuildError::InvalidSchedule)?;
         let nets = NetHierarchy::build(g);
+        let saturated = params.levels().map(|_| OnceLock::new()).collect();
         Ok(Labeling {
             graph: g.clone(),
             params,
             nets,
             all_pairs: options.all_pairs,
+            saturated,
         })
     }
 
@@ -311,6 +320,14 @@ impl Labeling {
             })
             .collect();
         points.sort_unstable_by_key(|p| p.vertex);
+        // The ball holds every stored net point of the graph: the point
+        // *set*, and with it everything steps 2 and 3 compute, is the same
+        // for every vertex this happens to.
+        let shared = (points.len() == self.nets.net_points(stored_net).count())
+            .then(|| &self.saturated[(i - self.params.c() - 1) as usize]);
+        if let Some(level) = shared.and_then(OnceLock::get) {
+            return LevelLabel::sharing_edges(points, level);
+        }
         let index_of = |w: NodeId| -> Option<u32> {
             points
                 .binary_search_by_key(&w, |p| p.vertex)
@@ -371,10 +388,18 @@ impl Labeling {
             }
         }
 
-        LevelLabel {
-            points,
-            virtual_edges,
-            real_edges,
+        // Groups the edges into rows and builds their transpose, once,
+        // so the decoder can scan either direction of a point.
+        let level = LevelLabel::new(points, virtual_edges, real_edges)
+            .expect("edge endpoints are indices into the point list");
+        match shared {
+            // Two workers may race to fill the slot; both built the same
+            // edges, and the loser adopts the winner's.
+            Some(slot) => {
+                let first = slot.get_or_init(|| level.clone());
+                LevelLabel::sharing_edges(level.points, first)
+            }
+            None => level,
         }
     }
 
@@ -408,8 +433,8 @@ impl Labeling {
             let label = self.label_of(NodeId::from_index(v));
             for (k, (_, level)) in label.levels_iter().enumerate() {
                 reports[k].mean_points += level.points.len() as f64;
-                reports[k].mean_virtual_edges += level.virtual_edges.len() as f64;
-                reports[k].mean_real_edges += level.real_edges.len() as f64;
+                reports[k].mean_virtual_edges += level.num_virtual_edges() as f64;
+                reports[k].mean_real_edges += level.num_real_edges() as f64;
             }
             count += 1;
             v += stride;
@@ -496,7 +521,7 @@ mod tests {
         let l = labeling.label_of(NodeId::new(0));
         for (i, level) in l.levels_iter() {
             let wp = p.waypoint_net_level(i).min(labeling.nets().top_level());
-            for e in &level.virtual_edges {
+            for e in level.virtual_edges() {
                 let x = &level.points[e.a as usize];
                 let y = &level.points[e.b as usize];
                 assert!(e.a < e.b, "canonical orientation");
@@ -523,8 +548,7 @@ mod tests {
         let labeling = Labeling::build(&g, SchemeParams::new(2.0, 36));
         let l = labeling.label_of(NodeId::new(14));
         for (_, level) in l.levels_iter() {
-            let mut keys: Vec<(u32, u32)> =
-                level.virtual_edges.iter().map(|e| (e.a, e.b)).collect();
+            let mut keys: Vec<(u32, u32)> = level.virtual_edges().map(|e| (e.a, e.b)).collect();
             let before = keys.len();
             keys.sort_unstable();
             keys.dedup();
@@ -540,14 +564,14 @@ mod tests {
         let l = labeling.label_of(NodeId::new(9));
         for (i, level) in l.levels_iter() {
             if i == p.c() + 1 {
-                assert!(!level.real_edges.is_empty());
-                for e in &level.real_edges {
+                assert!(level.num_real_edges() > 0);
+                for e in level.real_edges() {
                     let u = level.points[e.a as usize].vertex;
                     let w = level.points[e.b as usize].vertex;
                     assert!(g.has_edge(u, w), "stored non-edge at lowest level");
                 }
             } else {
-                assert!(level.real_edges.is_empty(), "real edges at level {i}");
+                assert_eq!(level.num_real_edges(), 0, "real edges at level {i}");
             }
         }
     }
@@ -570,7 +594,7 @@ mod tests {
                 expected += 1;
             }
         }
-        assert_eq!(low.real_edges.len(), expected);
+        assert_eq!(low.num_real_edges(), expected);
     }
 
     #[test]
@@ -580,6 +604,69 @@ mod tests {
         let a = labeling.label_of(NodeId::new(60));
         let b = labeling.label_of(NodeId::new(60));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn saturated_levels_share_their_edge_rows() {
+        use std::sync::Arc;
+        // Every ball of the 8x8 grid holds the whole graph at every level.
+        let g = generators::grid2d(8, 8);
+        let labeling = Labeling::build(&g, SchemeParams::new(1.0, 64));
+        let (a, b) = (
+            labeling.label_of(NodeId::new(0)),
+            labeling.label_of(NodeId::new(63)),
+        );
+        for (la, lb) in a.levels.iter().zip(&b.levels) {
+            assert!(Arc::ptr_eq(&la.virt, &lb.virt) && Arc::ptr_eq(&la.real, &lb.real));
+        }
+        // Shared or enumerated, a label reads the same: the first label of
+        // a fresh labeling enumerates its own edges.
+        let fresh = Labeling::build(&g, SchemeParams::new(1.0, 64));
+        assert_eq!(fresh.label_of(NodeId::new(63)), b);
+        // Local levels (the ball misses part of the net) are per vertex.
+        let g = generators::path(300);
+        let labeling = Labeling::build(&g, SchemeParams::new(1.0, 300));
+        let (a, b) = (
+            labeling.label_of(NodeId::new(10)),
+            labeling.label_of(NodeId::new(200)),
+        );
+        assert!(!Arc::ptr_eq(&a.levels[0].virt, &b.levels[0].virt));
+        assert_ne!(
+            a.levels[0].virtual_edges().count(),
+            b.levels[0].virtual_edges().count()
+        );
+    }
+
+    #[test]
+    fn resident_bytes_stay_within_the_flat_edge_layout() {
+        // The rows-plus-transpose layout must cost what flat `(a, b, dist)`
+        // and `(a, b)` structs did — 12 and 8 bytes an edge — plus a term
+        // in the points (the point itself and four row offsets) and a
+        // constant per level.
+        for g in [
+            generators::grid2d(8, 8),
+            generators::path(200),
+            generators::random_geometric(120, 0.12, 17),
+        ] {
+            let n = g.num_vertices();
+            let labeling = Labeling::build(&g, SchemeParams::new(1.0, n));
+            for v in [0, n / 2, n - 1] {
+                let label = labeling.label_of(NodeId::from_index(v));
+                let stats = label.stats();
+                let bound = 12 * stats.virtual_edges
+                    + 8 * stats.real_edges
+                    + (12 + 4 * 4) * stats.points
+                    + 256 * stats.levels
+                    + 64;
+                assert!(
+                    label.resident_bytes() <= bound as u64,
+                    "n={n} v={v}: {} bytes resident, bound {bound} for {stats:?}",
+                    label.resident_bytes()
+                );
+                // And not wildly below it either: the accounting sees the rows.
+                assert!(label.resident_bytes() >= (12 * stats.virtual_edges) as u64);
+            }
+        }
     }
 
     #[test]
@@ -692,7 +779,7 @@ mod tests {
         assert_eq!(l.owner, NodeId::new(0));
         for (_, level) in l.levels_iter() {
             assert_eq!(level.points.len(), 1);
-            assert!(level.virtual_edges.is_empty());
+            assert_eq!(level.num_virtual_edges(), 0);
         }
     }
 }

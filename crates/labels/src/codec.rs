@@ -431,6 +431,9 @@ pub const MAX_VARINT_GROUPS: u32 = 16;
 #[derive(Debug, Default)]
 pub struct VarintScratch {
     buf: Vec<u64>,
+    /// A level's real-edge stream, held beside its virtual-edge stream in
+    /// `buf` until the level is built from both.
+    real_buf: Vec<u64>,
 }
 
 impl VarintScratch {
@@ -516,14 +519,14 @@ fn encode_level(level: &LevelLabel, w: &mut BitWriter) {
         w.write_varint(u64::from(p.dist));
         w.write_varint(u64::from(p.net_level));
     }
-    w.write_varint(level.virtual_edges.len() as u64);
-    for e in &level.virtual_edges {
+    w.write_varint(level.num_virtual_edges() as u64);
+    for e in level.virtual_edges() {
         w.write_varint(u64::from(e.a));
         w.write_varint(u64::from(e.b));
         w.write_varint(u64::from(e.dist));
     }
-    w.write_varint(level.real_edges.len() as u64);
-    for e in &level.real_edges {
+    w.write_varint(level.num_real_edges() as u64);
+    for e in level.real_edges() {
         w.write_varint(u64::from(e.a));
         w.write_varint(u64::from(e.b));
     }
@@ -552,9 +555,9 @@ pub fn encoded_bits_fixed(label: &Label, n: usize) -> usize {
         // Each point: delta-free id + distance + net level.
         bits += level.points.len() * (w + w + 6);
         bits += w; // virtual edge count
-        bits += level.virtual_edges.len() * (idx_w + idx_w + w);
+        bits += level.num_virtual_edges() * (idx_w + idx_w + w);
         bits += w; // real edge count
-        bits += level.real_edges.len() * (idx_w + idx_w);
+        bits += level.num_real_edges() * (idx_w + idx_w);
     }
     bits
 }
@@ -664,7 +667,7 @@ pub fn decode_with(
     }
     let mut levels = Vec::with_capacity(num_levels);
     for _ in 0..num_levels {
-        levels.push(decode_level_batched(&mut r, n, &mut scratch.buf)?);
+        levels.push(decode_level_batched(&mut r, n, scratch)?);
     }
     let payload_bits = r.position();
     let expected = prefix_checksum(bytes, payload_bits);
@@ -776,11 +779,26 @@ fn decode_level(r: &mut BitReader<'_>, n: usize) -> Result<LevelLabel, CodecErro
         }
         real_edges.push(RealEdge { a, b });
     }
-    Ok(LevelLabel {
-        points,
-        virtual_edges,
-        real_edges,
-    })
+    build_level(r, points, virtual_edges, real_edges)
+}
+
+/// Hands the parsed lists to [`LevelLabel::new`], which groups the edges
+/// into rows and builds their transpose — once per materialized label,
+/// so a query never has to.
+fn build_level<V, R>(
+    r: &BitReader<'_>,
+    points: Vec<LabelPoint>,
+    virtual_edges: V,
+    real_edges: R,
+) -> Result<LevelLabel, CodecError>
+where
+    V: IntoIterator<Item = VirtualEdge>,
+    V::IntoIter: Clone,
+    R: IntoIterator<Item = RealEdge>,
+    R::IntoIter: Clone,
+{
+    LevelLabel::new(points, virtual_edges, real_edges)
+        .map_err(|e| CodecError::new(r.position(), e.message))
 }
 
 /// Reads a varint that must fit in `u32` (ids, distances, indices).
@@ -791,14 +809,14 @@ fn read_u32(r: &mut BitReader<'_>, what: &str) -> Result<u32, CodecError> {
 }
 
 /// [`decode_level`] on batched reads: each stream (points, virtual edges,
-/// real edges) is one `read_varint_batch` call into `buf`, validated
+/// real edges) is one `read_varint_batch` call into the scratch, validated
 /// afterwards with exactly the checks the sequential path applies —
 /// same accept set, same decoded values, possibly different error
 /// offsets on reject.
 fn decode_level_batched(
     r: &mut BitReader<'_>,
     n: usize,
-    buf: &mut Vec<u64>,
+    VarintScratch { buf, real_buf }: &mut VarintScratch,
 ) -> Result<LevelLabel, CodecError> {
     const U32_MAX: u64 = u32::MAX as u64;
     let num_points = read_count(r, 15, "point")?;
@@ -854,52 +872,35 @@ fn decode_level_batched(
     let bound = (points.len() as u64).min(U32_MAX + 1);
     let num_virtual = read_count(r, 15, "virtual edge")?;
     r.read_varint_batch(num_virtual * 3, buf)?;
-    let mut bad = false;
-    let virtual_edges: Vec<VirtualEdge> = buf
-        .chunks_exact(3)
-        .map(|c| {
-            bad |= c[0] >= bound;
-            bad |= c[1] >= bound;
-            bad |= c[2] > U32_MAX;
-            VirtualEdge {
-                a: c[0] as u32,
-                b: c[1] as u32,
-                dist: c[2] as u32,
-            }
-        })
-        .collect();
-    if bad {
-        return Err(CodecError::new(
-            r.position(),
-            "virtual edge endpoint or distance out of range",
-        ));
-    }
-
     let num_real = read_count(r, 10, "real edge")?;
-    r.read_varint_batch(num_real * 2, buf)?;
-    let mut bad = false;
-    let real_edges: Vec<RealEdge> = buf
-        .chunks_exact(2)
-        .map(|c| {
-            bad |= c[0] >= bound;
-            bad |= c[1] >= bound;
-            RealEdge {
-                a: c[0] as u32,
-                b: c[1] as u32,
-            }
-        })
-        .collect();
-    if bad {
+    r.read_varint_batch(num_real * 2, real_buf)?;
+    // `LevelLabel::new` walks each list twice (count, then scatter into
+    // rows) straight off the varint buffers; the range flag rides along
+    // in the first walk instead of costing one of its own.
+    let bad = std::cell::Cell::new(false);
+    let virtual_edges = buf.chunks_exact(3).map(|c| {
+        bad.set(bad.get() | (c[0] >= bound) | (c[1] >= bound) | (c[2] > U32_MAX));
+        VirtualEdge {
+            a: c[0] as u32,
+            b: c[1] as u32,
+            dist: c[2] as u32,
+        }
+    });
+    let real_edges = real_buf.chunks_exact(2).map(|c| {
+        bad.set(bad.get() | (c[0] >= bound) | (c[1] >= bound));
+        RealEdge {
+            a: c[0] as u32,
+            b: c[1] as u32,
+        }
+    });
+    let level = build_level(r, points, virtual_edges, real_edges);
+    if bad.get() {
         return Err(CodecError::new(
             r.position(),
-            "real edge index out of range",
+            "edge endpoint or distance out of range",
         ));
     }
-    Ok(LevelLabel {
-        points,
-        virtual_edges,
-        real_edges,
-    })
+    level
 }
 
 #[cfg(test)]
@@ -1031,8 +1032,8 @@ mod tests {
             owner_net_level: 2,
             first_level: 3,
             levels: vec![
-                LevelLabel {
-                    points: vec![
+                LevelLabel::new(
+                    vec![
                         LabelPoint {
                             vertex: NodeId::new(3),
                             dist: 9,
@@ -1049,13 +1050,14 @@ mod tests {
                             net_level: 5,
                         },
                     ],
-                    virtual_edges: vec![VirtualEdge {
+                    [VirtualEdge {
                         a: 0,
                         b: 2,
                         dist: 30,
                     }],
-                    real_edges: vec![RealEdge { a: 0, b: 1 }],
-                },
+                    [RealEdge { a: 0, b: 1 }],
+                )
+                .unwrap(),
                 LevelLabel::default(),
             ],
         }
@@ -1101,10 +1103,12 @@ mod tests {
 
     #[test]
     fn decode_rejects_bad_edge_indices() {
+        // In range when built, out of range once a point is dropped.
         let mut bad = sample_label();
-        bad.levels[0].virtual_edges[0].b = 99;
+        bad.levels[0].points.pop();
         let w = encode(&bad, 50);
         assert!(decode(w.as_bytes(), w.len_bits(), 50).is_err());
+        assert!(decode_with(w.as_bytes(), w.len_bits(), 50, &mut VarintScratch::new()).is_err());
     }
 
     #[test]

@@ -15,6 +15,15 @@
 //!   roughly a `2^α` factor.
 //! * **real edges** — at the lowest level `c+1` only: the edges of `G`
 //!   inside `B(v, r_{c+1})`, stored as index pairs into the point list.
+//!
+//! Both kinds of edge are held as rows by first endpoint plus a transpose
+//! (`EdgeRows`), not as flat lists: the decoder expands one vertex at a
+//! time and needs that vertex's edges, in both directions, without walking
+//! the level. [`LevelLabel::new`] builds the rows;
+//! [`LevelLabel::virtual_edges`] and [`LevelLabel::real_edges`] read the
+//! flat lists back.
+
+use std::sync::Arc;
 
 use fsdl_graph::NodeId;
 
@@ -52,18 +61,292 @@ pub struct RealEdge {
     pub b: u32,
 }
 
+/// One arc of an edge row: whatever an edge `(a, b)` stores besides its
+/// row index `a`.
+pub(crate) trait RowArc: Copy + Default {
+    /// The edge's second endpoint `b` (an index into the point list).
+    fn target(self) -> u32;
+}
+
+/// A virtual edge `(a, b, dist)` seen from its row `a`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct VirtualArc {
+    pub(crate) b: u32,
+    pub(crate) dist: u32,
+}
+
+impl RowArc for VirtualArc {
+    fn target(self) -> u32 {
+        self.b
+    }
+}
+
+/// A real edge `(a, b)` seen from its row `a` is just `b`.
+impl RowArc for u32 {
+    fn target(self) -> u32 {
+        self
+    }
+}
+
+/// The edges of one kind at one level, stored so that *both* directions
+/// of a point are one contiguous scan — what the decoder's search needs to
+/// expand a vertex without touching the rest of the level.
+///
+/// Edge `(a, b, …)` is stored once, as an arc in row `a` (`fwd`, rows
+/// delimited by `off`, so `a` costs no bytes); the transpose lists, per
+/// point `b`, the positions in `fwd` of the arcs that end at `b`. That is
+/// `size_of::<T>() + 4` bytes per edge — 12 for a virtual edge, 8 for a
+/// real one, the same as the flat `(a, b, dist)` / `(a, b)` structs — plus
+/// `2·(P+1)` offsets. All four vectors are empty when there are no edges.
+///
+/// Invariants (established by [`EdgeRows::build`], relied on by the
+/// accessors; the fields never change afterwards): `off` and `tin_off`
+/// are non-decreasing with `P + 1` entries ending at `fwd.len()`; every
+/// `tin` entry is a position in `fwd`; each `tin` row is ascending.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct EdgeRows<T> {
+    off: Vec<u32>,
+    fwd: Vec<T>,
+    tin_off: Vec<u32>,
+    tin: Vec<u32>,
+}
+
+impl<T: RowArc> EdgeRows<T> {
+    /// Groups `edges` (pairs of row index `a` and arc) into rows by a
+    /// stable counting sort and builds the transpose. Builder- and
+    /// codec-made lists arrive sorted by `(a, b)`: they are rows already,
+    /// keep exactly that order, and cost one walk over the input.
+    fn build<I>(num_points: usize, edges: I) -> Result<Self, String>
+    where
+        I: Iterator<Item = (u32, T)> + Clone,
+    {
+        let mut off = vec![0u32; num_points + 1];
+        // Counts land two slots up, so that after the prefix sum
+        // `tin_off[b + 1]` is row `b`'s start, the scatter below can use
+        // it as the row's write cursor, and what remains is the offset
+        // array with one stale slot at the end.
+        let mut tin_off = vec![0u32; num_points + 2];
+        let mut fwd = Vec::with_capacity(edges.size_hint().0);
+        let (mut in_rows, mut last_a) = (true, 0);
+        for (a, arc) in edges.clone() {
+            let b = arc.target();
+            if a as usize >= num_points || b as usize >= num_points {
+                return Err(format!(
+                    "edge ({a}, {b}) indexes past the {num_points} stored points"
+                ));
+            }
+            if fwd.len() == u32::MAX as usize {
+                return Err("more than u32::MAX edges at one level".into());
+            }
+            off[a as usize + 1] += 1;
+            tin_off[b as usize + 2] += 1;
+            in_rows &= last_a <= a;
+            last_a = a;
+            fwd.push(arc);
+        }
+        if fwd.is_empty() {
+            return Ok(EdgeRows::default());
+        }
+        fwd.shrink_to_fit();
+        for k in 1..=num_points {
+            off[k] += off[k - 1];
+            tin_off[k + 1] += tin_off[k];
+        }
+        if !in_rows {
+            let mut cursor = off.clone();
+            for (a, arc) in edges {
+                let at = &mut cursor[a as usize];
+                fwd[*at as usize] = arc;
+                *at += 1;
+            }
+        }
+        let mut tin = vec![0u32; fwd.len()];
+        for (pos, arc) in fwd.iter().enumerate() {
+            let at = &mut tin_off[arc.target() as usize + 1];
+            tin[*at as usize] = pos as u32;
+            *at += 1;
+        }
+        tin_off.pop();
+        Ok(EdgeRows {
+            off,
+            fwd,
+            tin_off,
+            tin,
+        })
+    }
+
+    /// Number of edges.
+    pub(crate) fn len(&self) -> usize {
+        self.fwd.len()
+    }
+
+    /// The slice of `items` that `offsets` assigns to row `row` (empty for
+    /// a row the level was not built with).
+    fn row<'a, U>(offsets: &[u32], items: &'a [U], row: usize) -> &'a [U] {
+        match (offsets.get(row), offsets.get(row + 1)) {
+            (Some(&lo), Some(&hi)) => &items[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+
+    /// The arcs of the edges `(a, ·)`, in stored order.
+    pub(crate) fn outgoing(&self, a: usize) -> &[T] {
+        Self::row(&self.off, &self.fwd, a)
+    }
+
+    /// The edges `(·, b)`, as `(a, arc)` with `a` ascending. `a` is
+    /// recovered from the row offsets by a cursor that only moves forward
+    /// (positions within a transpose row ascend), so a whole scan costs
+    /// the in-degree plus at most one pass over the offsets.
+    pub(crate) fn incoming(&self, b: usize) -> impl Iterator<Item = (u32, T)> + '_ {
+        let mut a = 0usize;
+        Self::row(&self.tin_off, &self.tin, b)
+            .iter()
+            .map(move |&pos| {
+                while self.off[a + 1] <= pos {
+                    a += 1;
+                }
+                (a as u32, self.fwd[pos as usize])
+            })
+    }
+
+    /// Every edge as `(a, arc)`, row by row.
+    fn iter(&self) -> impl Iterator<Item = (u32, T)> + '_ {
+        self.off.windows(2).enumerate().flat_map(move |(a, w)| {
+            self.fwd[w[0] as usize..w[1] as usize]
+                .iter()
+                .map(move |&arc| (a as u32, arc))
+        })
+    }
+
+    /// Bytes held, this struct included (by length, not capacity).
+    fn resident_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        (size_of::<Self>()
+            + self.fwd.len() * size_of::<T>()
+            + (self.off.len() + self.tin_off.len() + self.tin.len()) * size_of::<u32>())
+            as u64
+    }
+}
+
 /// The level-`i` slice `L_i(v)` of a label, encoding `H_i(v)`.
+///
+/// The point list is public and indexable; the edges refer to it by index
+/// and are stored as rows, so the decoder's search can scan one point's
+/// edges in either direction; they are read back through
+/// [`LevelLabel::virtual_edges`] and [`LevelLabel::real_edges`]. The rows
+/// sit behind an [`Arc`] because a level whose ball covers the whole graph
+/// has the same edges whoever owns the label — only the distances in the
+/// point list differ — and [`crate::Labeling`] then hands every label the
+/// same rows.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LevelLabel {
     /// Stored points, sorted by vertex id (canonical order for encoding).
     pub points: Vec<LabelPoint>,
     /// Virtual edges between stored points.
-    pub virtual_edges: Vec<VirtualEdge>,
+    pub(crate) virt: Arc<EdgeRows<VirtualArc>>,
     /// Real edges of `G` (lowest level only; empty at other levels).
-    pub real_edges: Vec<RealEdge>,
+    pub(crate) real: Arc<EdgeRows<u32>>,
 }
 
 impl LevelLabel {
+    /// Builds a level from its points and flat edge lists — the one way
+    /// to make a level with edges. Edges are kept grouped by their first
+    /// endpoint index `a` (a stable sort: lists already ordered by `a`,
+    /// as the builder and the codec produce them, are read back
+    /// unchanged).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`LabelInvalid`] (with `level_index` 0 — a level does not
+    /// know its place in a label) when an edge endpoint is not an index
+    /// into `points`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use fsdl_graph::NodeId;
+    /// use fsdl_labels::{LabelPoint, LevelLabel, VirtualEdge};
+    ///
+    /// let point = |v, dist| LabelPoint { vertex: NodeId::new(v), dist, net_level: 0 };
+    /// let points = vec![point(2, 0), point(5, 3), point(9, 7)];
+    /// let edge = VirtualEdge { a: 0, b: 2, dist: 7 };
+    /// let level = LevelLabel::new(points.clone(), [edge], []).unwrap();
+    /// assert_eq!(level.virtual_edges().collect::<Vec<_>>(), vec![edge]);
+    /// assert!(LevelLabel::new(points, [VirtualEdge { a: 0, b: 3, dist: 1 }], []).is_err());
+    /// ```
+    pub fn new<V, R>(
+        points: Vec<LabelPoint>,
+        virtual_edges: V,
+        real_edges: R,
+    ) -> Result<Self, LabelInvalid>
+    where
+        V: IntoIterator<Item = VirtualEdge>,
+        V::IntoIter: Clone,
+        R: IntoIterator<Item = RealEdge>,
+        R::IntoIter: Clone,
+    {
+        let fail = |kind: &str, message: String| LabelInvalid {
+            level_index: 0,
+            message: format!("{kind} {message}"),
+        };
+        let virt = EdgeRows::build(
+            points.len(),
+            virtual_edges.into_iter().map(|e| {
+                (
+                    e.a,
+                    VirtualArc {
+                        b: e.b,
+                        dist: e.dist,
+                    },
+                )
+            }),
+        )
+        .map_err(|m| fail("virtual", m))?;
+        let real = EdgeRows::build(points.len(), real_edges.into_iter().map(|e| (e.a, e.b)))
+            .map_err(|m| fail("real", m))?;
+        Ok(LevelLabel {
+            points,
+            virt: Arc::new(virt),
+            real: Arc::new(real),
+        })
+    }
+
+    /// A level with these points and the edge rows of `other`, shared —
+    /// for levels that differ only in their distance column.
+    pub(crate) fn sharing_edges(points: Vec<LabelPoint>, other: &LevelLabel) -> Self {
+        debug_assert_eq!(points.len(), other.points.len());
+        LevelLabel {
+            points,
+            virt: Arc::clone(&other.virt),
+            real: Arc::clone(&other.real),
+        }
+    }
+
+    /// The virtual edges, grouped by first endpoint index.
+    pub fn virtual_edges(&self) -> impl Iterator<Item = VirtualEdge> + '_ {
+        self.virt.iter().map(|(a, arc)| VirtualEdge {
+            a,
+            b: arc.b,
+            dist: arc.dist,
+        })
+    }
+
+    /// Number of virtual edges.
+    pub fn num_virtual_edges(&self) -> usize {
+        self.virt.len()
+    }
+
+    /// The real edges, grouped by first endpoint index.
+    pub fn real_edges(&self) -> impl Iterator<Item = RealEdge> + '_ {
+        self.real.iter().map(|(a, b)| RealEdge { a, b })
+    }
+
+    /// Number of real edges.
+    pub fn num_real_edges(&self) -> usize {
+        self.real.len()
+    }
+
     /// Looks up a stored point by vertex id (binary search: points are
     /// sorted by id).
     pub fn find_point(&self, v: NodeId) -> Option<&LabelPoint> {
@@ -143,8 +426,10 @@ impl Label {
                     )));
                 }
             }
+            // Indices were in range when the level was built, but the
+            // point list is public and may have been shortened since.
             let np = level.points.len() as u32;
-            for e in &level.virtual_edges {
+            for e in level.virtual_edges() {
                 if e.a >= np || e.b >= np {
                     return Err(fail("virtual edge index out of range".into()));
                 }
@@ -152,7 +437,7 @@ impl Label {
                     return Err(fail("virtual self-loop".into()));
                 }
             }
-            for e in &level.real_edges {
+            for e in level.real_edges() {
                 if e.a >= np || e.b >= np {
                     return Err(fail("real edge index out of range".into()));
                 }
@@ -184,8 +469,8 @@ impl Label {
         let mut s = LabelStats::default();
         for l in &self.levels {
             s.points += l.points.len();
-            s.virtual_edges += l.virtual_edges.len();
-            s.real_edges += l.real_edges.len();
+            s.virtual_edges += l.num_virtual_edges();
+            s.real_edges += l.num_real_edges();
             s.max_level_points = s.max_level_points.max(l.points.len());
         }
         s.levels = self.levels.len();
@@ -193,18 +478,34 @@ impl Label {
     }
 
     /// Estimated heap footprint of this materialized label in bytes:
-    /// the struct itself plus every level's point and edge vectors (by
-    /// length, not capacity — a stable estimate independent of allocator
-    /// growth policy). Used for resident-vs-on-disk accounting in
-    /// [`crate::LabelPlaneStats`].
+    /// the struct itself plus every level's point vector and edge rows —
+    /// 12 bytes per virtual edge, 8 per real edge, and two row-offset
+    /// arrays per edge kind a level actually has (by length, not capacity
+    /// — a stable estimate independent of allocator growth policy). Edge
+    /// rows shared with other labels are counted in full, as if this label
+    /// were the only one alive.
     pub fn resident_bytes(&self) -> u64 {
+        self.resident_bytes_where(&mut |_| true)
+    }
+
+    /// [`Label::resident_bytes`], counting a level's edge rows only when
+    /// `first_sighting` of their address says so — how a holder of many
+    /// labels ([`crate::LabelPlaneStats`]) counts shared rows once.
+    pub(crate) fn resident_bytes_where(
+        &self,
+        first_sighting: &mut impl FnMut(usize) -> bool,
+    ) -> u64 {
         use std::mem::size_of;
         let mut bytes = size_of::<Label>() as u64;
         for l in &self.levels {
             bytes += size_of::<LevelLabel>() as u64;
             bytes += (l.points.len() * size_of::<LabelPoint>()) as u64;
-            bytes += (l.virtual_edges.len() * size_of::<VirtualEdge>()) as u64;
-            bytes += (l.real_edges.len() * size_of::<RealEdge>()) as u64;
+            if first_sighting(Arc::as_ptr(&l.virt) as usize) {
+                bytes += l.virt.resident_bytes();
+            }
+            if first_sighting(Arc::as_ptr(&l.real) as usize) {
+                bytes += l.real.resident_bytes();
+            }
         }
         bytes
     }
@@ -236,32 +537,34 @@ impl LabelStats {
 mod tests {
     use super::*;
 
-    fn sample_level() -> LevelLabel {
-        LevelLabel {
-            points: vec![
-                LabelPoint {
-                    vertex: NodeId::new(2),
-                    dist: 0,
-                    net_level: 4,
-                },
-                LabelPoint {
-                    vertex: NodeId::new(5),
-                    dist: 3,
-                    net_level: 1,
-                },
-                LabelPoint {
-                    vertex: NodeId::new(9),
-                    dist: 7,
-                    net_level: 2,
-                },
-            ],
-            virtual_edges: vec![VirtualEdge {
-                a: 0,
-                b: 2,
+    fn sample_points() -> Vec<LabelPoint> {
+        vec![
+            LabelPoint {
+                vertex: NodeId::new(2),
+                dist: 0,
+                net_level: 4,
+            },
+            LabelPoint {
+                vertex: NodeId::new(5),
+                dist: 3,
+                net_level: 1,
+            },
+            LabelPoint {
+                vertex: NodeId::new(9),
                 dist: 7,
-            }],
-            real_edges: vec![],
-        }
+                net_level: 2,
+            },
+        ]
+    }
+
+    const SAMPLE_EDGE: VirtualEdge = VirtualEdge {
+        a: 0,
+        b: 2,
+        dist: 7,
+    };
+
+    fn sample_level() -> LevelLabel {
+        LevelLabel::new(sample_points(), [SAMPLE_EDGE], []).unwrap()
     }
 
     #[test]
@@ -314,13 +617,24 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_bad_edges() {
-        let mut level = sample_level();
-        level.virtual_edges.push(VirtualEdge {
+    fn constructor_rejects_out_of_range_edges() {
+        let bad = VirtualEdge {
             a: 1,
             b: 9,
             dist: 2,
-        });
+        };
+        let err = LevelLabel::new(sample_points(), [SAMPLE_EDGE, bad], []).unwrap_err();
+        assert!(err.message.contains("virtual"), "{err}");
+        let err = LevelLabel::new(sample_points(), [], [RealEdge { a: 3, b: 0 }]).unwrap_err();
+        assert!(err.message.contains("real"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_bad_edges() {
+        // In range when built, out of range once the public point list
+        // is shortened.
+        let mut level = sample_level();
+        level.points.pop();
         let label = Label {
             owner: NodeId::new(2),
             owner_net_level: 4,
@@ -328,8 +642,7 @@ mod tests {
             levels: vec![level],
         };
         assert!(label.validate().is_err());
-        let mut level = sample_level();
-        level.real_edges.push(RealEdge { a: 1, b: 1 });
+        let level = LevelLabel::new(sample_points(), [], [RealEdge { a: 1, b: 1 }]).unwrap();
         let label = Label {
             owner: NodeId::new(2),
             owner_net_level: 4,
@@ -337,6 +650,36 @@ mod tests {
             levels: vec![level],
         };
         assert!(label.validate().unwrap_err().message.contains("self-loop"));
+    }
+
+    #[test]
+    fn rows_keep_sorted_lists_and_group_unsorted_ones() {
+        let e = |a, b, dist| VirtualEdge { a, b, dist };
+        let sorted = [e(0, 1, 3), e(0, 2, 7), e(1, 2, 4)];
+        let level = LevelLabel::new(sample_points(), sorted, []).unwrap();
+        assert_eq!(level.virtual_edges().collect::<Vec<_>>(), sorted);
+        // Unsorted input, a reversed pair and a self-loop: grouped by `a`,
+        // order within a row kept.
+        let messy = [e(2, 0, 7), e(0, 2, 7), e(1, 1, 0), e(0, 1, 3)];
+        let level = LevelLabel::new(sample_points(), messy, []).unwrap();
+        assert_eq!(
+            level.virtual_edges().collect::<Vec<_>>(),
+            [e(0, 2, 7), e(0, 1, 3), e(1, 1, 0), e(2, 0, 7)]
+        );
+        // Both directions of every point, with `a` recovered for the
+        // incoming side.
+        let out = |a| level.virt.outgoing(a).to_vec();
+        let arc = |b, dist| VirtualArc { b, dist };
+        assert_eq!(out(0), [arc(2, 7), arc(1, 3)]);
+        assert_eq!(out(3), []);
+        let inc = |b| level.virt.incoming(b).collect::<Vec<_>>();
+        assert_eq!(inc(0), [(2, arc(0, 7))]);
+        assert_eq!(inc(1), [(0, arc(1, 3)), (1, arc(1, 0))]);
+        assert_eq!(inc(2), [(0, arc(2, 7))]);
+        assert_eq!(inc(3), []);
+        // No edges, no rows: equal to the default level with these points.
+        let bare = LevelLabel::new(sample_points(), [], []).unwrap();
+        assert_eq!(*bare.virt, EdgeRows::default());
     }
 
     #[test]

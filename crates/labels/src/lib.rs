@@ -18,8 +18,10 @@
 //!   materialization;
 //! * [`Label`] — the per-vertex artifact, with a canonical bit encoding in
 //!   [`codec`] so label *length in bits* is measured honestly;
-//! * [`decode`] — the pure decoder: sketch graph + protected-ball
-//!   certificates + Dijkstra, touching nothing but labels;
+//! * [`decode`] — the pure decoder: a goal-directed search over the label
+//!   levels with protected-ball certificates per edge, touching nothing
+//!   but labels (plus the materialize-`H`-then-Dijkstra reference it is
+//!   tested against);
 //! * [`ForbiddenSetOracle`] — the centralized `n ×` label table byproduct;
 //! * [`DynamicOracle`] — the fully-dynamic oracle byproduct (buffered
 //!   deletions, `√n` rebuild policy, optional background rebuilds);
@@ -66,6 +68,7 @@ mod label;
 mod oracle;
 mod params;
 pub mod partition;
+mod search;
 pub mod store;
 mod trace;
 pub mod wal;
@@ -73,8 +76,9 @@ mod weighted;
 
 pub use builder::{BuildError, LabelScratch, Labeling, LabelingOptions, LevelReport};
 pub use decode::{
-    build_sketch, query, query_many, query_many_with_scratch, query_with, query_with_scratch,
-    DecodeScratch, EdgeProvenance, QueryAnswer, QueryLabels, Sketch,
+    build_sketch, query, query_many, query_many_reference, query_many_with_scratch,
+    query_reference, query_with_scratch, DecodeScratch, EdgeProvenance, QueryAnswer, QueryLabels,
+    Sketch,
 };
 pub use dynamic::{DynamicConfig, DynamicError, DynamicOracle, DynamicStats, RebuildMode};
 pub use failure_free::{query_failure_free, FailureFreeLabel, FailureFreeLabeling};
@@ -85,6 +89,6 @@ pub use partition::{
     write_shard_stores, PartitionError, PartitionPlan, PartitionStrategy, ShardReport, ShardStore,
 };
 pub use store::{OpenMode, StoreError, StoreReport};
-pub use trace::{trace_query, trace_query_with, QueryTrace, TraceHop};
+pub use trace::{trace_query, QueryTrace, TraceHop};
 pub use wal::{ReplayReport, WalError, WalRecord};
 pub use weighted::{WeightedFaults, WeightedOracle};

@@ -80,10 +80,13 @@ impl LabelArena {
     fn resident(&self) -> (u64, u64) {
         let mut labels = 0u64;
         let mut bytes = 0u64;
+        // Labels of one labeling share the edge rows of their saturated
+        // levels: count each allocation once.
+        let mut seen = std::collections::HashSet::new();
         for k in 0..self.len {
             if let Some(label) = self.slot(k).get() {
                 labels += 1;
-                bytes += label.resident_bytes();
+                bytes += label.resident_bytes_where(&mut |rows| seen.insert(rows));
             }
         }
         (labels, bytes)
@@ -570,14 +573,13 @@ impl ForbiddenSetOracle {
         let source = self.label_with(s, scratch);
         let target = self.label_with(t, scratch);
         let (vertex_labels, edge_labels) = self.fault_labels(faults, scratch.varints_mut());
-        let mut query_labels = QueryLabels {
+        let query_labels = QueryLabels {
             fault_vertices: vertex_labels.iter().map(Arc::as_ref).collect(),
             fault_edges: edge_labels
                 .iter()
                 .map(|(a, b)| (a.as_ref(), b.as_ref()))
                 .collect(),
         };
-        query_labels.sort_by_owner();
         decode::query_with_scratch(self.params(), &source, &target, &query_labels, scratch)
     }
 
@@ -653,14 +655,13 @@ impl ForbiddenSetOracle {
             .map(|&t| self.label_with(t, scratch))
             .collect();
         let (vertex_labels, edge_labels) = self.fault_labels(faults, scratch.varints_mut());
-        let mut query_labels = QueryLabels {
+        let query_labels = QueryLabels {
             fault_vertices: vertex_labels.iter().map(Arc::as_ref).collect(),
             fault_edges: edge_labels
                 .iter()
                 .map(|(a, b)| (a.as_ref(), b.as_ref()))
                 .collect(),
         };
-        query_labels.sort_by_owner();
         let target_refs: Vec<&Label> = target_labels.iter().map(Arc::as_ref).collect();
         decode::query_many_with_scratch(
             self.params(),
@@ -782,6 +783,26 @@ mod tests {
                 oracle.labeling().label_of(NodeId::new(v))
             );
         }
+    }
+
+    #[test]
+    fn resident_bytes_count_shared_edge_rows_once() {
+        // Every level of the 5x5 grid is saturated, so all 25 labels share
+        // one set of edge rows per level.
+        let g = generators::grid2d(5, 5);
+        let oracle = ForbiddenSetOracle::new(&g, 1.0);
+        oracle.prewarm_workers(1);
+        let stats = oracle.label_plane_stats();
+        let standalone: u64 = (0..25u32)
+            .map(|v| oracle.label(NodeId::new(v)).resident_bytes())
+            .sum();
+        assert_eq!(stats.resident_labels, 25);
+        assert!(
+            stats.resident_label_bytes < standalone / 2,
+            "{} resident vs {standalone} if nothing were shared",
+            stats.resident_label_bytes
+        );
+        assert!(stats.resident_label_bytes >= oracle.label(NodeId::new(0)).resident_bytes());
     }
 
     #[test]
@@ -911,12 +932,12 @@ mod tests {
     #[test]
     fn witness_path_is_independent_of_fault_insertion_order() {
         // Equal fault sets must give equal answers — witness path
-        // included — however they were assembled. The sketch is built in
-        // the order the fault labels are handed over and `FaultSet`
-        // iterates in per-instance hash order, so these cases (found by
-        // search: equally short sketch paths whose tie that order breaks,
-        // on a graph long enough for labels to be local) answered with
-        // different paths from one instance to the next.
+        // included — however they were assembled. `FaultSet` iterates in
+        // per-instance hash order, so the fault labels reach the decoder
+        // in a different order from one instance to the next; its
+        // canonical tie-break makes that invisible. These cases (found by
+        // search: equally short sketch paths, on a graph long enough for
+        // labels to be local) are ones where the order once decided.
         let g = generators::grid2d(3, 150);
         let oracle = ForbiddenSetOracle::new(&g, 2.0);
         let mut scratch = DecodeScratch::new();

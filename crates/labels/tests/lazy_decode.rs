@@ -1,0 +1,532 @@
+//! Differential suite for the decoder's lazy search against the reference
+//! that materializes the sketch graph `H` and runs Dijkstra on it.
+//!
+//! On every input below:
+//!
+//! * (a) the search's `distance` equals the reference's, exactly;
+//! * (b) its path is a walk in the reference `H` from `s` to `t` whose
+//!   weights sum to that distance;
+//! * (c) the search without a heuristic (`query_many_with_scratch` with
+//!   the one target: `h ≡ 0`) finds the same distance as with `h` read
+//!   from `L(t)`;
+//! * (d) the distance is never below BFS on `G ∖ F`, hostile labels
+//!   included — and none of it panics.
+//!
+//! Whole-answer properties of the search alone — independence from the
+//! order of the fault labels, scratch reuse — have their own tests here
+//! and in `scratch_identity.rs`.
+
+use std::sync::Arc;
+
+use fsdl_graph::{bfs, generators, Dist, Edge, FaultSet, Graph, NodeId};
+use fsdl_labels::{
+    build_sketch, query_many_with_scratch, query_reference, query_with_scratch, DecodeScratch,
+    ForbiddenSetOracle, Label, LevelLabel, QueryLabels, RealEdge, SchemeParams, VirtualEdge,
+};
+use fsdl_testkit::Rng;
+
+/// Asserts (a), (b) and (c) for one query and returns the common distance.
+fn assert_matches_reference(
+    params: &SchemeParams,
+    source: &Label,
+    target: &Label,
+    faults: &QueryLabels<'_>,
+    scratch: &mut DecodeScratch,
+    ctx: &str,
+) -> Dist {
+    let lazy = query_with_scratch(params, source, target, faults, scratch);
+    let reference = query_reference(params, source, target, faults);
+    assert_eq!(lazy.distance, reference.distance, "{ctx}: distance");
+    assert_eq!(
+        lazy.path.is_empty(),
+        reference.path.is_empty(),
+        "{ctx}: one path empty"
+    );
+    if !lazy.path.is_empty() {
+        let h = build_sketch(params, source, target, faults);
+        assert_eq!(lazy.path.first(), Some(&source.owner), "{ctx}: path start");
+        assert_eq!(lazy.path.last(), Some(&target.owner), "{ctx}: path end");
+        let length: u64 = lazy
+            .path
+            .windows(2)
+            .map(|w| {
+                h.edge_info
+                    .get(&Edge::new(w[0], w[1]))
+                    .unwrap_or_else(|| panic!("{ctx}: hop {}-{} is not an edge of H", w[0], w[1]))
+                    .weight
+            })
+            .sum();
+        // The reference path's length, which a widened (unrepresentable)
+        // distance no longer shows.
+        let reference_length: u64 = reference
+            .path
+            .windows(2)
+            .map(|w| h.edge_info[&Edge::new(w[0], w[1])].weight)
+            .sum();
+        assert_eq!(length, reference_length, "{ctx}: path length");
+        assert!(
+            lazy.sketch_vertices <= h.graph.num_vertices(),
+            "{ctx}: reached more vertices than H has"
+        );
+    }
+    let blind = query_many_with_scratch(params, source, &[target], faults, scratch);
+    assert_eq!(blind, vec![lazy.distance], "{ctx}: h = 0 disagrees");
+    lazy.distance
+}
+
+/// A random forbidden set of `k` elements (vertices, and edges with
+/// probability `edge_share`), duplicates and endpoints allowed, as label
+/// handles plus the `FaultSet` BFS understands.
+struct Faults {
+    vertices: Vec<Arc<Label>>,
+    edges: Vec<(Arc<Label>, Arc<Label>)>,
+    set: FaultSet,
+}
+
+impl Faults {
+    fn random(
+        oracle: &ForbiddenSetOracle,
+        g: &Graph,
+        k: usize,
+        edge_share: f64,
+        rng: &mut Rng,
+    ) -> Self {
+        let n = g.num_vertices();
+        let all_edges: Vec<Edge> = g.edges().collect();
+        let mut faults = Faults {
+            vertices: Vec::new(),
+            edges: Vec::new(),
+            set: FaultSet::empty(),
+        };
+        for _ in 0..k {
+            if !all_edges.is_empty() && rng.gen_bool(edge_share) {
+                let e = all_edges[rng.gen_range(0..all_edges.len())];
+                // Either endpoint first: the decoder must not care.
+                let (a, b) = if rng.gen_bool(0.5) {
+                    (e.lo(), e.hi())
+                } else {
+                    (e.hi(), e.lo())
+                };
+                faults.edges.push((oracle.label(a), oracle.label(b)));
+                faults.set.forbid_edge_unchecked(a, b);
+            } else {
+                let f = NodeId::from_index(rng.gen_range(0..n));
+                faults.vertices.push(oracle.label(f));
+                faults.set.forbid_vertex(f);
+            }
+        }
+        faults
+    }
+
+    fn labels(&self) -> QueryLabels<'_> {
+        QueryLabels {
+            fault_vertices: self.vertices.iter().map(|l| &**l).collect(),
+            fault_edges: self.edges.iter().map(|(a, b)| (&**a, &**b)).collect(),
+        }
+    }
+}
+
+fn families() -> Vec<(&'static str, Graph, f64)> {
+    vec![
+        ("grid 7x7", generators::grid2d(7, 7), 1.0),
+        ("grid 5x9 eps 0.5", generators::grid2d(5, 9), 0.5),
+        ("ladder 2x40", generators::grid2d(2, 40), 1.0),
+        ("cycle 48", generators::cycle(48), 0.5),
+        ("path 40", generators::path(40), 2.0),
+        ("torus 6x6", generators::torus2d(6, 6), 1.0),
+        ("spider 5x8", generators::spider(5, 8), 1.0),
+        ("random tree 60", generators::random_tree(60, 9), 1.0),
+        ("road 8x8", generators::road_network(8, 8, 0.2, 3), 1.0),
+        (
+            "geometric 70",
+            generators::random_geometric(70, 0.2, 11),
+            1.0,
+        ),
+        ("king grid 6x6", generators::king_grid(6, 6), 2.0),
+        ("erdos-renyi 40", generators::erdos_renyi(40, 0.08, 5), 1.0),
+        // Diameter well past the low-level ball radii: the levels are
+        // local, and the sketch needs virtual edges in both directions.
+        ("cycle 400", generators::cycle(400), 1.0),
+        ("ladder 2x160", generators::grid2d(2, 160), 1.0),
+    ]
+}
+
+/// Vertex and edge faults over the standard families and random graphs,
+/// `|F| ∈ {0, 1, 2, 4, 16}`: covers disconnected pairs (trees, paths and
+/// the sparse random graphs split readily), forbidden `s`/`t`, `s == t`
+/// and duplicate fault entries as they come, plus a forced round of each.
+#[test]
+fn families_match_the_reference() {
+    let mut scratch = DecodeScratch::new();
+    for (name, g, eps) in families() {
+        let oracle = ForbiddenSetOracle::new(&g, eps);
+        let n = g.num_vertices();
+        let mut infinite = 0usize;
+        fsdl_testkit::check_seeded(name, 40, 0x1A2_DEC0DE, |rng| {
+            let k = [0usize, 1, 2, 4, 16][rng.gen_range(0..5usize)];
+            let faults = Faults::random(&oracle, &g, k, 0.3, rng);
+            let mut s = NodeId::from_index(rng.gen_range(0..n));
+            let mut t = NodeId::from_index(rng.gen_range(0..n));
+            match rng.gen_range(0..8u32) {
+                0 => t = s,
+                1 if !faults.vertices.is_empty() => s = faults.vertices[0].owner,
+                2 if !faults.vertices.is_empty() => t = faults.vertices[0].owner,
+                _ => {}
+            }
+            let (ls, lt) = (oracle.label(s), oracle.label(t));
+            let ctx = format!("{name}: {s}->{t} avoiding {:?}", faults.set);
+            let d = assert_matches_reference(
+                oracle.params(),
+                &ls,
+                &lt,
+                &faults.labels(),
+                &mut scratch,
+                &ctx,
+            );
+            let truth = bfs::pair_distance_avoiding(&g, s, t, &faults.set);
+            assert!(d >= truth, "{ctx}: {d} below the true {truth}");
+            assert_eq!(d.is_finite(), truth.is_finite(), "{ctx}: connectivity");
+            infinite += usize::from(d.is_infinite());
+        });
+        assert!(infinite < 40, "{name}: every case was unreachable");
+    }
+}
+
+/// The same fault listed twice, an edge fault listed in both orientations,
+/// and a vertex fault on an endpoint of a faulty edge.
+#[test]
+fn duplicate_fault_entries_match_the_reference() {
+    let g = generators::grid2d(6, 6);
+    let oracle = ForbiddenSetOracle::new(&g, 1.0);
+    let label = |v: u32| oracle.label(NodeId::new(v));
+    let (f, a, b) = (label(14), label(20), label(21));
+    let faults = QueryLabels {
+        fault_vertices: vec![&f, &f, &a],
+        fault_edges: vec![(&a, &b), (&b, &a), (&a, &b)],
+    };
+    let mut scratch = DecodeScratch::new();
+    for (s, t) in [(0u32, 35u32), (13, 15), (19, 22), (20, 0), (2, 2)] {
+        let d = assert_matches_reference(
+            oracle.params(),
+            &label(s),
+            &label(t),
+            &faults,
+            &mut scratch,
+            &format!("{s}->{t}"),
+        );
+        let mut set = FaultSet::from_vertices([f.owner, a.owner]);
+        set.forbid_edge_unchecked(a.owner, b.owner);
+        let truth = bfs::pair_distance_avoiding(&g, NodeId::new(s), NodeId::new(t), &set);
+        assert!(d >= truth, "{s}->{t}: {d} below {truth}");
+    }
+}
+
+/// Rebuilds `label` with each level's points in a random order (edge
+/// indices remapped to follow), so no point list is sorted. Every stored
+/// distance stays true.
+fn shuffled(label: &Label, rng: &mut Rng) -> Label {
+    let levels = label
+        .levels
+        .iter()
+        .map(|level| {
+            let p = level.points.len();
+            // `order[new] = old`, by Fisher-Yates.
+            let mut order: Vec<usize> = (0..p).collect();
+            for k in (1..p).rev() {
+                order.swap(k, rng.gen_range(0..=k));
+            }
+            let mut new_index = vec![0u32; p];
+            for (new, &old) in order.iter().enumerate() {
+                new_index[old] = new as u32;
+            }
+            let at = |old: u32| new_index[old as usize];
+            let virtual_edges: Vec<VirtualEdge> = level
+                .virtual_edges()
+                .map(|e| VirtualEdge {
+                    a: at(e.a),
+                    b: at(e.b),
+                    dist: e.dist,
+                })
+                .collect();
+            let real_edges: Vec<RealEdge> = level
+                .real_edges()
+                .map(|e| RealEdge {
+                    a: at(e.a),
+                    b: at(e.b),
+                })
+                .collect();
+            LevelLabel::new(
+                order.iter().map(|&old| level.points[old]).collect(),
+                virtual_edges,
+                real_edges,
+            )
+            .expect("a permutation keeps indices in range")
+        })
+        .collect();
+    Label {
+        levels,
+        ..label.clone()
+    }
+}
+
+/// A copy of `label` whose every level repeats one stored point (same
+/// vertex, same distance) at the end of the list and hangs a copy of one
+/// of its virtual edges on the repeat: the list is no longer strictly
+/// sorted, and the vertex has arcs at two indices.
+fn with_repeated_point(label: &Label) -> Label {
+    let levels = label
+        .levels
+        .iter()
+        .map(|level| {
+            let Some(e) = level.virtual_edges().next() else {
+                return level.clone();
+            };
+            let mut points = level.points.clone();
+            points.push(points[e.a as usize]);
+            let repeat = VirtualEdge {
+                a: points.len() as u32 - 1,
+                ..e
+            };
+            LevelLabel::new(
+                points,
+                level.virtual_edges().chain([repeat]).collect::<Vec<_>>(),
+                level.real_edges().collect::<Vec<_>>(),
+            )
+            .expect("indices in range")
+        })
+        .collect();
+    Label {
+        levels,
+        ..label.clone()
+    }
+}
+
+/// A copy of `label` with the last point of every level dropped *after*
+/// the level was built, so some edges index past the list.
+fn truncated(label: &Label) -> Label {
+    let mut label = label.clone();
+    for level in &mut label.levels {
+        level.points.pop();
+    }
+    label
+}
+
+/// Hand-built and hostile labels in every role: unsorted levels, repeated
+/// points, edges indexing past a shortened list, and labels of another
+/// labeling (unusable: wrong level range). Each only reorders or removes
+/// what the builder stored, so the answer must match the reference and
+/// stay at or above BFS.
+#[test]
+fn hostile_labels_match_the_reference_and_stay_sound() {
+    let g = generators::grid2d(6, 7);
+    let n = g.num_vertices();
+    let oracle = ForbiddenSetOracle::new(&g, 1.0);
+    // Another labeling of the same graph with a different `c`: its labels'
+    // level range disagrees with `oracle.params()`.
+    let stranger = ForbiddenSetOracle::new(&g, 0.25);
+    assert_ne!(stranger.params().c(), oracle.params().c());
+    let mut scratch = DecodeScratch::new();
+    fsdl_testkit::check_seeded("hostile labels", 120, 0xBAD_1ABE1, |rng| {
+        let disguise = |v: NodeId, rng: &mut Rng| -> Label {
+            let honest = oracle.label(v);
+            match rng.gen_range(0..6u32) {
+                0 => shuffled(&honest, rng),
+                1 => with_repeated_point(&honest),
+                2 => truncated(&honest),
+                3 => (*stranger.label(v)).clone(),
+                _ => (*honest).clone(),
+            }
+        };
+        let s = NodeId::from_index(rng.gen_range(0..n));
+        let t = NodeId::from_index(rng.gen_range(0..n));
+        let (ls, lt) = (disguise(s, rng), disguise(t, rng));
+        let mut set = FaultSet::empty();
+        let fault_labels: Vec<Label> = (0..rng.gen_range(0..4usize))
+            .map(|_| {
+                let f = NodeId::from_index(rng.gen_range(0..n));
+                set.forbid_vertex(f);
+                disguise(f, rng)
+            })
+            .collect();
+        let edge_labels: Vec<(Label, Label)> = (0..rng.gen_range(0..2usize))
+            .map(|_| {
+                let a = NodeId::from_index(rng.gen_range(0..n));
+                let b = g
+                    .neighbor_ids(a)
+                    .next()
+                    .expect("grid vertex has a neighbour");
+                set.forbid_edge_unchecked(a, b);
+                (disguise(a, rng), disguise(b, rng))
+            })
+            .collect();
+        let faults = QueryLabels {
+            fault_vertices: fault_labels.iter().collect(),
+            fault_edges: edge_labels.iter().map(|(a, b)| (a, b)).collect(),
+        };
+        let ctx = format!("{s}->{t} avoiding {set:?}");
+        let d = assert_matches_reference(oracle.params(), &ls, &lt, &faults, &mut scratch, &ctx);
+        let truth = bfs::pair_distance_avoiding(&g, s, t, &set);
+        assert!(d >= truth, "{ctx}: {d} below the true {truth}");
+    });
+}
+
+/// A center list that stores a vertex twice with different distances: the
+/// later entry decides, as in the reference's map. The fault sits between
+/// `s` and `t` on a long cycle, and its label repeats its two neighbours
+/// on `t`'s side claiming they lie out of every ball (no certificate of
+/// `s` or `t` is anchored there, so nothing else changes): with the lie
+/// last `s` may step over the fault onto one of them, with the lie first
+/// the protected ball is intact and the sketch goes round. (The label
+/// lies, so only agreement with the reference is asserted, not
+/// soundness.)
+#[test]
+fn later_duplicate_in_a_center_list_wins() {
+    let g = generators::cycle(200);
+    let oracle = ForbiddenSetOracle::new(&g, 1.0);
+    let honest = oracle.label(NodeId::new(100));
+    let mut scratch = DecodeScratch::new();
+    for (s, t) in [(70u32, 130u32), (75, 128)] {
+        let distances = [true, false].map(|lie_last| {
+            let mut fault = (*honest).clone();
+            for level in &mut fault.levels {
+                // Appended, so the level's edges keep indexing the points
+                // they were built on.
+                let honest = level.points.clone();
+                let lies = honest
+                    .iter()
+                    .filter(|p| [101, 102].contains(&p.vertex.raw()))
+                    .map(|p| fsdl_labels::LabelPoint {
+                        dist: p.dist + 1000,
+                        ..*p
+                    });
+                level.points.extend(lies);
+                if !lie_last {
+                    level.points.extend(honest);
+                }
+            }
+            let faults = QueryLabels {
+                fault_vertices: vec![&fault],
+                fault_edges: vec![],
+            };
+            assert_matches_reference(
+                oracle.params(),
+                &oracle.label(NodeId::new(s)),
+                &oracle.label(NodeId::new(t)),
+                &faults,
+                &mut scratch,
+                &format!("lie_last={lie_last} {s}->{t}"),
+            )
+        });
+        assert_eq!(
+            distances[0].finite(),
+            Some(t - s),
+            "{s}->{t}: over the fault"
+        );
+        assert_eq!(
+            distances[1].finite(),
+            Some(200 - (t - s)),
+            "{s}->{t}: round"
+        );
+    }
+}
+
+/// An edge is stored once, in the row of its first endpoint, and walked
+/// from either end. Hand-built: `s` reaches `b` by an owner edge, `t` is
+/// reached from `a` by an owner edge, and the only link is the edge
+/// `(a, b)` stored in `a`'s row — virtual in one variant, real in the
+/// other — which the search meets at `b`.
+#[test]
+fn edges_are_walked_against_their_stored_direction() {
+    let params = SchemeParams::new(1.0, 64);
+    let lowest = params.c() + 1;
+    assert!(params.lambda(lowest) >= 32);
+    let point = |vertex: u32, dist: u32| fsdl_labels::LabelPoint {
+        vertex: NodeId::new(vertex),
+        dist,
+        net_level: 0,
+    };
+    let label = |owner: u32, level: LevelLabel| Label {
+        owner: NodeId::new(owner),
+        owner_net_level: 0,
+        first_level: lowest,
+        levels: vec![level],
+    };
+    // `a` is stored beyond λ of `s`: no owner edge s-a.
+    let points = vec![point(10, 1000), point(20, 5)];
+    let links = [
+        (
+            LevelLabel::new(
+                points.clone(),
+                [VirtualEdge {
+                    a: 0,
+                    b: 1,
+                    dist: 7,
+                }],
+                [],
+            ),
+            15,
+        ),
+        (LevelLabel::new(points, [], [RealEdge { a: 0, b: 1 }]), 9),
+    ];
+    let target = label(1, LevelLabel::new(vec![point(10, 3)], [], []).unwrap());
+    let mut scratch = DecodeScratch::new();
+    for (level, expected) in links {
+        let source = label(0, level.unwrap());
+        let d = assert_matches_reference(
+            &params,
+            &source,
+            &target,
+            &QueryLabels::none(),
+            &mut scratch,
+            "hand-built",
+        );
+        assert_eq!(d.finite(), Some(expected));
+        let path = query_with_scratch(
+            &params,
+            &source,
+            &target,
+            &QueryLabels::none(),
+            &mut scratch,
+        )
+        .path;
+        assert_eq!(path, [0, 20, 10, 1].map(NodeId::new));
+    }
+}
+
+/// The canonical witness: permuting `QueryLabels`, and swapping the
+/// endpoints of an edge fault, leaves the whole answer unchanged — path
+/// and both counters, not just the distance.
+#[test]
+fn answer_is_independent_of_fault_label_order() {
+    let mut scratch = DecodeScratch::new();
+    for (name, g, eps) in families().into_iter().take(6) {
+        let oracle = ForbiddenSetOracle::new(&g, eps);
+        let n = g.num_vertices();
+        fsdl_testkit::check_seeded(name, 24, 0x0_2DE2, |rng| {
+            let k = [2usize, 4, 8][rng.gen_range(0..3usize)];
+            let mut faults = Faults::random(&oracle, &g, k, 0.4, rng);
+            let (ls, lt) = (
+                oracle.label(NodeId::from_index(rng.gen_range(0..n))),
+                oracle.label(NodeId::from_index(rng.gen_range(0..n))),
+            );
+            let first =
+                query_with_scratch(oracle.params(), &ls, &lt, &faults.labels(), &mut scratch);
+            for _ in 0..3 {
+                for k in (1..faults.vertices.len()).rev() {
+                    faults.vertices.swap(k, rng.gen_range(0..=k));
+                }
+                for k in (1..faults.edges.len()).rev() {
+                    faults.edges.swap(k, rng.gen_range(0..=k));
+                }
+                for (a, b) in &mut faults.edges {
+                    if rng.gen_bool(0.5) {
+                        std::mem::swap(a, b);
+                    }
+                }
+                let again =
+                    query_with_scratch(oracle.params(), &ls, &lt, &faults.labels(), &mut scratch);
+                assert_eq!(first, again, "{name}: answer moved with the label order");
+            }
+        });
+    }
+}

@@ -24,7 +24,7 @@ fn random_label(rng: &mut Rng, n: u32) -> Label {
             points.sort_by_key(|p| p.vertex);
             points.dedup_by_key(|p| p.vertex);
             let k = points.len() as u32;
-            let virtual_edges = if k >= 2 {
+            let virtual_edges: Vec<VirtualEdge> = if k >= 2 {
                 (0..rng.gen_range(0..10usize))
                     .map(|_| VirtualEdge {
                         a: rng.gen_range(0..k),
@@ -35,7 +35,7 @@ fn random_label(rng: &mut Rng, n: u32) -> Label {
             } else {
                 Vec::new()
             };
-            let real_edges = if k >= 2 {
+            let real_edges: Vec<RealEdge> = if k >= 2 {
                 (0..rng.gen_range(0..6usize))
                     .map(|_| RealEdge {
                         a: rng.gen_range(0..k),
@@ -45,11 +45,7 @@ fn random_label(rng: &mut Rng, n: u32) -> Label {
             } else {
                 Vec::new()
             };
-            LevelLabel {
-                virtual_edges,
-                real_edges,
-                points,
-            }
+            LevelLabel::new(points, virtual_edges, real_edges).expect("indices in range")
         })
         .collect();
     Label {

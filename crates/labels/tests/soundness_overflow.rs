@@ -33,15 +33,11 @@ fn spoke_label(owner: u32, x: u32, dist: u32) -> Label {
     let first_level = 4; // c + 1
     let spoke_level = 31;
     let mut levels = vec![LevelLabel::default(); (spoke_level - first_level + 1) as usize];
-    levels[(spoke_level - first_level) as usize] = LevelLabel {
-        points: vec![LabelPoint {
-            vertex: NodeId::new(x),
-            dist,
-            net_level: spoke_level,
-        }],
-        virtual_edges: vec![],
-        real_edges: vec![],
-    };
+    levels[(spoke_level - first_level) as usize].points = vec![LabelPoint {
+        vertex: NodeId::new(x),
+        dist,
+        net_level: spoke_level,
+    }];
     Label {
         owner: NodeId::new(owner),
         owner_net_level: 0,

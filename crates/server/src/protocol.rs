@@ -337,9 +337,9 @@ pub(crate) fn sat_u32(v: usize) -> u32 {
 pub struct QueryReply {
     /// `δ(s, t, F)` as raw bits (`u32::MAX` = infinite).
     pub distance: u32,
-    /// Sketch-graph vertex count (0 in dynamic mode).
+    /// Sketch vertices the decoder's search reached (0 in dynamic mode).
     pub sketch_vertices: u32,
-    /// Admitted sketch edge count (0 in dynamic mode).
+    /// Admitted sketch edges the search relaxed (0 in dynamic mode).
     pub sketch_edges: u32,
     /// Witness path (empty when unreachable or in dynamic mode).
     pub path: Vec<u32>,
@@ -379,9 +379,9 @@ impl QueryReply {
 pub struct BatchItem {
     /// `δ(s, t, F)` as raw bits (`u32::MAX` = infinite).
     pub distance: u32,
-    /// Sketch-graph vertex count.
+    /// Sketch vertices the decoder's search reached.
     pub sketch_vertices: u32,
-    /// Admitted sketch edge count.
+    /// Admitted sketch edges the search relaxed.
     pub sketch_edges: u32,
 }
 

@@ -858,7 +858,6 @@ fn answer_one(
             .fault_edges
             .push((label(e.lo())?, label(e.hi())?));
     }
-    query_labels.sort_by_owner();
     Ok(query_with_scratch(
         params,
         label(NodeId::new(s))?,

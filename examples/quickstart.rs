@@ -53,7 +53,7 @@ fn main() {
     }
     let answer = oracle.query(s, t, &faults);
     println!(
-        "with {} failed routers: distance = {} (sketch: {} vertices, {} edges)",
+        "with {} failed routers: distance = {} (search reached {} sketch vertices, relaxed {} edges)",
         faults.len(),
         answer.distance,
         answer.sketch_vertices,
