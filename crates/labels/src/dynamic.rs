@@ -10,29 +10,48 @@
 //! `Õ(n^{1/2})` worst-case query/update time.
 //!
 //! [`DynamicOracle`] implements deletions and re-insertions of vertices and
-//! edges of the original graph `G` (the supported update model: the live
-//! graph is always `G ∖ F` for the current buffer `F`), with two service
-//! qualities layered on top of the paper's algorithm:
+//! edges of the original graph `G` (the live graph is always `G ∖ F`). A
+//! fault lives in exactly one of two sets: *baked* into the serving
+//! labeling, or in the decoder-side *buffer*. Every decision about the two
+//! is written once:
 //!
-//! * **Durability.** With a store attached, every update is appended to a
-//!   checksummed, `fsync`'d write-ahead log ([`crate::wal`]) *before* it
-//!   is applied in memory, and [`DynamicOracle::open`] replays the log on
-//!   top of the last persisted generation — a crash between rebuilds no
-//!   longer loses buffered updates. Replay reproduces the exact fold
-//!   points (threshold crossings, baked restorations, explicit folds), so
-//!   the recovered oracle's baked/buffered split — and therefore its
-//!   labeling and its answers — is bit-identical to the pre-crash one in
-//!   [`RebuildMode::Blocking`].
-//! * **Availability.** In [`RebuildMode::Background`] the threshold
-//!   rebuild runs on a background thread while the current generation
-//!   keeps serving; queries only ever touch an `Arc` swap lock held for
-//!   `O(1)` per install, never the rebuild itself. Updates arriving
-//!   mid-rebuild go to the WAL plus a carry-over buffer. If the rebuild
-//!   fails (injected fault, persist error, panic), the oracle degrades
-//!   gracefully: the old generation keeps serving, the failure surfaces
-//!   as [`DynamicError::RebuildFailed`] on the next update, and retries
-//!   back off exponentially.
+//! * **One ledger.** The private `Ledger` holds `(baked, buffer)` and the
+//!   update rules: `plan` validates a [`WalRecord`] and says what the step
+//!   requires, `commit` applies it. A live update is *plan → WAL append →
+//!   commit*: with a store attached the record is checksummed and
+//!   `fsync`'d ([`crate::wal`]) before anything in memory changes, and a
+//!   failed append rejects the update. [`DynamicOracle::open`] feeds the
+//!   surviving records through the same two calls, folding where
+//!   [`RebuildMode::Blocking`] folds, so the recovered baked/buffered
+//!   split — and with it the labeling and every answer — is bit-identical
+//!   to the pre-crash one in that mode.
+//! * **One build, one persist, one publish.** `build_generation` labels
+//!   `G ∖ baked`; `persist` writes a store generation, rotates the log and
+//!   records the generation; `publish` swaps the serving state and counts
+//!   the rebuild. A blocking rebuild (threshold crossing, baked
+//!   restoration, explicit [`DynamicOracle::rebuild`], recovery past a
+//!   fold) publishes inside the triggering call and then persists, so a
+//!   persist failure leaves memory advanced and the store on its previous
+//!   generation ([`DynamicError::Persist`]). In
+//!   [`RebuildMode::Background`] the threshold rebuild runs on its own
+//!   thread while the current generation keeps serving: it persists first
+//!   and publishes only on success, so a failed build (injected fault,
+//!   persist error, panic) is discarded, surfaces once as
+//!   [`DynamicError::RebuildFailed`] on the next update, and retries back
+//!   off exponentially. The two modes differ only in *who* calls `publish`
+//!   and whether the update waits for it; queries touch nothing but an
+//!   `Arc` swap lock held for `O(1)` per install.
+//! * **Lineage.** The background thread builds from a snapshot of the
+//!   serving state and may publish only over a descendant of it: the same
+//!   generation, with every fault it folded still in the buffer. Deletions
+//!   that arrived meanwhile carry over into the new buffer; if a blocking
+//!   rebuild replaced the generation, or a folded fault was restored, the
+//!   build is superseded — discarded under the commit lock, not counted as
+//!   a failure — and the next over-threshold update starts a fresh one. No
+//!   update ever waits for an in-flight build and none is overwritten by
+//!   one.
 
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -274,7 +293,7 @@ struct ServingState {
 
 /// Durable-commit state: everything an update must serialize on. Queries
 /// never touch this lock.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct CommitState {
     store_dir: Option<PathBuf>,
     wal: Option<Wal>,
@@ -282,14 +301,31 @@ struct CommitState {
     generation: u64,
 }
 
+impl CommitState {
+    /// Appends `record` to the WAL (the durability handshake: nothing is
+    /// applied in memory until this succeeds). No-op without a store.
+    fn append(&mut self, record: WalRecord) -> Result<(), DynamicError> {
+        if self.store_dir.is_none() {
+            return Ok(());
+        }
+        match self.wal.as_mut() {
+            Some(w) => w.append(record).map_err(|e| DynamicError::Wal {
+                message: e.to_string(),
+            }),
+            None => Err(DynamicError::Wal {
+                message: "log unavailable after a failed rotation; \
+                          re-attach the store to restore durability"
+                    .into(),
+            }),
+        }
+    }
+}
+
 /// Background-rebuild control block.
 #[derive(Debug, Default)]
 struct RebuildCtl {
     running: bool,
     handle: Option<JoinHandle<()>>,
-    /// The buffer snapshot the in-flight rebuild is folding (restores of
-    /// these faults must drain the rebuild first).
-    fold: Option<FaultSet>,
     /// A failure waiting to surface on the next update.
     failure: Option<String>,
     consecutive_failures: u32,
@@ -357,6 +393,22 @@ fn backoff_after(failures: u32) -> Duration {
     Duration::from_millis(ms.min(1_000))
 }
 
+/// The default rebuild threshold `⌈√n⌉`.
+fn default_threshold(g: &Graph) -> usize {
+    ((g.num_vertices() as f64).sqrt().ceil() as usize).max(1)
+}
+
+fn check_vertex(g: &Graph, v: NodeId) -> Result<(), DynamicError> {
+    if g.contains(v) {
+        Ok(())
+    } else {
+        Err(DynamicError::VertexOutOfRange {
+            v,
+            n: g.num_vertices(),
+        })
+    }
+}
+
 /// Adds every fault of `extra` to `baked`.
 fn fold_into(baked: &mut FaultSet, extra: &FaultSet) {
     for v in extra.vertices() {
@@ -383,6 +435,111 @@ fn fault_difference(a: &FaultSet, b: &FaultSet) -> FaultSet {
     out
 }
 
+/// What one update requires beyond an edit of the buffer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Step {
+    /// Deleting what is already deleted: nothing to log, nothing to apply.
+    Noop,
+    /// Only the buffer changes.
+    Buffer,
+    /// The deletion takes the buffer past the threshold: fold and rebuild,
+    /// inside the update when blocking, on the background thread otherwise.
+    Threshold,
+    /// A baked fault comes back, so the labeling no longer matches: fold
+    /// and rebuild inside the update.
+    BakedRestore,
+    /// An explicit [`DynamicOracle::rebuild`].
+    Fold,
+}
+
+/// Where every current fault lives, and the only copy of the update rules.
+/// Pure: no labeling, no log, no lock — the live path and WAL replay drive
+/// it identically.
+struct Ledger<'a> {
+    baked: Cow<'a, FaultSet>,
+    buffer: FaultSet,
+}
+
+impl Ledger<'_> {
+    /// Validates `record` against the original graph `g` and the current
+    /// split, and says what applying it requires. Changes nothing.
+    fn plan(&self, g: &Graph, threshold: usize, record: WalRecord) -> Result<Step, DynamicError> {
+        let (delete, buffered, baked, not_deleted) = match record {
+            WalRecord::Fold => return Ok(Step::Fold),
+            WalRecord::DeleteVertex(v) | WalRecord::RestoreVertex(v) => {
+                check_vertex(g, v)?;
+                (
+                    matches!(record, WalRecord::DeleteVertex(_)),
+                    self.buffer.is_vertex_faulty(v),
+                    self.baked.is_vertex_faulty(v),
+                    DynamicError::VertexNotDeleted { v },
+                )
+            }
+            WalRecord::DeleteEdge(a, b) | WalRecord::RestoreEdge(a, b) => {
+                check_vertex(g, a)?;
+                check_vertex(g, b)?;
+                let delete = matches!(record, WalRecord::DeleteEdge(..));
+                if delete && !g.has_edge(a, b) {
+                    return Err(DynamicError::NotAnEdge { a, b });
+                }
+                (
+                    delete,
+                    self.buffer.is_edge_faulty(a, b),
+                    self.baked.is_edge_faulty(a, b),
+                    DynamicError::EdgeNotDeleted { a, b },
+                )
+            }
+        };
+        Ok(match (delete, buffered, baked) {
+            (true, false, false) if self.buffer.len() >= threshold => Step::Threshold,
+            (true, false, false) => Step::Buffer,
+            (true, ..) => Step::Noop,
+            (false, true, _) => Step::Buffer,
+            (false, false, true) => Step::BakedRestore,
+            (false, false, false) => return Err(not_deleted),
+        })
+    }
+
+    /// Applies a planned `record`, then folds the buffer into the baked
+    /// set when `fold` is set. Returns whether the baked set changed (the
+    /// serving labeling is then stale).
+    fn commit(&mut self, record: WalRecord, fold: bool) -> bool {
+        let mut stale = false;
+        match record {
+            WalRecord::DeleteVertex(v) => {
+                self.buffer.forbid_vertex(v);
+            }
+            WalRecord::DeleteEdge(a, b) => {
+                self.buffer.forbid_edge_unchecked(a, b);
+            }
+            WalRecord::RestoreVertex(v) => {
+                stale = !self.buffer.permit_vertex(v) && self.baked.to_mut().permit_vertex(v);
+            }
+            WalRecord::RestoreEdge(a, b) => {
+                stale = !self.buffer.permit_edge(a, b) && self.baked.to_mut().permit_edge(a, b);
+            }
+            WalRecord::Fold => {}
+        }
+        if fold && !self.buffer.is_empty() {
+            fold_into(self.baked.to_mut(), &self.buffer);
+            self.buffer = FaultSet::empty();
+            stale = true;
+        }
+        stale
+    }
+}
+
+/// The graph a labeling of `base` is built on: `base` itself, or a
+/// 1-vertex placeholder once everything is deleted (queries then all
+/// return INFINITE via the mapping checks).
+fn labeled_graph(base: &Subgraph) -> Cow<'_, Graph> {
+    if base.graph.num_vertices() == 0 {
+        Cow::Owned(fsdl_graph::GraphBuilder::new(1).build())
+    } else {
+        Cow::Borrowed(&base.graph)
+    }
+}
+
 /// Builds the labeling for `original ∖ baked`. `prewarm_workers > 0`
 /// materializes every label eagerly on that many threads (the background
 /// path); `0` leaves labels lazy (the blocking path, where persistence
@@ -394,15 +551,9 @@ fn build_generation(
     prewarm_workers: usize,
 ) -> GenerationState {
     let base = subgraph::remove_faults(original, &baked);
-    let oracle = if base.graph.num_vertices() == 0 {
-        // Degenerate case: everything deleted; keep a 1-vertex placeholder
-        // graph (queries all return INFINITE via the mapping checks).
-        let placeholder = fsdl_graph::GraphBuilder::new(1).build();
-        ForbiddenSetOracle::with_params(&placeholder, SchemeParams::new(epsilon, 1))
-    } else {
-        let n = base.graph.num_vertices();
-        ForbiddenSetOracle::with_params(&base.graph, SchemeParams::new(epsilon, n))
-    };
+    let labeled = labeled_graph(&base);
+    let params = SchemeParams::new(epsilon, labeled.num_vertices());
+    let oracle = ForbiddenSetOracle::with_params(&labeled, params);
     if prewarm_workers > 0 {
         oracle.prewarm_workers(prewarm_workers);
     }
@@ -421,139 +572,110 @@ fn fire_store(point: CrashPoint) -> Result<(), StoreError> {
     })
 }
 
-/// Creates the fresh WAL for `generation` and installs it in `commit`
-/// (the rotation step of the commit protocol — the stale log was already
-/// pruned by the manifest swap's post-commit cleanup).
-fn rotate_wal(commit: &mut CommitState, dir: &Path, generation: u64) -> Result<(), StoreError> {
-    fire_store(CrashPoint::BeforeWalRotate)?;
-    let wal = Wal::create(dir, generation)?;
-    fire_store(CrashPoint::AfterWalRotate)?;
-    commit.wal = Some(wal);
-    Ok(())
-}
+impl Inner {
+    // ----- lock helpers (panic-free on poisoning: a poisoned thread must
+    // degrade, not cascade) -----
 
-/// Persists `gen` + `buffer` as a new store generation and rotates the
-/// WAL. No-op without an attached store. On failure the store keeps its
-/// previous generation (and, if rotation itself failed, the WAL is
-/// marked unavailable so subsequent updates fail fast rather than
-/// silently losing durability).
-fn persist_and_rotate(
-    threshold: usize,
-    commit: &mut CommitState,
-    gen: &GenerationState,
-    buffer: &FaultSet,
-) -> Result<(), StoreError> {
-    let Some(dir) = commit.store_dir.clone() else {
-        return Ok(());
-    };
-    let encoded = gen.oracle.encoded_labels()?;
-    let report = store::write_generation(
-        &dir,
-        gen.oracle.params(),
-        store::graph_fingerprint(gen.oracle.labeling().graph()),
-        &encoded,
-        &gen.baked,
-        buffer,
-        Some(threshold),
-    )?;
-    // Past the manifest swap the old log is both stale and pruned: the
-    // new manifest snapshots the full fault state.
-    commit.wal = None;
-    rotate_wal(commit, &dir, report.generation)?;
-    commit.generation = report.generation;
-    Ok(())
-}
+    fn lock_commit(&self) -> MutexGuard<'_, CommitState> {
+        self.commit.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
-/// The replay simulation: mirrors the live update path's fold rules over
-/// `(baked, buffer)` without building any labeling, so recovery lands on
-/// the exact pre-crash baked/buffered split.
-struct ReplaySim {
-    baked: FaultSet,
-    buffer: FaultSet,
-    /// Whether `baked` changed relative to the persisted segment (a
-    /// labeling rebuild + re-persist is then required).
-    dirty: bool,
-}
+    fn lock_rebuild(&self) -> MutexGuard<'_, RebuildCtl> {
+        self.rebuild.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
-impl ReplaySim {
-    fn fold(&mut self) {
-        if !self.buffer.is_empty() {
-            fold_into(&mut self.baked, &self.buffer);
-            self.buffer = FaultSet::empty();
-            self.dirty = true;
+    /// The query path's snapshot: an `Arc` clone out of the serving lock.
+    /// Never touches the commit or rebuild locks — contention can only
+    /// come from an `O(1)` install swap, and is counted to prove it.
+    fn snapshot(&self) -> Arc<ServingState> {
+        match self.serving.try_read() {
+            Ok(s) => Arc::clone(&s),
+            Err(std::sync::TryLockError::Poisoned(e)) => Arc::clone(&e.into_inner()),
+            Err(std::sync::TryLockError::WouldBlock) => {
+                let c = &self.counters;
+                c.serving_swaps_contended.fetch_add(1, Ordering::Relaxed);
+                if self.build_in_flight.load(Ordering::Relaxed) {
+                    c.blocked_on_rebuild.fetch_add(1, Ordering::Relaxed);
+                }
+                let guard = self.serving.read().unwrap_or_else(|e| e.into_inner());
+                Arc::clone(&guard)
+            }
         }
     }
 
-    fn apply(
-        &mut self,
-        g: &Graph,
-        threshold: usize,
-        index: usize,
-        record: WalRecord,
-    ) -> Result<(), WalError> {
-        let invalid = |message: String| WalError::RecordInvalid { index, message };
-        let check = |v: NodeId| -> Result<(), WalError> {
-            if g.contains(v) {
-                Ok(())
-            } else {
-                Err(invalid(format!("vertex {v} out of range")))
-            }
-        };
-        match record {
-            WalRecord::DeleteVertex(v) => {
-                check(v)?;
-                if self.baked.is_vertex_faulty(v) || self.buffer.is_vertex_faulty(v) {
-                    return Err(invalid(format!("vertex {v} already deleted")));
-                }
-                self.buffer.forbid_vertex(v);
-                if self.buffer.len() > threshold {
-                    self.fold();
-                }
-            }
-            WalRecord::DeleteEdge(a, b) => {
-                check(a)?;
-                check(b)?;
-                if !g.has_edge(a, b) {
-                    return Err(invalid(format!("{{{a}, {b}}} is not an edge")));
-                }
-                if self.baked.is_edge_faulty(a, b) || self.buffer.is_edge_faulty(a, b) {
-                    return Err(invalid(format!("edge {{{a}, {b}}} already deleted")));
-                }
-                self.buffer.forbid_edge_unchecked(a, b);
-                if self.buffer.len() > threshold {
-                    self.fold();
-                }
-            }
-            WalRecord::RestoreVertex(v) => {
-                check(v)?;
-                if self.buffer.permit_vertex(v) {
-                    return Ok(());
-                }
-                if self.baked.permit_vertex(v) {
-                    // Live semantics: a baked restore rebuilds, folding
-                    // the buffer along the way.
-                    self.dirty = true;
-                    self.fold();
-                    return Ok(());
-                }
-                return Err(invalid(format!("vertex {v} is not deleted")));
-            }
-            WalRecord::RestoreEdge(a, b) => {
-                check(a)?;
-                check(b)?;
-                if self.buffer.permit_edge(a, b) {
-                    return Ok(());
-                }
-                if self.baked.permit_edge(a, b) {
-                    self.dirty = true;
-                    self.fold();
-                    return Ok(());
-                }
-                return Err(invalid(format!("edge {{{a}, {b}}} is not deleted")));
-            }
-            WalRecord::Fold => self.fold(),
+    /// Swaps in a new serving state (commit lock must be held by the
+    /// caller — updates and installs serialize there).
+    fn install(&self, generation: Arc<GenerationState>, buffer: FaultSet) {
+        let next = Arc::new(ServingState { generation, buffer });
+        *self.serving.write().unwrap_or_else(|e| e.into_inner()) = next;
+    }
+
+    /// Installs a rebuilt `generation` with its carry-over `buffer` and
+    /// counts the rebuild that began at `started`. Commit lock held.
+    fn publish(&self, generation: Arc<GenerationState>, buffer: FaultSet, started: Instant) {
+        self.install(generation, buffer);
+        self.counters.rebuilds.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .last_rebuild_nanos
+            .store(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    }
+
+    /// The blocking rebuild: labels `original ∖ ledger.baked` and
+    /// publishes it with `ledger.buffer`. Commit lock held.
+    fn rebuild_to(&self, ledger: Ledger<'_>) -> Arc<GenerationState> {
+        let started = Instant::now();
+        let baked = ledger.baked.into_owned();
+        let generation = Arc::new(build_generation(&self.original, baked, self.epsilon, 0));
+        self.publish(Arc::clone(&generation), ledger.buffer, started);
+        generation
+    }
+
+    /// Writes `generation` + `buffer` to `dir` as a new store generation.
+    /// When `dir` is the attached store the new manifest subsumes the log,
+    /// so the WAL is rotated and the store generation recorded too. On
+    /// failure the store keeps its previous generation; if the rotation
+    /// itself failed, the WAL stays unavailable so subsequent updates fail
+    /// fast rather than silently losing durability.
+    fn persist(
+        &self,
+        commit: &mut CommitState,
+        dir: &Path,
+        generation: &GenerationState,
+        buffer: &FaultSet,
+    ) -> Result<StoreReport, StoreError> {
+        let oracle = &generation.oracle;
+        let report = store::write_generation(
+            dir,
+            oracle.params(),
+            store::graph_fingerprint(oracle.labeling().graph()),
+            &oracle.encoded_labels()?,
+            &generation.baked,
+            buffer,
+            Some(self.threshold),
+        )?;
+        if commit.store_dir.as_deref() == Some(dir) {
+            // The manifest swap already pruned the stale log file.
+            commit.wal = None;
+            fire_store(CrashPoint::BeforeWalRotate)?;
+            let wal = Wal::create(dir, report.generation)?;
+            fire_store(CrashPoint::AfterWalRotate)?;
+            commit.wal = Some(wal);
+            commit.generation = report.generation;
         }
-        Ok(())
+        Ok(report)
+    }
+
+    /// [`Inner::persist`] to the attached store; no-op without one.
+    fn persist_attached(
+        &self,
+        commit: &mut CommitState,
+        generation: &GenerationState,
+        buffer: &FaultSet,
+    ) -> Result<(), StoreError> {
+        match commit.store_dir.clone() {
+            Some(dir) => self.persist(commit, &dir, generation, buffer).map(drop),
+            None => Ok(()),
+        }
     }
 }
 
@@ -637,53 +759,43 @@ impl DynamicOracle {
         if config.threshold == Some(0) {
             return Err(invalid("rebuild threshold must be positive".into()));
         }
-        let threshold = config
-            .threshold
-            .unwrap_or_else(|| ((g.num_vertices() as f64).sqrt().ceil() as usize).max(1));
-        let generation = Arc::new(build_generation(g, FaultSet::empty(), config.epsilon, 0));
+        let generation = build_generation(g, FaultSet::empty(), config.epsilon, 0);
         Ok(Self::assemble(
-            g.clone(),
-            config.epsilon,
-            threshold,
-            config.mode,
-            config.rebuild_workers,
+            g,
+            &config,
             generation,
             FaultSet::empty(),
-            None,
-            None,
-            0,
+            CommitState::default(),
             None,
         ))
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The one place an [`Inner`] is put together. `config.threshold` is
+    /// validated by the caller; `None` resolves to `⌈√n⌉` here.
     fn assemble(
-        original: Graph,
-        epsilon: f64,
-        threshold: usize,
-        mode: RebuildMode,
-        rebuild_workers: usize,
-        generation: Arc<GenerationState>,
+        original: &Graph,
+        config: &DynamicConfig,
+        generation: GenerationState,
         buffer: FaultSet,
-        store_dir: Option<PathBuf>,
-        wal: Option<Wal>,
-        store_generation: u64,
+        commit: CommitState,
         replay: Option<ReplayReport>,
     ) -> Self {
+        let serving = ServingState {
+            generation: Arc::new(generation),
+            buffer,
+        };
         DynamicOracle {
             inner: Arc::new(Inner {
-                original,
-                epsilon,
-                threshold,
-                background: AtomicBool::new(mode == RebuildMode::Background),
-                rebuild_workers: AtomicUsize::new(rebuild_workers),
+                original: original.clone(),
+                epsilon: config.epsilon,
+                threshold: config
+                    .threshold
+                    .unwrap_or_else(|| default_threshold(original)),
+                background: AtomicBool::new(config.mode == RebuildMode::Background),
+                rebuild_workers: AtomicUsize::new(config.rebuild_workers),
                 build_in_flight: AtomicBool::new(false),
-                serving: RwLock::new(Arc::new(ServingState { generation, buffer })),
-                commit: Mutex::new(CommitState {
-                    store_dir,
-                    wal,
-                    generation: store_generation,
-                }),
+                serving: RwLock::new(Arc::new(serving)),
+                commit: Mutex::new(commit),
                 rebuild: Mutex::new(RebuildCtl::default()),
                 counters: Counters::default(),
                 replay,
@@ -693,51 +805,9 @@ impl DynamicOracle {
         }
     }
 
-    // ----- lock helpers (panic-free on poisoning: a poisoned thread must
-    // degrade, not cascade) -----
-
-    fn lock_commit(&self) -> MutexGuard<'_, CommitState> {
-        self.inner.commit.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn lock_rebuild(&self) -> MutexGuard<'_, RebuildCtl> {
-        self.inner.rebuild.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The query path's snapshot: an `Arc` clone out of the serving lock.
-    /// Never touches the commit or rebuild locks — contention can only
-    /// come from an `O(1)` install swap, and is counted to prove it.
-    fn snapshot(&self) -> Arc<ServingState> {
-        match self.inner.serving.try_read() {
-            Ok(s) => Arc::clone(&s),
-            Err(std::sync::TryLockError::Poisoned(e)) => Arc::clone(&e.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                let c = &self.inner.counters;
-                c.serving_swaps_contended.fetch_add(1, Ordering::Relaxed);
-                if self.inner.build_in_flight.load(Ordering::Relaxed) {
-                    c.blocked_on_rebuild.fetch_add(1, Ordering::Relaxed);
-                }
-                let guard = self.inner.serving.read().unwrap_or_else(|e| e.into_inner());
-                Arc::clone(&guard)
-            }
-        }
-    }
-
-    /// Publishes a new serving state (commit lock must be held by the
-    /// caller — updates and installs serialize there).
-    fn install(&self, generation: Arc<GenerationState>, buffer: FaultSet) {
-        let next = Arc::new(ServingState { generation, buffer });
-        let mut guard = self
-            .inner
-            .serving
-            .write()
-            .unwrap_or_else(|e| e.into_inner());
-        *guard = next;
-    }
-
     /// Number of buffered (not yet baked) faults.
     pub fn buffered(&self) -> usize {
-        self.snapshot().buffer.len()
+        self.inner.snapshot().buffer.len()
     }
 
     /// Number of vertices of the original graph — the id space every
@@ -754,7 +824,7 @@ impl DynamicOracle {
 
     /// The current full fault set (baked + buffered).
     pub fn current_faults(&self) -> FaultSet {
-        let snap = self.snapshot();
+        let snap = self.inner.snapshot();
         let mut f = snap.generation.baked.clone();
         fold_into(&mut f, &snap.buffer);
         f
@@ -780,7 +850,7 @@ impl DynamicOracle {
 
     /// Whether a background rebuild is currently in flight.
     pub fn rebuild_in_flight(&self) -> bool {
-        self.lock_rebuild().running
+        self.inner.lock_rebuild().running
     }
 
     /// Blocks until no background rebuild is in flight (returns
@@ -788,7 +858,7 @@ impl DynamicOracle {
     pub fn wait_for_rebuild(&self) {
         loop {
             let handle = {
-                let mut ctl = self.lock_rebuild();
+                let mut ctl = self.inner.lock_rebuild();
                 if !ctl.running && ctl.handle.is_none() {
                     return;
                 }
@@ -817,10 +887,10 @@ impl DynamicOracle {
 
     /// A point-in-time snapshot of the rebuild / WAL health counters.
     pub fn stats(&self) -> DynamicStats {
-        let snap = self.snapshot();
+        let snap = self.inner.snapshot();
         let c = &self.inner.counters;
         let (generation, wal_records, wal_bytes) = {
-            let commit = self.lock_commit();
+            let commit = self.inner.lock_commit();
             match commit.wal.as_ref() {
                 Some(w) => (
                     commit.generation,
@@ -866,135 +936,81 @@ impl DynamicOracle {
         self.inner.replay.as_ref()
     }
 
-    fn check_vertex(&self, v: NodeId) -> Result<(), DynamicError> {
-        if self.inner.original.contains(v) {
-            Ok(())
-        } else {
-            Err(DynamicError::VertexOutOfRange {
-                v,
-                n: self.inner.original.num_vertices(),
-            })
+    /// The one update path: plan `record` on the ledger, append it to the
+    /// WAL, commit it, and do whatever rebuild the step requires.
+    fn apply(&self, record: WalRecord) -> Result<(), DynamicError> {
+        let inner = &*self.inner;
+        let mut commit = inner.lock_commit();
+        let snap = inner.snapshot();
+        let mut ledger = Ledger {
+            baked: Cow::Borrowed(&snap.generation.baked),
+            buffer: snap.buffer.clone(),
+        };
+        let step = ledger.plan(&inner.original, inner.threshold, record)?;
+        if step == Step::Noop {
+            return Ok(());
         }
+        if let Err(e) = commit.append(record) {
+            if record != WalRecord::Fold {
+                return Err(e);
+            }
+            // `rebuild()` returns nothing: the fold still happens in
+            // memory and the lapse surfaces from the next update.
+            inner.lock_rebuild().failure = Some(format!("logging an explicit fold failed: {e}"));
+        }
+        // Everything past `Buffer` folds and rebuilds inside the update,
+        // except a threshold crossing in background mode: that fold is
+        // left to the rebuild thread.
+        let deferred = step == Step::Threshold && inner.background.load(Ordering::SeqCst);
+        let fold_now = step != Step::Buffer && !deferred;
+        ledger.commit(record, fold_now);
+        if !fold_now {
+            inner.install(Arc::clone(&snap.generation), ledger.buffer);
+            if deferred {
+                self.spawn_background_rebuild();
+            }
+            return Ok(());
+        }
+        let generation = inner.rebuild_to(ledger);
+        if step == Step::Fold {
+            // Explicit folds are in-memory only (`save` checkpoints them).
+            return Ok(());
+        }
+        inner
+            .persist_attached(&mut commit, &generation, &FaultSet::empty())
+            .map_err(|e| DynamicError::Persist {
+                message: e.to_string(),
+            })
     }
 
-    /// Surfaces a background failure recorded since the last update, per
-    /// the degradation contract.
-    fn take_background_failure(&self) -> Result<(), DynamicError> {
-        let mut ctl = self.lock_rebuild();
-        match ctl.failure.take() {
+    /// [`DynamicOracle::apply`], then surfaces a background failure
+    /// recorded since the last update, per the degradation contract.
+    fn update(&self, record: WalRecord) -> Result<(), DynamicError> {
+        self.apply(record)?;
+        match self.inner.lock_rebuild().failure.take() {
             Some(message) => Err(DynamicError::RebuildFailed { message }),
             None => Ok(()),
         }
     }
 
-    /// Appends `record` to the WAL (the durability handshake: nothing is
-    /// applied in memory until this succeeds). No-op without a store.
-    fn wal_append(&self, commit: &mut CommitState, record: WalRecord) -> Result<(), DynamicError> {
-        if commit.store_dir.is_none() {
-            return Ok(());
-        }
-        match commit.wal.as_mut() {
-            Some(w) => w.append(record).map_err(|e| DynamicError::Wal {
-                message: e.to_string(),
-            }),
-            None => Err(DynamicError::Wal {
-                message: "log unavailable after a failed rotation; \
-                          re-attach the store to restore durability"
-                    .into(),
-            }),
-        }
-    }
-
-    /// Post-update step: trigger a rebuild when the buffer crossed the
-    /// threshold, then surface any pending background failure.
-    fn after_update(&self, mut commit: MutexGuard<'_, CommitState>) -> Result<(), DynamicError> {
-        let over = self.snapshot().buffer.len() > self.inner.threshold;
-        if over {
-            if self.inner.background.load(Ordering::SeqCst) {
-                self.spawn_background_rebuild();
-            } else {
-                self.blocking_fold_rebuild(&mut commit, None).map_err(|e| {
-                    DynamicError::Persist {
-                        message: e.to_string(),
-                    }
-                })?;
-            }
-        }
-        drop(commit);
-        self.take_background_failure()
-    }
-
-    /// Folds buffer (and optionally restores a baked fault) into a new
-    /// generation, installs it, and persists + rotates. Commit lock held
-    /// by the caller. Blocking-path workhorse; also the open-replay and
-    /// baked-restore path.
-    fn blocking_fold_rebuild(
-        &self,
-        commit: &mut CommitState,
-        restore_baked: Option<RestoreOp>,
-    ) -> Result<(), StoreError> {
-        let snap = self.snapshot();
-        let started = Instant::now();
-        let mut baked = snap.generation.baked.clone();
-        if let Some(op) = restore_baked {
-            match op {
-                RestoreOp::Vertex(v) => {
-                    baked.permit_vertex(v);
-                }
-                RestoreOp::Edge(a, b) => {
-                    baked.permit_edge(a, b);
-                }
-            }
-        }
-        fold_into(&mut baked, &snap.buffer);
-        let generation = Arc::new(build_generation(
-            &self.inner.original,
-            baked,
-            self.inner.epsilon,
-            0,
-        ));
-        self.install(Arc::clone(&generation), FaultSet::empty());
-        let c = &self.inner.counters;
-        c.rebuilds.fetch_add(1, Ordering::Relaxed);
-        c.last_rebuild_nanos
-            .store(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        persist_and_rotate(
-            self.inner.threshold,
-            commit,
-            &generation,
-            &FaultSet::empty(),
-        )
-    }
-
     /// Spawns the background rebuild thread unless one is running or the
     /// failure backoff is still cooling down. Commit lock held by the
-    /// caller (so the fold snapshot cannot race an install).
+    /// caller (so the snapshot the build starts from cannot race an
+    /// install).
     fn spawn_background_rebuild(&self) {
-        let mut ctl = self.lock_rebuild();
-        if ctl.running {
+        let mut ctl = self.inner.lock_rebuild();
+        if ctl.running || ctl.not_before.is_some_and(|nb| Instant::now() < nb) {
             return;
-        }
-        if let Some(nb) = ctl.not_before {
-            if Instant::now() < nb {
-                return;
-            }
         }
         // Reap the previous thread's handle (it has already finished).
         if let Some(h) = ctl.handle.take() {
             let _ = h.join();
         }
-        let snap = self.snapshot();
-        if snap.buffer.is_empty() {
-            return;
-        }
-        let fold = snap.buffer.clone();
-        let baked_start = snap.generation.baked.clone();
         ctl.running = true;
-        ctl.fold = Some(fold.clone());
         self.inner.build_in_flight.store(true, Ordering::SeqCst);
-        let inner = Arc::clone(&self.inner);
+        let (inner, start) = (Arc::clone(&self.inner), self.inner.snapshot());
         ctl.handle = Some(std::thread::spawn(move || {
-            background_rebuild(&inner, baked_start, fold);
+            background_rebuild(&inner, &start)
         }));
     }
 
@@ -1008,18 +1024,7 @@ impl DynamicOracle {
     /// / [`DynamicError::RebuildFailed`] per the store contract (the
     /// update *is* applied in memory).
     pub fn delete_vertex(&mut self, v: NodeId) -> Result<(), DynamicError> {
-        self.check_vertex(v)?;
-        let mut commit = self.lock_commit();
-        let snap = self.snapshot();
-        if snap.generation.baked.is_vertex_faulty(v) || snap.buffer.is_vertex_faulty(v) {
-            drop(commit);
-            return self.take_background_failure();
-        }
-        self.wal_append(&mut commit, WalRecord::DeleteVertex(v))?;
-        let mut buffer = snap.buffer.clone();
-        buffer.forbid_vertex(v);
-        self.install(Arc::clone(&snap.generation), buffer);
-        self.after_update(commit)
+        self.update(WalRecord::DeleteVertex(v))
     }
 
     /// Deletes an edge of `G` (`Ok` no-op if already deleted).
@@ -1031,35 +1036,15 @@ impl DynamicOracle {
     /// original graph; plus the store-path errors of
     /// [`DynamicOracle::delete_vertex`].
     pub fn delete_edge(&mut self, a: NodeId, b: NodeId) -> Result<(), DynamicError> {
-        self.check_vertex(a)?;
-        self.check_vertex(b)?;
-        if !self.inner.original.has_edge(a, b) {
-            return Err(DynamicError::NotAnEdge { a, b });
-        }
-        let mut commit = self.lock_commit();
-        let snap = self.snapshot();
-        if snap.generation.baked.is_edge_faulty(a, b) || snap.buffer.is_edge_faulty(a, b) {
-            drop(commit);
-            return self.take_background_failure();
-        }
-        self.wal_append(&mut commit, WalRecord::DeleteEdge(a, b))?;
-        let mut buffer = snap.buffer.clone();
-        buffer.forbid_edge_unchecked(a, b);
-        self.install(Arc::clone(&snap.generation), buffer);
-        self.after_update(commit)
+        self.update(WalRecord::DeleteEdge(a, b))
     }
 
-    /// True when an in-flight background rebuild is folding this fault —
-    /// restoring it must drain the rebuild first (otherwise the install
-    /// would bake a fault the caller just restored).
-    fn fold_conflict(&self, check: impl Fn(&FaultSet) -> bool) -> bool {
-        let ctl = self.lock_rebuild();
-        ctl.running && ctl.fold.as_ref().is_some_and(&check)
-    }
-
-    /// Restores a previously deleted vertex of `G`. Restorations of baked
-    /// deletions force a (blocking) rebuild — the labeling no longer
-    /// matches — draining any in-flight background rebuild first.
+    /// Restores a previously deleted vertex of `G`. A buffered deletion is
+    /// simply dropped from the buffer; restoring a baked one rebuilds the
+    /// labeling inside this call (it no longer matches), in either
+    /// [`RebuildMode`]. Neither waits for an in-flight background rebuild:
+    /// a build that folded `v`, or that a blocking rebuild overtook, is
+    /// superseded and discarded (the module doc's lineage rule).
     ///
     /// # Errors
     ///
@@ -1068,33 +1053,11 @@ impl DynamicOracle {
     /// deleted; plus the store-path errors of
     /// [`DynamicOracle::delete_vertex`].
     pub fn restore_vertex(&mut self, v: NodeId) -> Result<(), DynamicError> {
-        self.check_vertex(v)?;
-        if self.fold_conflict(|f| f.is_vertex_faulty(v)) {
-            self.wait_for_rebuild();
-        }
-        let mut commit = self.lock_commit();
-        let snap = self.snapshot();
-        if snap.buffer.is_vertex_faulty(v) {
-            self.wal_append(&mut commit, WalRecord::RestoreVertex(v))?;
-            let mut buffer = snap.buffer.clone();
-            buffer.permit_vertex(v);
-            self.install(Arc::clone(&snap.generation), buffer);
-            drop(commit);
-            return self.take_background_failure();
-        }
-        if snap.generation.baked.is_vertex_faulty(v) {
-            self.wal_append(&mut commit, WalRecord::RestoreVertex(v))?;
-            self.blocking_fold_rebuild(&mut commit, Some(RestoreOp::Vertex(v)))
-                .map_err(|e| DynamicError::Persist {
-                    message: e.to_string(),
-                })?;
-            drop(commit);
-            return self.take_background_failure();
-        }
-        Err(DynamicError::VertexNotDeleted { v })
+        self.update(WalRecord::RestoreVertex(v))
     }
 
-    /// Restores a previously deleted edge of `G`.
+    /// Restores a previously deleted edge of `G`, with the rebuild and
+    /// lineage behaviour of [`DynamicOracle::restore_vertex`].
     ///
     /// # Errors
     ///
@@ -1103,31 +1066,7 @@ impl DynamicOracle {
     /// deleted; plus the store-path errors of
     /// [`DynamicOracle::delete_vertex`].
     pub fn restore_edge(&mut self, a: NodeId, b: NodeId) -> Result<(), DynamicError> {
-        self.check_vertex(a)?;
-        self.check_vertex(b)?;
-        if self.fold_conflict(|f| f.is_edge_faulty(a, b)) {
-            self.wait_for_rebuild();
-        }
-        let mut commit = self.lock_commit();
-        let snap = self.snapshot();
-        if snap.buffer.is_edge_faulty(a, b) {
-            self.wal_append(&mut commit, WalRecord::RestoreEdge(a, b))?;
-            let mut buffer = snap.buffer.clone();
-            buffer.permit_edge(a, b);
-            self.install(Arc::clone(&snap.generation), buffer);
-            drop(commit);
-            return self.take_background_failure();
-        }
-        if snap.generation.baked.is_edge_faulty(a, b) {
-            self.wal_append(&mut commit, WalRecord::RestoreEdge(a, b))?;
-            self.blocking_fold_rebuild(&mut commit, Some(RestoreOp::Edge(a, b)))
-                .map_err(|e| DynamicError::Persist {
-                    message: e.to_string(),
-                })?;
-            drop(commit);
-            return self.take_background_failure();
-        }
-        Err(DynamicError::EdgeNotDeleted { a, b })
+        self.update(WalRecord::RestoreEdge(a, b))
     }
 
     /// The `(1+ε)`-approximate distance between `s` and `t` (original ids)
@@ -1179,9 +1118,9 @@ impl DynamicOracle {
         t: NodeId,
         scratch: &mut DecodeScratch,
     ) -> Result<Dist, DynamicError> {
-        self.check_vertex(s)?;
-        self.check_vertex(t)?;
-        let snap = self.snapshot();
+        check_vertex(&self.inner.original, s)?;
+        check_vertex(&self.inner.original, t)?;
+        let snap = self.inner.snapshot();
         let gen = &snap.generation;
         // Deleted endpoints are unreachable by definition.
         let (Some(bs), Some(bt)) = (gen.base.map(s), gen.base.map(t)) else {
@@ -1220,28 +1159,11 @@ impl DynamicOracle {
     /// surfaces from the next update.
     pub fn rebuild(&mut self) {
         self.wait_for_rebuild();
-        let mut commit = self.lock_commit();
-        if commit.store_dir.is_some() {
-            if let Err(e) = self.wal_append(&mut commit, WalRecord::Fold) {
-                let mut ctl = self.lock_rebuild();
-                ctl.failure = Some(format!("logging an explicit fold failed: {e}"));
-            }
-        }
-        let snap = self.snapshot();
-        let started = Instant::now();
-        let mut baked = snap.generation.baked.clone();
-        fold_into(&mut baked, &snap.buffer);
-        let generation = Arc::new(build_generation(
-            &self.inner.original,
-            baked,
-            self.inner.epsilon,
-            0,
-        ));
-        self.install(generation, FaultSet::empty());
-        let c = &self.inner.counters;
-        c.rebuilds.fetch_add(1, Ordering::Relaxed);
-        c.last_rebuild_nanos
-            .store(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let folded = self.apply(WalRecord::Fold);
+        debug_assert!(
+            folded.is_ok(),
+            "a fold always validates and persists nothing"
+        );
     }
 
     /// Persists the oracle's full state to the store at `dir` as a new
@@ -1257,24 +1179,10 @@ impl DynamicOracle {
     /// A typed [`StoreError`] on encoding or I/O failure; the store keeps
     /// its previous generation in that case.
     pub fn save(&self, dir: &Path) -> Result<StoreReport, StoreError> {
-        let mut commit = self.lock_commit();
-        let snap = self.snapshot();
-        let encoded = snap.generation.oracle.encoded_labels()?;
-        let report = store::write_generation(
-            dir,
-            snap.generation.oracle.params(),
-            store::graph_fingerprint(snap.generation.oracle.labeling().graph()),
-            &encoded,
-            &snap.generation.baked,
-            &snap.buffer,
-            Some(self.inner.threshold),
-        )?;
-        if commit.store_dir.as_deref() == Some(dir) {
-            commit.wal = None;
-            rotate_wal(&mut commit, dir, report.generation)?;
-            commit.generation = report.generation;
-        }
-        Ok(report)
+        let mut commit = self.inner.lock_commit();
+        let snap = self.inner.snapshot();
+        self.inner
+            .persist(&mut commit, dir, &snap.generation, &snap.buffer)
     }
 
     /// Warm-starts a dynamic oracle from the store at `dir`, previously
@@ -1317,138 +1225,93 @@ impl DynamicOracle {
         // WALs, and temp artifacts before anything else.
         store::prune_generations(dir, manifest.generation);
         let segment = Segment::open(&dir.join(&manifest.segment), mode)?;
+        let corrupt = |message: String| StoreError::ManifestCorrupt { line: 0, message };
         for v in manifest.baked.vertices().chain(manifest.buffer.vertices()) {
             if !g.contains(v) {
-                return Err(StoreError::ManifestCorrupt {
-                    line: 0,
-                    message: format!(
-                        "fault vertex {v} out of range for a {}-vertex graph",
-                        g.num_vertices()
-                    ),
-                });
+                return Err(corrupt(format!(
+                    "fault vertex {v} out of range for a {}-vertex graph",
+                    g.num_vertices()
+                )));
             }
         }
         for e in manifest.baked.edges().chain(manifest.buffer.edges()) {
             if !g.contains(e.lo()) || !g.contains(e.hi()) {
-                return Err(StoreError::ManifestCorrupt {
-                    line: 0,
-                    message: format!("fault edge ({}, {}) out of range", e.lo(), e.hi()),
-                });
+                return Err(corrupt(format!(
+                    "fault edge ({}, {}) out of range",
+                    e.lo(),
+                    e.hi()
+                )));
             }
         }
         if manifest.threshold == Some(0) {
-            return Err(StoreError::ManifestCorrupt {
-                line: 0,
-                message: "rebuild threshold must be positive".into(),
-            });
+            return Err(corrupt("rebuild threshold must be positive".into()));
         }
-        let threshold = manifest
-            .threshold
-            .unwrap_or_else(|| ((g.num_vertices() as f64).sqrt().ceil() as usize).max(1));
-        // Guard against wrong-graph opens before any replay writes: the
-        // segment must have been built on exactly `g ∖ baked`.
-        let base0 = subgraph::remove_faults(g, &manifest.baked);
-        let expected_fp = if base0.graph.num_vertices() == 0 {
-            store::graph_fingerprint(&fsdl_graph::GraphBuilder::new(1).build())
-        } else {
-            store::graph_fingerprint(&base0.graph)
+        // Open at the manifest's state. `from_segment` rejects a wrong
+        // graph before any replay writes: the segment must have been
+        // built on exactly `g ∖ baked`.
+        let base = subgraph::remove_faults(g, &manifest.baked);
+        let oracle = ForbiddenSetOracle::from_segment(&labeled_graph(&base), Arc::new(segment))?;
+        let config = DynamicConfig {
+            epsilon: oracle.params().epsilon(),
+            threshold: manifest.threshold,
+            ..DynamicConfig::default()
         };
-        if expected_fp != segment.graph_fingerprint() {
-            return Err(StoreError::GraphMismatch {
-                expected: expected_fp,
-                found: segment.graph_fingerprint(),
-            });
-        }
-        let epsilon = segment.params()?.epsilon();
-        // Replay the WAL (if one survived) over the manifest state.
+        let generation = GenerationState {
+            base,
+            oracle,
+            baked: manifest.baked,
+        };
         let wal_path = dir.join(crate::wal::wal_file_name(manifest.generation));
         let (wal, records, replay) = if wal_path.exists() {
-            let (w, records, replay) = Wal::open(dir, manifest.generation)?;
-            (w, records, replay)
+            Wal::open(dir, manifest.generation)?
         } else {
-            (
-                Wal::create(dir, manifest.generation)?,
-                Vec::new(),
-                ReplayReport::default(),
-            )
+            let wal = Wal::create(dir, manifest.generation)?;
+            (wal, Vec::new(), ReplayReport::default())
         };
-        let mut sim = ReplaySim {
-            baked: manifest.baked,
-            buffer: manifest.buffer,
-            dirty: false,
-        };
-        for (index, record) in records.iter().enumerate() {
-            sim.apply(g, threshold, index, *record)?;
-        }
-        if !sim.dirty {
-            // The segment's labeling still matches the baked set; serve
-            // straight from it, keeping the WAL and its records.
-            let oracle = if base0.graph.num_vertices() == 0 {
-                let placeholder = fsdl_graph::GraphBuilder::new(1).build();
-                ForbiddenSetOracle::from_segment(&placeholder, Arc::new(segment))?
-            } else {
-                ForbiddenSetOracle::from_segment(&base0.graph, Arc::new(segment))?
-            };
-            let generation = Arc::new(GenerationState {
-                base: base0,
-                oracle,
-                baked: sim.baked,
-            });
-            return Ok(Self::assemble(
-                g.clone(),
-                epsilon,
-                threshold,
-                RebuildMode::Blocking,
-                0,
-                generation,
-                sim.buffer,
-                Some(dir.to_path_buf()),
-                Some(wal),
-                manifest.generation,
-                Some(replay),
-            ));
-        }
-        // The replay crossed a fold point: the persisted labeling is
-        // stale. Rebuild on the recovered baked set, persist it as a new
-        // generation, and rotate — all before serving, so a crash during
-        // recovery just replays again from the old manifest + WAL.
-        drop(wal);
-        let generation = Arc::new(build_generation(g, sim.baked, epsilon, 0));
-        let encoded = generation.oracle.encoded_labels()?;
-        let report = store::write_generation(
-            dir,
-            generation.oracle.params(),
-            store::graph_fingerprint(generation.oracle.labeling().graph()),
-            &encoded,
-            &generation.baked,
-            &sim.buffer,
-            Some(threshold),
-        )?;
-        let mut commit_stub = CommitState {
+        let commit = CommitState {
             store_dir: Some(dir.to_path_buf()),
-            wal: None,
-            generation: report.generation,
+            wal: Some(wal),
+            generation: manifest.generation,
         };
-        rotate_wal(&mut commit_stub, dir, report.generation)?;
-        let oracle = Self::assemble(
-            g.clone(),
-            epsilon,
-            threshold,
-            RebuildMode::Blocking,
-            0,
+        let opened = Self::assemble(
+            g,
+            &config,
             generation,
-            sim.buffer,
-            Some(dir.to_path_buf()),
-            commit_stub.wal,
-            report.generation,
+            manifest.buffer,
+            commit,
             Some(replay),
         );
-        oracle
-            .inner
-            .counters
-            .rebuilds
-            .fetch_add(1, Ordering::Relaxed);
-        Ok(oracle)
+
+        // Replay the surviving records through the live path's ledger,
+        // folding wherever a blocking update would have rebuilt.
+        let inner = &*opened.inner;
+        let snap = inner.snapshot();
+        let mut ledger = Ledger {
+            baked: Cow::Borrowed(&snap.generation.baked),
+            buffer: snap.buffer.clone(),
+        };
+        let mut stale = false;
+        for (index, record) in records.into_iter().enumerate() {
+            let step = match ledger.plan(g, inner.threshold, record) {
+                // The live path never logs a no-op.
+                Ok(Step::Noop) => Err("the fault is already deleted".to_string()),
+                Ok(step) => Ok(step),
+                Err(e) => Err(e.to_string()),
+            }
+            .map_err(|message| WalError::RecordInvalid { index, message })?;
+            stale |= ledger.commit(record, step != Step::Buffer);
+        }
+        if stale {
+            // The persisted labeling no longer matches the baked set.
+            // Rebuild and persist a fresh generation before serving; a
+            // crash in here just replays again from the old manifest +
+            // WAL.
+            inner.rebuild_to(ledger);
+            opened.save(dir)?;
+        } else {
+            inner.install(Arc::clone(&snap.generation), ledger.buffer);
+        }
+        Ok(opened)
     }
 
     /// Attaches a store directory and persists the current state to it
@@ -1467,122 +1330,96 @@ impl DynamicOracle {
     /// (the store is then *not* attached).
     pub fn attach_store(&mut self, dir: &Path) -> Result<StoreReport, StoreError> {
         self.wait_for_rebuild();
-        let mut commit = self.lock_commit();
-        let snap = self.snapshot();
-        let encoded = snap.generation.oracle.encoded_labels()?;
-        let report = store::write_generation(
-            dir,
-            snap.generation.oracle.params(),
-            store::graph_fingerprint(snap.generation.oracle.labeling().graph()),
-            &encoded,
-            &snap.generation.baked,
-            &snap.buffer,
-            Some(self.inner.threshold),
-        )?;
-        commit.wal = None;
-        if let Err(e) = rotate_wal(&mut commit, dir, report.generation) {
-            commit.store_dir = None;
-            return Err(e);
+        let mut commit = self.inner.lock_commit();
+        let snap = self.inner.snapshot();
+        let previous = commit.store_dir.replace(dir.to_path_buf());
+        let result = self
+            .inner
+            .persist(&mut commit, dir, &snap.generation, &snap.buffer);
+        if result.is_err() {
+            // A failed write leaves the previous attachment and its log
+            // untouched; past the manifest swap the log is gone with it.
+            let log_survives = commit.wal.is_some();
+            commit.store_dir = previous.filter(|_| log_survives);
         }
-        commit.store_dir = Some(dir.to_path_buf());
-        commit.generation = report.generation;
-        Ok(report)
+        result
     }
 
     /// The attached store directory, if any.
     pub fn store_dir(&self) -> Option<PathBuf> {
-        self.lock_commit().store_dir.clone()
+        self.inner.lock_commit().store_dir.clone()
     }
 }
 
-#[derive(Clone, Copy)]
-enum RestoreOp {
-    Vertex(NodeId),
-    Edge(NodeId, NodeId),
-}
-
 /// The background rebuild thread body: build the next generation off to
-/// the side, then (commit lock) persist, rotate, and install — or, on any
-/// failure, discard the work, record it for the next update, and back
-/// off. The serving path is untouched throughout except for the final
-/// `O(1)` install swap.
-fn background_rebuild(inner: &Arc<Inner>, baked_start: FaultSet, fold: FaultSet) {
+/// the side from the `start` snapshot, then (commit lock) check lineage,
+/// persist, and publish — or, on any failure, discard the work, record it
+/// for the next update, and back off. The serving path is untouched
+/// throughout except for the final `O(1)` install swap.
+fn background_rebuild(inner: &Inner, start: &ServingState) {
     let started = Instant::now();
-    let built: Result<GenerationState, String> = {
-        let take = |cell: &AtomicUsize| {
-            cell.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                .is_ok()
-        };
-        if take(&inner.inject_build_errors) {
-            Err("injected background build fault".into())
-        } else {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if take(&inner.inject_build_panics) {
-                    panic!("injected background build panic");
-                }
-                let mut baked = baked_start;
-                fold_into(&mut baked, &fold);
-                let requested = inner.rebuild_workers.load(Ordering::SeqCst);
-                let n = inner.original.num_vertices();
-                let workers = if requested == 0 {
-                    fsdl_nets::parallel::background_workers(n)
-                } else {
-                    fsdl_nets::parallel::resolve_workers(requested, n)
-                };
-                build_generation(&inner.original, baked, inner.epsilon, workers)
-            }));
-            match outcome {
-                Ok(gen) => Ok(gen),
-                Err(payload) => {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "background rebuild panicked".into());
-                    Err(format!("background rebuild panicked: {msg}"))
-                }
+    let take = |cell: &AtomicUsize| {
+        cell.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .is_ok()
+    };
+    let built: Result<GenerationState, String> = if take(&inner.inject_build_errors) {
+        Err("injected background build fault".into())
+    } else {
+        catch_unwind(AssertUnwindSafe(|| {
+            if take(&inner.inject_build_panics) {
+                panic!("injected background build panic");
             }
-        }
+            let mut baked = start.generation.baked.clone();
+            fold_into(&mut baked, &start.buffer);
+            let requested = inner.rebuild_workers.load(Ordering::SeqCst);
+            let n = inner.original.num_vertices();
+            let workers = if requested == 0 {
+                fsdl_nets::parallel::background_workers(n)
+            } else {
+                fsdl_nets::parallel::resolve_workers(requested, n)
+            };
+            build_generation(&inner.original, baked, inner.epsilon, workers)
+        }))
+        .map_err(|payload| {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "background rebuild panicked".into());
+            format!("background rebuild panicked: {msg}")
+        })
     };
     // The build phase is over (successful or not); from here only the
     // O(1) commit/install steps remain, so queries observing contention
     // past this point are not blocked "on the rebuild".
     inner.build_in_flight.store(false, Ordering::SeqCst);
 
-    let outcome: Result<(), String> = match built {
-        Ok(gen) => {
-            let gen = Arc::new(gen);
-            let mut commit = inner.commit.lock().unwrap_or_else(|e| e.into_inner());
-            let snap = Arc::clone(&inner.serving.read().unwrap_or_else(|e| e.into_inner()));
-            // Updates that arrived mid-rebuild carry over to the new
-            // generation's decoder-side buffer.
-            let carry = fault_difference(&snap.buffer, &fold);
-            match persist_and_rotate(inner.threshold, &mut commit, &gen, &carry) {
-                Ok(()) => {
-                    {
-                        let next = Arc::new(ServingState {
-                            generation: gen,
-                            buffer: carry.clone(),
-                        });
-                        let mut guard = inner.serving.write().unwrap_or_else(|e| e.into_inner());
-                        *guard = next;
-                    }
-                    let c = &inner.counters;
-                    c.rebuilds.fetch_add(1, Ordering::Relaxed);
-                    c.background_rebuilds.fetch_add(1, Ordering::Relaxed);
-                    c.last_rebuild_nanos
-                        .store(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    c.carry_over_depth
-                        .store(carry.len() as u64, Ordering::Relaxed);
-                    Ok(())
-                }
-                Err(e) => Err(format!("persisting the rebuilt generation failed: {e}")),
-            }
+    let outcome = built.and_then(|generation| {
+        let mut commit = inner.lock_commit();
+        let now = inner.snapshot();
+        // The lineage rule (module doc): publish only over a descendant
+        // of `start`. A superseded build is dropped, not failed.
+        if !Arc::ptr_eq(&now.generation, &start.generation)
+            || !fault_difference(&start.buffer, &now.buffer).is_empty()
+        {
+            return Ok(());
         }
-        Err(msg) => Err(msg),
-    };
+        // Updates that arrived mid-rebuild carry over to the new
+        // generation's decoder-side buffer.
+        let carry = fault_difference(&now.buffer, &start.buffer);
+        let generation = Arc::new(generation);
+        inner
+            .persist_attached(&mut commit, &generation, &carry)
+            .map_err(|e| format!("persisting the rebuilt generation failed: {e}"))?;
+        let c = &inner.counters;
+        c.background_rebuilds.fetch_add(1, Ordering::Relaxed);
+        c.carry_over_depth
+            .store(carry.len() as u64, Ordering::Relaxed);
+        inner.publish(generation, carry, started);
+        Ok(())
+    });
 
-    let mut ctl = inner.rebuild.lock().unwrap_or_else(|e| e.into_inner());
+    let mut ctl = inner.lock_rebuild();
     match outcome {
         Ok(()) => {
             ctl.consecutive_failures = 0;
@@ -1598,7 +1435,6 @@ fn background_rebuild(inner: &Arc<Inner>, baked_start: FaultSet, fold: FaultSet)
             ctl.failure = Some(message);
         }
     }
-    ctl.fold = None;
     ctl.running = false;
 }
 

@@ -347,6 +347,21 @@ impl LevelLabel {
         self.real.len()
     }
 
+    /// Whether `{a, b}` is stored as a real edge at this level. At the
+    /// lowest level of `L(a)` that is exactly "`{a, b}` is an edge of `G`":
+    /// every edge at the owner lies inside its ball. This is how a holder
+    /// of labels alone (the router) validates a fault edge.
+    pub fn has_real_edge(&self, a: NodeId, b: NodeId) -> bool {
+        let index = |v: NodeId| self.points.binary_search_by_key(&v, |p| p.vertex).ok();
+        let (Some(ia), Some(ib)) = (index(a), index(b)) else {
+            return false;
+        };
+        // Builder-made rows run low index -> high; an untrusted label may
+        // store either direction.
+        self.real.outgoing(ia).contains(&(ib as u32))
+            || self.real.outgoing(ib).contains(&(ia as u32))
+    }
+
     /// Looks up a stored point by vertex id (binary search: points are
     /// sorted by id).
     pub fn find_point(&self, v: NodeId) -> Option<&LabelPoint> {

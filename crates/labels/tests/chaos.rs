@@ -10,10 +10,18 @@
 //!    truncation length, trailing garbage) on real labels;
 //! 2. scheduled mixed sweeps (`corrupt::corruption_sweep`) with splices
 //!    and varint-boundary hits, checked against BFS ground truth;
-//! 3. pure byte-noise fuzzing of `codec::decode`.
+//! 3. pure byte-noise fuzzing of the decoder.
+//!
+//! Every attack goes through `codec::decode_with` — the batched decoder
+//! every serving path runs (`Segment::decode_label_with`, the router's
+//! gather) — with one `VarintScratch` reused across mutants, so a
+//! rejected mutant's leftovers are what the next decode starts from.
+//! `codec::decode` is only its differential reference (`codec` unit
+//! tests).
 
 use fsdl_graph::{bfs, generators, FaultSet, Graph, NodeId};
-use fsdl_labels::{codec, corrupt, query, ForbiddenSetOracle, QueryLabels};
+use fsdl_labels::codec::{self, VarintScratch};
+use fsdl_labels::{corrupt, query, ForbiddenSetOracle, QueryLabels};
 use fsdl_testkit::Rng;
 
 /// Asserts the decode-or-sound contract for one mutated bit string,
@@ -21,15 +29,16 @@ use fsdl_testkit::Rng;
 /// decoded.
 fn assert_decode_or_sound(
     oracle: &ForbiddenSetOracle,
-    g: &Graph,
     bytes: &[u8],
     bits: usize,
     s: NodeId,
     t: NodeId,
+    varints: &mut VarintScratch,
     context: &str,
 ) -> bool {
+    let g = oracle.labeling().graph();
     let n = g.num_vertices();
-    match codec::decode(bytes, bits, n) {
+    match codec::decode_with(bytes, bits, n, varints) {
         Err(_) => false,
         Ok(decoded) => {
             let fprime = decoded.owner;
@@ -61,6 +70,7 @@ fn exhaustive_bit_flips_grid() {
     let oracle = ForbiddenSetOracle::new(&g, 1.0);
     let n = g.num_vertices();
     let (s, t) = (NodeId::new(0), NodeId::new(24));
+    let mut varints = VarintScratch::new();
     let mut decoded_ok = 0usize;
     for v in 0..n {
         let enc = codec::encode(&oracle.label(NodeId::from_index(v)), n);
@@ -70,11 +80,11 @@ fn exhaustive_bit_flips_grid() {
             bytes[flip / 8] ^= 1 << (flip % 8);
             if assert_decode_or_sound(
                 &oracle,
-                &g,
                 &bytes,
                 bits,
                 s,
                 t,
+                &mut varints,
                 &format!("label {v} bit {flip}"),
             ) {
                 decoded_ok += 1;
@@ -93,13 +103,14 @@ fn exhaustive_truncations_cycle() {
     let g = generators::cycle(32);
     let oracle = ForbiddenSetOracle::new(&g, 1.0);
     let n = g.num_vertices();
+    let mut varints = VarintScratch::new();
     for v in [0u32, 7, 19] {
         let enc = codec::encode(&oracle.label(NodeId::new(v)), n);
         for keep in 0..enc.len_bits() {
             let (bytes, bits) =
                 corrupt::Mutation::Truncate(keep).apply(enc.as_bytes(), enc.len_bits(), None);
             assert!(
-                codec::decode(&bytes, bits, n).is_err(),
+                codec::decode_with(&bytes, bits, n, &mut varints).is_err(),
                 "label {v}: truncation to {keep} bits decoded"
             );
         }
@@ -113,6 +124,7 @@ fn trailing_garbage_rejected() {
     let oracle = ForbiddenSetOracle::new(&g, 1.0);
     let n = g.num_vertices();
     let enc = codec::encode(&oracle.label(NodeId::new(5)), n);
+    let mut varints = VarintScratch::new();
     for extra in 1..80usize {
         let m = corrupt::Mutation::Extend {
             extra_bits: extra,
@@ -120,7 +132,7 @@ fn trailing_garbage_rejected() {
         };
         let (bytes, bits) = m.apply(enc.as_bytes(), enc.len_bits(), None);
         assert!(
-            codec::decode(&bytes, bits, n).is_err(),
+            codec::decode_with(&bytes, bits, n, &mut varints).is_err(),
             "{extra} trailing bits decoded"
         );
     }
@@ -137,6 +149,7 @@ fn splice_matrix_stays_sound() {
     let (s, t) = (NodeId::new(2), NodeId::new(22));
     let victim = codec::encode(&oracle.label(NodeId::new(12)), n);
     let donor = codec::encode(&oracle.label(NodeId::new(17)), n);
+    let mut varints = VarintScratch::new();
     let mut survivors = 0usize;
     for prefix in (0..victim.len_bits()).step_by(5) {
         for skip in (0..donor.len_bits()).step_by(35) {
@@ -151,11 +164,11 @@ fn splice_matrix_stays_sound() {
             );
             if assert_decode_or_sound(
                 &oracle,
-                &g,
                 &bytes,
                 bits,
                 s,
                 t,
+                &mut varints,
                 &format!("splice prefix={prefix} skip={skip}"),
             ) {
                 survivors += 1;
@@ -190,10 +203,11 @@ fn scheduled_sweeps_random_pairs() {
     }
 }
 
-/// Pure byte-noise fuzzing: `decode` on arbitrary bytes with arbitrary
+/// Pure byte-noise fuzzing: `decode_with` on arbitrary bytes with arbitrary
 /// declared lengths must return (never panic, never hang).
 #[test]
 fn random_bytes_never_panic() {
+    let mut varints = VarintScratch::new();
     fsdl_testkit::check("random_bytes_never_panic", 2000, |rng| {
         let len = rng.gen_range(0..200usize);
         let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u32) as u8).collect();
@@ -201,7 +215,7 @@ fn random_bytes_never_panic() {
         // not panic) or undershoot it.
         let bits = rng.gen_range(0..=len * 8 + 64);
         let n = rng.gen_range(1..2000usize);
-        let _ = codec::decode(&bytes, bits, n);
+        let _ = codec::decode_with(&bytes, bits, n, &mut varints);
     });
 }
 

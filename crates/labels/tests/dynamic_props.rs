@@ -2,10 +2,10 @@
 //! update/query interleavings, the weighted oracle against Dijkstra, and
 //! the pruned-vs-all-pairs label equivalence.
 
-use fsdl_graph::{bfs, FaultSet, Graph, GraphBuilder, NodeId};
+use fsdl_graph::{bfs, generators, FaultSet, Graph, GraphBuilder, NodeId};
 use fsdl_labels::{
-    DynamicError, DynamicOracle, ForbiddenSetOracle, Labeling, LabelingOptions, SchemeParams,
-    WeightedFaults, WeightedOracle,
+    DynamicConfig, DynamicError, DynamicOracle, ForbiddenSetOracle, Labeling, LabelingOptions,
+    RebuildMode, SchemeParams, WeightedFaults, WeightedOracle,
 };
 use fsdl_testkit::Rng;
 
@@ -142,6 +142,80 @@ fn dynamic_update_errors_leave_oracle_usable() {
             }
         }
     });
+}
+
+/// Lineage of generation swaps: a blocking fold that overlaps an in-flight
+/// background rebuild (the mode was switched mid-flight) must not be
+/// overwritten by the older background generation. Every deletion
+/// acknowledged before, by, and after the blocking fold stays in
+/// `current_faults()`, and distances match BFS on `G ∖ F`. A round in which
+/// the background build was no longer in flight when the blocking fold was
+/// issued proves nothing and is skipped.
+#[test]
+fn blocking_fold_overlapping_background_rebuild_keeps_every_delete() {
+    let g = generators::grid2d(14, 14);
+    let eps = 1.0;
+    let mut raced = 0;
+    for round in 0..4u32 {
+        let mut oracle = DynamicOracle::try_with_config(
+            &g,
+            DynamicConfig {
+                epsilon: eps,
+                threshold: Some(2),
+                mode: RebuildMode::Background,
+                rebuild_workers: 1,
+            },
+        )
+        .unwrap();
+        let victims: Vec<NodeId> = (0..6).map(|k| NodeId::new(17 + 29 * k + round)).collect();
+        // The third deletion crosses the threshold and starts the
+        // background build of `baked = {v0, v1, v2}`.
+        for &v in &victims[..3] {
+            oracle.delete_vertex(v).unwrap();
+        }
+        oracle.set_rebuild_mode(RebuildMode::Blocking);
+        let in_flight = oracle.rebuild_in_flight();
+        // Over the threshold in blocking mode: folds `{v0..v3}` inline.
+        oracle.delete_vertex(victims[3]).unwrap();
+        // Acknowledged against the blocking fold's generation.
+        oracle.delete_vertex(victims[4]).unwrap();
+        oracle.delete_vertex(victims[5]).unwrap();
+        oracle.wait_for_rebuild();
+        if !in_flight {
+            eprintln!("round {round}: the background build finished early; skipped");
+            continue;
+        }
+        raced += 1;
+        let expected = FaultSet::from_vertices(victims.iter().copied());
+        assert_eq!(
+            oracle.current_faults(),
+            expected,
+            "round {round}: an acknowledged deletion was lost to the superseded build"
+        );
+        assert_eq!(
+            oracle.stats().failed_rebuilds,
+            0,
+            "superseded is not failed"
+        );
+        for s in (0..g.num_vertices() as u32).step_by(11) {
+            for t in (0..g.num_vertices() as u32).step_by(13) {
+                let (s, t) = (NodeId::new(s), NodeId::new(t));
+                let got = oracle.distance(s, t);
+                match bfs::pair_distance_avoiding(&g, s, t, &expected).finite() {
+                    None => assert!(got.is_infinite(), "invented path {s}->{t}"),
+                    Some(td) => {
+                        let gd = got.finite().expect("missed path");
+                        assert!(gd >= td, "{s}->{t}: {gd} < {td}");
+                        assert!(f64::from(gd) <= (1.0 + eps) * f64::from(td) + 1e-9);
+                    }
+                }
+            }
+        }
+        // The oracle keeps working: the next crossing folds normally.
+        oracle.delete_vertex(NodeId::new(3)).unwrap();
+        assert_eq!(oracle.current_faults().len(), 7);
+    }
+    eprintln!("{raced}/4 rounds overlapped a background build");
 }
 
 #[test]

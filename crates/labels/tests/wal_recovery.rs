@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use fsdl_graph::{generators, FaultSet, Graph, GraphBuilder, NodeId};
+use fsdl_graph::{bfs, generators, FaultSet, Graph, GraphBuilder, NodeId};
 use fsdl_labels::corrupt::wal_corruption_sweep;
 use fsdl_labels::crash::{self, CrashPoint, ALL_CRASH_POINTS};
 use fsdl_labels::{DynamicConfig, DynamicError, DynamicOracle, RebuildMode};
@@ -334,6 +334,90 @@ fn background_mode_store_reopens_to_same_answers() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Lineage of generation swaps, durable half: restoring a *baked* vertex
+/// while a background rebuild is in flight is acknowledged, so the
+/// background install — which started from the generation that still had
+/// the vertex baked — must not bring it back, neither in memory after
+/// `wait_for_rebuild()` nor on disk after drop + reopen. A round in which
+/// the build was no longer in flight when the restore was issued proves
+/// nothing and is skipped.
+#[test]
+fn baked_restore_during_background_rebuild_survives_install_and_reopen() {
+    let _guard = harness_lock();
+    let g = generators::grid2d(12, 12);
+    let eps = 1.0;
+    let mut raced = 0;
+    for round in 0..3u32 {
+        let dir = scratch_dir(&format!("lineage-{round}"));
+        let mut oracle = DynamicOracle::try_with_config(
+            &g,
+            DynamicConfig {
+                epsilon: eps,
+                threshold: Some(2),
+                mode: RebuildMode::Background,
+                rebuild_workers: 1,
+            },
+        )
+        .unwrap();
+        oracle.attach_store(&dir).expect("attach");
+        let victims: Vec<NodeId> = (0..6).map(|k| NodeId::new(14 + 21 * k + round)).collect();
+        // Bake the first three.
+        for &v in &victims[..3] {
+            oracle.delete_vertex(v).unwrap();
+        }
+        oracle.wait_for_rebuild();
+        assert_eq!(oracle.stats().baked, 3, "round {round}: setup must bake");
+        // The sixth deletion starts a background build whose baked set
+        // still contains `victims[0]`...
+        for &v in &victims[3..] {
+            oracle.delete_vertex(v).unwrap();
+        }
+        let in_flight = oracle.rebuild_in_flight();
+        // ...which is restored while that build runs.
+        oracle.restore_vertex(victims[0]).unwrap();
+        oracle.wait_for_rebuild();
+        if !in_flight {
+            eprintln!("round {round}: the background build finished early; skipped");
+            let _ = std::fs::remove_dir_all(&dir);
+            continue;
+        }
+        raced += 1;
+        let expected = FaultSet::from_vertices(victims[1..].iter().copied());
+        let check = |oracle: &DynamicOracle, tag: &str| {
+            assert_eq!(
+                oracle.current_faults(),
+                expected,
+                "round {round} ({tag}): the acknowledged restore was lost"
+            );
+            for s in (0..g.num_vertices() as u32).step_by(7) {
+                for t in (0..g.num_vertices() as u32).step_by(11) {
+                    let (s, t) = (NodeId::new(s), NodeId::new(t));
+                    let got = oracle.try_distance(s, t).unwrap();
+                    match bfs::pair_distance_avoiding(&g, s, t, &expected).finite() {
+                        None => assert!(got.is_infinite(), "{tag}: invented path {s}->{t}"),
+                        Some(td) => {
+                            let gd = got.finite().expect("missed path");
+                            assert!(gd >= td, "{tag}: {s}->{t}: {gd} < {td}");
+                            assert!(f64::from(gd) <= (1.0 + eps) * f64::from(td) + 1e-9);
+                        }
+                    }
+                }
+            }
+        };
+        check(&oracle, "after wait_for_rebuild");
+        assert_eq!(
+            oracle.stats().failed_rebuilds,
+            0,
+            "superseded is not failed"
+        );
+        drop(oracle);
+        let reopened = DynamicOracle::open(&dir, &g).expect("reopen");
+        check(&reopened, "after reopen");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    eprintln!("{raced}/3 rounds overlapped a background build");
 }
 
 /// Crash-loop hygiene (the pruning satellite): orphaned `.tmp-` files and

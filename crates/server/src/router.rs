@@ -37,12 +37,11 @@
 //!   restarted onto a new build) also answers `Unavailable` — mixing
 //!   labels from different generations could silently combine two
 //!   different labelings, so the router refuses rather than guesses.
-//! - Validation the router cannot do (fault-*edge* membership in the
-//!   graph — the router holds no graph) is the one divergence from the
-//!   single-process server, which rejects such queries with
-//!   `BadRequest`. The router computes the (sound) answer with the
-//!   phantom edge simply ignored by decode. Endpoint and fault-vertex
-//!   range checks behave identically.
+//! - The router holds no graph, but validates like the single-process
+//!   server: ids are range-checked against the plan, and a fault edge
+//!   that is not an edge of `G` is a `BadRequest` with the server's
+//!   message — decided from the labels already gathered, because the
+//!   lowest level of `L(a)` stores every real edge at `a`.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,7 +51,9 @@ use std::time::{Duration, Instant};
 use fsdl_graph::NodeId;
 use fsdl_labels::codec::{self, VarintScratch};
 use fsdl_labels::partition::PartitionPlan;
-use fsdl_labels::{query_with_scratch, DecodeScratch, Label, QueryLabels, SchemeParams};
+use fsdl_labels::{
+    query_with_scratch, DecodeScratch, Label, OracleError, QueryLabels, SchemeParams,
+};
 use fsdl_reactor::{Interest, Poller};
 
 use crate::client::{Client, ClientError};
@@ -854,9 +855,15 @@ fn answer_one(
         query_labels.fault_vertices.push(label(v)?);
     }
     for e in fault_set.edges() {
-        query_labels
-            .fault_edges
-            .push((label(e.lo())?, label(e.hi())?));
+        let (a, b) = (e.lo(), e.hi());
+        let (la, lb) = (label(a)?, label(b)?);
+        // No graph here, but L(a)'s lowest level holds every edge at a.
+        let low_level = la.levels.first();
+        if !low_level.is_some_and(|level| level.has_real_edge(a, b)) {
+            let message = OracleError::FaultEdgeNotInGraph { a, b }.to_string();
+            return Err(error_reply(ErrorCode::BadRequest, message));
+        }
+        query_labels.fault_edges.push((la, lb));
     }
     Ok(query_with_scratch(
         params,
@@ -895,6 +902,11 @@ fn compute_answer(job: &GatherJob, worker: &mut GatherWorker) -> Response {
             for (s, t, faults) in items {
                 match answer_one(*s, *t, faults, &decoded, params, scratch) {
                     Ok(answer) => out.push(BatchItem::from_answer(&answer)),
+                    // The single-process server's wording for a bad item.
+                    Err(Response::Error(e)) if e.code == ErrorCode::BadRequest => {
+                        let message = format!("batch item {}: {}", out.len(), e.message);
+                        return error_reply(ErrorCode::BadRequest, message);
+                    }
                     Err(resp) => return resp,
                 }
             }

@@ -18,8 +18,8 @@ use fsdl_labels::partition::{shard_dir_name, PartitionPlan, ShardStore};
 use fsdl_labels::{write_shard_stores, ForbiddenSetOracle};
 use fsdl_routing::Network;
 use fsdl_server::{
-    Client, Endpoint, ErrorCode, Request, Response, Router, RouterConfig, ServeEngine, Server,
-    ServerConfig, ShutdownHandle, WireFaults,
+    Client, ClientError, Endpoint, ErrorCode, Request, Response, Router, RouterConfig, ServeEngine,
+    Server, ServerConfig, ShutdownHandle, WireFaults,
 };
 
 fn scratch_sock(tag: &str) -> PathBuf {
@@ -483,4 +483,49 @@ fn one_worker_behind_idle_crowd(front: Front) {
     let report = handle.join();
     assert_eq!(report.queries, 50);
     assert_eq!(report.connections, 51);
+}
+
+/// A fault edge that is not an edge of `G` is a malformed request on
+/// either front: the server decides it from its graph, the router from the
+/// labels it gathered, and both send the same typed reply word for word —
+/// for a single query and for a batch item — then keep serving.
+#[test]
+fn non_edge_fault_edge_is_the_same_bad_request_on_both_fronts() {
+    let replies = FRONTS.map(non_edge_fault_edge);
+    assert_eq!(replies[0], replies[1], "server vs router wording");
+}
+
+fn non_edge_fault_edge(front: Front) -> [String; 2] {
+    let (endpoint, handle) = spawn_front(front, scratch_sock("nonedge"), ServerConfig::default());
+    let mut client = Client::connect(&endpoint).expect("connect");
+    // On the 6x6 grid, 0 and 7 are diagonal neighbours: no edge.
+    let phantom = || WireFaults {
+        vertices: vec![],
+        edges: vec![(0, 7)],
+    };
+    let bad_request = |result: Result<(), ClientError>| match result {
+        Err(ClientError::Server(e)) => {
+            assert_eq!(e.code, ErrorCode::BadRequest, "{front:?}: {e:?}");
+            e.message
+        }
+        other => panic!("{front:?}: a non-edge fault edge must be BadRequest, got {other:?}"),
+    };
+    let single = bad_request(client.query(0, 35, phantom()).map(drop));
+    assert!(single.contains("not an edge"), "{front:?}: {single}");
+    let good = (0, 35, WireFaults::default());
+    let batch = bad_request(client.batch(vec![good, (1, 30, phantom())]).map(drop));
+    assert!(batch.starts_with("batch item 1: "), "{front:?}: {batch}");
+    // A real fault edge, in either orientation, is still served.
+    for edge in [(0, 1), (7, 6)] {
+        let faults = WireFaults {
+            vertices: vec![],
+            edges: vec![edge],
+        };
+        client.query(0, 35, faults).expect("real fault edge");
+    }
+    client.shutdown().expect("shutdown");
+    let report = handle.join();
+    assert_eq!(report.protocol_errors, 2, "{front:?}: the two rejections");
+    assert_eq!(report.queries, 2, "{front:?}");
+    [single, batch]
 }

@@ -113,8 +113,8 @@ fn spawn_router(
     std::thread::JoinHandle<fsdl_server::RouterReport>,
 ) {
     let listen = Endpoint::Tcp("127.0.0.1:0".into());
-    let router = Router::bind(&listen, shard_endpoints, plan, RouterConfig::default())
-        .expect("bind router");
+    let router =
+        Router::bind(&listen, shard_endpoints, plan, RouterConfig::default()).expect("bind router");
     let bound = router.local_endpoint().expect("router endpoint");
     let handle = router.shutdown_handle();
     let thread = std::thread::spawn(move || router.run());
@@ -333,6 +333,29 @@ fn router_rejects_bad_requests_typed() {
         Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::BadRequest, "{e:?}"),
         other => panic!("out-of-range fault must be BadRequest, got {other:?}"),
     }
+    // A fault edge that is not an edge of the graph: the router has no
+    // graph, but L(0)'s lowest level lists every real edge at 0, and
+    // (0, 7) is not among them. Same code and message as the server's
+    // `try_query_with`.
+    let phantom = WireFaults {
+        vertices: vec![],
+        edges: vec![(0, 7)],
+    };
+    let served = oracle
+        .try_query_with(
+            NodeId::new(0),
+            NodeId::new(19),
+            &phantom.to_fault_set(),
+            &mut DecodeScratch::new(),
+        )
+        .expect_err("the in-process oracle rejects the phantom edge");
+    match client.query(0, 19, phantom) {
+        Err(ClientError::Server(e)) => {
+            assert_eq!(e.code, ErrorCode::BadRequest, "{e:?}");
+            assert_eq!(e.message, served.to_string());
+        }
+        other => panic!("a non-edge fault edge must be BadRequest, got {other:?}"),
+    }
     match client.route(0, 19, WireFaults::empty()) {
         Err(ClientError::Server(e)) => {
             assert_eq!(e.code, ErrorCode::UnsupportedInMode, "{e:?}");
@@ -346,7 +369,9 @@ fn router_rejects_bad_requests_typed() {
         other => panic!("label-fetch is shard-facing, got {other:?}"),
     }
     // The connection survives every rejection: a good query still works.
-    let reply = client.query(0, 19, WireFaults::empty()).expect("good query");
+    let reply = client
+        .query(0, 19, WireFaults::empty())
+        .expect("good query");
     let mut scratch = DecodeScratch::new();
     let expected = oracle.query_with(
         NodeId::new(0),
