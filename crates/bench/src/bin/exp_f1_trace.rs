@@ -11,7 +11,7 @@
 //! level rise/fall of the figure visible.
 
 use fsdl_graph::{bfs, generators, Edge, FaultSet, NodeId};
-use fsdl_labels::{build_sketch, ForbiddenSetOracle, QueryLabels};
+use fsdl_labels::{build_sketch, ForbiddenSetOracle};
 
 fn main() {
     println!("Experiment F1: sketch-path trace (paper Figure 1)\n");
@@ -39,14 +39,8 @@ fn main() {
     );
 
     // Rebuild the sketch to read edge provenance for the witness path.
-    let source = oracle.label(s);
-    let target = oracle.label(t);
-    let fault_labels: Vec<_> = faults.vertices().map(|f| oracle.label(f)).collect();
-    let ql = QueryLabels {
-        fault_vertices: fault_labels.iter().map(|l| l.as_ref()).collect(),
-        fault_edges: Vec::new(),
-    };
-    let sketch = build_sketch(oracle.params(), &source, &target, &ql);
+    let (source, target, ql) = oracle.resolve(s, t, &faults).expect("well-formed query");
+    let sketch = build_sketch(oracle.params(), source, target, &ql);
     println!(
         "sketch graph: {} vertices, {} edges; scheme c = {}\n",
         sketch.graph.num_vertices(),

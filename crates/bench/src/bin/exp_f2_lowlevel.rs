@@ -8,7 +8,7 @@
 //! the first virtual climb.
 
 use fsdl_graph::{bfs, generators, FaultSet, NodeId};
-use fsdl_labels::{trace_query, ForbiddenSetOracle, QueryLabels};
+use fsdl_labels::{trace_query, ForbiddenSetOracle};
 
 fn main() {
     println!("Experiment F2: low-level case trace (paper Figure 2)\n");
@@ -23,14 +23,8 @@ fn main() {
     let s = NodeId::new(1); // adjacent to the fault
     let t = NodeId::new(n as u32 / 2);
 
-    let source = oracle.label(s);
-    let target = oracle.label(t);
-    let fl = oracle.label(fault);
-    let ql = QueryLabels {
-        fault_vertices: vec![fl.as_ref()],
-        fault_edges: Vec::new(),
-    };
-    let trace = trace_query(oracle.params(), &source, &target, &ql);
+    let (source, target, ql) = oracle.resolve(s, t, &faults).expect("well-formed query");
+    let trace = trace_query(oracle.params(), source, target, &ql);
     let truth = bfs::pair_distance_avoiding(&g, s, t, &faults);
     println!(
         "query: s = {s} (adjacent to fault {fault}), t = {t}; exact = {truth}, decoder = {}",

@@ -25,7 +25,6 @@
 //! `BENCH_query_latency.json` (`--out PATH` redirects).
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 use fsdl_baselines::ExactOracle;
@@ -39,22 +38,14 @@ use fsdl_testkit::Rng;
 
 const FAULT_SIZES: [usize; 4] = [0, 1, 4, 16];
 
-/// One pre-materialized query: endpoint labels plus fault-vertex labels,
-/// and the same fault set in the form BFS takes.
-struct PreparedQuery {
-    source: Arc<Label>,
-    target: Arc<Label>,
-    fault_vertices: Vec<Arc<Label>>,
+/// One pre-materialized query: endpoint labels plus fault-vertex labels
+/// as the oracle resolves them, and the same fault set in the form BFS
+/// takes.
+struct PreparedQuery<'a> {
+    source: &'a Label,
+    target: &'a Label,
+    labels: QueryLabels<'a>,
     fault_set: FaultSet,
-}
-
-impl PreparedQuery {
-    fn labels(&self) -> QueryLabels<'_> {
-        QueryLabels {
-            fault_vertices: self.fault_vertices.iter().map(|l| &**l).collect(),
-            fault_edges: vec![],
-        }
-    }
 }
 
 /// Latency distribution of one answerer on one workload.
@@ -81,8 +72,8 @@ fn stats_of(mut samples: Vec<u64>) -> PathStats {
 
 /// Times `decode(q)` for every query, returning per-query nanoseconds and
 /// the answers (for the agreement check).
-fn run_path<A, F: FnMut(&PreparedQuery) -> A>(
-    queries: &[PreparedQuery],
+fn run_path<A, F: FnMut(&PreparedQuery<'_>) -> A>(
+    queries: &[PreparedQuery<'_>],
     mut decode: F,
 ) -> (Vec<u64>, Vec<A>) {
     let mut ns = Vec::with_capacity(queries.len());
@@ -128,7 +119,7 @@ fn prepare(
     f: usize,
     count: usize,
     seed: u64,
-) -> Vec<PreparedQuery> {
+) -> Vec<PreparedQuery<'_>> {
     let mut rng = Rng::seed_from_u64(seed);
     (0..count)
         .map(|_| {
@@ -141,11 +132,14 @@ fn prepare(
                     owners.push(v);
                 }
             }
+            let fault_set = FaultSet::from_vertices(owners);
+            let (source, target, labels) =
+                oracle.resolve(s, t, &fault_set).expect("in-range query");
             PreparedQuery {
-                source: oracle.label(s),
-                target: oracle.label(t),
-                fault_vertices: owners.iter().map(|&v| oracle.label(v)).collect(),
-                fault_set: FaultSet::from_vertices(owners),
+                source,
+                target,
+                labels,
+                fault_set,
             }
         })
         .collect()
@@ -166,14 +160,14 @@ fn measure(
     // passes and grows the reused scratch to working-set size.
     let mut scratch = DecodeScratch::new();
     for q in &queries {
-        query_with_scratch(params, &q.source, &q.target, &q.labels(), &mut scratch);
+        query_with_scratch(params, q.source, q.target, &q.labels, &mut scratch);
     }
 
     let (reference_ns, reference) = run_path(&queries, |q| {
-        query_reference(params, &q.source, &q.target, &q.labels())
+        query_reference(params, q.source, q.target, &q.labels)
     });
     let (lazy_ns, lazy) = run_path(&queries, |q| {
-        query_with_scratch(params, &q.source, &q.target, &q.labels(), &mut scratch)
+        query_with_scratch(params, q.source, q.target, &q.labels, &mut scratch)
     });
     let (bfs_ns, truth) = run_path(&queries, |q| {
         exact.distance(q.source.owner, q.target.owner, &q.fault_set)
@@ -184,7 +178,7 @@ fn measure(
         assert_eq!(lazy.distance, reference.distance, "{ctx}: distance");
         assert!(lazy.distance >= *truth, "{ctx}: below the true distance");
         // The witness is a walk in the reference H of that length.
-        let h = build_sketch(params, &q.source, &q.target, &q.labels());
+        let h = build_sketch(params, q.source, q.target, &q.labels);
         let length: u64 = lazy
             .path
             .windows(2)

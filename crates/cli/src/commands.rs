@@ -756,28 +756,12 @@ fn cmd_trace<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
     let eps: f64 = parse_eps(args)?;
     let s: u32 = args.parse_required("source")?;
     let t: u32 = args.parse_required("target")?;
-    for v in [s, t] {
-        if v as usize >= g.num_vertices() {
-            return Err(ArgError(format!("vertex {v} out of range")));
-        }
-    }
     let faults = faults_from(args, &g)?;
     let oracle = ForbiddenSetOracle::new(&g, eps);
-    let source = oracle.label(NodeId::new(s));
-    let target = oracle.label(NodeId::new(t));
-    let fault_labels: Vec<_> = faults.vertices().map(|f| oracle.label(f)).collect();
-    let edge_labels: Vec<_> = faults
-        .edges()
-        .map(|e| (oracle.label(e.lo()), oracle.label(e.hi())))
-        .collect();
-    let ql = fsdl_labels::QueryLabels {
-        fault_vertices: fault_labels.iter().map(|l| l.as_ref()).collect(),
-        fault_edges: edge_labels
-            .iter()
-            .map(|(a, b)| (a.as_ref(), b.as_ref()))
-            .collect(),
-    };
-    let trace = fsdl_labels::trace_query(oracle.params(), &source, &target, &ql);
+    let (source, target, ql) = oracle
+        .resolve(NodeId::new(s), NodeId::new(t), &faults)
+        .map_err(|e| ArgError(e.to_string()))?;
+    let trace = fsdl_labels::trace_query(oracle.params(), source, target, &ql);
     let mut text = format!(
         "delta(v{s}, v{t}, |F|={}) = {} (whole sketch: {} vertices, {} edges)\n",
         faults.len(),
@@ -937,8 +921,12 @@ fn cmd_serve_sharded<W: Write>(
             true,
         ),
     };
-    let reports = fsdl_labels::write_shard_stores(&oracle, &dir, &plan)
-        .map_err(|e| ArgError(format!("cannot write shard stores under {}: {e}", dir.display())))?;
+    let reports = fsdl_labels::write_shard_stores(&oracle, &dir, &plan).map_err(|e| {
+        ArgError(format!(
+            "cannot write shard stores under {}: {e}",
+            dir.display()
+        ))
+    })?;
     drop(oracle); // the shards and router serve from disk, not this copy
 
     let mut shard_endpoints = Vec::with_capacity(shards as usize);
@@ -1102,7 +1090,10 @@ fn cmd_router<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> 
     let bound = router
         .local_endpoint()
         .map_err(|e| ArgError(format!("cannot resolve bound endpoint: {e}")))?;
-    write_out(out, &format!("routing {bound}; stop with a shutdown frame\n"))?;
+    write_out(
+        out,
+        &format!("routing {bound}; stop with a shutdown frame\n"),
+    )?;
     out.flush()
         .map_err(|e| ArgError(format!("write failed: {e}")))?;
     let report = router.run();
@@ -1907,10 +1898,8 @@ mod tests {
     fn serve_sharded_answers_bit_identically() {
         let g = generators::grid2d(5, 4);
         let graph = TempGraph::new(&g);
-        let sock = std::env::temp_dir().join(format!(
-            "fsdl-cli-shard-serve-{}.sock",
-            std::process::id()
-        ));
+        let sock =
+            std::env::temp_dir().join(format!("fsdl-cli-shard-serve-{}.sock", std::process::id()));
         let listen = format!("unix:{}", sock.display());
         let gpath = graph.path().to_string();
         let server = std::thread::spawn(move || {
@@ -1926,8 +1915,7 @@ mod tests {
         let mut scratch = fsdl_labels::DecodeScratch::new();
         for (s, t, forbid) in [(0u32, 19u32, vec![]), (0, 19, vec![9u32]), (3, 16, vec![8])] {
             let faults = FaultSet::from_vertices(forbid.iter().copied().map(NodeId::new));
-            let expected =
-                oracle.query_with(NodeId::new(s), NodeId::new(t), &faults, &mut scratch);
+            let expected = oracle.query_with(NodeId::new(s), NodeId::new(t), &faults, &mut scratch);
             let wire = fsdl_server::WireFaults {
                 vertices: forbid.clone(),
                 edges: vec![],

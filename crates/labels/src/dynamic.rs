@@ -64,7 +64,7 @@ use fsdl_graph::{Dist, FaultSet, Graph, NodeId};
 
 use crate::crash::{self, CrashPoint};
 use crate::decode::DecodeScratch;
-use crate::oracle::ForbiddenSetOracle;
+use crate::oracle::{ForbiddenSetOracle, OracleError};
 use crate::params::SchemeParams;
 use crate::store::{self, OpenMode, Segment, StoreError, StoreReport};
 use crate::wal::{ReplayReport, Wal, WalError, WalRecord};
@@ -140,8 +140,10 @@ pub enum DynamicError {
 impl std::fmt::Display for DynamicError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            // One wording for an id outside the graph, whichever engine
+            // is asked: the resolver's.
             DynamicError::VertexOutOfRange { v, n } => {
-                write!(f, "vertex {v} out of range for an {n}-vertex graph")
+                OracleError::VertexOutOfRange { v: *v, n: *n }.fmt(f)
             }
             DynamicError::NotAnEdge { a, b } => {
                 write!(f, "{{{a}, {b}}} is not an edge of the original graph")
@@ -839,15 +841,6 @@ impl DynamicOracle {
             .store(mode == RebuildMode::Background, Ordering::SeqCst);
     }
 
-    /// The current rebuild scheduling mode.
-    pub fn rebuild_mode(&self) -> RebuildMode {
-        if self.inner.background.load(Ordering::SeqCst) {
-            RebuildMode::Background
-        } else {
-            RebuildMode::Blocking
-        }
-    }
-
     /// Whether a background rebuild is currently in flight.
     pub fn rebuild_in_flight(&self) -> bool {
         self.inner.lock_rebuild().running
@@ -928,12 +921,6 @@ impl DynamicOracle {
             on_disk_label_bytes: plane.on_disk_label_bytes,
             label_open_mode: plane.open_mode,
         }
-    }
-
-    /// The WAL replay this oracle performed at [`DynamicOracle::open`]
-    /// time, if any.
-    pub fn wal_replay(&self) -> Option<&ReplayReport> {
-        self.inner.replay.as_ref()
     }
 
     /// The one update path: plan `record` on the ledger, append it to the

@@ -83,7 +83,7 @@ pub use decode::{
 pub use dynamic::{DynamicConfig, DynamicError, DynamicOracle, DynamicStats, RebuildMode};
 pub use failure_free::{query_failure_free, FailureFreeLabel, FailureFreeLabeling};
 pub use label::{Label, LabelInvalid, LabelPoint, LabelStats, LevelLabel, RealEdge, VirtualEdge};
-pub use oracle::{ForbiddenSetOracle, LabelPlaneStats, OracleError};
+pub use oracle::{resolve, ForbiddenSetOracle, LabelPlaneStats, OracleError};
 pub use params::SchemeParams;
 pub use partition::{
     write_shard_stores, PartitionError, PartitionPlan, PartitionStrategy, ShardReport, ShardStore,

@@ -9,6 +9,11 @@
 //! [decoder](crate::decode) — the graph is consulted only to *validate* the
 //! fault set, never to answer, which tests assert by construction.
 //!
+//! Which queries are well-formed, the strict/lenient relation and the
+//! order the labels reach the decoder in are the [`resolve`] module's:
+//! every entry point here is that one walk over the arena, then the
+//! decoder. The shard router runs the same walk over labels it fetched.
+//!
 //! ## Concurrency model
 //!
 //! The oracle is `Send + Sync` and is designed to be shared (`&oracle` or
@@ -35,6 +40,10 @@ use crate::decode::{self, DecodeScratch, QueryAnswer, QueryLabels};
 use crate::label::Label;
 use crate::params::SchemeParams;
 use crate::store::{self, OpenMode, Segment, StoreError, StoreReport};
+
+pub mod resolve;
+pub use resolve::OracleError;
+use resolve::{LabelSource, Malformed};
 
 /// Label slots per arena cache line: a `OnceLock<Arc<Label>>` is 16
 /// bytes (one pointer plus the init state), so four fill a 64-byte line
@@ -112,48 +121,6 @@ pub struct LabelPlaneStats {
     pub mapped: bool,
 }
 
-/// A malformed query handed to the strict oracle entry points
-/// ([`ForbiddenSetOracle::try_query`],
-/// [`ForbiddenSetOracle::try_distances_to`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum OracleError {
-    /// A referenced vertex (endpoint, target, or fault) is not a vertex of
-    /// the graph.
-    VertexOutOfRange {
-        /// The offending vertex id.
-        v: NodeId,
-        /// The graph's vertex count.
-        n: usize,
-    },
-    /// A forbidden edge is not an edge of the graph.
-    FaultEdgeNotInGraph {
-        /// Smaller endpoint.
-        a: NodeId,
-        /// Larger endpoint.
-        b: NodeId,
-    },
-}
-
-impl std::fmt::Display for OracleError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OracleError::VertexOutOfRange { v, n } => {
-                write!(f, "{v} is out of range for a graph with {n} vertices")
-            }
-            OracleError::FaultEdgeNotInGraph { a, b } => {
-                write!(f, "forbidden edge ({a}, {b}) is not an edge of the graph")
-            }
-        }
-    }
-}
-
-impl std::error::Error for OracleError {}
-
-/// Fault labels for one query: vertex-fault labels and edge-fault endpoint
-/// label pairs, in fault-set iteration order.
-type FaultLabels = (Vec<Arc<Label>>, Vec<(Arc<Label>, Arc<Label>)>);
-
 /// A centralized `(1+ε)`-approximate forbidden-set distance oracle backed by
 /// the labeling scheme.
 ///
@@ -167,7 +134,8 @@ type FaultLabels = (Vec<Arc<Label>>, Vec<(Arc<Label>, Arc<Label>)>);
 /// are ignored and the answer is *exactly* the answer for the well-formed
 /// subset of `F`. Use [`ForbiddenSetOracle::try_query`] /
 /// [`ForbiddenSetOracle::try_distances_to`] to reject malformed input with
-/// a typed [`OracleError`] instead.
+/// a typed [`OracleError`] instead. Both are one walk over `(s, t, F)`,
+/// [`resolve`], which states the rule.
 ///
 /// # Examples
 ///
@@ -395,7 +363,7 @@ impl ForbiddenSetOracle {
     ///
     /// Panics if `v` is out of range.
     pub fn label(&self, v: NodeId) -> Arc<Label> {
-        self.label_scoped(v, &mut VarintScratch::new())
+        self.slot_label(v, &mut VarintScratch::new()).clone()
     }
 
     /// [`ForbiddenSetOracle::label`] with a caller-owned
@@ -403,24 +371,21 @@ impl ForbiddenSetOracle {
     /// reuses the scratch's varint batch buffer, keeping the serving
     /// path allocation-free beyond the label itself.
     pub fn label_with(&self, v: NodeId, scratch: &mut DecodeScratch) -> Arc<Label> {
-        self.label_scoped(v, scratch.varints_mut())
+        self.slot_label(v, scratch.varints_mut()).clone()
     }
 
-    fn label_scoped(&self, v: NodeId, varints: &mut VarintScratch) -> Arc<Label> {
+    fn slot_label(&self, v: NodeId, varints: &mut VarintScratch) -> &Arc<Label> {
         assert!(
             v.index() < self.slots.len(),
             "{v} is out of range for a graph with {} vertices",
             self.slots.len()
         );
-        self.slots
-            .slot(v.index())
-            .get_or_init(|| {
-                Arc::new(
-                    self.segment_label(v, varints)
-                        .unwrap_or_else(|| self.labeling.label_of(v)),
-                )
-            })
-            .clone()
+        self.slots.slot(v.index()).get_or_init(|| {
+            Arc::new(
+                self.segment_label(v, varints)
+                    .unwrap_or_else(|| self.labeling.label_of(v)),
+            )
+        })
     }
 
     /// Eagerly materializes every label into the arena over
@@ -456,59 +421,6 @@ impl ForbiddenSetOracle {
         );
     }
 
-    /// Collects the fault labels for the well-formed subset of `faults`
-    /// (see the type-level docs on malformed fault sets).
-    fn fault_labels(&self, faults: &FaultSet, varints: &mut VarintScratch) -> FaultLabels {
-        let g = self.labeling.graph();
-        let vertex_labels: Vec<Arc<Label>> = faults
-            .vertices()
-            .filter(|&f| g.contains(f))
-            .map(|f| self.label_scoped(f, varints))
-            .collect();
-        let edge_labels: Vec<(Arc<Label>, Arc<Label>)> = faults
-            .edges()
-            .filter(|e| g.contains(e.lo()) && g.contains(e.hi()) && g.has_edge(e.lo(), e.hi()))
-            .map(|e| {
-                (
-                    self.label_scoped(e.lo(), varints),
-                    self.label_scoped(e.hi(), varints),
-                )
-            })
-            .collect();
-        (vertex_labels, edge_labels)
-    }
-
-    /// Validates every vertex and edge of a query strictly, for the `try_*`
-    /// entry points.
-    fn validate(&self, endpoints: &[NodeId], faults: &FaultSet) -> Result<(), OracleError> {
-        let g = self.labeling.graph();
-        let n = g.num_vertices();
-        for &v in endpoints {
-            if !g.contains(v) {
-                return Err(OracleError::VertexOutOfRange { v, n });
-            }
-        }
-        for f in faults.vertices() {
-            if !g.contains(f) {
-                return Err(OracleError::VertexOutOfRange { v: f, n });
-            }
-        }
-        for e in faults.edges() {
-            for v in [e.lo(), e.hi()] {
-                if !g.contains(v) {
-                    return Err(OracleError::VertexOutOfRange { v, n });
-                }
-            }
-            if !g.has_edge(e.lo(), e.hi()) {
-                return Err(OracleError::FaultEdgeNotInGraph {
-                    a: e.lo(),
-                    b: e.hi(),
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Answers the forbidden-set distance query `(s, t, F)` with the full
     /// decoder output (distance, witness path, sketch size). Malformed
     /// fault elements are ignored (exactly; see the type-level docs).
@@ -533,8 +445,7 @@ impl ForbiddenSetOracle {
         t: NodeId,
         faults: &FaultSet,
     ) -> Result<QueryAnswer, OracleError> {
-        self.validate(&[s, t], faults)?;
-        Ok(self.query(s, t, faults))
+        self.try_query_with(s, t, faults, &mut DecodeScratch::new())
     }
 
     /// Strict variant of [`ForbiddenSetOracle::query_with`]: the typed
@@ -554,8 +465,7 @@ impl ForbiddenSetOracle {
         faults: &FaultSet,
         scratch: &mut DecodeScratch,
     ) -> Result<QueryAnswer, OracleError> {
-        self.validate(&[s, t], faults)?;
-        Ok(self.query_with(s, t, faults, scratch))
+        self.answer(s, t, faults, Malformed::Reject, scratch)
     }
 
     /// [`ForbiddenSetOracle::query`] with a caller-provided
@@ -570,17 +480,58 @@ impl ForbiddenSetOracle {
         faults: &FaultSet,
         scratch: &mut DecodeScratch,
     ) -> QueryAnswer {
-        let source = self.label_with(s, scratch);
-        let target = self.label_with(t, scratch);
-        let (vertex_labels, edge_labels) = self.fault_labels(faults, scratch.varints_mut());
-        let query_labels = QueryLabels {
-            fault_vertices: vertex_labels.iter().map(Arc::as_ref).collect(),
-            fault_edges: edge_labels
-                .iter()
-                .map(|(a, b)| (a.as_ref(), b.as_ref()))
-                .collect(),
-        };
-        decode::query_with_scratch(self.params(), &source, &target, &query_labels, scratch)
+        self.answer(s, t, faults, Malformed::Skip, scratch)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The labels the decoder reads for `(s, t, F)` — `L(s)`, `L(t)` and
+    /// the [`QueryLabels`] of `F` in canonical order, borrowed from the
+    /// arena — for callers that run something other than the production
+    /// search over them (the trace, the reference decoder). Strict, like
+    /// [`ForbiddenSetOracle::try_query`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`OracleError`] naming the first malformed element.
+    pub fn resolve(
+        &self,
+        s: NodeId,
+        t: NodeId,
+        faults: &FaultSet,
+    ) -> Result<(&Label, &Label, QueryLabels<'_>), OracleError> {
+        self.resolved(s, t, faults, Malformed::Reject, &mut VarintScratch::new())
+    }
+
+    fn resolved(
+        &self,
+        s: NodeId,
+        t: NodeId,
+        faults: &FaultSet,
+        on_malformed: Malformed,
+        varints: &mut VarintScratch,
+    ) -> Result<(&Label, &Label, QueryLabels<'_>), OracleError> {
+        let (n, mut arena) = (self.slots.len(), Arena(self, varints));
+        Ok(resolve::resolve(n, &mut arena, s, t, faults, on_malformed)?.into_labels())
+    }
+
+    /// Every single-pair entry point: [`resolve`] the labels, decode.
+    fn answer(
+        &self,
+        s: NodeId,
+        t: NodeId,
+        faults: &FaultSet,
+        on_malformed: Malformed,
+        scratch: &mut DecodeScratch,
+    ) -> Result<QueryAnswer, OracleError> {
+        let (source, target, fault_labels) =
+            self.resolved(s, t, faults, on_malformed, scratch.varints_mut())?;
+        Ok(decode::query_with_scratch(
+            self.params(),
+            source,
+            target,
+            &fault_labels,
+            scratch,
+        ))
     }
 
     /// The `(1+ε)`-approximate distance `δ(s, t, F)`.
@@ -649,27 +600,8 @@ impl ForbiddenSetOracle {
         faults: &FaultSet,
         scratch: &mut DecodeScratch,
     ) -> Vec<Dist> {
-        let source = self.label_with(s, scratch);
-        let target_labels: Vec<Arc<Label>> = targets
-            .iter()
-            .map(|&t| self.label_with(t, scratch))
-            .collect();
-        let (vertex_labels, edge_labels) = self.fault_labels(faults, scratch.varints_mut());
-        let query_labels = QueryLabels {
-            fault_vertices: vertex_labels.iter().map(Arc::as_ref).collect(),
-            fault_edges: edge_labels
-                .iter()
-                .map(|(a, b)| (a.as_ref(), b.as_ref()))
-                .collect(),
-        };
-        let target_refs: Vec<&Label> = target_labels.iter().map(Arc::as_ref).collect();
-        decode::query_many_with_scratch(
-            self.params(),
-            &source,
-            &target_refs,
-            &query_labels,
-            scratch,
-        )
+        self.distances(s, targets, faults, Malformed::Skip, scratch)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Strict variant of [`ForbiddenSetOracle::distances_to`].
@@ -683,9 +615,29 @@ impl ForbiddenSetOracle {
         targets: &[NodeId],
         faults: &FaultSet,
     ) -> Result<Vec<Dist>, OracleError> {
-        self.validate(&[s], faults)?;
-        self.validate(targets, faults)?;
-        Ok(self.distances_to(s, targets, faults))
+        let scratch = &mut DecodeScratch::new();
+        self.distances(s, targets, faults, Malformed::Reject, scratch)
+    }
+
+    /// Every one-to-many entry point: [`resolve`] the labels, decode.
+    fn distances(
+        &self,
+        s: NodeId,
+        targets: &[NodeId],
+        faults: &FaultSet,
+        on_malformed: Malformed,
+        scratch: &mut DecodeScratch,
+    ) -> Result<Vec<Dist>, OracleError> {
+        let (n, mut arena) = (self.slots.len(), Arena(self, scratch.varints_mut()));
+        let (source, targets, fault_labels) =
+            resolve::resolve_many(n, &mut arena, s, targets, faults, on_malformed)?.into_labels();
+        Ok(decode::query_many_with_scratch(
+            self.params(),
+            source,
+            &targets,
+            &fault_labels,
+            scratch,
+        ))
     }
 
     /// Forbidden-set connectivity: are `s` and `t` connected in `G ∖ F`?
@@ -707,6 +659,23 @@ impl ForbiddenSetOracle {
         fsdl_nets::parallel::run_indexed(n, |v| labeling.label_bits(NodeId::from_index(v)) as u64)
             .into_iter()
             .sum()
+    }
+}
+
+/// The oracle as the resolver's [`LabelSource`]: labels borrowed from the
+/// arena for as long as the oracle lives (no `Arc` traffic per query),
+/// edges asked of the graph.
+struct Arena<'a, 'v>(&'a ForbiddenSetOracle, &'v mut VarintScratch);
+
+impl<'a> LabelSource for Arena<'a, '_> {
+    type Label = &'a Label;
+
+    fn label(&mut self, v: NodeId) -> &'a Label {
+        self.0.slot_label(v, self.1)
+    }
+
+    fn is_edge(&self, a: NodeId, b: NodeId, _: &&'a Label) -> bool {
+        self.0.labeling.graph().has_edge(a, b)
     }
 }
 

@@ -270,12 +270,6 @@ impl PartitionPlan {
         self.assignment[v.index()]
     }
 
-    /// [`PartitionPlan::shard_of`] for untrusted ids: `None` when out of
-    /// range.
-    pub fn try_shard_of(&self, v: u32) -> Option<u32> {
-        self.assignment.get(v as usize).copied()
-    }
-
     /// The vertices assigned to `shard`, ascending.
     pub fn vertices_of(&self, shard: u32) -> Vec<NodeId> {
         self.assignment
@@ -315,12 +309,12 @@ impl PartitionPlan {
         }
         out.extend_from_slice(&store::fnv32(&out).to_le_bytes());
         let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .ok_or_else(|| PartitionError::Plan {
-                message: format!("{} is not a writable file path", path.display()),
-            })?;
+        let name =
+            path.file_name()
+                .and_then(|n| n.to_str())
+                .ok_or_else(|| PartitionError::Plan {
+                    message: format!("{} is not a writable file path", path.display()),
+                })?;
         store::write_atomic(dir.unwrap_or(Path::new(".")), name, &out)?;
         Ok(())
     }
@@ -333,8 +327,8 @@ impl PartitionPlan {
     /// [`PartitionError::Plan`] on any malformation; never panics.
     pub fn load(path: &Path) -> Result<PartitionPlan, PartitionError> {
         let plan_err = |message: String| PartitionError::Plan { message };
-        let bytes = std::fs::read(path)
-            .map_err(|e| plan_err(format!("{}: {e}", path.display())))?;
+        let bytes =
+            std::fs::read(path).map_err(|e| plan_err(format!("{}: {e}", path.display())))?;
         if bytes.len() < 29 {
             return Err(plan_err(format!("plan file is {} bytes", bytes.len())));
         }
@@ -389,17 +383,11 @@ impl PartitionPlan {
 /// segment can never be opened as the full store, as another shard, or
 /// under a different shard count (FNV-1a over the three values).
 fn shard_fingerprint(graph_fp: u64, shard: u32, num_shards: u32) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&graph_fp.to_le_bytes());
-    eat(&shard.to_le_bytes());
-    eat(&num_shards.to_le_bytes());
-    h
+    let mut bytes = [0u8; 16];
+    bytes[..8].copy_from_slice(&graph_fp.to_le_bytes());
+    bytes[8..12].copy_from_slice(&shard.to_le_bytes());
+    bytes[12..].copy_from_slice(&num_shards.to_le_bytes());
+    store::fnv1a64(&bytes)
 }
 
 /// What [`write_shard_stores`] persisted for one shard.
@@ -460,9 +448,9 @@ pub fn write_shard_stores(
             message: e.to_string(),
         })?;
         let vertices = plan.vertices_of(shard);
-        let shard_encoded: Vec<(Vec<u8>, usize)> = vertices
+        let shard_encoded: Vec<(&[u8], usize)> = vertices
             .iter()
-            .map(|v| encoded[v.index()].clone())
+            .map(|v| (encoded[v.index()].0.as_slice(), encoded[v.index()].1))
             .collect();
         let generation = store::next_generation(&sub);
         let segment_bytes = store::write_segment(
@@ -565,8 +553,7 @@ impl ShardStore {
             path: meta_path.clone(),
             message,
         };
-        let bytes =
-            std::fs::read(&meta_path).map_err(|e| meta_err(format!("unreadable: {e}")))?;
+        let bytes = std::fs::read(&meta_path).map_err(|e| meta_err(format!("unreadable: {e}")))?;
         if bytes.len() < 49 {
             return Err(meta_err(format!("sidecar is {} bytes", bytes.len())));
         }
@@ -734,7 +721,7 @@ mod tests {
             for v in 0..128 {
                 assert!(plan.shard_of(NodeId::from_index(v)) < shards);
             }
-            let mut from_lists = vec![false; 128];
+            let mut from_lists = [false; 128];
             for s in 0..shards {
                 for v in plan.vertices_of(s) {
                     assert!(!from_lists[v.index()], "{v} assigned twice");
@@ -793,10 +780,9 @@ mod tests {
         assert_eq!(reports.iter().map(|r| r.labels).sum::<usize>(), 64);
         let loaded = PartitionPlan::load(&dir.join(PLAN_FILE_NAME)).expect("plan");
         assert_eq!(loaded, plan);
-        let mut seen = vec![false; 64];
+        let mut seen = [false; 64];
         for shard in 0..3 {
-            let store =
-                ShardStore::open(&dir.join(shard_dir_name(shard))).expect("open shard");
+            let store = ShardStore::open(&dir.join(shard_dir_name(shard))).expect("open shard");
             assert_eq!(store.shard(), shard);
             assert_eq!(store.num_shards(), 3);
             assert_eq!(store.total_vertices(), 64);
@@ -813,8 +799,7 @@ mod tests {
                 seen[v as usize] = true;
                 assert_eq!(plan.shard_of(NodeId::new(v)), shard);
                 // Bit-identical to the oracle's canonical wire form.
-                let (want, want_bits) =
-                    oracle.encoded_label(NodeId::new(v)).expect("encode");
+                let (want, want_bits) = oracle.encoded_label(NodeId::new(v)).expect("encode");
                 assert_eq!(bits, want_bits, "v{v} bit length");
                 assert_eq!(bytes, &want[..], "v{v} payload");
             }
@@ -850,7 +835,10 @@ mod tests {
         let other_meta = std::fs::read(dir.join(shard_dir_name(1)).join(SHARD_META_NAME))
             .expect("read shard 1 sidecar");
         std::fs::write(&meta, &other_meta).expect("cross-plant sidecar");
-        assert!(ShardStore::open(&sub).is_err(), "shard identity not enforced");
+        assert!(
+            ShardStore::open(&sub).is_err(),
+            "shard identity not enforced"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

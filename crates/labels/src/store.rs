@@ -234,8 +234,10 @@ fn io_err(path: &Path, e: &std::io::Error) -> StoreError {
     }
 }
 
-/// 64-bit FNV-1a over a byte slice (the store's fingerprint primitive).
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a over a byte slice: the one hash behind the store's
+/// fingerprints and every checksum of the store, the WAL and the shard
+/// sidecars.
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -493,18 +495,20 @@ pub fn write_manifest(dir: &Path, manifest: &Manifest) -> Result<(), StoreError>
 /// after this call leaves the previous generation current and openable.
 ///
 /// `encoded` holds each vertex's label encoding, in vertex order, as
-/// `(bytes, bit_len)` pairs produced by [`codec::try_encode`].
+/// `(bytes, bit_len)` pairs produced by [`codec::try_encode`] — owned or
+/// borrowed (`&[u8]`), so a writer of a subset (a shard) need not copy
+/// the labels it picks.
 ///
 /// Returns the segment's size in bytes.
-pub fn write_segment(
+pub fn write_segment<B: AsRef<[u8]>>(
     dir: &Path,
     generation: u64,
     params: &SchemeParams,
     graph_fingerprint: u64,
-    encoded: &[(Vec<u8>, usize)],
+    encoded: &[(B, usize)],
 ) -> Result<u64, StoreError> {
     let n = encoded.len();
-    let payload_len: usize = encoded.iter().map(|(b, _)| b.len()).sum();
+    let payload_len: usize = encoded.iter().map(|(b, _)| b.as_ref().len()).sum();
     let mut out = Vec::with_capacity(
         HEADER_BYTES + n * INDEX_ENTRY_BYTES + INDEX_CRC_BYTES + payload_len + CRC_BYTES,
     );
@@ -519,13 +523,13 @@ pub fn write_segment(
     for (bytes, bit_len) in encoded {
         out.extend_from_slice(&offset.to_le_bytes());
         out.extend_from_slice(&(*bit_len as u64).to_le_bytes());
-        offset += bytes.len() as u64;
+        offset += bytes.as_ref().len() as u64;
     }
     // Index checksum: covers header + index so a lazy open can certify
     // the offsets it will trust without reading the payload.
     out.extend_from_slice(&fnv32(&out).to_le_bytes());
     for (bytes, _) in encoded {
-        out.extend_from_slice(bytes);
+        out.extend_from_slice(bytes.as_ref());
     }
     out.extend_from_slice(&fnv32(&out).to_le_bytes());
     let size = out.len() as u64;
@@ -812,11 +816,6 @@ impl Segment {
     /// checksums) — the denominator of resident-vs-on-disk accounting.
     pub fn payload_bytes(&self) -> u64 {
         self.payload_len as u64
-    }
-
-    /// Total size of the segment file in bytes.
-    pub fn file_bytes(&self) -> u64 {
-        self.source.as_bytes().len() as u64
     }
 
     fn payload(&self) -> &[u8] {

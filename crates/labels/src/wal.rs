@@ -37,6 +37,7 @@ use std::path::{Path, PathBuf};
 use fsdl_graph::NodeId;
 
 use crate::crash::{self, CrashPoint};
+use crate::store::fnv32;
 
 /// Magic bytes opening every WAL file.
 pub const WAL_MAGIC: [u8; 8] = *b"FSDLWAL1";
@@ -143,21 +144,6 @@ fn io_err(path: &Path, e: &std::io::Error) -> WalError {
         path: path.to_path_buf(),
         message: e.to_string(),
     }
-}
-
-/// 64-bit FNV-1a (same primitive as the store's).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn fnv32(bytes: &[u8]) -> u32 {
-    let h = fnv1a64(bytes);
-    (h ^ (h >> 32)) as u32
 }
 
 /// One logged update, mirroring the [`crate::DynamicOracle`] update API.

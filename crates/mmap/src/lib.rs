@@ -58,12 +58,6 @@ impl OwnedBytes {
         f.read_to_end(&mut bytes)?;
         Ok(OwnedBytes { bytes })
     }
-
-    /// Wrap an in-memory buffer (used by tests and by writers that just
-    /// produced the bytes).
-    pub fn from_vec(bytes: Vec<u8>) -> OwnedBytes {
-        OwnedBytes { bytes }
-    }
 }
 
 impl ByteSource for OwnedBytes {

@@ -128,10 +128,10 @@ impl Client {
     /// replies legitimately exceed [`protocol::MAX_FRAME`] (labels are
     /// poly(1/eps, log n) bytes each), so `label_fetch` reads under the
     /// larger [`protocol::MAX_LABEL_FRAME`] cap.
-    fn roundtrip_with(&mut self, request: &Request, max_frame: u32) -> Result<Response, ClientError> {
+    fn roundtrip_with(&mut self, request: &Request, cap: u32) -> Result<Response, ClientError> {
         protocol::send_request(&mut self.stream, request, &mut self.encode_buf)
             .map_err(ClientError::from)?;
-        match protocol::read_frame(&mut self.stream, max_frame, &mut self.frame_buf)? {
+        match protocol::read_frame(&mut self.stream, cap, &mut self.frame_buf)? {
             FrameRead::Eof => Err(ClientError::Closed),
             FrameRead::Frame => Ok(Response::decode(&self.frame_buf)?),
         }

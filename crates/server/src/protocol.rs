@@ -247,14 +247,6 @@ impl WireFaults {
         WireFaults::default()
     }
 
-    /// Builds wire faults from an in-memory [`FaultSet`].
-    pub fn from_fault_set(f: &FaultSet) -> Self {
-        WireFaults {
-            vertices: f.vertices().map(NodeId::raw).collect(),
-            edges: f.edges().map(|e| (e.lo().raw(), e.hi().raw())).collect(),
-        }
-    }
-
     /// Whether no fault is named.
     pub fn is_empty(&self) -> bool {
         self.vertices.is_empty() && self.edges.is_empty()

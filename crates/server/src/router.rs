@@ -23,8 +23,9 @@
 //!    requests without ids on the wire.
 //! 4. **Decode + answer locally**: a worker pool decodes the gathered
 //!    raw labels with the per-worker [`DecodeScratch`] fast path and
-//!    runs [`fsdl_labels::query_with_scratch`] — the *same* entry point
-//!    the single-process server uses — so answers are bit-identical:
+//!    answers through the code the single-process server answers
+//!    through — `QueryFrame::answer` over [`fsdl_labels::resolve`] and
+//!    [`fsdl_labels::query_with_scratch`] — so answers are bit-identical:
 //!    same distances, same sketch sizes, same witness paths.
 //!
 //! ## Failure semantics
@@ -37,11 +38,13 @@
 //!   restarted onto a new build) also answers `Unavailable` — mixing
 //!   labels from different generations could silently combine two
 //!   different labelings, so the router refuses rather than guesses.
-//! - The router holds no graph, but validates like the single-process
-//!   server: ids are range-checked against the plan, and a fault edge
-//!   that is not an edge of `G` is a `BadRequest` with the server's
-//!   message — decided from the labels already gathered, because the
-//!   lowest level of `L(a)` stores every real edge at `a`.
+//! - The router is a server whose label source is remote: which
+//!   `(s, t, F)` is malformed, and the reply that says so, are
+//!   [`fsdl_labels::resolve`]'s and `QueryFrame`'s, not restated here.
+//!   The router only supplies the two [`LabelSource`]s: `Planned`
+//!   before the gather (ids recorded, range checked against the plan)
+//!   and `Gathered` after it (no graph, so a fault edge is looked up
+//!   in the lowest level of `L(a)`, which stores every edge at `a`).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,18 +54,17 @@ use std::time::{Duration, Instant};
 use fsdl_graph::NodeId;
 use fsdl_labels::codec::{self, VarintScratch};
 use fsdl_labels::partition::PartitionPlan;
-use fsdl_labels::{
-    query_with_scratch, DecodeScratch, Label, OracleError, QueryLabels, SchemeParams,
-};
+use fsdl_labels::resolve::{resolve, LabelSource, Malformed};
+use fsdl_labels::{query_with_scratch, DecodeScratch, Label, OracleError, SchemeParams};
 use fsdl_reactor::{Interest, Poller};
 
 use crate::client::{Client, ClientError};
 use crate::plane::{handler_token, ConnPlane, Core, Handler, PlaneConfig, PlaneCounters, Wire};
 use crate::protocol::{
-    error_reply, BatchItem, ErrorCode, ErrorReply, FrameStep, QueryReply, Request, Response,
-    StatsReply, WireError, WireFaults, MAX_FRAME, MAX_LABEL_FETCH, MAX_LABEL_FRAME,
+    error_reply, ErrorCode, ErrorReply, FrameStep, Request, Response, StatsReply, WireError,
+    MAX_FRAME, MAX_LABEL_FETCH, MAX_LABEL_FRAME,
 };
-use crate::server::{Endpoint, ShutdownHandle};
+use crate::server::{Endpoint, QueryFrame, ShutdownHandle};
 
 /// Router tunables.
 #[derive(Clone, Debug)]
@@ -190,15 +192,8 @@ struct ShardIdentity {
     vertices: u64,
 }
 
-/// A parsed client request the router can answer (everything else is
-/// rejected before join state is created).
-enum PlannedRequest {
-    Query { s: u32, t: u32, faults: WireFaults },
-    Batch(Vec<(u32, u32, WireFaults)>),
-}
-
 /// vertex id -> (encoded bytes, bit length), filled as chunks land.
-type Gathered = HashMap<u32, (Vec<u8>, u32)>;
+type EncodedLabels = HashMap<u32, (Vec<u8>, u32)>;
 
 /// Join state for one in-flight scatter-gather.
 struct Pending {
@@ -213,8 +208,10 @@ struct Pending {
 
 /// A gathered request on its way to a decode worker.
 struct GatherJob {
-    request: PlannedRequest,
-    labels: Gathered,
+    frame: QueryFrame,
+    /// Every id the frame's answer reads, as [`needed_ids`] planned it.
+    ids: Vec<u32>,
+    labels: EncodedLabels,
 }
 
 /// One pooled upstream connection to a shard, registered on the plane's
@@ -436,10 +433,10 @@ impl Handler for Gather {
         let reply = match Request::decode(&frame) {
             Err(wire_err) => error_reply(wire_err.code(), wire_err.to_string()),
             Ok(Request::Query { s, t, faults }) => {
-                return self.start_gather(core, token, PlannedRequest::Query { s, t, faults });
+                return self.start_gather(core, token, QueryFrame::Query((s, t, faults)));
             }
             Ok(Request::Batch(queries)) => {
-                return self.start_gather(core, token, PlannedRequest::Batch(queries));
+                return self.start_gather(core, token, QueryFrame::Batch(queries));
             }
             Ok(Request::Stats) => {
                 let totals = self.counters.report();
@@ -536,13 +533,11 @@ impl Gather {
 
     /// Plans and launches one scatter-gather, or answers immediately
     /// when validation fails or a needed shard has no live connection.
-    fn start_gather(&mut self, core: &mut Core<GatherJob>, token: u64, request: PlannedRequest) {
-        let n = self.plan.num_vertices();
-        let ids = needed_ids(&request);
-        if let Some(&bad) = ids.iter().find(|&&v| v as usize >= n) {
-            let message = format!("vertex {bad} out of range for a graph of {n} vertices");
-            return core.reply(token, &error_reply(ErrorCode::BadRequest, message));
-        }
+    fn start_gather(&mut self, core: &mut Core<GatherJob>, token: u64, frame: QueryFrame) {
+        let ids = match needed_ids(self.plan.num_vertices(), &frame) {
+            Ok(ids) => ids,
+            Err(rejected) => return core.reply(token, &rejected),
+        };
         // Group the (sorted, deduped) ids by owning shard, then chunk
         // each group at the wire cap.
         let mut by_shard: HashMap<u32, Vec<u32>> = HashMap::new();
@@ -573,8 +568,9 @@ impl Gather {
             Pending {
                 client: token,
                 job: GatherJob {
-                    request,
+                    frame,
                     labels: HashMap::with_capacity(ids.len()),
+                    ids,
                 },
                 outstanding: routes.len(),
                 failed: None,
@@ -770,112 +766,91 @@ impl Gather {
     }
 }
 
-/// Every vertex id a request's answer needs: endpoints plus the fault
-/// elements that survive [`WireFaults::to_fault_set`] (so a self-loop
-/// fault edge is dropped here exactly as the single-process server
-/// drops it). Sorted and deduplicated.
-fn needed_ids(request: &PlannedRequest) -> Vec<u32> {
-    let mut ids = Vec::new();
-    let mut push_query = |s: u32, t: u32, faults: &WireFaults| {
-        ids.push(s);
-        ids.push(t);
-        let fault_set = faults.to_fault_set();
-        ids.extend(fault_set.vertices().map(NodeId::raw));
-        for e in fault_set.edges() {
-            ids.push(e.lo().raw());
-            ids.push(e.hi().raw());
-        }
-    };
-    match request {
-        PlannedRequest::Query { s, t, faults } => push_query(*s, *t, faults),
-        PlannedRequest::Batch(items) => {
-            for (s, t, faults) in items {
-                push_query(*s, *t, faults);
-            }
-        }
+/// The resolver's source before any label is here: records the ids asked
+/// for and takes every fault edge's word for it, so what remains of the
+/// walk is its range checks.
+struct Planned(Vec<u32>);
+
+impl LabelSource for Planned {
+    type Label = ();
+
+    fn label(&mut self, v: NodeId) {
+        self.0.push(v.raw());
     }
-    ids.sort_unstable();
-    ids.dedup();
-    ids
+
+    fn is_edge(&self, _: NodeId, _: NodeId, _: &()) -> bool {
+        true
+    }
 }
 
-/// Decodes every gathered label once, validating ownership and internal
-/// consistency — a shard that returns bytes for the wrong vertex or a
-/// corrupt label is a typed `Internal` error, never a wrong answer.
+/// The resolver's source once the scatter-gather has landed. The router
+/// holds no graph, but the lowest level of `L(a)` stores every edge at `a`.
+struct Gathered<'a>(&'a HashMap<u32, Label>);
+
+impl<'a> LabelSource for Gathered<'a> {
+    type Label = &'a Label;
+
+    fn label(&mut self, v: NodeId) -> &'a Label {
+        self.0
+            .get(&v.raw())
+            .expect("decode_gathered decoded every id this same walk planned")
+    }
+
+    fn is_edge(&self, a: NodeId, b: NodeId, label_a: &&'a Label) -> bool {
+        let low_level = label_a.levels.first();
+        low_level.is_some_and(|level| level.has_real_edge(a, b))
+    }
+}
+
+/// Every vertex id the frame's answer reads, sorted and deduplicated —
+/// or the reply to a frame that names an id outside the graph, the same
+/// one the single-process server sends: this is the walk that will
+/// answer the frame ([`resolve`]), run against a source that only
+/// records.
+fn needed_ids(n: usize, frame: &QueryFrame) -> Result<Vec<u32>, Response> {
+    let mut planned = Planned(Vec::new());
+    for (k, (s, t, faults)) in frame.items().iter().enumerate() {
+        let (s, t, faults) = (NodeId::new(*s), NodeId::new(*t), faults.to_fault_set());
+        resolve(n, &mut planned, s, t, &faults, Malformed::Reject)
+            .map_err(|e| frame.rejection(k, e))?;
+    }
+    planned.0.sort_unstable();
+    planned.0.dedup();
+    Ok(planned.0)
+}
+
+/// Decodes the label of every planned id once, validating ownership and
+/// internal consistency — a shard that returns bytes for the wrong vertex
+/// or a corrupt label is a typed `Internal` error, never a wrong answer.
 fn decode_gathered(
-    labels: &Gathered,
+    ids: &[u32],
+    labels: &EncodedLabels,
     n: usize,
     varints: &mut VarintScratch,
 ) -> Result<HashMap<u32, Label>, Response> {
-    let mut decoded = HashMap::with_capacity(labels.len());
-    for (&v, (bytes, bit_len)) in labels {
-        let label = match codec::decode_with(bytes, *bit_len as usize, n, varints) {
-            Ok(l) => l,
-            Err(e) => {
-                return Err(Response::Error(ErrorReply {
-                    code: ErrorCode::Internal,
-                    message: format!("label for vertex {v} failed to decode: {e}"),
-                }));
-            }
+    let mut decoded = HashMap::with_capacity(ids.len());
+    for &v in ids {
+        let Some((bytes, bit_len)) = labels.get(&v) else {
+            let message = format!("gathered label set is missing vertex {v}");
+            return Err(error_reply(ErrorCode::Internal, message));
         };
+        let label = codec::decode_with(bytes, *bit_len as usize, n, varints).map_err(|e| {
+            let message = format!("label for vertex {v} failed to decode: {e}");
+            error_reply(ErrorCode::Internal, message)
+        })?;
         if label.owner != NodeId::new(v) || label.validate().is_err() {
-            return Err(Response::Error(ErrorReply {
-                code: ErrorCode::Internal,
-                message: format!("shard returned an inconsistent label for vertex {v}"),
-            }));
+            let message = format!("shard returned an inconsistent label for vertex {v}");
+            return Err(error_reply(ErrorCode::Internal, message));
         }
         decoded.insert(v, label);
     }
     Ok(decoded)
 }
 
-/// Answers one (s, t, F) against the decoded label map — the same
-/// [`query_with_scratch`] call, fed the same labels in the same
-/// [`QueryLabels`] order (sorted fault ids) as the single-process server,
-/// so the answer is bit-identical.
-fn answer_one(
-    s: u32,
-    t: u32,
-    faults: &WireFaults,
-    decoded: &HashMap<u32, Label>,
-    params: &SchemeParams,
-    scratch: &mut DecodeScratch,
-) -> Result<fsdl_labels::QueryAnswer, Response> {
-    let label = |v: NodeId| {
-        decoded.get(&v.raw()).ok_or_else(|| {
-            error_reply(
-                ErrorCode::Internal,
-                format!("gathered label set is missing vertex {v}"),
-            )
-        })
-    };
-    let fault_set = faults.to_fault_set();
-    let mut query_labels = QueryLabels::none();
-    for v in fault_set.vertices() {
-        query_labels.fault_vertices.push(label(v)?);
-    }
-    for e in fault_set.edges() {
-        let (a, b) = (e.lo(), e.hi());
-        let (la, lb) = (label(a)?, label(b)?);
-        // No graph here, but L(a)'s lowest level holds every edge at a.
-        let low_level = la.levels.first();
-        if !low_level.is_some_and(|level| level.has_real_edge(a, b)) {
-            let message = OracleError::FaultEdgeNotInGraph { a, b }.to_string();
-            return Err(error_reply(ErrorCode::BadRequest, message));
-        }
-        query_labels.fault_edges.push((la, lb));
-    }
-    Ok(query_with_scratch(
-        params,
-        label(NodeId::new(s))?,
-        label(NodeId::new(t))?,
-        &query_labels,
-        scratch,
-    ))
-}
-
-/// The worker-side terminal: decode the gathered labels, answer every
-/// query in the frame.
+/// The worker-side terminal: decode the gathered labels, then answer the
+/// frame as the single-process server does — [`QueryFrame::answer`] over
+/// the same [`resolve`] and the same [`query_with_scratch`], fed the same
+/// labels in the same order, so the answer is bit-identical.
 fn compute_answer(job: &GatherJob, worker: &mut GatherWorker) -> Response {
     let GatherWorker {
         params,
@@ -883,44 +858,29 @@ fn compute_answer(job: &GatherJob, worker: &mut GatherWorker) -> Response {
         scratch,
         varints,
     } = worker;
-    let decoded = match decode_gathered(&job.labels, params.n(), varints) {
+    let n = params.n();
+    let decoded = match decode_gathered(&job.ids, &job.labels, n, varints) {
         Ok(d) => d,
         Err(resp) => return resp,
     };
-    match &job.request {
-        PlannedRequest::Query { s, t, faults } => {
-            match answer_one(*s, *t, faults, &decoded, params, scratch) {
-                Ok(answer) => {
-                    counters.queries.fetch_add(1, Ordering::Relaxed);
-                    Response::Query(QueryReply::from_answer(&answer))
-                }
-                Err(resp) => resp,
-            }
-        }
-        PlannedRequest::Batch(items) => {
-            let mut out = Vec::with_capacity(items.len());
-            for (s, t, faults) in items {
-                match answer_one(*s, *t, faults, &decoded, params, scratch) {
-                    Ok(answer) => out.push(BatchItem::from_answer(&answer)),
-                    // The single-process server's wording for a bad item.
-                    Err(Response::Error(e)) if e.code == ErrorCode::BadRequest => {
-                        let message = format!("batch item {}: {}", out.len(), e.message);
-                        return error_reply(ErrorCode::BadRequest, message);
-                    }
-                    Err(resp) => return resp,
-                }
-            }
-            counters
-                .batch_queries
-                .fetch_add(out.len() as u64, Ordering::Relaxed);
-            Response::Batch(out)
-        }
-    }
+    let (queries, batch_queries) = (&counters.queries, &counters.batch_queries);
+    job.frame.answer(queries, batch_queries, |s, t, faults| {
+        let resolved = resolve(n, &mut Gathered(&decoded), s, t, faults, Malformed::Reject)?;
+        let (source, target, fault_labels) = resolved.into_labels();
+        Ok::<_, OracleError>(query_with_scratch(
+            params,
+            source,
+            target,
+            &fault_labels,
+            scratch,
+        ))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::WireFaults;
 
     #[test]
     fn needed_ids_dedups_and_follows_fault_set_filtering() {
@@ -928,8 +888,8 @@ mod tests {
             vertices: vec![7, 3, 7],
             edges: vec![(5, 5), (2, 9)], // (5,5) is a self-loop: dropped
         };
-        let ids = needed_ids(&PlannedRequest::Query { s: 3, t: 9, faults });
-        assert_eq!(ids, vec![2, 3, 7, 9]);
+        let ids = needed_ids(10, &QueryFrame::Query((3, 9, faults)));
+        assert_eq!(ids.unwrap(), vec![2, 3, 7, 9]);
     }
 
     #[test]
@@ -945,7 +905,7 @@ mod tests {
                 },
             ),
         ];
-        let ids = needed_ids(&PlannedRequest::Batch(items));
-        assert_eq!(ids, vec![0, 1, 2, 4]);
+        let ids = needed_ids(5, &QueryFrame::Batch(items));
+        assert_eq!(ids.unwrap(), vec![0, 1, 2, 4]);
     }
 }

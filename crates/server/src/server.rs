@@ -16,6 +16,11 @@
 //!   serving. Nothing in the serving path panics on untrusted input — the
 //!   decode layer is the panic-free path proven by the `labels::corrupt`
 //!   harnesses.
+//! - **One query reply path.** `QueryFrame::answer` turns a `query` or
+//!   `batch` frame into its reply for this handler's workers and the
+//!   router's alike. Which `(s, t, F)` is malformed is not decided here
+//!   but by [`fsdl_labels::resolve`], whose docs state the rule; `route`
+//!   and the static `label-fetch` go through the same checks.
 //! - **Rebuild drain.** In dynamic mode, once the plane has drained, the
 //!   oracle finishes any background rebuild before the unix socket file is
 //!   removed and [`Server::run`] returns, so the WAL and store are
@@ -27,9 +32,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
-use fsdl_graph::NodeId;
+use fsdl_graph::{FaultSet, NodeId};
 use fsdl_labels::partition::ShardStore;
-use fsdl_labels::{DecodeScratch, DynamicOracle, ForbiddenSetOracle, QueryAnswer};
+use fsdl_labels::resolve::check_vertex;
+use fsdl_labels::{DecodeScratch, DynamicOracle, QueryAnswer};
 use fsdl_routing::Network;
 
 use crate::plane::{ConnPlane, Core, Handler, PlaneConfig, PlaneCounters};
@@ -208,11 +214,6 @@ impl ShutdownHandle {
     pub fn signal(&self) {
         self.0.store(true, Ordering::SeqCst);
     }
-
-    /// Whether shutdown has been requested.
-    pub fn is_signaled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
 }
 
 /// The server's [`Handler`]: every complete frame goes to a worker,
@@ -327,57 +328,69 @@ impl Server {
     }
 }
 
-/// A query-answering engine, resolved once per frame so a dynamic batch
-/// is answered under one read guard.
-enum Answerer<'a> {
-    Static(&'a ForbiddenSetOracle),
-    Dynamic(std::sync::RwLockReadGuard<'a, DynamicOracle>),
+/// A `query` or `batch` frame: what [`Server`] and [`crate::Router`]
+/// answer through the same code, whatever holds the labels.
+pub(crate) enum QueryFrame {
+    /// One `(s, t, F)`, answered with a [`Response::Query`].
+    Query((u32, u32, WireFaults)),
+    /// Many, answered with one [`Response::Batch`] or the first rejection.
+    Batch(Vec<(u32, u32, WireFaults)>),
 }
 
-impl ServeEngine {
-    /// The engine's query side, or the typed reply for a frame this mode
-    /// cannot answer. `per_query_faults`: the frame names forbidden sets.
-    fn answerer(&self, per_query_faults: bool) -> Result<Answerer<'_>, Response> {
+impl QueryFrame {
+    /// The frame's queries, in order.
+    pub(crate) fn items(&self) -> &[(u32, u32, WireFaults)] {
         match self {
-            ServeEngine::Static(net) => Ok(Answerer::Static(net.oracle())),
-            ServeEngine::Dynamic(_) if per_query_faults => Err(error_reply(
-                ErrorCode::UnsupportedInMode,
-                "dynamic mode serves the oracle's current fault set; \
-                 send update frames instead of per-query faults",
-            )),
-            ServeEngine::Dynamic(dyn_oracle) => Ok(Answerer::Dynamic(read_lock(dyn_oracle))),
-            ServeEngine::Shard(_) => Err(error_reply(
-                ErrorCode::UnsupportedInMode,
-                "a shard serves label-fetch only; send queries to the router",
-            )),
+            QueryFrame::Query(item) => std::slice::from_ref(item),
+            QueryFrame::Batch(items) => items,
         }
     }
-}
 
-impl Answerer<'_> {
-    /// One `(s, t, F)`; `Err` is the `BadRequest` message.
-    fn answer(
-        &self,
-        s: u32,
-        t: u32,
-        faults: &WireFaults,
-        scratch: &mut DecodeScratch,
-    ) -> Result<QueryAnswer, String> {
-        let (s, t) = (NodeId::new(s), NodeId::new(t));
+    /// The reply to a frame whose query `k` is malformed — the one place
+    /// the `BadRequest` mapping and the batch prefix are written, used
+    /// when answering and by the router's pre-gather check alike.
+    pub(crate) fn rejection(&self, k: usize, e: impl std::fmt::Display) -> Response {
         match self {
-            Answerer::Static(oracle) => oracle
-                .try_query_with(s, t, &faults.to_fault_set(), scratch)
-                .map_err(|e| e.to_string()),
-            // The dynamic oracle reports the distance alone.
-            Answerer::Dynamic(guard) => guard
-                .try_distance_with(s, t, scratch)
-                .map(|distance| QueryAnswer {
-                    distance,
-                    path: Vec::new(),
-                    sketch_vertices: 0,
-                    sketch_edges: 0,
-                })
-                .map_err(|e| e.to_string()),
+            QueryFrame::Query(_) => error_reply(ErrorCode::BadRequest, e.to_string()),
+            QueryFrame::Batch(_) => {
+                error_reply(ErrorCode::BadRequest, format!("batch item {k}: {e}"))
+            }
+        }
+    }
+
+    /// Answers the frame one `(s, t, F)` at a time through `answer` (in
+    /// every engine a call into the [`fsdl_labels::resolve`] front-end
+    /// and the decoder), stopping at the first rejection, and counts what
+    /// was answered.
+    pub(crate) fn answer<E: std::fmt::Display>(
+        &self,
+        queries: &AtomicU64,
+        batch_queries: &AtomicU64,
+        mut answer: impl FnMut(NodeId, NodeId, &FaultSet) -> Result<QueryAnswer, E>,
+    ) -> Response {
+        let mut one = |k: usize, (s, t, faults): &(u32, u32, WireFaults)| {
+            answer(NodeId::new(*s), NodeId::new(*t), &faults.to_fault_set())
+                .map_err(|e| self.rejection(k, e))
+        };
+        match self {
+            QueryFrame::Query(item) => match one(0, item) {
+                Ok(answer) => {
+                    queries.fetch_add(1, Ordering::Relaxed);
+                    Response::Query(QueryReply::from_answer(&answer))
+                }
+                Err(rejected) => rejected,
+            },
+            QueryFrame::Batch(items) => {
+                let mut replies = Vec::with_capacity(items.len());
+                for (k, item) in items.iter().enumerate() {
+                    match one(k, item) {
+                        Ok(answer) => replies.push(BatchItem::from_answer(&answer)),
+                        Err(rejected) => return rejected,
+                    }
+                }
+                batch_queries.fetch_add(replies.len() as u64, Ordering::Relaxed);
+                Response::Batch(replies)
+            }
         }
     }
 }
@@ -410,55 +423,62 @@ fn pack_label_prefix<'a>(
 }
 
 impl Serve {
+    /// Answers a `query`/`batch` frame from the engine's query side, or
+    /// with the typed reply for a frame this mode cannot answer. A dynamic
+    /// frame is answered under one read guard.
+    fn answer(&self, frame: &QueryFrame, scratch: &mut DecodeScratch) -> Response {
+        let (queries, batch_queries) = (&self.counters.queries, &self.counters.batch_queries);
+        match &self.engine {
+            ServeEngine::Static(net) => frame.answer(queries, batch_queries, |s, t, faults| {
+                net.oracle().try_query_with(s, t, faults, scratch)
+            }),
+            ServeEngine::Dynamic(_) if frame.items().iter().any(|(_, _, f)| !f.is_empty()) => {
+                error_reply(
+                    ErrorCode::UnsupportedInMode,
+                    "dynamic mode serves the oracle's current fault set; \
+                     send update frames instead of per-query faults",
+                )
+            }
+            ServeEngine::Dynamic(dyn_oracle) => {
+                let guard = read_lock(dyn_oracle);
+                // The dynamic oracle reports the distance alone.
+                frame.answer(queries, batch_queries, |s, t, _| {
+                    guard
+                        .try_distance_with(s, t, scratch)
+                        .map(|distance| QueryAnswer {
+                            distance,
+                            path: Vec::new(),
+                            sketch_vertices: 0,
+                            sketch_edges: 0,
+                        })
+                })
+            }
+            ServeEngine::Shard(_) => error_reply(
+                ErrorCode::UnsupportedInMode,
+                "a shard serves label-fetch only; send queries to the router",
+            ),
+        }
+    }
+
     /// Dispatches one decoded request against the engine.
     fn handle(&self, request: Request, scratch: &mut DecodeScratch) -> Response {
         let engine = &self.engine;
         let counters = &*self.counters;
         match request {
             Request::Query { s, t, faults } => {
-                let answerer = match engine.answerer(!faults.is_empty()) {
-                    Ok(a) => a,
-                    Err(unsupported) => return unsupported,
-                };
-                match answerer.answer(s, t, &faults, scratch) {
-                    Ok(answer) => {
-                        counters.queries.fetch_add(1, Ordering::Relaxed);
-                        Response::Query(QueryReply::from_answer(&answer))
-                    }
-                    Err(e) => error_reply(ErrorCode::BadRequest, e),
-                }
+                self.answer(&QueryFrame::Query((s, t, faults)), scratch)
             }
-            Request::Batch(queries) => {
-                let answerer = match engine.answerer(queries.iter().any(|(_, _, f)| !f.is_empty()))
-                {
-                    Ok(a) => a,
-                    Err(unsupported) => return unsupported,
-                };
-                let mut items = Vec::with_capacity(queries.len());
-                for (s, t, faults) in &queries {
-                    match answerer.answer(*s, *t, faults, scratch) {
-                        Ok(answer) => items.push(BatchItem::from_answer(&answer)),
-                        Err(e) => {
-                            return error_reply(
-                                ErrorCode::BadRequest,
-                                format!("batch item {}: {e}", items.len()),
-                            );
-                        }
-                    }
-                }
-                counters
-                    .batch_queries
-                    .fetch_add(items.len() as u64, Ordering::Relaxed);
-                Response::Batch(items)
-            }
+            Request::Batch(queries) => self.answer(&QueryFrame::Batch(queries), scratch),
             Request::Route { s, t, faults } => match engine {
                 ServeEngine::Static(net) => {
-                    let g = net.oracle().labeling().graph();
-                    if s as usize >= g.num_vertices() || t as usize >= g.num_vertices() {
-                        return error_reply(ErrorCode::BadRequest, "route endpoint out of range");
+                    let (s, t, faults) = (NodeId::new(s), NodeId::new(t), faults.to_fault_set());
+                    // `route` is lenient like `ForbiddenSetOracle::query`; a
+                    // frame is held to the rule a `query` frame is.
+                    if let Err(e) = net.oracle().resolve(s, t, &faults) {
+                        return error_reply(ErrorCode::BadRequest, e.to_string());
                     }
                     counters.routes.fetch_add(1, Ordering::Relaxed);
-                    match net.route(NodeId::new(s), NodeId::new(t), &faults.to_fault_set()) {
+                    match net.route(s, t, &faults) {
                         Ok(delivery) => Response::Route(RouteReply::Delivered {
                             hops: sat_u32(delivery.hops),
                             header_bits: sat_u32(delivery.header_bits),
@@ -550,14 +570,11 @@ impl Serve {
                         let n = oracle.labeling().graph().num_vertices();
                         let params = oracle.labeling().params();
                         let packed = pack_label_prefix(&vertices, budget, |v| {
-                            if v as usize >= n {
-                                return Err(error_reply(
-                                    ErrorCode::BadRequest,
-                                    format!("vertex {v} out of range for n={n}"),
-                                ));
-                            }
+                            let v = NodeId::new(v);
+                            check_vertex(n, v)
+                                .map_err(|e| error_reply(ErrorCode::BadRequest, e.to_string()))?;
                             let (bytes, bit_len) = oracle
-                                .encoded_label(NodeId::new(v))
+                                .encoded_label(v)
                                 .map_err(|e| error_reply(ErrorCode::Internal, e.to_string()))?;
                             Ok((Cow::Owned(bytes), bit_len))
                         });
@@ -588,11 +605,6 @@ impl Serve {
             }
         }
     }
-}
-
-/// Builds wire faults from raw parts (loadgen convenience).
-pub fn wire_faults(vertices: Vec<u32>, edges: Vec<(u32, u32)>) -> WireFaults {
-    WireFaults { vertices, edges }
 }
 
 #[cfg(test)]

@@ -13,13 +13,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fsdl_graph::generators;
+use fsdl_graph::{generators, NodeId};
 use fsdl_labels::partition::{shard_dir_name, PartitionPlan, ShardStore};
-use fsdl_labels::{write_shard_stores, ForbiddenSetOracle};
+use fsdl_labels::{write_shard_stores, DecodeScratch, ForbiddenSetOracle};
 use fsdl_routing::Network;
 use fsdl_server::{
-    Client, ClientError, Endpoint, ErrorCode, Request, Response, Router, RouterConfig, ServeEngine,
-    Server, ServerConfig, ShutdownHandle, WireFaults,
+    Client, Endpoint, ErrorCode, Request, Response, Router, RouterConfig, ServeEngine, Server,
+    ServerConfig, ShutdownHandle, WireFaults,
 };
 
 fn scratch_sock(tag: &str) -> PathBuf {
@@ -485,47 +485,160 @@ fn one_worker_behind_idle_crowd(front: Front) {
     assert_eq!(report.connections, 51);
 }
 
-/// A fault edge that is not an edge of `G` is a malformed request on
-/// either front: the server decides it from its graph, the router from the
-/// labels it gathered, and both send the same typed reply word for word —
-/// for a single query and for a batch item — then keep serving.
+/// One query front-end on both fronts: a malformed `(s, t, F)` gets the
+/// same typed reply, byte for byte, from the server (which asks its graph)
+/// and from the router (which has only the plan and the labels it
+/// gathered), worded as the in-process `try_query_with` words it — for a
+/// single query and for a batch item — and the connection keeps serving.
+/// The same goes for forbidden sets that merely look odd: they are served,
+/// with equal replies.
 #[test]
-fn non_edge_fault_edge_is_the_same_bad_request_on_both_fronts() {
-    let replies = FRONTS.map(non_edge_fault_edge);
-    assert_eq!(replies[0], replies[1], "server vs router wording");
-}
+fn malformed_queries_get_the_same_reply_on_both_fronts() {
+    let oracle = ForbiddenSetOracle::new(&generators::grid2d(6, 6), 0.5);
+    let faults = |vertices: &[u32], edges: &[(u32, u32)]| WireFaults {
+        vertices: vertices.to_vec(),
+        edges: edges.to_vec(),
+    };
+    // On the 6x6 grid (n = 36), 0 and 7 are diagonal neighbours: no edge.
+    let rejected = [
+        ("s out of range", 40, 35, faults(&[], &[])),
+        ("t out of range", 0, 36, faults(&[], &[])),
+        ("fault vertex out of range", 0, 35, faults(&[7, 99], &[])),
+        (
+            "the smallest bad fault vertex is named",
+            0,
+            35,
+            faults(&[90, 50], &[]),
+        ),
+        (
+            "fault-edge endpoint out of range",
+            0,
+            35,
+            faults(&[], &[(77, 1)]),
+        ),
+        ("non-edge fault edge", 0, 35, faults(&[], &[(0, 7)])),
+        (
+            "faults are checked after both endpoints",
+            0,
+            36,
+            faults(&[99], &[]),
+        ),
+    ];
+    // (label, the odd forbidden set, the plain one it must be served as)
+    let served = [
+        (
+            "self-loop fault edge",
+            faults(&[7], &[(5, 5)]),
+            faults(&[7], &[]),
+        ),
+        (
+            "duplicated fault",
+            faults(&[7, 8, 7], &[]),
+            faults(&[8, 7], &[]),
+        ),
+        (
+            "both orientations",
+            faults(&[], &[(0, 1), (1, 0)]),
+            faults(&[], &[(0, 1)]),
+        ),
+    ];
 
-fn non_edge_fault_edge(front: Front) -> [String; 2] {
-    let (endpoint, handle) = spawn_front(front, scratch_sock("nonedge"), ServerConfig::default());
-    let mut client = Client::connect(&endpoint).expect("connect");
-    // On the 6x6 grid, 0 and 7 are diagonal neighbours: no edge.
-    let phantom = || WireFaults {
-        vertices: vec![],
-        edges: vec![(0, 7)],
+    let mut fronts: Vec<(Front, UnixStream, Endpoint, Running)> = FRONTS
+        .into_iter()
+        .map(|front| {
+            let (endpoint, handle) =
+                spawn_front(front, scratch_sock("parity"), ServerConfig::default());
+            (front, connect_raw(&endpoint), endpoint, handle)
+        })
+        .collect();
+    // The reply bytes of each front, asserted equal.
+    let mut ask = |what: &str, request: &Request| -> Vec<u8> {
+        let replies: Vec<Vec<u8>> = fronts
+            .iter_mut()
+            .map(|(front, conn, _, _)| {
+                conn.write_all(&encode_frame(request)).expect("write");
+                read_reply(conn).unwrap_or_else(|| panic!("{what}: {front:?} closed"))
+            })
+            .collect();
+        assert_eq!(replies[0], replies[1], "{what}: server vs router bytes");
+        replies.into_iter().next().expect("two fronts")
     };
-    let bad_request = |result: Result<(), ClientError>| match result {
-        Err(ClientError::Server(e)) => {
-            assert_eq!(e.code, ErrorCode::BadRequest, "{front:?}: {e:?}");
-            e.message
+    let bad_request = |what: &str, reply: &[u8]| -> String {
+        match Response::decode(reply).expect("decode") {
+            Response::Error(e) => {
+                assert_eq!(e.code, ErrorCode::BadRequest, "{what}: {e:?}");
+                e.message
+            }
+            other => panic!("{what}: expected BadRequest, got {}", other.kind_name()),
         }
-        other => panic!("{front:?}: a non-edge fault edge must be BadRequest, got {other:?}"),
     };
-    let single = bad_request(client.query(0, 35, phantom()).map(drop));
-    assert!(single.contains("not an edge"), "{front:?}: {single}");
+
+    let mut scratch = DecodeScratch::new();
     let good = (0, 35, WireFaults::default());
-    let batch = bad_request(client.batch(vec![good, (1, 30, phantom())]).map(drop));
-    assert!(batch.starts_with("batch item 1: "), "{front:?}: {batch}");
-    // A real fault edge, in either orientation, is still served.
-    for edge in [(0, 1), (7, 6)] {
-        let faults = WireFaults {
-            vertices: vec![],
-            edges: vec![edge],
-        };
-        client.query(0, 35, faults).expect("real fault edge");
+    for (what, s, t, f) in &rejected {
+        let in_process = oracle
+            .try_query_with(
+                NodeId::new(*s),
+                NodeId::new(*t),
+                &f.to_fault_set(),
+                &mut scratch,
+            )
+            .expect_err(what)
+            .to_string();
+        let single = ask(
+            what,
+            &Request::Query {
+                s: *s,
+                t: *t,
+                faults: f.clone(),
+            },
+        );
+        assert_eq!(bad_request(what, &single), in_process, "{what}");
+        let batch = Request::Batch(vec![good.clone(), good.clone(), (*s, *t, f.clone())]);
+        let batch = ask(what, &batch);
+        assert_eq!(
+            bad_request(what, &batch),
+            format!("batch item 2: {in_process}"),
+            "{what}"
+        );
     }
-    client.shutdown().expect("shutdown");
-    let report = handle.join();
-    assert_eq!(report.protocol_errors, 2, "{front:?}: the two rejections");
-    assert_eq!(report.queries, 2, "{front:?}");
-    [single, batch]
+    for (what, odd, plain) in &served {
+        let query = |faults: &WireFaults| Request::Query {
+            s: 0,
+            t: 35,
+            faults: faults.clone(),
+        };
+        let reply = ask(what, &query(odd));
+        assert_eq!(reply, ask(what, &query(plain)), "{what}: odd vs plain F");
+        let Response::Query(reply) = Response::decode(&reply).expect("decode") else {
+            panic!("{what}: must be served");
+        };
+        let in_process = oracle
+            .try_query_with(
+                NodeId::new(0),
+                NodeId::new(35),
+                &plain.to_fault_set(),
+                &mut scratch,
+            )
+            .expect(what);
+        assert_eq!(reply.distance, in_process.distance.raw(), "{what}");
+        let path: Vec<u32> = in_process.path.iter().map(|v| v.raw()).collect();
+        assert_eq!(reply.path, path, "{what}");
+    }
+
+    for (front, conn, endpoint, handle) in fronts {
+        drop(conn);
+        Client::connect(&endpoint)
+            .expect("connect")
+            .shutdown()
+            .expect("shutdown");
+        let report = handle.join();
+        assert_eq!(
+            report.protocol_errors,
+            2 * rejected.len() as u64,
+            "{front:?}: one rejection per row and shape"
+        );
+        assert_eq!(report.queries, 2 * served.len() as u64, "{front:?}");
+        assert_eq!(report.batch_queries, 0, "{front:?}: no batch went through");
+    }
 }

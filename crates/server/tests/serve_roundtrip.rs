@@ -246,6 +246,18 @@ fn dynamic_mode_updates_queries_and_mode_gating() {
 
     let before = client.query(0, 23, WireFaults::default()).expect("query");
 
+    // An id outside the graph is rejected in the static server's words.
+    match client.query(0, 24, WireFaults::default()) {
+        Err(ClientError::Server(reply)) => {
+            assert_eq!(reply.code, ErrorCode::BadRequest);
+            assert_eq!(
+                reply.message,
+                "v24 is out of range for a graph with 24 vertices"
+            );
+        }
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+
     // Per-query faults are static-mode vocabulary.
     let err = client
         .query(
@@ -304,20 +316,46 @@ fn dynamic_mode_updates_queries_and_mode_gating() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every op of the static server that takes ids holds them to the one
+/// rule, in the resolver's words: `query`, `route` (the same `(s, t, F)`
+/// gets the same rejection from both) and `label-fetch`.
 #[test]
 fn out_of_range_query_is_a_typed_error_not_a_panic() {
-    let (_net, endpoint, handle) = spawn_static(&Endpoint::Tcp("127.0.0.1:0".into()), 1);
+    let (net, endpoint, handle) = spawn_static(&Endpoint::Tcp("127.0.0.1:0".into()), 1);
     let mut client = connect(&endpoint);
-    let err = client
-        .query(0, 9_999_999, WireFaults::default())
-        .expect_err("out-of-range vertex must be rejected");
-    assert!(matches!(
-        err,
-        ClientError::Server(reply) if reply.code == ErrorCode::BadRequest
-    ));
+    let bad_request = |result: Result<(), ClientError>| match result {
+        Err(ClientError::Server(reply)) if reply.code == ErrorCode::BadRequest => reply.message,
+        other => panic!("expected BadRequest, got {other:?}"),
+    };
+    let faults = |vertices: &[u32], edges: &[(u32, u32)]| WireFaults {
+        vertices: vertices.to_vec(),
+        edges: edges.to_vec(),
+    };
+    let malformed = [
+        (0, 9_999_999, WireFaults::default()),
+        (35, 1, WireFaults::default()),
+        (0, 1, faults(&[40], &[])),
+        (0, 1, faults(&[], &[(3, 40)])),
+        (0, 1, faults(&[], &[(0, 12)])), // not an edge of the grid
+    ];
+    for (s, t, f) in &malformed {
+        let in_process = net
+            .oracle()
+            .try_query(NodeId::new(*s), NodeId::new(*t), &f.to_fault_set())
+            .expect_err("malformed")
+            .to_string();
+        let queried = bad_request(client.query(*s, *t, f.clone()).map(drop));
+        assert_eq!(queried, in_process);
+        let routed = bad_request(client.route(*s, *t, f.clone()).map(drop));
+        assert_eq!(routed, in_process, "route vs query on ({s}, {t}, {f:?})");
+    }
+    let fetched = bad_request(client.label_fetch(vec![0, 35]).map(drop));
+    assert_eq!(fetched, "v35 is out of range for a graph with 35 vertices");
     // The same connection keeps working afterwards.
     client.query(0, 1, WireFaults::default()).expect("query");
+    client.route(0, 1, WireFaults::default()).expect("route");
     client.shutdown().expect("shutdown");
     let report = handle.join().expect("server thread must not panic");
-    assert_eq!(report.protocol_errors, 1);
+    assert_eq!(report.protocol_errors, 2 * malformed.len() as u64 + 1);
+    assert_eq!(report.routes, 1, "a rejected route frame is not a route");
 }
