@@ -21,13 +21,8 @@ const EXPERIMENTS: &[&str] = &[
     "exp_t10_preproc",
     "exp_t11_recovery",
     "exp_t12_weighted",
-    "exp_t13_throughput",
     "exp_t14_query_latency",
-    "exp_t15_store",
     "exp_t16_wal",
-    "exp_t17_serve",
-    "exp_t18_labelplane",
-    "exp_t19_shard",
     "exp_f1_trace",
     "exp_f2_lowlevel",
 ];

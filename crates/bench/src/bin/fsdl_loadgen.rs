@@ -8,11 +8,10 @@
 //! ```
 //!
 //! Each of the `C` connections replays its own deterministic operation
-//! stream (see `fsdl_bench::serveload` — the same generator the T17
-//! experiment certifies differentially against the in-process oracle):
-//! Zipf-skewed vertex pairs, optional per-query forbidden sets
-//! (`--faults`, static servers), optional fault churn (`--churn`,
-//! dynamic servers), optionally batched `--batch` queries per frame.
+//! stream (see `fsdl_bench::serveload`): Zipf-skewed vertex pairs,
+//! optional per-query forbidden sets (`--faults`, static servers),
+//! optional fault churn (`--churn`, dynamic servers), optionally batched
+//! `--batch` queries per frame.
 //! Reports sustained QPS and p50/p99 latency; exits nonzero if any
 //! connection saw a protocol error or unexpected reply.
 //!

@@ -1,7 +1,4 @@
-//! Shared workload generation for the serving benchmarks: `fsdl-loadgen`
-//! and `exp_t17_serve` drive the server through exactly this module, so
-//! the differential assertion in the experiment certifies the same ops
-//! the load generator replays.
+//! The workload `fsdl-loadgen` replays against a server.
 //!
 //! Everything is deterministic from a seed: vertex pairs come from a
 //! Zipf-skewed rank distribution over a seeded permutation of the vertex

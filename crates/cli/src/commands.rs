@@ -10,7 +10,9 @@ use fsdl_baselines::ExactOracle;
 use fsdl_graph::doubling::{estimate_dimension, DoublingConfig};
 use fsdl_graph::{generators, io as gio, FaultSet, Graph, GraphStats, NodeId};
 use fsdl_labels::partition::{shard_dir_name, PartitionPlan, ShardStore};
-use fsdl_labels::{DynamicConfig, DynamicOracle, ForbiddenSetOracle, OpenMode, RebuildMode};
+use fsdl_labels::{
+    DynamicConfig, DynamicOracle, ForbiddenSetOracle, OpenMode, OracleError, RebuildMode,
+};
 use fsdl_routing::Network;
 use fsdl_server::{Endpoint, Router, RouterConfig, ServeEngine, Server, ServerConfig};
 
@@ -150,6 +152,11 @@ fn load_graph(path: &str) -> Result<Graph, ArgError> {
     gio::from_str(&content).map_err(|e| ArgError(format!("cannot parse {path}: {e}")))
 }
 
+/// A malformed `(s, t, F)` in the resolver's words.
+fn malformed(e: OracleError) -> ArgError {
+    ArgError(e.to_string())
+}
+
 fn faults_from(args: &ParsedArgs, g: &Graph) -> Result<FaultSet, ArgError> {
     let mut f = FaultSet::empty();
     if let Some(path) = args.option("forbid-file") {
@@ -164,23 +171,21 @@ fn faults_from(args: &ParsedArgs, g: &Graph) -> Result<FaultSet, ArgError> {
             f.forbid_edge_unchecked(e.lo(), e.hi());
         }
     }
+    // Ids are held to the graph by the resolver, in its words, when the
+    // command runs its query; only a self-loop, which a `FaultSet` cannot
+    // carry, is turned away here.
     if let Some(raw) = args.option("forbid") {
         for v in parse_vertex_list(raw)? {
-            if v as usize >= g.num_vertices() {
-                return Err(ArgError(format!("forbidden vertex {v} out of range")));
-            }
             f.forbid_vertex(NodeId::new(v));
         }
     }
     if let Some(raw) = args.option("forbid-edge") {
         for (a, b) in parse_edge_list(raw)? {
-            let (na, nb) = (NodeId::new(a), NodeId::new(b));
-            if !g.contains(na) || !g.contains(nb) || !g.has_edge(na, nb) {
-                return Err(ArgError(format!(
-                    "forbidden edge {a}-{b} is not in the graph"
-                )));
+            let (a, b) = (NodeId::new(a), NodeId::new(b));
+            if a == b {
+                return Err(malformed(OracleError::FaultEdgeNotInGraph { a, b }));
             }
-            f.forbid_edge_unchecked(na, nb);
+            f.forbid_edge_unchecked(a, b);
         }
     }
     Ok(f)
@@ -618,11 +623,6 @@ fn cmd_query<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
     let g = load_graph(args.positional(0, "graph-file")?)?;
     let s: u32 = args.parse_required("source")?;
     let t: u32 = args.parse_required("target")?;
-    for v in [s, t] {
-        if v as usize >= g.num_vertices() {
-            return Err(ArgError(format!("vertex {v} out of range")));
-        }
-    }
     let faults = faults_from(args, &g)?;
     let repeat: usize = args.parse_option("repeat", 1usize)?;
     if repeat == 0 {
@@ -631,7 +631,9 @@ fn cmd_query<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
     let oracle = oracle_from(args, &g)?;
     let mut scratch = fsdl_labels::DecodeScratch::new();
     let start = std::time::Instant::now();
-    let answer = oracle.query_with(NodeId::new(s), NodeId::new(t), &faults, &mut scratch);
+    let answer = oracle
+        .try_query_with(NodeId::new(s), NodeId::new(t), &faults, &mut scratch)
+        .map_err(malformed)?;
     for _ in 1..repeat {
         let again = oracle.query_with(NodeId::new(s), NodeId::new(t), &faults, &mut scratch);
         if again != answer {
@@ -677,13 +679,12 @@ fn cmd_route<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
     let g = load_graph(args.positional(0, "graph-file")?)?;
     let s: u32 = args.parse_required("source")?;
     let t: u32 = args.parse_required("target")?;
-    for v in [s, t] {
-        if v as usize >= g.num_vertices() {
-            return Err(ArgError(format!("vertex {v} out of range")));
-        }
-    }
     let faults = faults_from(args, &g)?;
     let net = Network::from_oracle(oracle_from(args, &g)?);
+    // `Network::route` is lenient; hold the request to the query rule first.
+    net.oracle()
+        .resolve(NodeId::new(s), NodeId::new(t), &faults)
+        .map_err(malformed)?;
     match net.route(NodeId::new(s), NodeId::new(t), &faults) {
         Ok(d) => {
             let text = format!(
@@ -706,21 +707,15 @@ fn cmd_route<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
 fn cmd_batch<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
     let g = load_graph(args.positional(0, "graph-file")?)?;
     let s: u32 = args.parse_required("source")?;
-    if s as usize >= g.num_vertices() {
-        return Err(ArgError(format!("vertex {s} out of range")));
-    }
     let targets: Vec<NodeId> = parse_vertex_list(args.required("targets")?)?
         .into_iter()
         .map(NodeId::new)
         .collect();
-    for t in &targets {
-        if !g.contains(*t) {
-            return Err(ArgError(format!("target {t} out of range")));
-        }
-    }
     let faults = faults_from(args, &g)?;
     let oracle = oracle_from(args, &g)?;
-    let distances = oracle.distances_to(NodeId::new(s), &targets, &faults);
+    let distances = oracle
+        .try_distances_to(NodeId::new(s), &targets, &faults)
+        .map_err(malformed)?;
     let mut text = format!(
         "batch from v{s} (|F| = {}):
 ",
@@ -760,7 +755,7 @@ fn cmd_trace<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
     let oracle = ForbiddenSetOracle::new(&g, eps);
     let (source, target, ql) = oracle
         .resolve(NodeId::new(s), NodeId::new(t), &faults)
-        .map_err(|e| ArgError(e.to_string()))?;
+        .map_err(malformed)?;
     let trace = fsdl_labels::trace_query(oracle.params(), source, target, &ql);
     let mut text = format!(
         "delta(v{s}, v{t}, |F|={}) = {} (whole sketch: {} vertices, {} edges)\n",
@@ -828,6 +823,56 @@ fn parse_listen(raw: &str) -> Result<Endpoint, ArgError> {
     }
 }
 
+/// Parses `--frame-deadline-ms` (the slow-loris cutoff, default 10 s).
+fn frame_deadline_from(args: &ParsedArgs) -> Result<std::time::Duration, ArgError> {
+    let ms: u64 = args.parse_option("frame-deadline-ms", 10_000u64)?;
+    require(
+        ms > 0,
+        "--frame-deadline-ms must be positive (it is the slow-loris cutoff)",
+    )?;
+    Ok(std::time::Duration::from_millis(ms))
+}
+
+/// What every serving command does with its front (a [`Server`] or a
+/// [`Router`]) once it is configured: check the bind, announce the bound
+/// endpoint — flushed, since whoever started the process waits for that
+/// line — and serve until a shutdown frame. Returns the lifetime totals
+/// for the caller's drain line.
+fn serve_front<W: Write, F, E: std::fmt::Display, R>(
+    out: &mut W,
+    what: &str,
+    bind: Result<F, E>,
+    local_endpoint: fn(&F) -> std::io::Result<Endpoint>,
+    announce: impl FnOnce(&Endpoint, &F) -> String,
+    run: fn(F) -> R,
+) -> Result<R, ArgError> {
+    let front = bind.map_err(|e| ArgError(format!("cannot bind {what}: {e}")))?;
+    let bound = local_endpoint(&front)
+        .map_err(|e| ArgError(format!("cannot resolve bound endpoint: {e}")))?;
+    write_out(out, &announce(&bound, &front))?;
+    out.flush()
+        .map_err(|e| ArgError(format!("write failed: {e}")))?;
+    Ok(run(front))
+}
+
+/// The router's drain line; `served` is the in-process fleet's own count
+/// of the fetches, where there is one.
+fn router_drained(report: &fsdl_server::RouterReport, served: Option<u64>) -> String {
+    let served = served.map_or(String::new(), |k| format!(" ({k} served)"));
+    format!(
+        "router drained: {} connections, {} queries ({} batched), \
+         {} upstream fetches{served}, {} protocol errors, {} shard failures, \
+         {} deadline closes\n",
+        report.connections,
+        report.queries,
+        report.batch_queries,
+        report.upstream_fetches,
+        report.protocol_errors,
+        report.shard_failures,
+        report.deadline_closes
+    )
+}
+
 /// `fsdl serve`: the long-running oracle server. Blocks until a client
 /// sends a shutdown frame, then drains in-flight work (and, in dynamic
 /// mode, any background rebuild) and reports lifetime totals.
@@ -835,12 +880,7 @@ fn cmd_serve<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
     let g = load_graph(args.positional(0, "graph-file")?)?;
     let endpoint = parse_listen(args.required("listen")?)?;
     let workers: usize = args.parse_option("workers", 0usize)?;
-    let frame_deadline_ms: u64 = args.parse_option("frame-deadline-ms", 10_000u64)?;
-    if frame_deadline_ms == 0 {
-        return Err(ArgError(
-            "--frame-deadline-ms must be positive (it is the slow-loris cutoff)".into(),
-        ));
-    }
+    let frame_deadline = frame_deadline_from(args)?;
     let shards: u32 = args.parse_option("shards", 0u32)?;
     if shards > 0 {
         if args.option("dynamic").is_some() {
@@ -848,7 +888,7 @@ fn cmd_serve<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
                 "--shards serves immutable shard stores; it cannot combine with --dynamic".into(),
             ));
         }
-        return cmd_serve_sharded(args, out, &g, &endpoint, shards, workers, frame_deadline_ms);
+        return cmd_serve_sharded(args, out, &g, &endpoint, shards, workers, frame_deadline);
     }
     let (engine, mode) = if args.option("dynamic").is_some() {
         let dir = args.option("store").ok_or_else(|| {
@@ -860,29 +900,24 @@ fn cmd_serve<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
         let net = Network::from_oracle(oracle_from(args, &g)?);
         (ServeEngine::from_network(net), "static")
     };
-    let server = Server::bind(
-        &endpoint,
-        engine,
-        ServerConfig {
-            workers,
-            frame_deadline: std::time::Duration::from_millis(frame_deadline_ms),
-            ..ServerConfig::default()
-        },
-    )
-    .map_err(|e| ArgError(format!("cannot bind {endpoint}: {e}")))?;
-    let bound = server
-        .local_endpoint()
-        .map_err(|e| ArgError(format!("cannot resolve bound endpoint: {e}")))?;
-    write_out(
+    let config = ServerConfig {
+        workers,
+        frame_deadline,
+        ..ServerConfig::default()
+    };
+    let report = serve_front(
         out,
-        &format!(
-            "serving {bound} ({mode} oracle, {} workers); stop with a shutdown frame\n",
-            server.resolved_workers()
-        ),
+        &endpoint.to_string(),
+        Server::bind(&endpoint, engine, config),
+        Server::local_endpoint,
+        |bound, server| {
+            format!(
+                "serving {bound} ({mode} oracle, {} workers); stop with a shutdown frame\n",
+                server.resolved_workers()
+            )
+        },
+        Server::run,
     )?;
-    out.flush()
-        .map_err(|e| ArgError(format!("write failed: {e}")))?;
-    let report = server.run();
     write_out(
         out,
         &format!(
@@ -910,7 +945,7 @@ fn cmd_serve_sharded<W: Write>(
     endpoint: &Endpoint,
     shards: u32,
     workers: usize,
-    frame_deadline_ms: u64,
+    frame_deadline: std::time::Duration,
 ) -> Result<(), ArgError> {
     let oracle = oracle_from(args, g)?;
     let plan = PartitionPlan::for_oracle(&oracle, shards);
@@ -951,31 +986,25 @@ fn cmd_serve_sharded<W: Write>(
         shard_endpoints.push(shard_ep);
     }
 
-    let router = Router::bind(
-        endpoint,
-        shard_endpoints,
-        plan,
-        RouterConfig {
-            workers,
-            frame_deadline: std::time::Duration::from_millis(frame_deadline_ms),
-            ..RouterConfig::default()
-        },
-    )
-    .map_err(|e| ArgError(format!("cannot bind router at {endpoint}: {e}")))?;
-    let bound = router
-        .local_endpoint()
-        .map_err(|e| ArgError(format!("cannot resolve bound endpoint: {e}")))?;
-    write_out(
+    let config = RouterConfig {
+        workers,
+        frame_deadline,
+        ..RouterConfig::default()
+    };
+    let report = serve_front(
         out,
-        &format!(
-            "serving {bound} (router over {shards} shards under {}); \
-             stop with a shutdown frame\n",
-            dir.display()
-        ),
+        &format!("router at {endpoint}"),
+        Router::bind(endpoint, shard_endpoints, plan, config),
+        Router::local_endpoint,
+        |bound, _| {
+            format!(
+                "serving {bound} (router over {shards} shards under {}); \
+                 stop with a shutdown frame\n",
+                dir.display()
+            )
+        },
+        Router::run,
     )?;
-    out.flush()
-        .map_err(|e| ArgError(format!("write failed: {e}")))?;
-    let report = router.run();
 
     let mut fetches_served = 0u64;
     for (thread, handle) in shard_handles {
@@ -987,21 +1016,7 @@ fn cmd_serve_sharded<W: Write>(
     if ephemeral {
         let _ = std::fs::remove_dir_all(&dir);
     }
-    write_out(
-        out,
-        &format!(
-            "router drained: {} connections, {} queries ({} batched), \
-             {} upstream fetches ({fetches_served} served), {} protocol errors, \
-             {} shard failures, {} deadline closes\n",
-            report.connections,
-            report.queries,
-            report.batch_queries,
-            report.upstream_fetches,
-            report.protocol_errors,
-            report.shard_failures,
-            report.deadline_closes
-        ),
-    )
+    write_out(out, &router_drained(&report, Some(fetches_served)))
 }
 
 /// `fsdl shard`: serves one shard store (label-fetch frames only).
@@ -1020,22 +1035,18 @@ fn cmd_shard<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
         store.total_vertices(),
         store.generation()
     );
-    let server = Server::bind(
-        &endpoint,
-        ServeEngine::from_shard(store),
-        ServerConfig {
-            workers,
-            ..ServerConfig::default()
-        },
-    )
-    .map_err(|e| ArgError(format!("cannot bind {endpoint}: {e}")))?;
-    let bound = server
-        .local_endpoint()
-        .map_err(|e| ArgError(format!("cannot resolve bound endpoint: {e}")))?;
-    write_out(out, &format!("serving {bound} ({identity})\n"))?;
-    out.flush()
-        .map_err(|e| ArgError(format!("write failed: {e}")))?;
-    let report = server.run();
+    let config = ServerConfig {
+        workers,
+        ..ServerConfig::default()
+    };
+    let report = serve_front(
+        out,
+        &endpoint.to_string(),
+        Server::bind(&endpoint, ServeEngine::from_shard(store), config),
+        Server::local_endpoint,
+        |bound, _| format!("serving {bound} ({identity})\n"),
+        Server::run,
+    )?;
     write_out(
         out,
         &format!(
@@ -1067,51 +1078,22 @@ fn cmd_router<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> 
     let endpoint = parse_listen(args.required("listen")?)?;
     let plan_path = std::path::PathBuf::from(args.required("plan")?);
     let shard_endpoints = parse_shard_endpoints(args.required("shards")?)?;
-    let workers: usize = args.parse_option("workers", 0usize)?;
-    let frame_deadline_ms: u64 = args.parse_option("frame-deadline-ms", 10_000u64)?;
-    if frame_deadline_ms == 0 {
-        return Err(ArgError(
-            "--frame-deadline-ms must be positive (it is the slow-loris cutoff)".into(),
-        ));
-    }
+    let config = RouterConfig {
+        workers: args.parse_option("workers", 0usize)?,
+        frame_deadline: frame_deadline_from(args)?,
+        ..RouterConfig::default()
+    };
     let plan = PartitionPlan::load(&plan_path)
         .map_err(|e| ArgError(format!("cannot load plan {}: {e}", plan_path.display())))?;
-    let router = Router::bind(
-        &endpoint,
-        shard_endpoints,
-        plan,
-        RouterConfig {
-            workers,
-            frame_deadline: std::time::Duration::from_millis(frame_deadline_ms),
-            ..RouterConfig::default()
-        },
-    )
-    .map_err(|e| ArgError(format!("cannot bind router at {endpoint}: {e}")))?;
-    let bound = router
-        .local_endpoint()
-        .map_err(|e| ArgError(format!("cannot resolve bound endpoint: {e}")))?;
-    write_out(
+    let report = serve_front(
         out,
-        &format!("routing {bound}; stop with a shutdown frame\n"),
+        &format!("router at {endpoint}"),
+        Router::bind(&endpoint, shard_endpoints, plan, config),
+        Router::local_endpoint,
+        |bound, _| format!("routing {bound}; stop with a shutdown frame\n"),
+        Router::run,
     )?;
-    out.flush()
-        .map_err(|e| ArgError(format!("write failed: {e}")))?;
-    let report = router.run();
-    write_out(
-        out,
-        &format!(
-            "router drained: {} connections, {} queries ({} batched), \
-             {} upstream fetches, {} protocol errors, {} shard failures, \
-             {} deadline closes\n",
-            report.connections,
-            report.queries,
-            report.batch_queries,
-            report.upstream_fetches,
-            report.protocol_errors,
-            report.shard_failures,
-            report.deadline_closes
-        ),
-    )
+    write_out(out, &router_drained(&report, None))
 }
 
 #[cfg(test)]
@@ -1244,23 +1226,47 @@ mod tests {
         );
     }
 
+    /// `query`, `route`, `batch` and `trace` reject a malformed `(s, t, F)`
+    /// in the resolver's words — the message every network front sends.
     #[test]
     fn query_rejects_bad_input() {
         let path = temp_graph();
         let p = path.path();
         assert!(run_args(&["query", p, "--source", "0"]).is_err());
-        assert!(run_args(&["query", p, "--source", "0", "--target", "99"]).is_err());
-        assert!(run_args(&[
-            "query",
-            p,
-            "--source",
-            "0",
-            "--target",
-            "2",
-            "--forbid-edge",
-            "0-5"
-        ])
-        .is_err());
+        let oracle = ForbiddenSetOracle::new(&generators::cycle(12), 1.0);
+        let in_process = |t: u32, vertices: &[u32], edge: Option<(u32, u32)>| {
+            let mut f = FaultSet::from_vertices(vertices.iter().map(|&v| NodeId::new(v)));
+            if let Some((a, b)) = edge {
+                f.forbid_edge_unchecked(NodeId::new(a), NodeId::new(b));
+            }
+            let rejected = oracle.try_query(NodeId::new(0), NodeId::new(t), &f);
+            rejected.expect_err("malformed").to_string()
+        };
+        // (--target, --forbid, --forbid-edge, the message)
+        let cases = [
+            ("99", "", "", in_process(99, &[], None)),
+            ("2", "40,1", "", in_process(2, &[40, 1], None)),
+            ("2", "", "3-40", in_process(2, &[], Some((3, 40)))),
+            ("2", "", "0-5", in_process(2, &[], Some((0, 5)))),
+            // A `FaultSet` cannot hold a self-loop, so the CLI words this one.
+            (
+                "2",
+                "",
+                "3-3",
+                "forbidden edge (v3, v3) is not an edge of the graph".to_string(),
+            ),
+        ];
+        for (target, forbid, forbid_edge, expected) in cases {
+            for cmd in ["query", "route", "trace"] {
+                let mut argv = vec![cmd, p, "--source", "0", "--target", target];
+                argv.extend(["--forbid", forbid, "--forbid-edge", forbid_edge]);
+                let err = run_args(&argv).unwrap_err();
+                assert_eq!(err.0, expected, "{cmd} {argv:?}");
+            }
+            let mut argv = vec!["batch", p, "--source", "0", "--targets", target];
+            argv.extend(["--forbid", forbid, "--forbid-edge", forbid_edge]);
+            assert_eq!(run_args(&argv).unwrap_err().0, expected, "batch {argv:?}");
+        }
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //!
 //! [`write_shard_stores`] persists one store *per shard* through the
 //! existing manifest machinery (segment + atomically swapped `MANIFEST`),
-//! plus a checksummed `SHARD` sidecar naming the shard's global vertex
-//! ids, the global `n`, and the shard's slice of the plan. A shard
+//! plus a checksummed sidecar per generation ([`shard_meta_file_name`])
+//! naming the shard's global vertex ids, the global `n`, and the shard's
+//! slice of the plan. A shard
 //! segment's labels are a subset of the graph's, so its header `n` is the
 //! *shard size*; the sidecar carries the global vertex count the decoder
 //! actually needs, and [`ShardStore::fetch`] serves raw encoded bytes by
@@ -43,8 +44,11 @@ use fsdl_nets::NetHierarchy;
 use crate::oracle::ForbiddenSetOracle;
 use crate::store::{self, Manifest, OpenMode, Segment, StoreError};
 
-/// File name of the per-shard sidecar (next to `MANIFEST`).
-pub const SHARD_META_NAME: &str = "SHARD";
+/// File name of the sidecar committed with store generation `generation`
+/// (next to that generation's segment; pruned with it).
+pub fn shard_meta_file_name(generation: u64) -> String {
+    format!("shard-{generation}.meta")
+}
 
 /// Magic prefixes for the two on-disk artifacts.
 const SHARD_MAGIC: [u8; 8] = *b"FSDLSHR1";
@@ -55,7 +59,7 @@ const PLAN_MAGIC: [u8; 8] = *b"FSDLPLN1";
 pub enum PartitionError {
     /// An underlying store operation failed (segment, manifest, I/O).
     Store(StoreError),
-    /// The `SHARD` sidecar is missing, torn, or inconsistent with its
+    /// The shard sidecar is missing, torn, or inconsistent with its
     /// segment.
     Meta {
         /// The sidecar path.
@@ -404,11 +408,12 @@ pub struct ShardReport {
 }
 
 /// Persists one store per shard under `dir/shard-{i}`, each through the
-/// standard write protocol: segment durably first, checksummed `SHARD`
-/// sidecar second, `MANIFEST` swap as the commit point, pruning last. The
-/// plan itself is saved as `dir/PLAN`. Re-running over an existing
-/// directory commits fresh generations (the previous ones remain
-/// openable until the swap).
+/// standard write protocol: segment durably first, that generation's
+/// checksummed sidecar second, `MANIFEST` swap as the commit point,
+/// pruning last. The plan itself is saved as `dir/PLAN`. Re-running over
+/// an existing directory commits fresh generations (the previous ones
+/// remain openable until the swap: the manifest's generation names both
+/// the segment and the sidecar a reader opens).
 ///
 /// # Errors
 ///
@@ -433,7 +438,6 @@ pub fn write_shard_stores(
         plan.num_vertices()
     );
     let graph_fp = store::graph_fingerprint(g);
-    let params = oracle.labeling().params();
     let encoded = oracle.encoded_labels()?;
     std::fs::create_dir_all(dir).map_err(|e| StoreError::Io {
         path: dir.to_path_buf(),
@@ -443,32 +447,10 @@ pub fn write_shard_stores(
     let mut reports = Vec::with_capacity(plan.num_shards() as usize);
     for shard in 0..plan.num_shards() {
         let sub = dir.join(shard_dir_name(shard));
-        std::fs::create_dir_all(&sub).map_err(|e| StoreError::Io {
-            path: sub.clone(),
-            message: e.to_string(),
-        })?;
-        let vertices = plan.vertices_of(shard);
-        let shard_encoded: Vec<(&[u8], usize)> = vertices
-            .iter()
-            .map(|v| (encoded[v.index()].0.as_slice(), encoded[v.index()].1))
-            .collect();
-        let generation = store::next_generation(&sub);
-        let segment_bytes = store::write_segment(
-            &sub,
-            generation,
-            params,
-            shard_fingerprint(graph_fp, shard, plan.num_shards()),
-            &shard_encoded,
-        )?;
-        write_shard_meta(&sub, plan, shard, graph_fp, n as u64, &vertices)?;
-        store::write_manifest(&sub, &Manifest::static_store(generation))?;
-        store::prune_generations(&sub, generation);
-        reports.push(ShardReport {
-            shard,
-            labels: vertices.len(),
-            generation,
-            segment_bytes,
-        });
+        let staged = stage_shard(oracle, &sub, plan, shard, graph_fp, &encoded)?;
+        store::write_manifest(&sub, &Manifest::static_store(staged.generation))?;
+        store::prune_generations(&sub, staged.generation);
+        reports.push(staged);
     }
     Ok(reports)
 }
@@ -481,30 +463,55 @@ pub fn shard_dir_name(shard: u32) -> String {
     format!("shard-{shard}")
 }
 
-fn write_shard_meta(
+/// Writes shard `shard`'s next generation into `sub` — segment, then its
+/// sidecar — without committing it: the manifest still names the
+/// previous generation.
+fn stage_shard(
+    oracle: &ForbiddenSetOracle,
     sub: &Path,
     plan: &PartitionPlan,
     shard: u32,
     graph_fp: u64,
-    n: u64,
-    vertices: &[NodeId],
-) -> Result<(), PartitionError> {
+    encoded: &[(Vec<u8>, usize)],
+) -> Result<ShardReport, PartitionError> {
+    std::fs::create_dir_all(sub).map_err(|e| StoreError::Io {
+        path: sub.to_path_buf(),
+        message: e.to_string(),
+    })?;
+    let vertices = plan.vertices_of(shard);
+    let shard_encoded: Vec<(&[u8], usize)> = vertices
+        .iter()
+        .map(|v| (encoded[v.index()].0.as_slice(), encoded[v.index()].1))
+        .collect();
+    let generation = store::next_generation(sub);
+    let segment_bytes = store::write_segment(
+        sub,
+        generation,
+        oracle.labeling().params(),
+        shard_fingerprint(graph_fp, shard, plan.num_shards()),
+        &shard_encoded,
+    )?;
     let (tag, level) = plan.strategy().tag();
-    let mut out = Vec::with_capacity(45 + 4 * vertices.len());
+    let mut out = Vec::with_capacity(49 + 4 * vertices.len());
     out.extend_from_slice(&SHARD_MAGIC);
     out.extend_from_slice(&shard.to_le_bytes());
     out.extend_from_slice(&plan.num_shards().to_le_bytes());
     out.push(tag);
     out.extend_from_slice(&level.to_le_bytes());
     out.extend_from_slice(&graph_fp.to_le_bytes());
-    out.extend_from_slice(&n.to_le_bytes());
+    out.extend_from_slice(&(plan.num_vertices() as u64).to_le_bytes());
     out.extend_from_slice(&(vertices.len() as u64).to_le_bytes());
-    for v in vertices {
+    for v in &vertices {
         out.extend_from_slice(&v.raw().to_le_bytes());
     }
     out.extend_from_slice(&store::fnv32(&out).to_le_bytes());
-    store::write_atomic(sub, SHARD_META_NAME, &out)?;
-    Ok(())
+    store::write_atomic(sub, &shard_meta_file_name(generation), &out)?;
+    Ok(ShardReport {
+        shard,
+        labels: vertices.len(),
+        generation,
+        segment_bytes,
+    })
 }
 
 /// One shard's persisted slice of the label plane, opened for serving:
@@ -548,7 +555,7 @@ impl ShardStore {
     pub fn open_with(dir: &Path, mode: OpenMode) -> Result<ShardStore, PartitionError> {
         let manifest = store::read_manifest(dir)?;
         let segment = Segment::open(&dir.join(&manifest.segment), mode)?;
-        let meta_path = dir.join(SHARD_META_NAME);
+        let meta_path = dir.join(shard_meta_file_name(manifest.generation));
         let meta_err = |message: String| PartitionError::Meta {
             path: meta_path.clone(),
             message,
@@ -817,7 +824,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         write_shard_stores(&oracle, &dir, &plan).expect("write shards");
         let sub = dir.join(shard_dir_name(0));
-        let meta = sub.join(SHARD_META_NAME);
+        let meta = sub.join(shard_meta_file_name(1));
         let bytes = std::fs::read(&meta).expect("read sidecar");
         for at in (0..bytes.len()).step_by(5) {
             let mut mutated = bytes.clone();
@@ -832,13 +839,48 @@ mod tests {
         // A shard segment opened as the wrong shard id must be refused by
         // the fingerprint mix even if the sidecar is internally valid.
         std::fs::write(&meta, &bytes).expect("restore");
-        let other_meta = std::fs::read(dir.join(shard_dir_name(1)).join(SHARD_META_NAME))
+        let other_meta = std::fs::read(dir.join(shard_dir_name(1)).join(shard_meta_file_name(1)))
             .expect("read shard 1 sidecar");
         std::fs::write(&meta, &other_meta).expect("cross-plant sidecar");
         assert!(
             ShardStore::open(&sub).is_err(),
             "shard identity not enforced"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Re-partitioning into an existing directory stages the new plan's
+    /// segment and sidecar beside the old generation's; a writer that dies
+    /// before the manifest swap must leave the old shard openable.
+    #[test]
+    fn interrupted_repartition_keeps_the_previous_generation_openable() {
+        let g = generators::grid2d(4, 4);
+        let oracle = ForbiddenSetOracle::new(&g, 0.5);
+        let dir = std::env::temp_dir().join(format!("fsdl-shardrp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        write_shard_stores(&oracle, &dir, &PartitionPlan::contiguous(16, 2)).expect("plan A");
+        let sub = dir.join(shard_dir_name(0));
+
+        let plan_b = PartitionPlan::contiguous(16, 4);
+        let graph_fp = store::graph_fingerprint(&g);
+        let encoded = oracle.encoded_labels().expect("encode");
+        let staged = stage_shard(&oracle, &sub, &plan_b, 0, graph_fp, &encoded).expect("stage");
+        assert_eq!(staged.generation, 2);
+        let old = ShardStore::open(&sub).expect("plan A's shard still opens");
+        assert_eq!(
+            (old.generation(), old.num_shards(), old.num_labels()),
+            (1, 2, 8)
+        );
+
+        // A rerun rewrites the staged generation, commits it, and prunes
+        // plan A's pair.
+        write_shard_stores(&oracle, &dir, &plan_b).expect("plan B");
+        let new = ShardStore::open(&sub).expect("plan B's shard opens");
+        assert_eq!(
+            (new.generation(), new.num_shards(), new.num_labels()),
+            (2, 4, 4)
+        );
+        assert!(!sub.join(shard_meta_file_name(1)).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -537,14 +537,15 @@ pub fn write_segment<B: AsRef<[u8]>>(
     Ok(size)
 }
 
-/// Best-effort removal of segment and WAL files other than `keep`'s, and
-/// of any stale temp files. Failures are ignored: pruning is an
+/// Best-effort removal of segment, WAL and shard-sidecar files other than
+/// `keep`'s, and of any stale temp files. Failures are ignored: pruning is an
 /// optimization, never a correctness requirement. A WAL older than the
 /// current manifest is safe to drop because every manifest snapshots the
 /// full fault state — the log only ever carries updates newer than it.
 pub fn prune_generations(dir: &Path, keep: u64) {
     let keep_name = segment_file_name(keep);
     let keep_wal = wal::wal_file_name(keep);
+    let keep_meta = crate::partition::shard_meta_file_name(keep);
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
@@ -553,7 +554,8 @@ pub fn prune_generations(dir: &Path, keep: u64) {
         let Some(name) = name.to_str() else { continue };
         let stale_segment = name.starts_with("seg-") && name.ends_with(".fsl") && name != keep_name;
         let stale_wal = name.starts_with("wal-") && name.ends_with(".log") && name != keep_wal;
-        if stale_segment || stale_wal || name.starts_with(TMP_PREFIX) {
+        let stale_meta = name.starts_with("shard-") && name.ends_with(".meta") && name != keep_meta;
+        if stale_segment || stale_wal || stale_meta || name.starts_with(TMP_PREFIX) {
             let _ = fs::remove_file(entry.path());
         }
     }
@@ -648,17 +650,6 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// Eagerly reads and fully validates the segment at `path`
-    /// (equivalent to [`Segment::open`] with [`OpenMode::Eager`]).
-    ///
-    /// # Errors
-    ///
-    /// A typed [`StoreError`]; this function never panics on any byte
-    /// sequence.
-    pub fn read(path: &Path) -> Result<Self, StoreError> {
-        Segment::open(path, OpenMode::Eager)
-    }
-
     /// Opens and structurally validates the segment at `path`: magic,
     /// version, header consistency, the index checksum, and every index
     /// entry (offsets and bit lengths must lie within the payload, so
@@ -831,7 +822,7 @@ impl Segment {
     ///
     /// # Errors
     ///
-    /// [`StoreError::ParamsInvalid`] — although [`Segment::read`] already
+    /// [`StoreError::ParamsInvalid`] — although [`Segment::open`] already
     /// pre-validated the fields, this re-checks so the function is safe
     /// to call on any segment value.
     pub fn params(&self) -> Result<SchemeParams, StoreError> {
@@ -1018,6 +1009,8 @@ mod tests {
         fs::write(dir.join("MANIFEST"), b"x").unwrap();
         fs::write(dir.join(wal::wal_file_name(2)), b"x").unwrap();
         fs::write(dir.join(wal::wal_file_name(3)), b"x").unwrap();
+        fs::write(dir.join(crate::partition::shard_meta_file_name(2)), b"x").unwrap();
+        fs::write(dir.join(crate::partition::shard_meta_file_name(3)), b"x").unwrap();
         prune_generations(&dir, 3);
         assert!(dir.join(segment_file_name(3)).exists());
         assert!(!dir.join(segment_file_name(2)).exists());
@@ -1025,12 +1018,14 @@ mod tests {
         assert!(!dir.join(".tmp-seg-4.fsl").exists());
         assert!(!dir.join(wal::wal_file_name(2)).exists());
         assert!(dir.join(wal::wal_file_name(3)).exists());
+        assert!(!dir.join(crate::partition::shard_meta_file_name(2)).exists());
+        assert!(dir.join(crate::partition::shard_meta_file_name(3)).exists());
         assert!(dir.join("MANIFEST").exists());
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn segment_read_rejects_garbage_without_panicking() {
+    fn segment_open_rejects_garbage_without_panicking() {
         let dir = scratch_dir("garbage");
         let path = dir.join("seg-1.fsl");
         for junk in [
@@ -1040,7 +1035,7 @@ mod tests {
             &b"FSDLSEG1then-what-exactly-is-this-supposed-to-be....."[..],
         ] {
             fs::write(&path, junk).unwrap();
-            let err = Segment::read(&path).unwrap_err();
+            let err = Segment::open(&path, OpenMode::Eager).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1050,7 +1045,7 @@ mod tests {
             );
         }
         assert!(matches!(
-            Segment::read(&dir.join("seg-404.fsl")),
+            Segment::open(&dir.join("seg-404.fsl"), OpenMode::Eager),
             Err(StoreError::SegmentMissing { .. })
         ));
         let _ = fs::remove_dir_all(&dir);

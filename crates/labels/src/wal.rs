@@ -533,23 +533,6 @@ impl Wal {
     }
 }
 
-/// Best-effort removal of WAL files other than `keep`'s generation.
-/// Like [`crate::store::prune_generations`], failures are ignored —
-/// pruning is hygiene, never a correctness requirement.
-pub fn prune_stale_wals(dir: &Path, keep: u64) {
-    let keep_name = wal_file_name(keep);
-    let Ok(entries) = fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.starts_with("wal-") && name.ends_with(".log") && name != keep_name {
-            let _ = fs::remove_file(entry.path());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -718,19 +701,6 @@ mod tests {
             assert_eq!(p.records.len(), k);
             assert_eq!(p.truncated_bytes, 0);
         }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn prune_keeps_only_current_generation() {
-        let dir = scratch_dir("prune");
-        for g in [1u64, 2, 3] {
-            drop(Wal::create(&dir, g).unwrap());
-        }
-        prune_stale_wals(&dir, 2);
-        assert!(!dir.join(wal_file_name(1)).exists());
-        assert!(dir.join(wal_file_name(2)).exists());
-        assert!(!dir.join(wal_file_name(3)).exists());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -55,6 +55,7 @@ fn lazy_and_eager_answers_are_bit_identical_per_family() {
         ("cycle", generators::cycle(40)),
         ("grid", generators::grid2d(6, 6)),
         ("path", generators::path(30)),
+        ("udg", generators::random_geometric(60, 0.25, 1)),
     ];
     for (name, g) in families {
         let dir = scratch_dir(name);

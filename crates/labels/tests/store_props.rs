@@ -69,7 +69,7 @@ fn assert_bit_identical(cold: &ForbiddenSetOracle, warm: &ForbiddenSetOracle, g:
 }
 
 /// Save → open is bit-identical on all three experiment graph families
-/// (the `fsdl build --store` acceptance criterion), and a second save
+/// (the `fsdl build --store` acceptance bar), and a second save
 /// publishes a new generation while pruning the old one.
 #[test]
 fn save_open_roundtrip_across_families() {

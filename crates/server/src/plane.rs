@@ -291,13 +291,16 @@ impl Wire {
 
 // ---- handler interface -----------------------------------------------
 
+/// Upper bound on how long the event loop sleeps when nothing is ready —
+/// the latency ceiling for noticing an out-of-band
+/// [`ShutdownHandle::signal`].
+const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
 /// The loop tunables both fronts share (copied out of their public
 /// config structs).
 #[derive(Clone, Copy)]
 pub(crate) struct PlaneConfig {
     pub(crate) workers: usize,
-    pub(crate) max_frame: u32,
-    pub(crate) poll_interval: Duration,
     pub(crate) frame_deadline: Duration,
 }
 
@@ -561,7 +564,7 @@ impl<W> Core<W> {
     /// ceiling), tightened to the nearest armed frame deadline or the
     /// drain deadline.
     fn wait_timeout(&self) -> Duration {
-        let mut timeout = self.config.poll_interval;
+        let mut timeout = POLL_INTERVAL;
         let now = Instant::now();
         if self.armed_deadlines > 0 {
             for conn in self.slab.iter().flatten() {
@@ -705,7 +708,6 @@ impl<W> Core<W> {
     /// close state.
     fn pump<H: Handler<Work = W>>(&mut self, handler: &mut H, slot: usize) {
         loop {
-            let max_frame = self.config.max_frame;
             let draining = self.drain_deadline.is_some();
             let Some(conn) = self.slab[slot].as_mut() else {
                 return; // closed (by the handler, or before a dirty settle)
@@ -713,7 +715,7 @@ impl<W> Core<W> {
             if conn.in_flight || conn.close_after_flush || draining {
                 break;
             }
-            match conn.wire.assembler.next_frame(max_frame) {
+            match conn.wire.assembler.next_frame(protocol::MAX_FRAME) {
                 FrameStep::Frame(payload) => {
                     let frame = payload.to_vec();
                     let token = conn.token;

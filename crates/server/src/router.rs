@@ -62,9 +62,15 @@ use crate::client::{Client, ClientError};
 use crate::plane::{handler_token, ConnPlane, Core, Handler, PlaneConfig, PlaneCounters, Wire};
 use crate::protocol::{
     error_reply, ErrorCode, ErrorReply, FrameStep, Request, Response, StatsReply, WireError,
-    MAX_FRAME, MAX_LABEL_FETCH, MAX_LABEL_FRAME,
+    MAX_LABEL_FETCH, MAX_LABEL_FRAME,
 };
 use crate::server::{Endpoint, QueryFrame, ShutdownHandle};
+
+/// How long [`Router::bind`] waits for each shard to accept the
+/// handshake `label-fetch` before giving up.
+const HANDSHAKE_BUDGET: Duration = Duration::from_secs(10);
+/// Minimum pause between redial attempts to a dead shard.
+const REDIAL_INTERVAL: Duration = Duration::from_millis(500);
 
 /// Router tunables.
 #[derive(Clone, Debug)]
@@ -72,32 +78,19 @@ pub struct RouterConfig {
     /// Decode/compute worker threads (0 = auto, as in
     /// [`crate::ServerConfig`]).
     pub workers: usize,
-    /// Frame payload ceiling in bytes (client and upstream sides).
-    pub max_frame: u32,
-    /// Upper bound on how long the event loop sleeps when idle.
-    pub poll_interval: Duration,
     /// Slow-loris deadline for client connections holding a partial
     /// frame, and the shutdown drain grace period.
     pub frame_deadline: Duration,
     /// Upstream connections opened per shard (round-robined; min 1).
     pub pool_per_shard: usize,
-    /// How long [`Router::bind`] waits for each shard to accept the
-    /// handshake `label-fetch` before giving up.
-    pub handshake_budget: Duration,
-    /// Minimum pause between redial attempts to a dead shard.
-    pub redial_interval: Duration,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             workers: 0,
-            max_frame: MAX_FRAME,
-            poll_interval: Duration::from_millis(25),
             frame_deadline: Duration::from_secs(10),
             pool_per_shard: 2,
-            handshake_budget: Duration::from_secs(10),
-            redial_interval: Duration::from_millis(500),
         }
     }
 }
@@ -264,7 +257,7 @@ impl Router {
                 shard_endpoints.len()
             )));
         }
-        let identity = Router::handshake_fleet(&shard_endpoints, &config)?;
+        let identity = Router::handshake_fleet(&shard_endpoints)?;
         let n = identity[0].vertices;
         if n != plan.num_vertices() as u64 {
             return Err(RouterError::Plan(format!(
@@ -284,8 +277,6 @@ impl Router {
             endpoint,
             PlaneConfig {
                 workers: config.workers,
-                max_frame: config.max_frame,
-                poll_interval: config.poll_interval,
                 frame_deadline: config.frame_deadline,
             },
         )?;
@@ -314,7 +305,6 @@ impl Router {
             plan,
             params,
             expected_generation: identity.iter().map(|i| i.generation).collect(),
-            redial_interval: config.redial_interval,
             counters: Arc::new(Counters {
                 plane: Arc::clone(&core.counters),
                 ..Counters::default()
@@ -331,13 +321,10 @@ impl Router {
     /// Blocking handshake with each shard: an empty `label-fetch` is the
     /// identity probe (generation + decode parameters, no labels). All
     /// shards must agree on everything but the generation.
-    fn handshake_fleet(
-        shard_endpoints: &[Endpoint],
-        config: &RouterConfig,
-    ) -> Result<Vec<ShardIdentity>, RouterError> {
+    fn handshake_fleet(shard_endpoints: &[Endpoint]) -> Result<Vec<ShardIdentity>, RouterError> {
         let mut identity = Vec::with_capacity(shard_endpoints.len());
         for (shard, ep) in shard_endpoints.iter().enumerate() {
-            let reply = Client::connect_with_retry(ep, config.handshake_budget)
+            let reply = Client::connect_with_retry(ep, HANDSHAKE_BUDGET)
                 .and_then(|mut c| c.label_fetch(Vec::new()))
                 .map_err(|e: ClientError| RouterError::Handshake {
                     shard,
@@ -390,7 +377,6 @@ struct Gather {
     plan: PartitionPlan,
     params: Arc<SchemeParams>,
     expected_generation: Vec<u64>,
-    redial_interval: Duration,
     counters: Arc<Counters>,
     upstreams: Vec<Upstream>,
     /// Round-robin cursor per shard over its pool slice.
@@ -758,7 +744,7 @@ impl Gather {
     /// connect timeout and the redial interval keeps it rare.
     fn redial_dead_upstreams(&mut self, core: &mut Core<GatherJob>) {
         for (idx, up) in self.upstreams.iter_mut().enumerate() {
-            if up.wire.is_none() && up.last_attempt.elapsed() >= self.redial_interval {
+            if up.wire.is_none() && up.last_attempt.elapsed() >= REDIAL_INTERVAL {
                 up.last_attempt = Instant::now();
                 up.wire = dial(&up.endpoint, &mut core.poller, idx).ok();
             }

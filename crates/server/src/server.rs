@@ -68,12 +68,6 @@ pub struct ServerConfig {
     /// Worker threads (0 = auto: available parallelism minus the
     /// event-loop thread, never below 1).
     pub workers: usize,
-    /// Frame payload ceiling in bytes.
-    pub max_frame: u32,
-    /// Upper bound on how long the event loop sleeps when nothing is
-    /// ready — the latency ceiling for noticing an out-of-band
-    /// [`ShutdownHandle::signal`].
-    pub poll_interval: Duration,
     /// How long a connection may hold a *partial* frame before it is
     /// closed as a slow-loris suspect; also the grace period stragglers
     /// get to flush replies during shutdown drain.
@@ -89,8 +83,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 0,
-            max_frame: protocol::MAX_FRAME,
-            poll_interval: Duration::from_millis(25),
             frame_deadline: Duration::from_secs(10),
             label_fetch_budget: protocol::LABEL_FETCH_BYTE_BUDGET,
         }
@@ -278,8 +270,6 @@ impl Server {
             endpoint,
             PlaneConfig {
                 workers: config.workers,
-                max_frame: config.max_frame,
-                poll_interval: config.poll_interval,
                 frame_deadline: config.frame_deadline,
             },
         )?;

@@ -133,8 +133,6 @@ fn spawn_front(front: Front, sock: PathBuf, config: ServerConfig) -> (Endpoint, 
                 plan,
                 RouterConfig {
                     workers: config.workers,
-                    max_frame: config.max_frame,
-                    poll_interval: config.poll_interval,
                     frame_deadline: config.frame_deadline,
                     ..RouterConfig::default()
                 },
@@ -483,6 +481,10 @@ fn one_worker_behind_idle_crowd(front: Front) {
     let report = handle.join();
     assert_eq!(report.queries, 50);
     assert_eq!(report.connections, 51);
+    assert_eq!(
+        report.deadline_closes, 0,
+        "a connection that holds no partial frame has no deadline to miss"
+    );
 }
 
 /// One query front-end on both fronts: a malformed `(s, t, F)` gets the

@@ -94,14 +94,18 @@ fn tcp_query_batch_route_differential() {
         );
     }
 
-    // A batch frame versus `query_batch` on the same tuples.
+    // A batch frame versus `query_batch` on the same tuples, every other
+    // one with its own forbidden set.
     let tuples: Vec<(u32, u32, WireFaults)> = (0..16)
-        .map(|_| {
-            (
-                rng.gen_range(0..n),
-                rng.gen_range(0..n),
-                WireFaults::default(),
-            )
+        .map(|k| {
+            let (s, t) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let mut faults = WireFaults::default();
+            if k % 2 == 1 {
+                let wanted = rng.gen_range(1..4usize);
+                faults.vertices = (0..wanted).map(|_| rng.gen_range(0..n)).collect();
+                faults.vertices.retain(|&v| v != s && v != t);
+            }
+            (s, t, faults)
         })
         .collect();
     let local_tuples: Vec<_> = tuples
