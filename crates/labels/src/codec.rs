@@ -8,20 +8,33 @@
 //! * vertex ids are fixed-width `⌈log₂ n⌉`-bit integers, except point lists,
 //!   which are sorted by id and therefore delta-encoded with a variable
 //!   length code;
-//! * distances, net levels, counts, and edge endpoint indices use the same
-//!   variable-length code (4-bit groups with a continuation bit, LEB128
-//!   style at bit granularity);
+//! * distances, net levels and counts use the same variable-length code
+//!   (4-bit groups with a continuation bit, LEB128 style at bit
+//!   granularity);
+//! * edges are written as the rows the in-memory level holds them in. Per
+//!   level and edge kind (virtual, then real): the edge count, then — when
+//!   it is not zero — the length of each of the `P` point rows, then per
+//!   edge, row by row, the zigzag delta of its target `b` from the previous
+//!   target in its row (from the row index `a` for the first) and, for a
+//!   virtual edge, its distance. The row index costs no bits and a target
+//!   is mostly one 5-bit group: 10 bits per virtual edge at best, 5 per
+//!   real edge;
 //! * the payload is followed by a 32-bit FNV-1a checksum over the payload
-//!   bits, and decoding requires the input to end exactly after it.
+//!   bits with the layout tag folded in, and decoding requires the input
+//!   to end exactly after it. Bytes of an older layout (store format 2)
+//!   therefore fail the checksum instead of being parsed as this one.
 //!
 //! `encode → decode` is the identity (property-tested), so reported sizes
-//! are honest: every bit needed to reconstruct the label is counted.
+//! are honest: every bit needed to reconstruct the label is counted. Both
+//! decoders turn the row lengths into the level's row offsets and fill the
+//! rows in place; only the transpose is built (`EdgeRows::from_rows`).
 //!
 //! # Robustness contract
 //!
 //! Labels are a *wire format*: the decoder treats its input as untrusted
 //! bytes. [`decode`] never panics, never loops unboundedly, and never
-//! returns a label that refers to vertices outside the declared graph —
+//! returns a label that fails [`Label::validate`] (ids out of range, a
+//! repeated point, an edge index past the point list, a self-loop) —
 //! corrupt, truncated, or trailing-garbage inputs yield a typed
 //! [`CodecError`]. The checksum makes silent single-field corruption
 //! (e.g. a flipped distance bit that still parses) vanishingly unlikely;
@@ -29,9 +42,11 @@
 //! out of bounds downstream. This contract is enforced by the corruption
 //! chaos harness (`labels/tests/chaos.rs` and [`crate::corrupt`]).
 
+use std::sync::Arc;
+
 use fsdl_graph::NodeId;
 
-use crate::label::{Label, LabelPoint, LevelLabel, RealEdge, VirtualEdge};
+use crate::label::{EdgeRows, Label, LabelPoint, LevelLabel, RowArc, VirtualArc};
 
 /// Errors produced when encoding to or decoding from a bit string.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -431,9 +446,6 @@ pub const MAX_VARINT_GROUPS: u32 = 16;
 #[derive(Debug, Default)]
 pub struct VarintScratch {
     buf: Vec<u64>,
-    /// A level's real-edge stream, held beside its virtual-edge stream in
-    /// `buf` until the level is built from both.
-    real_buf: Vec<u64>,
 }
 
 impl VarintScratch {
@@ -451,15 +463,24 @@ fn id_width(n: usize) -> u32 {
 /// Width of the checksum trailer appended by [`encode`].
 pub const CHECKSUM_BITS: u32 = 32;
 
+/// The label layout this codec writes (rows of zigzag target deltas),
+/// the `tag` of every checksum [`encode`] writes and the decoders verify.
+/// The layout before it — three independent varints per edge, store
+/// format 2 — checksummed with tag 0, so its bytes fail verification here
+/// instead of being parsed as this layout, even where both layouts would
+/// read the same bits (a label without edges).
+const LAYOUT_TAG: u64 = 3;
+
 /// FNV-1a over the first `bit_len` bits of `bytes` (read in 8-bit
-/// chunks so the value is independent of byte alignment), folded to 32
-/// bits. The payload length is mixed in, so truncations that happen to
-/// end on a self-consistent prefix still fail verification.
-fn prefix_checksum(bytes: &[u8], bit_len: usize) -> u32 {
+/// chunks so the value is independent of byte alignment), started from
+/// the offset basis xor `tag` and folded to 32 bits. The payload length
+/// is mixed in, so truncations that happen to end on a self-consistent
+/// prefix still fail verification.
+fn prefix_checksum(bytes: &[u8], bit_len: usize, tag: u64) -> u32 {
     // Eight bits LSB-first are exactly the byte value, so the 8-bit
     // chunked FNV is a plain byte-wise FNV over the whole bytes plus a
     // masked final partial byte — no bit reader needed.
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325 ^ tag;
     let full = bit_len / 8;
     for &b in &bytes[..full] {
         h ^= u64::from(b);
@@ -492,7 +513,7 @@ pub fn try_encode(label: &Label, n: usize) -> Result<BitWriter, CodecError> {
     for level in &label.levels {
         encode_level(level, &mut w);
     }
-    let checksum = prefix_checksum(w.as_bytes(), w.len_bits());
+    let checksum = prefix_checksum(w.as_bytes(), w.len_bits(), LAYOUT_TAG);
     w.write_bits(u64::from(checksum), CHECKSUM_BITS)?;
     Ok(w)
 }
@@ -519,17 +540,54 @@ fn encode_level(level: &LevelLabel, w: &mut BitWriter) {
         w.write_varint(u64::from(p.dist));
         w.write_varint(u64::from(p.net_level));
     }
-    w.write_varint(level.num_virtual_edges() as u64);
-    for e in level.virtual_edges() {
-        w.write_varint(u64::from(e.a));
-        w.write_varint(u64::from(e.b));
-        w.write_varint(u64::from(e.dist));
+    let num_points = level.points.len();
+    encode_rows(&level.virt, num_points, w, |w, arc| {
+        w.write_varint(u64::from(arc.dist));
+    });
+    encode_rows(&level.real, num_points, w, |_, _| {});
+}
+
+/// Writes one edge section: the edge count, then — unless it is zero —
+/// the length of each of the `num_points` rows, then row by row each arc
+/// as the zigzag delta of its target from the previous target in its row
+/// (from the row index for the first), followed by what `payload` writes.
+/// A point list shortened after the level was built leaves edges outside
+/// the rows written or targets past it, and the decoders reject both.
+fn encode_rows<T: RowArc>(
+    rows: &EdgeRows<T>,
+    num_points: usize,
+    w: &mut BitWriter,
+    payload: impl Fn(&mut BitWriter, T),
+) {
+    w.write_varint(rows.len() as u64);
+    if rows.len() == 0 {
+        return;
     }
-    w.write_varint(level.num_real_edges() as u64);
-    for e in level.real_edges() {
-        w.write_varint(u64::from(e.a));
-        w.write_varint(u64::from(e.b));
+    for a in 0..num_points {
+        w.write_varint(rows.outgoing(a).len() as u64);
     }
+    for a in 0..num_points {
+        let mut prev = a as u32;
+        for &arc in rows.outgoing(a) {
+            w.write_varint(zigzag(i64::from(arc.target()) - i64::from(prev)));
+            payload(w, arc);
+            prev = arc.target();
+        }
+    }
+}
+
+/// Maps a signed delta to an unsigned varint value, small magnitudes of
+/// either sign to small values: 0, -1, 1, -2, … → 0, 1, 2, 3, ….
+fn zigzag(d: i64) -> u64 {
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+/// Inverse of [`zigzag`], as the two's-complement `u64` of the delta, so
+/// a target is `prev.wrapping_add(unzigzag(z))`. For `prev < 2³²` that
+/// lands in `0..P` exactly when the true sum does — a delta is at most
+/// `2⁶³` in magnitude, too small to wrap around onto a valid index.
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
 }
 
 /// Length in bits of the canonical encoding of `label` (checksum
@@ -567,74 +625,40 @@ pub fn encoded_bits_fixed(label: &Label, n: usize) -> usize {
 /// in 32 bits, so anything past 64 is corruption).
 const MAX_PLAUSIBLE_LEVEL: u64 = 64;
 
+const U32_MAX: u64 = u32::MAX as u64;
+
 /// Decodes a label from its canonical bit string.
 ///
 /// The input is treated as untrusted: this function never panics.
 /// Beyond structural parsing, it verifies that
 ///
-/// * every vertex id (owner and points) is `< n`,
+/// * every vertex id (owner and points) is `< n`, and point ids ascend
+///   strictly,
 /// * distances fit `u32` and net levels are plausible (`<= 64`),
-/// * declared element counts fit in the remaining input,
+/// * declared element counts fit in the remaining input, and each edge
+///   section's row lengths add up to its count,
+/// * every edge target indexes the point list and differs from its row
+///   (no self-loops),
 /// * the checksum trailer matches and no bits trail it.
+///
+/// A label it returns therefore passes [`Label::validate`].
 ///
 /// # Errors
 ///
 /// Returns a [`CodecError`] on truncated, malformed, corrupt, or
 /// oversized input.
 pub fn decode(bytes: &[u8], bit_len: usize, n: usize) -> Result<Label, CodecError> {
-    let w_id = id_width(n);
-    let mut r = BitReader::try_new(bytes, bit_len)?;
-    let owner_raw = r.read_bits(w_id)?;
-    if owner_raw >= n as u64 {
-        return Err(CodecError::new(
-            r.position(),
-            format!("owner id {owner_raw} out of range for n={n}"),
-        ));
-    }
-    let owner = NodeId::new(owner_raw as u32);
-    let owner_net_level = read_level(&mut r, "owner net level")?;
-    let first_level = read_level(&mut r, "first level")?;
-    let num_levels = r.read_varint()? as usize;
-    if num_levels as u64 > MAX_PLAUSIBLE_LEVEL {
-        return Err(CodecError::new(
-            r.position(),
-            format!("implausible level count {num_levels}"),
-        ));
-    }
-    let mut levels = Vec::with_capacity(num_levels);
-    for _ in 0..num_levels {
-        levels.push(decode_level(&mut r, n)?);
-    }
-    let payload_bits = r.position();
-    let expected = prefix_checksum(bytes, payload_bits);
-    let stored = r.read_bits(CHECKSUM_BITS)? as u32;
-    if stored != expected {
-        return Err(CodecError::new(
-            payload_bits,
-            format!("checksum mismatch (stored {stored:#010x}, computed {expected:#010x})"),
-        ));
-    }
-    if r.remaining() != 0 {
-        return Err(CodecError::new(
-            r.position(),
-            format!("{} trailing bits after checksum", r.remaining()),
-        ));
-    }
-    Ok(Label {
-        owner,
-        owner_net_level,
-        first_level,
-        levels,
-    })
+    decode_label(bytes, bit_len, n, decode_level)
 }
 
 /// [`decode`] rebuilt on batched word-parallel varint reads: each level's
-/// point and edge streams are pulled with [`BitReader::read_varint_batch`]
-/// into the caller-owned [`VarintScratch`], then validated. Accepts
-/// exactly the inputs [`decode`] accepts and returns bit-identical
-/// labels (differentially asserted in the test suite); only the bit
-/// offset recorded in a [`CodecError`] may differ, because validation
-/// runs after the batch read instead of interleaved with it.
+/// point stream, row lengths and edge streams are pulled with
+/// [`BitReader::read_varint_batch`] into the caller-owned
+/// [`VarintScratch`], then validated. Accepts exactly the inputs
+/// [`decode`] accepts and returns bit-identical labels (differentially
+/// asserted in the test suite); only the bit offset recorded in a
+/// [`CodecError`] may differ, because validation runs after the batch
+/// read instead of interleaved with it.
 ///
 /// # Errors
 ///
@@ -645,6 +669,19 @@ pub fn decode_with(
     bit_len: usize,
     n: usize,
     scratch: &mut VarintScratch,
+) -> Result<Label, CodecError> {
+    decode_label(bytes, bit_len, n, |r, n| {
+        decode_level_batched(r, n, scratch)
+    })
+}
+
+/// The label frame both decoders share — owner, levels, checksum trailer —
+/// with each level read by `level`.
+fn decode_label(
+    bytes: &[u8],
+    bit_len: usize,
+    n: usize,
+    mut level: impl FnMut(&mut BitReader<'_>, usize) -> Result<LevelLabel, CodecError>,
 ) -> Result<Label, CodecError> {
     let w_id = id_width(n);
     let mut r = BitReader::try_new(bytes, bit_len)?;
@@ -667,10 +704,10 @@ pub fn decode_with(
     }
     let mut levels = Vec::with_capacity(num_levels);
     for _ in 0..num_levels {
-        levels.push(decode_level_batched(&mut r, n, scratch)?);
+        levels.push(level(&mut r, n)?);
     }
     let payload_bits = r.position();
-    let expected = prefix_checksum(bytes, payload_bits);
+    let expected = prefix_checksum(bytes, payload_bits, LAYOUT_TAG);
     let stored = r.read_bits(CHECKSUM_BITS)? as u32;
     if stored != expected {
         return Err(CodecError::new(
@@ -723,16 +760,24 @@ fn read_count(
     Ok(v as usize)
 }
 
+/// Fewest bits each element of a level can take — three one-group varints
+/// for a point (id delta, distance, net level), two for a virtual edge
+/// (target delta, distance), one for a real edge — which is what
+/// [`read_count`] bounds the declared counts by.
+const POINT_MIN_BITS: usize = 15;
+const VIRTUAL_EDGE_MIN_BITS: usize = 10;
+const REAL_EDGE_MIN_BITS: usize = 5;
+
 fn decode_level(r: &mut BitReader<'_>, n: usize) -> Result<LevelLabel, CodecError> {
-    // A point is three varints (>= 15 bits), a virtual edge three
-    // (>= 15), a real edge two (>= 10).
-    let num_points = read_count(r, 15, "point")?;
+    let num_points = read_count(r, POINT_MIN_BITS, "point")?;
     let mut points = Vec::with_capacity(num_points);
     let mut prev = 0u64;
     for k in 0..num_points {
         let delta = r.read_varint()?;
         let id = if k == 0 {
             delta
+        } else if delta == 0 {
+            return Err(CodecError::new(r.position(), "repeated point id"));
         } else {
             prev.checked_add(delta)
                 .ok_or_else(|| CodecError::new(r.position(), "point id delta overflows"))?
@@ -752,53 +797,98 @@ fn decode_level(r: &mut BitReader<'_>, n: usize) -> Result<LevelLabel, CodecErro
             net_level,
         });
     }
-    let num_virtual = read_count(r, 15, "virtual edge")?;
-    let mut virtual_edges = Vec::with_capacity(num_virtual);
-    for _ in 0..num_virtual {
-        let a = read_u32(r, "virtual edge endpoint")?;
-        let b = read_u32(r, "virtual edge endpoint")?;
-        let dist = read_u32(r, "virtual edge distance")?;
-        if a as usize >= points.len() || b as usize >= points.len() {
-            return Err(CodecError::new(
-                r.position(),
-                "virtual edge index out of range",
-            ));
-        }
-        virtual_edges.push(VirtualEdge { a, b, dist });
-    }
-    let num_real = read_count(r, 10, "real edge")?;
-    let mut real_edges = Vec::with_capacity(num_real);
-    for _ in 0..num_real {
-        let a = read_u32(r, "real edge endpoint")?;
-        let b = read_u32(r, "real edge endpoint")?;
-        if a as usize >= points.len() || b as usize >= points.len() {
-            return Err(CodecError::new(
-                r.position(),
-                "real edge index out of range",
-            ));
-        }
-        real_edges.push(RealEdge { a, b });
-    }
-    build_level(r, points, virtual_edges, real_edges)
+    let virt = read_rows(
+        r,
+        num_points,
+        VIRTUAL_EDGE_MIN_BITS,
+        "virtual edge",
+        |r, b| {
+            let dist = read_u32(r, "virtual edge distance")?;
+            Ok(VirtualArc { b, dist })
+        },
+    )?;
+    let real = read_rows(r, num_points, REAL_EDGE_MIN_BITS, "real edge", |_, b| Ok(b))?;
+    Ok(LevelLabel {
+        points,
+        virt: Arc::new(virt),
+        real: Arc::new(real),
+    })
 }
 
-/// Hands the parsed lists to [`LevelLabel::new`], which groups the edges
-/// into rows and builds their transpose — once per materialized label,
-/// so a query never has to.
-fn build_level<V, R>(
+/// Reads one edge section written by [`encode_rows`] a varint at a time,
+/// checking each field as it is read, straight into rows; `arc` reads
+/// what follows a target. The reference for [`read_rows_batched`].
+fn read_rows<T: RowArc>(
+    r: &mut BitReader<'_>,
+    num_points: usize,
+    min_bits: usize,
+    what: &str,
+    mut arc: impl FnMut(&mut BitReader<'_>, u32) -> Result<T, CodecError>,
+) -> Result<EdgeRows<T>, CodecError> {
+    let count = read_count(r, min_bits, what)?;
+    if count == 0 {
+        return Ok(EdgeRows::default());
+    }
+    let lengths = (0..num_points)
+        .map(|_| r.read_varint())
+        .collect::<Result<Vec<u64>, _>>()?;
+    let off = row_offsets(r, &lengths, count, what)?;
+    let mut fwd = Vec::with_capacity(count);
+    for (a, w) in off.windows(2).enumerate() {
+        let mut prev = a as u64;
+        for _ in w[0]..w[1] {
+            let b = prev.wrapping_add(unzigzag(r.read_varint()?));
+            if b >= num_points as u64 {
+                return Err(CodecError::new(
+                    r.position(),
+                    format!("{what} target out of range"),
+                ));
+            }
+            if b == a as u64 {
+                return Err(CodecError::new(r.position(), format!("{what} self-loop")));
+            }
+            fwd.push(arc(r, b as u32)?);
+            prev = b;
+        }
+    }
+    Ok(EdgeRows::from_rows(off, fwd))
+}
+
+/// Turns an edge section's row lengths into its row offsets, checking
+/// that they add up to the section's edge count, which must fit the
+/// `u32` offsets.
+fn row_offsets(
     r: &BitReader<'_>,
-    points: Vec<LabelPoint>,
-    virtual_edges: V,
-    real_edges: R,
-) -> Result<LevelLabel, CodecError>
-where
-    V: IntoIterator<Item = VirtualEdge>,
-    V::IntoIter: Clone,
-    R: IntoIterator<Item = RealEdge>,
-    R::IntoIter: Clone,
-{
-    LevelLabel::new(points, virtual_edges, real_edges)
-        .map_err(|e| CodecError::new(r.position(), e.message))
+    lengths: &[u64],
+    count: usize,
+    what: &str,
+) -> Result<Vec<u32>, CodecError> {
+    let mismatch = || {
+        CodecError::new(
+            r.position(),
+            format!("{what} row lengths do not add up to the count {count}"),
+        )
+    };
+    if count > u32::MAX as usize {
+        return Err(CodecError::new(
+            r.position(),
+            format!("more than u32::MAX {what}s at one level"),
+        ));
+    }
+    let mut off = Vec::with_capacity(lengths.len() + 1);
+    off.push(0);
+    let mut total = 0u64;
+    for &len in lengths {
+        total = total.saturating_add(len);
+        if total > count as u64 {
+            return Err(mismatch());
+        }
+        off.push(total as u32);
+    }
+    if total != count as u64 {
+        return Err(mismatch());
+    }
+    Ok(off)
 }
 
 /// Reads a varint that must fit in `u32` (ids, distances, indices).
@@ -808,18 +898,17 @@ fn read_u32(r: &mut BitReader<'_>, what: &str) -> Result<u32, CodecError> {
         .map_err(|_| CodecError::new(r.position(), format!("{what} {v} exceeds u32 range")))
 }
 
-/// [`decode_level`] on batched reads: each stream (points, virtual edges,
-/// real edges) is one `read_varint_batch` call into the scratch, validated
-/// afterwards with exactly the checks the sequential path applies —
-/// same accept set, same decoded values, possibly different error
-/// offsets on reject.
+/// [`decode_level`] on batched reads: the point stream, each edge
+/// section's row lengths and its edge stream are one `read_varint_batch`
+/// call each into the scratch, validated afterwards with exactly the
+/// checks the sequential path applies — same accept set, same decoded
+/// values, possibly different error offsets on reject.
 fn decode_level_batched(
     r: &mut BitReader<'_>,
     n: usize,
-    VarintScratch { buf, real_buf }: &mut VarintScratch,
+    VarintScratch { buf }: &mut VarintScratch,
 ) -> Result<LevelLabel, CodecError> {
-    const U32_MAX: u64 = u32::MAX as u64;
-    let num_points = read_count(r, 15, "point")?;
+    let num_points = read_count(r, POINT_MIN_BITS, "point")?;
     r.read_varint_batch(num_points * 3, buf)?;
     // Delta-decode and build in one pass, folding every validity
     // condition into flags checked after the scan — branch-light, and
@@ -829,14 +918,17 @@ fn decode_level_batched(
     // which can never overflow, so no first-element special case.)
     let mut prev = 0u64;
     let mut overflow = false;
+    let mut repeated = false;
     let mut bad_id = false;
     let mut bad_dist = false;
     let mut bad_level = false;
     let points: Vec<LabelPoint> = buf
         .chunks_exact(3)
-        .map(|c| {
+        .enumerate()
+        .map(|(k, c)| {
             let (id, o) = prev.overflowing_add(c[0]);
             overflow |= o;
+            repeated |= (k > 0) & (c[0] == 0);
             prev = id;
             bad_id |= id >= n as u64;
             bad_dist |= c[1] > U32_MAX;
@@ -850,6 +942,9 @@ fn decode_level_batched(
         .collect();
     if overflow {
         return Err(CodecError::new(r.position(), "point id delta overflows"));
+    }
+    if repeated {
+        return Err(CodecError::new(r.position(), "repeated point id"));
     }
     if bad_id {
         return Err(CodecError::new(
@@ -866,46 +961,85 @@ fn decode_level_batched(
     if bad_level {
         return Err(CodecError::new(r.position(), "implausible point net level"));
     }
+    let virt = read_rows_batched(
+        r,
+        num_points,
+        VIRTUAL_EDGE_MIN_BITS,
+        "virtual edge",
+        2,
+        buf,
+        |b, c| {
+            (c[1] <= U32_MAX).then_some(VirtualArc {
+                b,
+                dist: c[1] as u32,
+            })
+        },
+    )?;
+    let real = read_rows_batched(
+        r,
+        num_points,
+        REAL_EDGE_MIN_BITS,
+        "real edge",
+        1,
+        buf,
+        |b, _| Some(b),
+    )?;
+    Ok(LevelLabel {
+        points,
+        virt: Arc::new(virt),
+        real: Arc::new(real),
+    })
+}
 
-    // An endpoint must fit u32 *and* index into `points`; `>= bound`
-    // folds both checks into one compare.
-    let bound = (points.len() as u64).min(U32_MAX + 1);
-    let num_virtual = read_count(r, 15, "virtual edge")?;
-    r.read_varint_batch(num_virtual * 3, buf)?;
-    let num_real = read_count(r, 10, "real edge")?;
-    r.read_varint_batch(num_real * 2, real_buf)?;
-    // `LevelLabel::new` walks each list twice (count, then scatter into
-    // rows) straight off the varint buffers; the range flag rides along
-    // in the first walk instead of costing one of its own.
-    let bad = std::cell::Cell::new(false);
-    let virtual_edges = buf.chunks_exact(3).map(|c| {
-        bad.set(bad.get() | (c[0] >= bound) | (c[1] >= bound) | (c[2] > U32_MAX));
-        VirtualEdge {
-            a: c[0] as u32,
-            b: c[1] as u32,
-            dist: c[2] as u32,
+/// [`read_rows`] on batched reads: the row lengths are one
+/// `read_varint_batch` call, then each row's edges — `stride` varints per
+/// edge, the zigzag target delta first — are one more, written straight
+/// into the row's slots (a row's batch stays in cache; a whole level's
+/// would not). `arc` makes the stored arc from the target and the edge's
+/// varints, or `None` when a varint is out of range; every condition is
+/// folded into one flag checked after the walk.
+fn read_rows_batched<T: RowArc>(
+    r: &mut BitReader<'_>,
+    num_points: usize,
+    min_bits: usize,
+    what: &str,
+    stride: usize,
+    buf: &mut Vec<u64>,
+    arc: impl Fn(u32, &[u64]) -> Option<T>,
+) -> Result<EdgeRows<T>, CodecError> {
+    let count = read_count(r, min_bits, what)?;
+    if count == 0 {
+        return Ok(EdgeRows::default());
+    }
+    r.read_varint_batch(num_points, buf)?;
+    let off = row_offsets(r, buf, count, what)?;
+    let mut fwd = vec![T::default(); count];
+    let mut invalid = false;
+    for (a, w) in off.windows(2).enumerate() {
+        let row = &mut fwd[w[0] as usize..w[1] as usize];
+        r.read_varint_batch(row.len() * stride, buf)?;
+        let mut prev = a as u64;
+        for (slot, c) in row.iter_mut().zip(buf.chunks_exact(stride)) {
+            let b = prev.wrapping_add(unzigzag(c[0]));
+            let made = arc(b as u32, c);
+            invalid |= (b >= num_points as u64) | (b == a as u64) | made.is_none();
+            *slot = made.unwrap_or_default();
+            prev = b;
         }
-    });
-    let real_edges = real_buf.chunks_exact(2).map(|c| {
-        bad.set(bad.get() | (c[0] >= bound) | (c[1] >= bound));
-        RealEdge {
-            a: c[0] as u32,
-            b: c[1] as u32,
-        }
-    });
-    let level = build_level(r, points, virtual_edges, real_edges);
-    if bad.get() {
+    }
+    if invalid {
         return Err(CodecError::new(
             r.position(),
-            "edge endpoint or distance out of range",
+            format!("{what} target or distance out of range, or a self-loop"),
         ));
     }
-    level
+    Ok(EdgeRows::from_rows(off, fwd))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::label::{RealEdge, VirtualEdge};
 
     #[test]
     fn bit_roundtrip_fixed_widths() {
@@ -1168,8 +1302,8 @@ mod tests {
     fn checksum_depends_on_length() {
         // Two payloads that are bit-identical prefixes must not share a
         // checksum (length is mixed in).
-        let a = prefix_checksum(&[0u8; 4], 9);
-        let b = prefix_checksum(&[0u8; 4], 10);
+        let a = prefix_checksum(&[0u8; 4], 9, LAYOUT_TAG);
+        let b = prefix_checksum(&[0u8; 4], 10, LAYOUT_TAG);
         assert_ne!(a, b);
     }
 
@@ -1299,5 +1433,182 @@ mod tests {
                 "cut {cut}: sequential {sequential:?} vs batched {batched:?}"
             );
         }
+    }
+
+    /// The first `payload_bits` bits of `bytes` followed by the checksum
+    /// computed with `tag` — a mutant that gets past the checksum, so the
+    /// structural checks alone decide.
+    fn reseal(bytes: &[u8], payload_bits: usize, tag: u64) -> (Vec<u8>, usize) {
+        let mut w = BitWriter::new();
+        let mut r = BitReader::new(bytes, payload_bits);
+        while r.remaining() > 0 {
+            let k = r.remaining().min(64) as u32;
+            w.write_bits(r.read_bits(k).unwrap(), k).unwrap();
+        }
+        let checksum = prefix_checksum(w.as_bytes(), w.len_bits(), tag);
+        w.write_bits(u64::from(checksum), CHECKSUM_BITS).unwrap();
+        (w.as_bytes().to_vec(), w.len_bits())
+    }
+
+    /// Both decoders on `(bytes, bits)`: equal results, and any label they
+    /// accept passes [`Label::validate`].
+    fn decode_both(bytes: &[u8], bits: usize, n: usize) -> Result<Label, CodecError> {
+        let sequential = decode(bytes, bits, n);
+        let batched = decode_with(bytes, bits, n, &mut VarintScratch::new());
+        match (&sequential, &batched) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a, b);
+                assert_eq!(a.validate(), Ok(()));
+            }
+            (Err(_), Err(_)) => {}
+            _ => panic!("sequential {sequential:?} vs batched {batched:?}"),
+        }
+        sequential
+    }
+
+    fn point(v: u32, dist: u32) -> LabelPoint {
+        LabelPoint {
+            vertex: NodeId::new(v),
+            dist,
+            net_level: 0,
+        }
+    }
+
+    fn one_level(level: LevelLabel) -> Label {
+        Label {
+            owner: NodeId::new(0),
+            owner_net_level: 0,
+            first_level: 4,
+            levels: vec![level],
+        }
+    }
+
+    #[test]
+    fn hand_built_rows_roundtrip_in_stored_order() {
+        // An unsorted row (targets 3, 1, 2 from row 0), rows whose first
+        // target is below the row index (negative zigzag deltas), and a
+        // real-edge row walking down.
+        let points = (0..5).map(|v| point(v * 7, v)).collect::<Vec<_>>();
+        let e = |a, b, dist| VirtualEdge { a, b, dist };
+        let virtual_edges = [e(0, 3, 9), e(0, 1, 2), e(0, 2, 5), e(3, 0, 9), e(4, 1, 3)];
+        let real_edges = [RealEdge { a: 4, b: 3 }, RealEdge { a: 4, b: 0 }];
+        let level = LevelLabel::new(points, virtual_edges, real_edges).unwrap();
+        let label = one_level(level);
+        let w = encode(&label, 40);
+        assert_eq!(
+            decode_both(w.as_bytes(), w.len_bits(), 40),
+            Ok(label.clone())
+        );
+        assert_eq!(
+            label.levels[0].virtual_edges().collect::<Vec<_>>(),
+            virtual_edges,
+            "stored order is what round-trips"
+        );
+    }
+
+    #[test]
+    fn densest_level_decodes_at_ten_bits_per_virtual_edge() {
+        // 64 points, every pair an edge, every target delta 1 and every
+        // distance below 16: each virtual edge is two one-group varints.
+        // A count bound of 15 bits per virtual edge would reject this.
+        let p = 64u32;
+        let points = (0..p).map(|v| point(v, v % 16)).collect();
+        let edges = (0..p).flat_map(|a| {
+            (a + 1..p).map(move |b| VirtualEdge {
+                a,
+                b,
+                dist: (a + b) % 16,
+            })
+        });
+        let label = one_level(LevelLabel::new(points, edges, []).unwrap());
+        let num_edges = (p * (p - 1) / 2) as usize;
+        let w = encode(&label, 64);
+        let edge_bits = w.len_bits() - encoded_bits(&one_level(LevelLabel::default()), 64);
+        assert!(
+            edge_bits < 64 * 15 + 64 * 10 + 10 * num_edges + 10,
+            "{edge_bits} bits for {num_edges} edges"
+        );
+        assert_eq!(decode_both(w.as_bytes(), w.len_bits(), 64), Ok(label));
+    }
+
+    #[test]
+    fn repeated_points_and_self_loops_are_rejected() {
+        let repeated = LevelLabel::new(vec![point(3, 1), point(3, 1)], [], []).unwrap();
+        let w = encode(&one_level(repeated), 8);
+        let err = decode_both(w.as_bytes(), w.len_bits(), 8).unwrap_err();
+        assert!(err.message.contains("repeated point"), "{err}");
+        let points = vec![point(1, 1), point(2, 2)];
+        let virtual_loop = [VirtualEdge {
+            a: 1,
+            b: 1,
+            dist: 0,
+        }];
+        let real_loop = [RealEdge { a: 0, b: 0 }];
+        for level in [
+            LevelLabel::new(points.clone(), virtual_loop, []).unwrap(),
+            LevelLabel::new(points.clone(), [], real_loop).unwrap(),
+        ] {
+            let w = encode(&one_level(level), 8);
+            assert!(decode_both(w.as_bytes(), w.len_bits(), 8).is_err());
+        }
+    }
+
+    #[test]
+    fn untagged_checksum_is_rejected() {
+        // New-layout bytes sealed with the pre-row layout's checksum (tag
+        // 0) — what an old-layout label looks like to this decoder at best.
+        let w = encode(&sample_label(), 50);
+        let payload = w.len_bits() - CHECKSUM_BITS as usize;
+        let (same, bits) = reseal(w.as_bytes(), payload, LAYOUT_TAG);
+        assert_eq!((same.as_slice(), bits), (w.as_bytes(), w.len_bits()));
+        let (old, bits) = reseal(w.as_bytes(), payload, 0);
+        let err = decode(&old, bits, 50).unwrap_err();
+        assert!(err.message.contains("checksum"), "{err}");
+        let err = decode_with(&old, bits, 50, &mut VarintScratch::new()).unwrap_err();
+        assert!(err.message.contains("checksum"), "{err}");
+    }
+
+    #[test]
+    fn resealed_payload_flips_are_rejected_or_valid_alike() {
+        // Every payload bit flipped with the checksum fixed up: the
+        // structural checks alone must keep the two decoders in step and
+        // every accepted label valid.
+        let points = (0..6).map(|v| point(v * 3, v)).collect::<Vec<_>>();
+        let e = |a, b, dist| VirtualEdge { a, b, dist };
+        let virtual_edges = [e(0, 2, 4), e(0, 5, 9), e(1, 3, 2), e(4, 0, 7)];
+        let real_edges = [RealEdge { a: 0, b: 1 }, RealEdge { a: 2, b: 1 }];
+        let label = one_level(LevelLabel::new(points, virtual_edges, real_edges).unwrap());
+        let w = encode(&label, 20);
+        let payload = w.len_bits() - CHECKSUM_BITS as usize;
+        let mut accepted = 0;
+        for flip in 0..payload {
+            let mut bytes = w.as_bytes().to_vec();
+            bytes[flip / 8] ^= 1 << (flip % 8);
+            let (bytes, bits) = reseal(&bytes, payload, LAYOUT_TAG);
+            accepted += usize::from(decode_both(&bytes, bits, 20).is_ok());
+        }
+        // Distance and net-level bits can flip to other valid labels.
+        assert!(
+            accepted > 0 && accepted < payload,
+            "{accepted} of {payload}"
+        );
+    }
+
+    #[test]
+    fn grid_labels_stay_small() {
+        // Size guard: the row layout's mean label on grid2d(12, 12) at
+        // ε = 1 (28 319 bytes under three varints per edge).
+        let g = fsdl_graph::generators::grid2d(12, 12);
+        let oracle = crate::ForbiddenSetOracle::new(&g, 1.0);
+        let n = g.num_vertices();
+        let total: usize = (0..n)
+            .map(|v| {
+                encode(&oracle.label(NodeId::from_index(v)), n)
+                    .as_bytes()
+                    .len()
+            })
+            .sum();
+        let mean = total as f64 / n as f64;
+        assert!(mean <= 13_500.0, "mean encoded label {mean:.0} bytes");
     }
 }

@@ -10,9 +10,10 @@
 //! 1. [`crate::codec::decode_with`] — the batched decoder every serving
 //!    path runs, here with one scratch reused across mutants — returns
 //!    `Err(CodecError)` or `Ok(label)`: it never panics and never loops;
-//! 2. if it decodes, running the query with the decoded label in the
-//!    fault set never *underestimates* `d_{G∖F'}(s,t)`, where `F'` is
-//!    the fault set actually decoded (safety is relative to the labels
+//! 2. if it decodes, the label passes [`crate::Label::validate`] (no
+//!    serving path re-checks it), and running the query with the decoded
+//!    label in the fault set never *underestimates* `d_{G∖F'}(s,t)`,
+//!    where `F'` is the fault set actually decoded (safety is relative to the labels
 //!    received: a corruption that survives the checksum is
 //!    indistinguishable from an honestly different query).
 //!
@@ -216,7 +217,8 @@ pub struct SweepStats {
 /// # Panics
 ///
 /// Panics — with the seed and the exact mutation in the message — when a
-/// mutated label decodes and the resulting query answer underestimates
+/// mutated label decodes to a label that fails [`crate::Label::validate`],
+/// or the resulting query answer underestimates
 /// the true `d_{G∖F'}(s,t)` for the decoded fault set `F'`. Decoder
 /// panics propagate as-is (the chaos tests treat any panic as failure).
 pub fn corruption_sweep(
@@ -260,8 +262,16 @@ pub fn corruption_sweep(
             Ok(decoded) => {
                 // The mutation survived the checksum: by construction this
                 // means it reassembled a valid encoding (e.g. a whole-label
-                // splice). The decoder must still be *sound relative to
-                // what it decoded*: no underestimate of d_{G∖F'}.
+                // splice). What the decoder returns is structurally valid —
+                // no reader re-checks it — and the answer must be *sound
+                // relative to what it decoded*: no underestimate of
+                // d_{G∖F'}.
+                if let Err(e) = decoded.validate() {
+                    panic!(
+                        "corruption sweep seed {seed:#x} mutation #{idx} {m:?}: decoder \
+                         returned an invalid label: {e}"
+                    );
+                }
                 let fprime = decoded.owner;
                 let faults = QueryLabels {
                     fault_vertices: vec![&decoded],

@@ -19,7 +19,8 @@
 //! Both kinds of edge are held as rows by first endpoint plus a transpose
 //! (`EdgeRows`), not as flat lists: the decoder expands one vertex at a
 //! time and needs that vertex's edges, in both directions, without walking
-//! the level. [`LevelLabel::new`] builds the rows;
+//! the level. [`LevelLabel::new`] builds the rows (the codec writes them
+//! row by row and fills them back the same way);
 //! [`LevelLabel::virtual_edges`] and [`LevelLabel::real_edges`] read the
 //! flat lists back.
 
@@ -99,7 +100,7 @@ impl RowArc for u32 {
 /// real one, the same as the flat `(a, b, dist)` / `(a, b)` structs — plus
 /// `2·(P+1)` offsets. All four vectors are empty when there are no edges.
 ///
-/// Invariants (established by [`EdgeRows::build`], relied on by the
+/// Invariants (established by [`EdgeRows::from_rows`], relied on by the
 /// accessors; the fields never change afterwards): `off` and `tin_off`
 /// are non-decreasing with `P + 1` entries ending at `fwd.len()`; every
 /// `tin` entry is a position in `fwd`; each `tin` row is ascending.
@@ -121,11 +122,6 @@ impl<T: RowArc> EdgeRows<T> {
         I: Iterator<Item = (u32, T)> + Clone,
     {
         let mut off = vec![0u32; num_points + 1];
-        // Counts land two slots up, so that after the prefix sum
-        // `tin_off[b + 1]` is row `b`'s start, the scatter below can use
-        // it as the row's write cursor, and what remains is the offset
-        // array with one stale slot at the end.
-        let mut tin_off = vec![0u32; num_points + 2];
         let mut fwd = Vec::with_capacity(edges.size_hint().0);
         let (mut in_rows, mut last_a) = (true, 0);
         for (a, arc) in edges.clone() {
@@ -139,7 +135,6 @@ impl<T: RowArc> EdgeRows<T> {
                 return Err("more than u32::MAX edges at one level".into());
             }
             off[a as usize + 1] += 1;
-            tin_off[b as usize + 2] += 1;
             in_rows &= last_a <= a;
             last_a = a;
             fwd.push(arc);
@@ -150,7 +145,6 @@ impl<T: RowArc> EdgeRows<T> {
         fwd.shrink_to_fit();
         for k in 1..=num_points {
             off[k] += off[k - 1];
-            tin_off[k + 1] += tin_off[k];
         }
         if !in_rows {
             let mut cursor = off.clone();
@@ -160,6 +154,31 @@ impl<T: RowArc> EdgeRows<T> {
                 *at += 1;
             }
         }
+        Ok(EdgeRows::from_rows(off, fwd))
+    }
+
+    /// Rows already laid out — `off` with `P + 1` non-decreasing entries
+    /// ending at `fwd.len()`, every arc's target `< P` — so only the
+    /// transpose is built. This is how the codec fills a level: its bytes
+    /// carry the row lengths, so a decoded level is never grouped.
+    pub(crate) fn from_rows(off: Vec<u32>, fwd: Vec<T>) -> Self {
+        if fwd.is_empty() {
+            return EdgeRows::default();
+        }
+        let num_points = off.len() - 1;
+        debug_assert_eq!(off[num_points] as usize, fwd.len());
+        // Counts land two slots up, so that after the prefix sum
+        // `tin_off[b + 1]` is row `b`'s start, the scatter below can use
+        // it as the row's write cursor, and what remains is the offset
+        // array with one stale slot at the end.
+        let mut tin_off = vec![0u32; num_points + 2];
+        for arc in &fwd {
+            debug_assert!((arc.target() as usize) < num_points);
+            tin_off[arc.target() as usize + 2] += 1;
+        }
+        for k in 1..=num_points {
+            tin_off[k + 1] += tin_off[k];
+        }
         let mut tin = vec![0u32; fwd.len()];
         for (pos, arc) in fwd.iter().enumerate() {
             let at = &mut tin_off[arc.target() as usize + 1];
@@ -167,12 +186,12 @@ impl<T: RowArc> EdgeRows<T> {
             *at += 1;
         }
         tin_off.pop();
-        Ok(EdgeRows {
+        EdgeRows {
             off,
             fwd,
             tin_off,
             tin,
-        })
+        }
     }
 
     /// Number of edges.
@@ -251,10 +270,10 @@ pub struct LevelLabel {
 
 impl LevelLabel {
     /// Builds a level from its points and flat edge lists — the one way
-    /// to make a level with edges. Edges are kept grouped by their first
-    /// endpoint index `a` (a stable sort: lists already ordered by `a`,
-    /// as the builder and the codec produce them, are read back
-    /// unchanged).
+    /// to make a level with edges outside this crate (the codec fills the
+    /// rows straight from its bytes). Edges are kept grouped by their
+    /// first endpoint index `a` (a stable sort: lists already ordered by
+    /// `a`, as the builder produces them, are read back unchanged).
     ///
     /// # Errors
     ///

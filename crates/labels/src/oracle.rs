@@ -319,15 +319,16 @@ impl ForbiddenSetOracle {
     /// Decodes `v`'s label from the attached segment, if any. Returns
     /// `None` (so callers fall back to in-memory materialization — still
     /// sound, merely slower) when there is no segment, the payload fails
-    /// decoding, or the decoded label is not actually `v`'s: on-disk
-    /// bytes are untrusted even after the segment checksum passed. Under
-    /// a lazy open this is the first-touch validation point: corrupt
-    /// payload bits surface as a typed decode failure here, never a
-    /// panic, and the fallback keeps the answer bit-identical.
+    /// decoding (which covers every [`Label::validate`] condition), or the
+    /// decoded label is not actually `v`'s: on-disk bytes are untrusted
+    /// even after the segment checksum passed. Under a lazy open this is
+    /// the first-touch validation point: corrupt payload bits surface as a
+    /// typed decode failure here, never a panic, and the fallback keeps
+    /// the answer bit-identical.
     fn segment_label(&self, v: NodeId, varints: &mut VarintScratch) -> Option<Label> {
         let segment = self.segment.as_deref()?;
         let label = segment.decode_label_with(v, varints).ok()?;
-        (label.owner == v && label.validate().is_ok()).then_some(label)
+        (label.owner == v).then_some(label)
     }
 
     /// Residency snapshot: materialized labels and bytes versus the

@@ -40,7 +40,10 @@ pub const SEGMENT_MAGIC: [u8; 8] = *b"FSDLSEG1";
 /// Current segment format version. Version 2 adds a dedicated checksum
 /// over the header + offset index (between the index and the payload),
 /// so a lazy open can certify the index without faulting in the payload.
-pub const FORMAT_VERSION: u32 = 2;
+/// Version 3 holds labels in the codec's row layout (edges as row lengths
+/// plus zigzag target deltas); a version-2 segment is refused rather than
+/// re-encoded — stores are derived from the graph and are rebuilt.
+pub const FORMAT_VERSION: u32 = 3;
 /// The manifest file name inside a store directory.
 pub const MANIFEST_NAME: &str = "MANIFEST";
 /// Header line (format + version) opening every manifest.

@@ -25,7 +25,9 @@ use fsdl_labels::{corrupt, query, ForbiddenSetOracle, QueryLabels};
 use fsdl_testkit::Rng;
 
 /// Asserts the decode-or-sound contract for one mutated bit string,
-/// using `(s, t)` as the query pair. Returns `true` when the mutant
+/// using `(s, t)` as the query pair: a mutant the decoder accepts is a
+/// label that passes `Label::validate` — the serving paths no longer
+/// re-check it — and answers soundly. Returns `true` when the mutant
 /// decoded.
 fn assert_decode_or_sound(
     oracle: &ForbiddenSetOracle,
@@ -41,6 +43,11 @@ fn assert_decode_or_sound(
     match codec::decode_with(bytes, bits, n, varints) {
         Err(_) => false,
         Ok(decoded) => {
+            assert_eq!(
+                decoded.validate(),
+                Ok(()),
+                "{context}: decoded an invalid label"
+            );
             let fprime = decoded.owner;
             let ls = oracle.label(s);
             let lt = oracle.label(t);
@@ -215,7 +222,9 @@ fn random_bytes_never_panic() {
         // not panic) or undershoot it.
         let bits = rng.gen_range(0..=len * 8 + 64);
         let n = rng.gen_range(1..2000usize);
-        let _ = codec::decode_with(&bytes, bits, n, &mut varints);
+        if let Ok(label) = codec::decode_with(&bytes, bits, n, &mut varints) {
+            assert_eq!(label.validate(), Ok(()));
+        }
     });
 }
 

@@ -4,16 +4,33 @@
 //! is "generate-only".
 
 use fsdl_graph::{bfs, generators, FaultSet, Graph, NodeId};
+use fsdl_labels::codec::{self, VarintScratch};
 use fsdl_labels::{corrupt, ForbiddenSetOracle};
 
-/// Corruption sweep for one family: >= 1000 scheduled mutations of an
-/// encoded fault label, each of which must either fail decoding with a
-/// typed `CodecError` or decode to a valid label whose query answer is
-/// still sound. `corrupt::corruption_sweep` panics with the seed and the
-/// offending mutation on any violation.
+/// Codec round trip of every label of the family, through both decoders:
+/// `decode_with(encode(L)) == decode(encode(L)) == L`.
+fn roundtrip_family(oracle: &ForbiddenSetOracle, n: usize) {
+    let mut varints = VarintScratch::new();
+    for v in 0..n {
+        let label = oracle.label(NodeId::from_index(v));
+        let w = codec::encode(&label, n);
+        let batched = codec::decode_with(w.as_bytes(), w.len_bits(), n, &mut varints);
+        let sequential = codec::decode(w.as_bytes(), w.len_bits(), n);
+        assert_eq!(batched.as_ref(), Ok(&*label), "label {v}: decode_with");
+        assert_eq!(sequential.as_ref(), Ok(&*label), "label {v}: decode");
+    }
+}
+
+/// Codec round trip of every label, then a corruption sweep for one
+/// family: >= 1000 scheduled mutations of an encoded fault label, each of
+/// which must either fail decoding with a typed `CodecError` or decode to
+/// a valid label whose query answer is still sound.
+/// `corrupt::corruption_sweep` panics with the seed and the offending
+/// mutation on any violation.
 fn corrupt_family(g: &Graph, eps: f64, seed: u64) {
     let oracle = ForbiddenSetOracle::new(g, eps);
     let n = g.num_vertices();
+    roundtrip_family(&oracle, n);
     assert!(n >= 4, "family too small for a corruption sweep");
     let s = NodeId::new(0);
     let t = NodeId::from_index(n / 2);

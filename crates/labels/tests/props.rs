@@ -3,13 +3,20 @@
 //! with arbitrary fault sets.
 
 use fsdl_graph::{bfs, FaultSet, Graph, GraphBuilder, NodeId};
-use fsdl_labels::codec::{decode, encode};
+use fsdl_labels::codec::{decode, decode_with, encode, VarintScratch};
 use fsdl_labels::failure_free::{query_failure_free, FailureFreeLabeling};
 use fsdl_labels::{ForbiddenSetOracle, Label, LabelPoint, LevelLabel, RealEdge, VirtualEdge};
 use fsdl_testkit::Rng;
 
-/// An arbitrary structurally-valid label (edge indices in range, points
-/// sorted by id) for codec round-trip testing.
+/// Two distinct indices below `k >= 2`, in either order.
+fn distinct_pair(rng: &mut Rng, k: u32) -> (u32, u32) {
+    let a = rng.gen_range(0..k);
+    (a, (a + rng.gen_range(1..k)) % k)
+}
+
+/// An arbitrary structurally-valid label (edge indices in range, no
+/// self-loops, points sorted by id; rows in any order) for codec
+/// round-trip testing.
 fn random_label(rng: &mut Rng, n: u32) -> Label {
     let num_levels = rng.gen_range(1..5usize);
     let levels = (0..num_levels)
@@ -26,10 +33,13 @@ fn random_label(rng: &mut Rng, n: u32) -> Label {
             let k = points.len() as u32;
             let virtual_edges: Vec<VirtualEdge> = if k >= 2 {
                 (0..rng.gen_range(0..10usize))
-                    .map(|_| VirtualEdge {
-                        a: rng.gen_range(0..k),
-                        b: rng.gen_range(0..k),
-                        dist: rng.gen_range(0..1000u32),
+                    .map(|_| {
+                        let (a, b) = distinct_pair(rng, k);
+                        VirtualEdge {
+                            a,
+                            b,
+                            dist: rng.gen_range(0..1000u32),
+                        }
                     })
                     .collect()
             } else {
@@ -37,9 +47,9 @@ fn random_label(rng: &mut Rng, n: u32) -> Label {
             };
             let real_edges: Vec<RealEdge> = if k >= 2 {
                 (0..rng.gen_range(0..6usize))
-                    .map(|_| RealEdge {
-                        a: rng.gen_range(0..k),
-                        b: rng.gen_range(0..k),
+                    .map(|_| {
+                        let (a, b) = distinct_pair(rng, k);
+                        RealEdge { a, b }
                     })
                     .collect()
             } else {
@@ -78,8 +88,12 @@ fn random_connectedish_graph(rng: &mut Rng) -> Graph {
 fn codec_roundtrip_arbitrary_labels() {
     fsdl_testkit::check("codec_roundtrip_arbitrary_labels", 64, |rng| {
         let label = random_label(rng, 500);
+        assert_eq!(label.validate(), Ok(()));
         let w = encode(&label, 500);
         let back = decode(w.as_bytes(), w.len_bits(), 500).expect("roundtrip");
+        assert_eq!(back, label);
+        let mut varints = VarintScratch::new();
+        let back = decode_with(w.as_bytes(), w.len_bits(), 500, &mut varints).expect("roundtrip");
         assert_eq!(back, label);
     });
 }

@@ -8,7 +8,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fsdl_graph::{generators, NodeId};
-use fsdl_labels::{corrupt, store, ForbiddenSetOracle, StoreError};
+use fsdl_labels::{
+    corrupt, partition, store, write_shard_stores, ForbiddenSetOracle, OpenMode, PartitionError,
+    PartitionPlan, ShardStore, StoreError,
+};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -164,18 +167,52 @@ fn manifest_failure_modes_are_typed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A future format version is refused up front — with the checksum
-/// fixed so the version gate itself, not the CRC, does the refusing.
+/// Sets the segment's version field and fixes both checksums, so the
+/// version gate itself, not the CRC, does any refusing.
+fn patch_version(seg_path: &std::path::Path, version: u32) {
+    let mut bytes = std::fs::read(seg_path).unwrap();
+    bytes[8..12].copy_from_slice(&version.to_le_bytes());
+    refresh_crc(&mut bytes);
+    std::fs::write(seg_path, &bytes).unwrap();
+}
+
+/// A future format version is refused up front, and so is format 2: its
+/// labels are in the pre-row codec layout, and a store is a derived
+/// artifact that is rebuilt, never read under the wrong layout.
 #[test]
 fn version_skew_is_refused() {
-    let (g, _oracle, dir) = build_store("version");
-    let seg_path = dir.join(&store::read_manifest(&dir).unwrap().segment);
-    let mut bytes = std::fs::read(&seg_path).unwrap();
-    bytes[8..12].copy_from_slice(&7u32.to_le_bytes()); // version field
-    refresh_crc(&mut bytes);
-    std::fs::write(&seg_path, &bytes).unwrap();
-    let err = ForbiddenSetOracle::open(&dir, &g).expect_err("future version must not open");
-    assert_eq!(err, StoreError::VersionUnsupported { found: 7 });
+    for found in [2u32, 7] {
+        let (g, _oracle, dir) = build_store("version");
+        let seg_path = dir.join(&store::read_manifest(&dir).unwrap().segment);
+        patch_version(&seg_path, found);
+        let err = ForbiddenSetOracle::open(&dir, &g).expect_err("other version must not open");
+        assert_eq!(err, StoreError::VersionUnsupported { found });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A shard directory written at format 2 is refused the same way when a
+/// shard server opens it.
+#[test]
+fn format_2_shard_directory_is_refused() {
+    let (_g, oracle, dir) = build_store("shard-version");
+    let shards = dir.join("shards");
+    write_shard_stores(&oracle, &shards, &PartitionPlan::contiguous(25, 2)).expect("shards");
+    let shard = shards.join(partition::shard_dir_name(0));
+    let seg_path = shard.join(&store::read_manifest(&shard).unwrap().segment);
+    patch_version(&seg_path, 2);
+    for mode in [OpenMode::Eager, OpenMode::Lazy] {
+        let Err(err) = ShardStore::open_with(&shard, mode) else {
+            panic!("format 2 must not open");
+        };
+        assert!(
+            matches!(
+                err,
+                PartitionError::Store(StoreError::VersionUnsupported { found: 2 })
+            ),
+            "{err:?}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -805,9 +805,10 @@ fn needed_ids(n: usize, frame: &QueryFrame) -> Result<Vec<u32>, Response> {
     Ok(planned.0)
 }
 
-/// Decodes the label of every planned id once, validating ownership and
-/// internal consistency — a shard that returns bytes for the wrong vertex
-/// or a corrupt label is a typed `Internal` error, never a wrong answer.
+/// Decodes the label of every planned id once and checks its owner — a
+/// shard that returns bytes for the wrong vertex, a corrupt label or one
+/// in an older codec layout is a typed `Internal` error, never a wrong
+/// answer. The decoder returns only labels that pass `Label::validate`.
 fn decode_gathered(
     ids: &[u32],
     labels: &EncodedLabels,
@@ -824,7 +825,7 @@ fn decode_gathered(
             let message = format!("label for vertex {v} failed to decode: {e}");
             error_reply(ErrorCode::Internal, message)
         })?;
-        if label.owner != NodeId::new(v) || label.validate().is_err() {
+        if label.owner != NodeId::new(v) {
             let message = format!("shard returned an inconsistent label for vertex {v}");
             return Err(error_reply(ErrorCode::Internal, message));
         }
