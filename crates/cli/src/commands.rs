@@ -511,13 +511,6 @@ fn cmd_update<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> 
     let g = load_graph(args.positional(0, "graph-file")?)?;
     let dir_raw = args.required("store")?;
     let mut oracle = dynamic_oracle_from(args, &g, dir_raw)?;
-    let bounds_check = |v: u32| -> Result<NodeId, ArgError> {
-        if (v as usize) < g.num_vertices() {
-            Ok(NodeId::new(v))
-        } else {
-            Err(ArgError(format!("vertex {v} out of range")))
-        }
-    };
     let mut applied = 0usize;
     let mut apply = |r: Result<(), fsdl_labels::DynamicError>| -> Result<(), ArgError> {
         r.map_err(|e| ArgError(format!("update failed: {e}")))?;
@@ -525,16 +518,16 @@ fn cmd_update<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> 
         Ok(())
     };
     for v in parse_vertex_list(args.option("delete").unwrap_or(""))? {
-        apply(oracle.delete_vertex(bounds_check(v)?))?;
+        apply(oracle.delete_vertex(NodeId::new(v)))?;
     }
     for (a, b) in parse_edge_list(args.option("delete-edge").unwrap_or(""))? {
-        apply(oracle.delete_edge(bounds_check(a)?, bounds_check(b)?))?;
+        apply(oracle.delete_edge(NodeId::new(a), NodeId::new(b)))?;
     }
     for v in parse_vertex_list(args.option("restore").unwrap_or(""))? {
-        apply(oracle.restore_vertex(bounds_check(v)?))?;
+        apply(oracle.restore_vertex(NodeId::new(v)))?;
     }
     for (a, b) in parse_edge_list(args.option("restore-edge").unwrap_or(""))? {
-        apply(oracle.restore_edge(bounds_check(a)?, bounds_check(b)?))?;
+        apply(oracle.restore_edge(NodeId::new(a), NodeId::new(b)))?;
     }
     // Drain any background rebuild before reporting: the process is about
     // to exit, and the install/persist must not be torn off mid-flight.
@@ -562,9 +555,7 @@ fn cmd_label<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
         let v: u32 = v
             .parse()
             .map_err(|_| ArgError(format!("invalid --vertex '{v}'")))?;
-        if v as usize >= n {
-            return Err(ArgError(format!("vertex {v} out of range")));
-        }
+        fsdl_labels::resolve::check_vertex(n, NodeId::new(v)).map_err(malformed)?;
         let label = oracle.label(NodeId::new(v));
         let stats = label.stats();
         let bits = fsdl_labels::codec::encoded_bits(&label, n);
@@ -1178,7 +1169,12 @@ mod tests {
         assert!(out.contains("mean"));
         let out = run_args(&["label", p, "--vertex", "3"]).unwrap();
         assert!(out.contains("label of v3"));
-        assert!(run_args(&["label", p, "--vertex", "99"]).is_err());
+        let err = run_args(&["label", p, "--vertex", "99"]).unwrap_err();
+        let expected = OracleError::VertexOutOfRange {
+            v: NodeId::new(99),
+            n: 12,
+        };
+        assert_eq!(err.0, expected.to_string());
     }
 
     #[test]
@@ -1589,9 +1585,25 @@ mod tests {
         // Reconfiguring an existing store is rejected.
         let err = run_args(&["update", p, "--store", d, "--eps", "0.5"]).unwrap_err();
         assert!(err.0.contains("conflict"), "{err}");
-        // Out-of-range and not-an-edge surface the dynamic errors.
-        let err = run_args(&["update", p, "--store", d, "--delete", "99"]).unwrap_err();
-        assert!(err.0.contains("out of range"), "{err}");
+        // Out-of-range and not-an-edge surface the dynamic errors; an id
+        // outside the graph is worded as the resolver words it.
+        let out_of_range = |v| OracleError::VertexOutOfRange {
+            v: NodeId::new(v),
+            n: 12,
+        };
+        for (op, ids, bad) in [
+            ("--delete", "99", 99),
+            ("--delete-edge", "0-40", 40),
+            ("--restore", "1,77", 77),
+            ("--restore-edge", "50-1", 50),
+        ] {
+            let err = run_args(&["update", p, "--store", d, op, ids]).unwrap_err();
+            assert_eq!(
+                err.0,
+                format!("update failed: {}", out_of_range(bad)),
+                "{op}"
+            );
+        }
         let err = run_args(&["update", p, "--store", d, "--delete-edge", "0-2"]).unwrap_err();
         assert!(err.0.contains("not an edge"), "{err}");
         let err = run_args(&["update", p, "--store", d, "--restore", "7"]).unwrap_err();

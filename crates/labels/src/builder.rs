@@ -9,19 +9,25 @@
 //! each node stores only its own label. Materialization is deterministic,
 //! so repeated calls yield identical labels.
 //!
-//! Per level `i`, `L_i(v)` is built from truncated BFS only:
+//! Whether two stored points are joined in `H_i(v)` depends on the pair
+//! alone, so the edges of `L_i(v)` are one per-level edge set `Eᵢ`
+//! restricted to `v`'s points:
 //!
-//! 1. `B(v, rᵢ)` from `v` gives the stored points
-//!    `N_{i−c−1} ∩ B(v, rᵢ)` with exact distances — the paper's vertex set
-//!    of `H_i(v)` (plus the implicit owner edges);
-//! 2. for every stored point `x` at waypoint net level (`x ∈ N_{i−c}`), a
-//!    BFS truncated at `λᵢ` enumerates its virtual-edge partners;
-//! 3. at the lowest level, the real edges of `G` inside the ball are read
-//!    off the adjacency lists.
+//! 1. `Eᵢ` is enumerated once per labeling, by the first label that needs
+//!    it, over the whole stored net `N_{i−c−1}`: a BFS truncated at `λᵢ`
+//!    from every waypoint point `x ∈ N_{i−c}` finds its virtual-edge
+//!    partners, and at the lowest level the real edges of `G` are read
+//!    off the adjacency lists;
+//! 2. `L_i(v)` is one BFS of `B(v, rᵢ)` from `v`, which gives the stored
+//!    points `N_{i−c−1} ∩ B(v, rᵢ)` with exact distances — the paper's
+//!    vertex set of `H_i(v)` (plus the implicit owner edges) — and `Eᵢ`
+//!    restricted to them. A ball that holds the whole net gets `Eᵢ`'s
+//!    rows themselves, shared.
 //!
-//! Total preprocessing per materialized label is `O(Σ_i |B(v, rᵢ)| +
-//! Σ_{x high} |B(x, λᵢ)|)` BFS work — polynomial, and measured by the
-//! `preprocessing` bench.
+//! The edge sets cost `Σ_i Σ_{x ∈ N_{i−c}} |B(x, λᵢ)|` BFS work, paid by
+//! the first label of a labeling; every label then costs
+//! `Σ_i |B(v, rᵢ)|` BFS work plus a binary search per edge of `Eᵢ` leaving
+//! its points — polynomial, and measured by `exp_t10_preproc`.
 
 use std::sync::OnceLock;
 
@@ -65,14 +71,13 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Reusable BFS buffers for label materialization: one ball scan plus one
-/// partner scan per level. A build worker creates one [`LabelScratch`] and
-/// amortizes it across every label it materializes
-/// ([`Labeling::label_of_with`], [`Labeling::materialize_all`]).
+/// Reusable BFS buffer for label materialization: the one ball scan per
+/// level. A build worker creates one [`LabelScratch`] and amortizes it
+/// across every label it materializes ([`Labeling::label_of_with`],
+/// [`Labeling::materialize_all`]).
 #[derive(Clone, Debug)]
 pub struct LabelScratch {
     ball: BfsScratch,
-    partner: BfsScratch,
 }
 
 impl LabelScratch {
@@ -80,7 +85,6 @@ impl LabelScratch {
     pub fn new(n: usize) -> Self {
         LabelScratch {
             ball: BfsScratch::new(n),
-            partner: BfsScratch::new(n),
         }
     }
 }
@@ -120,11 +124,8 @@ pub struct Labeling {
     params: SchemeParams,
     nets: NetHierarchy,
     all_pairs: bool,
-    /// Per label level: the first level label built whose ball held the
-    /// whole stored net. Its edges are a function of the graph and the
-    /// level alone, so every later such level of any vertex shares its
-    /// edge rows instead of enumerating (and storing) them again.
-    saturated: Vec<OnceLock<LevelLabel>>,
+    /// Per label level `i`: `Eᵢ`, once enumerated (see the module docs).
+    edge_sets: Vec<OnceLock<LevelLabel>>,
 }
 
 /// Construction options for [`Labeling::build_with_options`].
@@ -204,13 +205,13 @@ impl Labeling {
             .verify_invariants()
             .map_err(BuildError::InvalidSchedule)?;
         let nets = NetHierarchy::build(g);
-        let saturated = params.levels().map(|_| OnceLock::new()).collect();
+        let edge_sets = params.levels().map(|_| OnceLock::new()).collect();
         Ok(Labeling {
             graph: g.clone(),
             params,
             nets,
             all_pairs: options.all_pairs,
-            saturated,
+            edge_sets,
         })
     }
 
@@ -232,13 +233,19 @@ impl Labeling {
 
     /// Net level whose points are stored at label level `i`, clamped to the
     /// hierarchy's top (relevant only for graphs smaller than `2^{c+1}`).
-    fn stored_net(&self, i: u32) -> u32 {
+    pub(crate) fn stored_net(&self, i: u32) -> u32 {
         self.params.stored_net_level(i).min(self.nets.top_level())
     }
 
     /// Waypoint net level at label level `i`, clamped likewise.
-    fn waypoint_net(&self, i: u32) -> u32 {
+    pub(crate) fn waypoint_net(&self, i: u32) -> u32 {
         self.params.waypoint_net_level(i).min(self.nets.top_level())
+    }
+
+    /// Whether every pair of stored points within `λᵢ` is an edge, not only
+    /// those with a waypoint endpoint ([`LabelingOptions::all_pairs`]).
+    pub(crate) fn all_pairs(&self) -> bool {
+        self.all_pairs
     }
 
     /// Materializes the label `L(v)`.
@@ -263,7 +270,7 @@ impl Labeling {
         let first_level = self.params.c() + 1;
         let mut levels = Vec::with_capacity(self.params.num_levels());
         for i in self.params.levels() {
-            levels.push(self.build_level(v, i, &mut scratch.ball, &mut scratch.partner));
+            levels.push(self.build_level(v, i, &mut scratch.ball));
         }
         Label {
             owner: v,
@@ -284,8 +291,9 @@ impl Labeling {
 
     /// [`Labeling::materialize_all`] with an explicit worker count
     /// (`workers == 0` means available parallelism, `1` builds sequentially
-    /// on the calling thread; see [`parallel::resolve_workers`]) — the knob
-    /// the throughput experiment sweeps.
+    /// on the calling thread; see [`parallel::resolve_workers`]). Workers
+    /// that need a level's edge set while another enumerates it wait for
+    /// that one.
     pub fn materialize_all_workers(&self, workers: usize) -> Vec<Label> {
         let n = self.graph.num_vertices();
         parallel::run_indexed_with(
@@ -296,19 +304,11 @@ impl Labeling {
         )
     }
 
-    fn build_level(
-        &self,
-        v: NodeId,
-        i: u32,
-        scratch: &mut BfsScratch,
-        partner_scratch: &mut BfsScratch,
-    ) -> LevelLabel {
+    /// `L_i(v)`: the stored points of `B(v, rᵢ)`, sorted by vertex id, and
+    /// `Eᵢ` restricted to them.
+    fn build_level(&self, v: NodeId, i: u32, scratch: &mut BfsScratch) -> LevelLabel {
         let r_i = clamp_radius(self.params.r(i), self.graph.num_vertices());
-        let lambda_i = clamp_radius(self.params.lambda(i), self.graph.num_vertices());
         let stored_net = self.stored_net(i);
-        let waypoint_net = self.waypoint_net(i);
-
-        // 1. Stored points: N_{i-c-1} ∩ B(v, r_i), sorted by vertex id.
         let ball = bfs::ball(&self.graph, v, r_i, scratch);
         let mut points: Vec<LabelPoint> = ball
             .iter()
@@ -320,87 +320,67 @@ impl Labeling {
             })
             .collect();
         points.sort_unstable_by_key(|p| p.vertex);
-        // The ball holds every stored net point of the graph: the point
-        // *set*, and with it everything steps 2 and 3 compute, is the same
-        // for every vertex this happens to.
-        let shared = (points.len() == self.nets.net_points(stored_net).count())
-            .then(|| &self.saturated[(i - self.params.c() - 1) as usize]);
-        if let Some(level) = shared.and_then(OnceLock::get) {
-            return LevelLabel::sharing_edges(points, level);
-        }
-        let index_of = |w: NodeId| -> Option<u32> {
-            points
-                .binary_search_by_key(&w, |p| p.vertex)
-                .ok()
-                .map(|k| k as u32)
-        };
+        self.level_edges(i).restricted_to(points)
+    }
 
-        // 2. Virtual edges: pairs (x, y) of stored points with
-        //    d_G(x, y) <= lambda_i and at least one endpoint at waypoint net
-        //    level. Enumerated by a lambda-truncated BFS from each high
-        //    endpoint.
-        let is_high = |net_level: u32| self.all_pairs || net_level >= waypoint_net;
-        let mut virtual_edges: Vec<VirtualEdge> = Vec::new();
-        for (ax, p) in points.iter().enumerate() {
-            if !is_high(p.net_level) {
-                continue;
-            }
-            for m in bfs::ball(&self.graph, p.vertex, lambda_i, partner_scratch) {
-                if m.vertex == p.vertex {
-                    continue;
+    /// `Eᵢ`, enumerated by the first label that needs it (never in
+    /// [`Labeling::try_build`]: opening a store builds a labeling).
+    fn level_edges(&self, i: u32) -> &LevelLabel {
+        self.edge_sets[(i - self.params.c() - 1) as usize]
+            .get_or_init(|| self.enumerate_level_edges(i))
+    }
+
+    /// Enumerates `Eᵢ` over the whole stored net `N_{i−c−1}`, as the rows
+    /// of a level whose points are that net in id order (their `dist` is
+    /// unused, 0): every pair `(x, y)` with `d_G(x, y) ≤ λᵢ` and an endpoint
+    /// at waypoint net level (any pair under `all_pairs`), found by a
+    /// `λᵢ`-truncated BFS from each such endpoint, and at the lowest level
+    /// the edges of `G`.
+    fn enumerate_level_edges(&self, i: u32) -> LevelLabel {
+        let n = self.graph.num_vertices();
+        let lambda_i = clamp_radius(self.params.lambda(i), n);
+        let waypoint_net = self.waypoint_net(i);
+        let points: Vec<LabelPoint> = self
+            .nets
+            .net_points(self.stored_net(i))
+            .map(|x| LabelPoint {
+                vertex: x,
+                dist: 0,
+                net_level: self.nets.level_of(x),
+            })
+            .collect();
+        let mut index_of = vec![u32::MAX; n];
+        for (k, p) in (0u32..).zip(&points) {
+            index_of[p.vertex.index()] = k;
+        }
+        let is_high = |k: u32| self.all_pairs || points[k as usize].net_level >= waypoint_net;
+        let mut scratch = BfsScratch::new(n);
+        let mut virtual_edges = Vec::new();
+        for (a, p) in (0u32..).zip(&points).filter(|&(a, _)| is_high(a)) {
+            for m in bfs::ball(&self.graph, p.vertex, lambda_i, &mut scratch) {
+                let b = index_of[m.vertex.index()];
+                // A pair of two high points is found from both ends: keep
+                // the copy found from the lower index.
+                if b != u32::MAX && b != a && !(b < a && is_high(b)) {
+                    let (a, b) = (a.min(b), a.max(b));
+                    virtual_edges.push(VirtualEdge { a, b, dist: m.dist });
                 }
-                let Some(ay) = index_of(m.vertex) else {
-                    continue;
-                };
-                let q = &points[ay as usize];
-                // Canonical orientation: when both endpoints are high the
-                // pair would be found twice; keep the (low index -> high
-                // index) copy discovered from the lower-indexed endpoint.
-                if is_high(q.net_level) && ay < ax as u32 {
-                    continue;
-                }
-                let (a, b) = if (ax as u32) < ay {
-                    (ax as u32, ay)
-                } else {
-                    (ay, ax as u32)
-                };
-                virtual_edges.push(VirtualEdge { a, b, dist: m.dist });
             }
         }
         virtual_edges.sort_unstable_by_key(|e| (e.a, e.b));
-        virtual_edges.dedup_by_key(|e| (e.a, e.b));
-
-        // 3. Real edges, lowest level only: edges of G inside B(v, r_i).
         let mut real_edges = Vec::new();
         if i == self.params.c() + 1 {
-            for (au, p) in points.iter().enumerate() {
+            for (a, p) in (0u32..).zip(&points) {
                 for w in self.graph.neighbor_ids(p.vertex) {
-                    if w <= p.vertex {
-                        continue;
-                    }
-                    if let Some(aw) = index_of(w) {
-                        real_edges.push(RealEdge {
-                            a: au as u32,
-                            b: aw,
-                        });
+                    let b = index_of[w.index()];
+                    if w > p.vertex && b != u32::MAX {
+                        real_edges.push(RealEdge { a, b });
                     }
                 }
             }
         }
-
-        // Groups the edges into rows and builds their transpose, once,
-        // so the decoder can scan either direction of a point.
-        let level = LevelLabel::new(points, virtual_edges, real_edges)
-            .expect("edge endpoints are indices into the point list");
-        match shared {
-            // Two workers may race to fill the slot; both built the same
-            // edges, and the loser adopts the winner's.
-            Some(slot) => {
-                let first = slot.get_or_init(|| level.clone());
-                LevelLabel::sharing_edges(level.points, first)
-            }
-            None => level,
-        }
+        LevelLabel::new(points, virtual_edges, real_edges)
+            .expect("edge endpoints are indices into the point list")
     }
 
     /// Convenience: materializes and bit-encodes `L(v)`, returning its
@@ -609,18 +589,45 @@ mod tests {
     #[test]
     fn saturated_levels_share_their_edge_rows() {
         use std::sync::Arc;
-        // Every ball of the 8x8 grid holds the whole graph at every level.
+        // Every ball of the 8x8 grid holds the whole net at every level;
+        // the ladder's balls hold it at some levels of some labels only.
+        // Whichever worker builds a label, a level that stores the whole net
+        // has the level's edge rows themselves, and no other level does.
+        for (g, all_whole) in [
+            (generators::grid2d(8, 8), true),
+            (generators::ladder(256), false),
+        ] {
+            let n = g.num_vertices();
+            for workers in [1, 4] {
+                let labeling = Labeling::build(&g, SchemeParams::new(1.0, n));
+                let labels = labeling.materialize_all_workers(workers);
+                let (mut whole, mut partial) = (0, 0);
+                for (i, set) in labeling
+                    .params
+                    .levels()
+                    .map(|i| (i, labeling.level_edges(i)))
+                {
+                    for label in &labels {
+                        let level = label.level(i).unwrap();
+                        let is_whole = level.points.len() == set.points.len();
+                        let shares = Arc::ptr_eq(&level.virt, &set.virt);
+                        assert_eq!(shares, is_whole, "{n} vertices, {workers} workers");
+                        assert_eq!(Arc::ptr_eq(&level.real, &set.real), is_whole);
+                        *(if is_whole { &mut whole } else { &mut partial }) += 1;
+                    }
+                }
+                assert!(
+                    whole > 0 && (partial == 0) == all_whole,
+                    "{whole} / {partial}"
+                );
+            }
+        }
+        // Shared or restricted, a label reads the same as on a fresh
+        // labeling, whose first label enumerates the edge sets.
         let g = generators::grid2d(8, 8);
         let labeling = Labeling::build(&g, SchemeParams::new(1.0, 64));
-        let (a, b) = (
-            labeling.label_of(NodeId::new(0)),
-            labeling.label_of(NodeId::new(63)),
-        );
-        for (la, lb) in a.levels.iter().zip(&b.levels) {
-            assert!(Arc::ptr_eq(&la.virt, &lb.virt) && Arc::ptr_eq(&la.real, &lb.real));
-        }
-        // Shared or enumerated, a label reads the same: the first label of
-        // a fresh labeling enumerates its own edges.
+        let _ = labeling.label_of(NodeId::new(0));
+        let b = labeling.label_of(NodeId::new(63));
         let fresh = Labeling::build(&g, SchemeParams::new(1.0, 64));
         assert_eq!(fresh.label_of(NodeId::new(63)), b);
         // Local levels (the ball misses part of the net) are per vertex.

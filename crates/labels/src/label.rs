@@ -254,10 +254,11 @@ impl<T: RowArc> EdgeRows<T> {
 /// and are stored as rows, so the decoder's search can scan one point's
 /// edges in either direction; they are read back through
 /// [`LevelLabel::virtual_edges`] and [`LevelLabel::real_edges`]. The rows
-/// sit behind an [`Arc`] because a level whose ball covers the whole graph
-/// has the same edges whoever owns the label — only the distances in the
-/// point list differ — and [`crate::Labeling`] then hands every label the
-/// same rows.
+/// sit behind an [`Arc`] because a built level's edges are its level's one
+/// edge set restricted to its points: a level that stores the whole net
+/// has that set's rows themselves, and [`crate::Labeling`] hands every such
+/// level of every label the same rows — only the distance column differs.
+/// Levels decoded from bytes do not share.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LevelLabel {
     /// Stored points, sorted by vertex id (canonical order for encoding).
@@ -331,15 +332,49 @@ impl LevelLabel {
         })
     }
 
-    /// A level with these points and the edge rows of `other`, shared —
-    /// for levels that differ only in their distance column.
-    pub(crate) fn sharing_edges(points: Vec<LabelPoint>, other: &LevelLabel) -> Self {
-        debug_assert_eq!(points.len(), other.points.len());
-        LevelLabel {
-            points,
-            virt: Arc::clone(&other.virt),
-            real: Arc::clone(&other.real),
+    /// The level `points` induce: the edges of `self` between them,
+    /// renumbered. `points` must be a subset of `self.points`, sorted by
+    /// vertex id like them. Every point's row is scanned — an edge sits in
+    /// the row of its lower index, whichever endpoint that is — so rows
+    /// sorted by target stay sorted. All of `self.points` gets `self`'s
+    /// rows, shared behind the same [`Arc`]s.
+    pub(crate) fn restricted_to(&self, points: Vec<LabelPoint>) -> LevelLabel {
+        if points.len() == self.points.len() {
+            return LevelLabel {
+                points,
+                virt: Arc::clone(&self.virt),
+                real: Arc::clone(&self.real),
+            };
         }
+        // Each point's row in `self`, ascending.
+        let rows: Vec<u32> = points
+            .iter()
+            .map(|p| {
+                let row = self.points.binary_search_by_key(&p.vertex, |q| q.vertex);
+                row.expect("restricted to a subset of the level's points") as u32
+            })
+            .collect();
+        let local = |b: u32| rows.binary_search(&b).ok().map(|k| k as u32);
+        let mut virtual_edges = Vec::new();
+        let mut real_edges = Vec::new();
+        for (a, &row) in (0u32..).zip(&rows) {
+            for arc in self.virt.outgoing(row as usize) {
+                if let Some(b) = local(arc.b) {
+                    virtual_edges.push(VirtualEdge {
+                        a,
+                        b,
+                        dist: arc.dist,
+                    });
+                }
+            }
+            for &b in self.real.outgoing(row as usize) {
+                if let Some(b) = local(b) {
+                    real_edges.push(RealEdge { a, b });
+                }
+            }
+        }
+        LevelLabel::new(points, virtual_edges, real_edges)
+            .expect("edge endpoints are indices into the point list")
     }
 
     /// The virtual edges, grouped by first endpoint index.

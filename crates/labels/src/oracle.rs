@@ -89,8 +89,8 @@ impl LabelArena {
     fn resident(&self) -> (u64, u64) {
         let mut labels = 0u64;
         let mut bytes = 0u64;
-        // Labels of one labeling share the edge rows of their saturated
-        // levels: count each allocation once.
+        // Labels of one labeling share the edge rows of every level that
+        // stores the whole net: count each allocation once.
         let mut seen = std::collections::HashSet::new();
         for k in 0..self.len {
             if let Some(label) = self.slot(k).get() {
@@ -400,10 +400,10 @@ impl ForbiddenSetOracle {
 
     /// [`ForbiddenSetOracle::prewarm`] with an explicit worker count
     /// (`workers == 0` means available parallelism, `1` materializes
-    /// sequentially; see [`fsdl_nets::parallel::resolve_workers`]) — the
-    /// knob the throughput experiment sweeps. The arena contents are
-    /// independent of the worker count because materialization is
-    /// deterministic per vertex.
+    /// sequentially; see [`fsdl_nets::parallel::resolve_workers`]) — what
+    /// `fsdl build --threads` and `fsdl label --threads` set. The arena
+    /// contents are independent of the worker count because
+    /// materialization is deterministic per vertex.
     pub fn prewarm_workers(&self, workers: usize) {
         let n = self.slots.len();
         fsdl_nets::parallel::run_indexed_with(
