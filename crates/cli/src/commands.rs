@@ -77,13 +77,15 @@ USAGE:
   fsdl shard <shard-dir> --listen tcp:HOST:PORT|unix:PATH
              [--workers N] [--open-mode eager|lazy]
       (serves one shard store written by `fsdl serve --shards` or
-       `fsdl_labels::partition::write_shard_stores`: label-fetch frames
-       only, queries belong to the router)
+       `fsdl_labels::partition::write_shard_stores`: edge-sets,
+       point-fetch and label-fetch frames only, queries belong to the
+       router)
   fsdl router --listen tcp:HOST:PORT|unix:PATH --plan FILE
               --shards ep1,ep2,...  [--workers N] [--frame-deadline-ms MS]
       (fronts a shard fleet: endpoints are comma-separated listen specs
        in shard order, e.g. unix:/run/s0.sock,tcp:10.0.0.2:7070; the
-       router scatter-gathers labels and answers query/batch frames
+       router fetches the level edge sets once, scatter-gathers points
+       records, derives the labels and answers query/batch frames
        bit-identically to a single-process oracle)
   (query/route/batch/trace also accept --forbid-file FILE with
    \"v <id>\" / \"f <u> <v>\" lines)
@@ -850,10 +852,12 @@ fn serve_front<W: Write, F, E: std::fmt::Display, R>(
 /// of the fetches, where there is one.
 fn router_drained(report: &fsdl_server::RouterReport, served: Option<u64>) -> String {
     let served = served.map_or(String::new(), |k| format!(" ({k} served)"));
+    let answered = (report.queries + report.batch_queries).max(1);
+    let kib_per_query = report.upstream_bytes as f64 / 1024.0 / answered as f64;
     format!(
         "router drained: {} connections, {} queries ({} batched), \
-         {} upstream fetches{served}, {} protocol errors, {} shard failures, \
-         {} deadline closes\n",
+         {} upstream fetches{served}, {kib_per_query:.2} KiB upstream per query, \
+         {} protocol errors, {} shard failures, {} deadline closes\n",
         report.connections,
         report.queries,
         report.batch_queries,
@@ -1010,7 +1014,7 @@ fn cmd_serve_sharded<W: Write>(
     write_out(out, &router_drained(&report, Some(fetches_served)))
 }
 
-/// `fsdl shard`: serves one shard store (label-fetch frames only).
+/// `fsdl shard`: serves one shard store (label-plane frames only).
 fn cmd_shard<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
     let dir = std::path::PathBuf::from(args.positional(0, "shard-dir")?);
     let endpoint = parse_listen(args.required("listen")?)?;

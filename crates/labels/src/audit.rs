@@ -79,8 +79,11 @@ pub fn audit(labeling: &Labeling, samples: usize) -> AuditReport {
     report
 }
 
-/// Checks 2–6 of [`audit`] for one label of `labeling`.
-fn audit_label(labeling: &Labeling, label: &Label, report: &mut AuditReport) {
+/// Checks 2–6 of [`audit`] for one label of `labeling`, adding what it
+/// finds to `report` — for a label that did not come from
+/// [`Labeling::label_of`], such as one derived from a store's points
+/// record ([`crate::EdgeSets::label`]).
+pub fn audit_label(labeling: &Labeling, label: &Label, report: &mut AuditReport) {
     let g = labeling.graph();
     let params = labeling.params();
     let n = g.num_vertices();

@@ -26,8 +26,11 @@
 //!
 //! The edge sets cost `Σ_i Σ_{x ∈ N_{i−c}} |B(x, λᵢ)|` BFS work, paid by
 //! the first label of a labeling; every label then costs
-//! `Σ_i |B(v, rᵢ)|` BFS work plus a binary search per edge of `Eᵢ` leaving
-//! its points — polynomial, and measured by `exp_t10_preproc`.
+//! `Σ_i |B(v, rᵢ)|` BFS work plus one scan of each of its points' rows of
+//! `Eᵢ` — polynomial, and measured by `exp_t10_preproc`. The same
+//! restriction derives a label from a stored points record
+//! ([`crate::EdgeSets`]): a store keeps `Eᵢ` once per generation and only
+//! the point lists per vertex.
 
 use std::sync::OnceLock;
 
@@ -320,12 +323,14 @@ impl Labeling {
             })
             .collect();
         points.sort_unstable_by_key(|p| p.vertex);
-        self.level_edges(i).restricted_to(points)
+        self.level_edges(i)
+            .restricted_to(points)
+            .expect("a ball's stored points are distinct points of the stored net")
     }
 
     /// `Eᵢ`, enumerated by the first label that needs it (never in
     /// [`Labeling::try_build`]: opening a store builds a labeling).
-    fn level_edges(&self, i: u32) -> &LevelLabel {
+    pub(crate) fn level_edges(&self, i: u32) -> &LevelLabel {
         self.edge_sets[(i - self.params.c() - 1) as usize]
             .get_or_init(|| self.enumerate_level_edges(i))
     }

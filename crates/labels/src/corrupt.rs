@@ -413,9 +413,9 @@ pub fn store_corruption_sweep(
 /// corrupted copies.
 ///
 /// Under [`OpenMode::Lazy`] the whole-file checksum is *not* verified at
-/// open, so payload corruptions routinely survive to first touch — the
-/// contract then leans on the per-label checksum and the oracle's
-/// recompute fallback: every probe must still answer bit-identically to
+/// open, so points-record corruptions routinely survive to first touch —
+/// the contract then leans on the per-record checksum and the oracle's
+/// recompute fallback (the level blocks are verified at every open): every probe must still answer bit-identically to
 /// the pristine (eagerly opened) store, and nothing may panic. The
 /// reference answers are always taken eagerly so the two modes are held
 /// to the same ground truth.
@@ -433,6 +433,35 @@ pub fn store_corruption_sweep_with(
     seed: u64,
     mode: OpenMode,
 ) -> StoreSweepStats {
+    let segment = crate::store::read_manifest(dir).expect("pristine store must have a manifest");
+    let len = std::fs::metadata(dir.join(&segment.segment))
+        .expect("pristine segment must be readable")
+        .len() as usize;
+    let mutations = store_mutation_schedule(len, count, seed);
+    store_mutation_sweep(
+        dir,
+        scratch,
+        g,
+        probes,
+        &mutations,
+        mode,
+        &format!("seed {seed:#x}"),
+    )
+}
+
+/// [`store_corruption_sweep_with`] over the given `mutations` rather than
+/// a seeded schedule — how a test covers every byte of one region. The
+/// contract and the panics are [`store_corruption_sweep`]'s; `context`
+/// names the sweep in them.
+pub fn store_mutation_sweep(
+    dir: &std::path::Path,
+    scratch: &std::path::Path,
+    g: &fsdl_graph::Graph,
+    probes: &[(NodeId, NodeId)],
+    mutations: &[StoreMutation],
+    mode: OpenMode,
+    context: &str,
+) -> StoreSweepStats {
     use crate::store;
 
     let manifest = store::read_manifest(dir).expect("pristine store must have a manifest");
@@ -448,10 +477,7 @@ pub fn store_corruption_sweep_with(
         .collect();
 
     let mut stats = StoreSweepStats::default();
-    for (idx, m) in store_mutation_schedule(segment_bytes.len(), count, seed)
-        .into_iter()
-        .enumerate()
-    {
+    for (idx, m) in mutations.iter().enumerate() {
         let mutated = m.apply(&segment_bytes);
         if mutated == segment_bytes {
             continue;
@@ -469,7 +495,7 @@ pub fn store_corruption_sweep_with(
                     assert_eq!(
                         got,
                         *expected,
-                        "store sweep seed {seed:#x} mutation #{idx} {m:?} ({}): corrupted \
+                        "store sweep {context} mutation #{idx} {m:?} ({}): corrupted \
                          store opened and answered {s}->{t} differently",
                         mode.name()
                     );

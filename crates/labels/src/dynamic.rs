@@ -650,7 +650,8 @@ impl Inner {
             dir,
             oracle.params(),
             store::graph_fingerprint(oracle.labeling().graph()),
-            &oracle.encoded_labels()?,
+            &crate::EdgeSets::from_labeling(oracle.labeling()).encode(),
+            &oracle.point_records(),
             &generation.baked,
             buffer,
             Some(self.threshold),

@@ -28,6 +28,8 @@ use std::sync::Arc;
 
 use fsdl_graph::NodeId;
 
+use crate::codec::CodecError;
+
 /// One stored net point of a level label, with its exact distance from the
 /// label's owner.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -199,6 +201,16 @@ impl<T: RowArc> EdgeRows<T> {
         self.fwd.len()
     }
 
+    /// The row offsets: `P + 1` entries, or none when there are no edges.
+    pub(crate) fn offsets(&self) -> &[u32] {
+        &self.off
+    }
+
+    /// Every arc, row after row.
+    pub(crate) fn arcs(&self) -> &[T] {
+        &self.fwd
+    }
+
     /// The slice of `items` that `offsets` assigns to row `row` (empty for
     /// a row the level was not built with).
     fn row<'a, U>(offsets: &[u32], items: &'a [U], row: usize) -> &'a [U] {
@@ -248,6 +260,28 @@ impl<T: RowArc> EdgeRows<T> {
     }
 }
 
+/// The rows `rows` of `set`, in that order, each keeping the arcs `keep`
+/// maps to `Some` (renumbered as it says) — the edge rows of a
+/// restriction, written straight into [`EdgeRows::from_rows`].
+fn restrict_rows<T: RowArc>(
+    set: &EdgeRows<T>,
+    rows: &[usize],
+    mut keep: impl FnMut(T) -> Option<T>,
+) -> EdgeRows<T> {
+    if set.len() == 0 {
+        return EdgeRows::default();
+    }
+    let mut off = Vec::with_capacity(rows.len() + 1);
+    let mut fwd = Vec::new();
+    off.push(0);
+    for &row in rows {
+        fwd.extend(set.outgoing(row).iter().filter_map(|&arc| keep(arc)));
+        off.push(fwd.len() as u32);
+    }
+    fwd.shrink_to_fit();
+    EdgeRows::from_rows(off, fwd)
+}
+
 /// The level-`i` slice `L_i(v)` of a label, encoding `H_i(v)`.
 ///
 /// The point list is public and indexable; the edges refer to it by index
@@ -256,9 +290,11 @@ impl<T: RowArc> EdgeRows<T> {
 /// [`LevelLabel::virtual_edges`] and [`LevelLabel::real_edges`]. The rows
 /// sit behind an [`Arc`] because a built level's edges are its level's one
 /// edge set restricted to its points: a level that stores the whole net
-/// has that set's rows themselves, and [`crate::Labeling`] hands every such
-/// level of every label the same rows — only the distance column differs.
-/// Levels decoded from bytes do not share.
+/// has that set's rows themselves, and every such level of every label
+/// of one generation gets the same rows — only the distance column
+/// differs. That holds for labels the builder materializes and for labels
+/// derived from a stored or fetched points record ([`crate::EdgeSets`]);
+/// only a self-contained label read back by [`crate::codec`] owns its rows.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LevelLabel {
     /// Stored points, sorted by vertex id (canonical order for encoding).
@@ -332,49 +368,82 @@ impl LevelLabel {
         })
     }
 
-    /// The level `points` induce: the edges of `self` between them,
-    /// renumbered. `points` must be a subset of `self.points`, sorted by
-    /// vertex id like them. Every point's row is scanned — an edge sits in
-    /// the row of its lower index, whichever endpoint that is — so rows
-    /// sorted by target stay sorted. All of `self.points` gets `self`'s
-    /// rows, shared behind the same [`Arc`]s.
-    pub(crate) fn restricted_to(&self, points: Vec<LabelPoint>) -> LevelLabel {
-        if points.len() == self.points.len() {
-            return LevelLabel {
+    /// The level `points` induce: `self`'s edges between them, renumbered.
+    /// `self` is a level edge set — its points are a whole stored net in
+    /// id order — and `points` must be a strictly ascending subset of it;
+    /// each point's `net_level` is taken from `self` (what the caller put
+    /// there is ignored), its `dist` is kept. A point's row keeps its
+    /// order, so rows sorted by target stay sorted. A list that is the
+    /// whole net gets `self`'s rows, shared behind the same [`Arc`]s —
+    /// once every id has been checked, never on the count alone.
+    ///
+    /// This is the inner loop of label derivation from untrusted bytes
+    /// ([`crate::EdgeSets::label`]) as well as of the builder, so it
+    /// trusts nothing: one binary search per point, a dense map from the
+    /// net's rows to local indices, and one scan of each kept row.
+    ///
+    /// # Errors
+    ///
+    /// A [`CodecError`] (at bit 0: the level does not know where its
+    /// points came from) naming the first point that is not in the net or
+    /// not above its predecessor.
+    pub(crate) fn restricted_to(
+        &self,
+        mut points: Vec<LabelPoint>,
+    ) -> Result<LevelLabel, CodecError> {
+        let net = &self.points;
+        if points.len() == net.len() {
+            for (p, q) in points.iter_mut().zip(net) {
+                if p.vertex != q.vertex {
+                    return Err(CodecError::new(
+                        0,
+                        format!(
+                            "whole-net point list holds {} where the net has {}",
+                            p.vertex, q.vertex
+                        ),
+                    ));
+                }
+                p.net_level = q.net_level;
+            }
+            return Ok(LevelLabel {
                 points,
                 virt: Arc::clone(&self.virt),
                 real: Arc::clone(&self.real),
+            });
+        }
+        // `local[row]` is the index in `points` of the net's `row`-th
+        // point, `u32::MAX` when it is not one of them.
+        let mut local = vec![u32::MAX; net.len()];
+        let mut rows = Vec::with_capacity(points.len());
+        let mut next = 0usize;
+        for (k, p) in (0u32..).zip(points.iter_mut()) {
+            let Ok(at) = net[next..].binary_search_by_key(&p.vertex, |q| q.vertex) else {
+                let message = if net.binary_search_by_key(&p.vertex, |q| q.vertex).is_ok() {
+                    format!("point {} is not above its predecessor", p.vertex)
+                } else {
+                    format!("point {} is not in the level's net", p.vertex)
+                };
+                return Err(CodecError::new(0, message));
             };
+            let row = next + at;
+            p.net_level = net[row].net_level;
+            local[row] = k;
+            rows.push(row);
+            next = row + 1;
         }
-        // Each point's row in `self`, ascending.
-        let rows: Vec<u32> = points
-            .iter()
-            .map(|p| {
-                let row = self.points.binary_search_by_key(&p.vertex, |q| q.vertex);
-                row.expect("restricted to a subset of the level's points") as u32
-            })
-            .collect();
-        let local = |b: u32| rows.binary_search(&b).ok().map(|k| k as u32);
-        let mut virtual_edges = Vec::new();
-        let mut real_edges = Vec::new();
-        for (a, &row) in (0u32..).zip(&rows) {
-            for arc in self.virt.outgoing(row as usize) {
-                if let Some(b) = local(arc.b) {
-                    virtual_edges.push(VirtualEdge {
-                        a,
-                        b,
-                        dist: arc.dist,
-                    });
-                }
-            }
-            for &b in self.real.outgoing(row as usize) {
-                if let Some(b) = local(b) {
-                    real_edges.push(RealEdge { a, b });
-                }
-            }
-        }
-        LevelLabel::new(points, virtual_edges, real_edges)
-            .expect("edge endpoints are indices into the point list")
+        let virt = restrict_rows(&self.virt, &rows, |arc: VirtualArc| {
+            let b = local[arc.b as usize];
+            (b != u32::MAX).then_some(VirtualArc { b, dist: arc.dist })
+        });
+        let real = restrict_rows(&self.real, &rows, |b: u32| {
+            let b = local[b as usize];
+            (b != u32::MAX).then_some(b)
+        });
+        Ok(LevelLabel {
+            points,
+            virt: Arc::new(virt),
+            real: Arc::new(real),
+        })
     }
 
     /// The virtual edges, grouped by first endpoint index.

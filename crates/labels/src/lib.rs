@@ -18,6 +18,9 @@
 //!   materialization;
 //! * [`Label`] — the per-vertex artifact, with a canonical bit encoding in
 //!   [`codec`] so label *length in bits* is measured honestly;
+//! * [`EdgeSets`] — a generation's per-level edge sets, which together
+//!   with a vertex's point lists (a [`edge_sets::points_record`]) derive
+//!   its label: what stores keep and shards serve;
 //! * [`decode`] — the pure decoder: a goal-directed search over the label
 //!   levels with protected-ball certificates per edge, touching nothing
 //!   but labels (plus the materialize-`H`-then-Dijkstra reference it is
@@ -63,6 +66,7 @@ pub mod corrupt;
 pub mod crash;
 pub mod decode;
 mod dynamic;
+pub mod edge_sets;
 pub mod failure_free;
 mod label;
 mod oracle;
@@ -81,6 +85,7 @@ pub use decode::{
     Sketch,
 };
 pub use dynamic::{DynamicConfig, DynamicError, DynamicOracle, DynamicStats, RebuildMode};
+pub use edge_sets::EdgeSets;
 pub use failure_free::{query_failure_free, FailureFreeLabel, FailureFreeLabeling};
 pub use label::{Label, LabelInvalid, LabelPoint, LabelStats, LevelLabel, RealEdge, VirtualEdge};
 pub use oracle::{resolve, ForbiddenSetOracle, LabelPlaneStats, OracleError};

@@ -35,8 +35,8 @@ use std::sync::{Arc, OnceLock};
 use fsdl_graph::{Dist, FaultSet, Graph, NodeId};
 
 use crate::builder::Labeling;
-use crate::codec::VarintScratch;
 use crate::decode::{self, DecodeScratch, QueryAnswer, QueryLabels};
+use crate::edge_sets::{self, EdgeSets};
 use crate::label::Label;
 use crate::params::SchemeParams;
 use crate::store::{self, OpenMode, Segment, StoreError, StoreReport};
@@ -247,6 +247,13 @@ impl ForbiddenSetOracle {
             });
         }
         let params = segment.params()?;
+        segment
+            .edge_sets()
+            .check_schedule(&params)
+            .map_err(|message| StoreError::SegmentCorrupt {
+                path: segment.path().to_path_buf(),
+                message,
+            })?;
         let labeling = Labeling::try_build(g, params).map_err(|e| StoreError::ParamsInvalid {
             message: e.to_string(),
         })?;
@@ -262,19 +269,20 @@ impl ForbiddenSetOracle {
     /// segment written durably first (temp file + `fsync` + atomic
     /// rename), manifest swapped second, older generations pruned last —
     /// so a crash at any point leaves a previously published generation
-    /// openable. The write path is fallible end to end
-    /// ([`crate::codec::try_encode`], typed I/O errors); it never panics.
+    /// openable. The segment holds the level edge sets once and a points
+    /// record per vertex; no self-contained label is encoded. The write
+    /// path is fallible end to end (typed I/O errors); it never panics.
     ///
     /// # Errors
     ///
-    /// A typed [`StoreError`] on encoding or I/O failure.
+    /// A typed [`StoreError`] on I/O failure.
     pub fn save(&self, dir: &Path) -> Result<StoreReport, StoreError> {
-        let encoded = self.encoded_labels()?;
         store::write_generation(
             dir,
             self.params(),
             store::graph_fingerprint(self.labeling.graph()),
-            &encoded,
+            &EdgeSets::from_labeling(&self.labeling).encode(),
+            &self.point_records(),
             &FaultSet::empty(),
             &FaultSet::empty(),
             None,
@@ -282,8 +290,9 @@ impl ForbiddenSetOracle {
     }
 
     /// Materializes and encodes the label of one vertex through the
-    /// fallible codec path — the canonical wire form a shard store
-    /// persists and a label-fetch reply carries. Deterministic: the same
+    /// fallible codec path — the canonical wire form a `label-fetch`
+    /// reply carries (a shard derives it from its stored points record
+    /// and gets these bytes). Deterministic: the same
     /// oracle always yields the same bytes for `v`.
     ///
     /// # Errors
@@ -302,32 +311,28 @@ impl ForbiddenSetOracle {
         Ok((w.as_bytes().to_vec(), w.len_bits()))
     }
 
-    /// Materializes (in parallel) and encodes every label, in vertex
-    /// order, through the fallible codec path.
-    pub(crate) fn encoded_labels(&self) -> Result<Vec<(Vec<u8>, usize)>, StoreError> {
+    /// Materializes (in parallel) every label and returns its points
+    /// record ([`edge_sets::points_record`]), in vertex order — what a
+    /// store keeps per vertex.
+    pub(crate) fn point_records(&self) -> Vec<Vec<u8>> {
         self.prewarm();
-        let n = self.slots.len();
-        (0..n)
-            .map(|v| {
-                let label = self.label(NodeId::from_index(v));
-                let w = crate::codec::try_encode(&label, n)?;
-                Ok((w.as_bytes().to_vec(), w.len_bits()))
-            })
+        (0..self.slots.len())
+            .map(|v| edge_sets::points_record(&self.label(NodeId::from_index(v))))
             .collect()
     }
 
-    /// Decodes `v`'s label from the attached segment, if any. Returns
+    /// Derives `v`'s label from the attached segment, if any. Returns
     /// `None` (so callers fall back to in-memory materialization — still
-    /// sound, merely slower) when there is no segment, the payload fails
-    /// decoding (which covers every [`Label::validate`] condition), or the
-    /// decoded label is not actually `v`'s: on-disk bytes are untrusted
-    /// even after the segment checksum passed. Under a lazy open this is
-    /// the first-touch validation point: corrupt payload bits surface as a
-    /// typed decode failure here, never a panic, and the fallback keeps
-    /// the answer bit-identical.
-    fn segment_label(&self, v: NodeId, varints: &mut VarintScratch) -> Option<Label> {
-        let segment = self.segment.as_deref()?;
-        let label = segment.decode_label_with(v, varints).ok()?;
+    /// sound, merely slower) when there is no segment, the points record
+    /// fails its checksum or derivation (which covers every
+    /// [`Label::validate`] condition), or the derived label is not
+    /// actually `v`'s: on-disk bytes are untrusted even after the segment
+    /// checksum passed. Under a lazy open this is the first-touch
+    /// validation point: corrupt record bytes surface as a typed failure
+    /// here, never a panic, and the fallback keeps the answer
+    /// bit-identical.
+    fn segment_label(&self, v: NodeId) -> Option<Label> {
+        let label = self.segment.as_deref()?.decode_label(v).ok()?;
         (label.owner == v).then_some(label)
     }
 
@@ -364,18 +369,17 @@ impl ForbiddenSetOracle {
     ///
     /// Panics if `v` is out of range.
     pub fn label(&self, v: NodeId) -> Arc<Label> {
-        self.slot_label(v, &mut VarintScratch::new()).clone()
+        self.slot_label(v).clone()
     }
 
-    /// [`ForbiddenSetOracle::label`] with a caller-owned
-    /// [`DecodeScratch`]: first-touch materialization from a segment
-    /// reuses the scratch's varint batch buffer, keeping the serving
-    /// path allocation-free beyond the label itself.
-    pub fn label_with(&self, v: NodeId, scratch: &mut DecodeScratch) -> Arc<Label> {
-        self.slot_label(v, scratch.varints_mut()).clone()
+    /// [`ForbiddenSetOracle::label`], for serving loops that hold a
+    /// [`DecodeScratch`]. Deriving a label from a segment needs no scratch
+    /// any more; the parameter stays because `benchmark/` calls this.
+    pub fn label_with(&self, v: NodeId, _scratch: &mut DecodeScratch) -> Arc<Label> {
+        self.slot_label(v).clone()
     }
 
-    fn slot_label(&self, v: NodeId, varints: &mut VarintScratch) -> &Arc<Label> {
+    fn slot_label(&self, v: NodeId) -> &Arc<Label> {
         assert!(
             v.index() < self.slots.len(),
             "{v} is out of range for a graph with {} vertices",
@@ -383,7 +387,7 @@ impl ForbiddenSetOracle {
         );
         self.slots.slot(v.index()).get_or_init(|| {
             Arc::new(
-                self.segment_label(v, varints)
+                self.segment_label(v)
                     .unwrap_or_else(|| self.labeling.label_of(v)),
             )
         })
@@ -409,12 +413,12 @@ impl ForbiddenSetOracle {
         fsdl_nets::parallel::run_indexed_with(
             n,
             fsdl_nets::parallel::resolve_workers(workers, n),
-            || (crate::builder::LabelScratch::new(n), VarintScratch::new()),
-            |(scratch, varints), v| {
+            || crate::builder::LabelScratch::new(n),
+            |scratch, v| {
                 let id = NodeId::from_index(v);
                 self.slots.slot(v).get_or_init(|| {
                     Arc::new(
-                        self.segment_label(id, varints)
+                        self.segment_label(id)
                             .unwrap_or_else(|| self.labeling.label_of_with(id, scratch)),
                     )
                 });
@@ -500,7 +504,7 @@ impl ForbiddenSetOracle {
         t: NodeId,
         faults: &FaultSet,
     ) -> Result<(&Label, &Label, QueryLabels<'_>), OracleError> {
-        self.resolved(s, t, faults, Malformed::Reject, &mut VarintScratch::new())
+        self.resolved(s, t, faults, Malformed::Reject)
     }
 
     fn resolved(
@@ -509,9 +513,8 @@ impl ForbiddenSetOracle {
         t: NodeId,
         faults: &FaultSet,
         on_malformed: Malformed,
-        varints: &mut VarintScratch,
     ) -> Result<(&Label, &Label, QueryLabels<'_>), OracleError> {
-        let (n, mut arena) = (self.slots.len(), Arena(self, varints));
+        let (n, mut arena) = (self.slots.len(), Arena(self));
         Ok(resolve::resolve(n, &mut arena, s, t, faults, on_malformed)?.into_labels())
     }
 
@@ -524,8 +527,7 @@ impl ForbiddenSetOracle {
         on_malformed: Malformed,
         scratch: &mut DecodeScratch,
     ) -> Result<QueryAnswer, OracleError> {
-        let (source, target, fault_labels) =
-            self.resolved(s, t, faults, on_malformed, scratch.varints_mut())?;
+        let (source, target, fault_labels) = self.resolved(s, t, faults, on_malformed)?;
         Ok(decode::query_with_scratch(
             self.params(),
             source,
@@ -629,7 +631,7 @@ impl ForbiddenSetOracle {
         on_malformed: Malformed,
         scratch: &mut DecodeScratch,
     ) -> Result<Vec<Dist>, OracleError> {
-        let (n, mut arena) = (self.slots.len(), Arena(self, scratch.varints_mut()));
+        let (n, mut arena) = (self.slots.len(), Arena(self));
         let (source, targets, fault_labels) =
             resolve::resolve_many(n, &mut arena, s, targets, faults, on_malformed)?.into_labels();
         Ok(decode::query_many_with_scratch(
@@ -666,13 +668,13 @@ impl ForbiddenSetOracle {
 /// The oracle as the resolver's [`LabelSource`]: labels borrowed from the
 /// arena for as long as the oracle lives (no `Arc` traffic per query),
 /// edges asked of the graph.
-struct Arena<'a, 'v>(&'a ForbiddenSetOracle, &'v mut VarintScratch);
+struct Arena<'a>(&'a ForbiddenSetOracle);
 
-impl<'a> LabelSource for Arena<'a, '_> {
+impl<'a> LabelSource for Arena<'a> {
     type Label = &'a Label;
 
     fn label(&mut self, v: NodeId) -> &'a Label {
-        self.0.slot_label(v, self.1)
+        self.0.slot_label(v)
     }
 
     fn is_edge(&self, a: NodeId, b: NodeId, _: &&'a Label) -> bool {

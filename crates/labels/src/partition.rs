@@ -5,12 +5,15 @@
 //! cross-label state — so splitting the label table across `S` shard
 //! servers is *trivially sound*: any assignment of vertices to shards
 //! serves bit-identical answers, because the router re-assembles exactly
-//! the label multiset a single-process oracle would read. Partitioning is
+//! the label multiset a single-process oracle would read. A label is
+//! derived from its points record and the generation's level edge sets
+//! ([`crate::EdgeSets`]), so each shard stores every level's edge set
+//! (a few hundred kilobytes) and the points records of its own vertices. Partitioning is
 //! therefore purely a locality/balance decision, and the net hierarchy
 //! already encodes locality: vertices whose nearest level-`i` net point
 //! coincides are within `2^{i+1}` of each other (Lemma 2.2), so grouping
 //! by net cell keeps each shard's working set geographically coherent and
-//! lets one `label-fetch` frame cover both endpoints of a short query.
+//! lets one `point-fetch` frame cover both endpoints of a short query.
 //!
 //! A [`PartitionPlan`] assigns every vertex to exactly one shard:
 //!
@@ -26,11 +29,11 @@
 //! existing manifest machinery (segment + atomically swapped `MANIFEST`),
 //! plus a checksummed sidecar per generation ([`shard_meta_file_name`])
 //! naming the shard's global vertex ids, the global `n`, and the shard's
-//! slice of the plan. A shard
-//! segment's labels are a subset of the graph's, so its header `n` is the
-//! *shard size*; the sidecar carries the global vertex count the decoder
-//! actually needs, and [`ShardStore::fetch`] serves raw encoded bytes by
-//! *global* id — decode happens router-side against the global id width.
+//! slice of the plan. A shard segment's records are a subset of the
+//! graph's, so its header `n` is the *shard size*; the sidecar carries the
+//! global vertex count, and [`ShardStore::points`] serves a points record
+//! by *global* id — the router derives the label against the edge sets it
+//! fetched once ([`ShardStore::edge_sets_bytes`]).
 //!
 //! Everything here is untrusted-input safe: a corrupt sidecar, plan file,
 //! or segment surfaces as a typed [`PartitionError`], never a panic.
@@ -41,7 +44,11 @@ use std::sync::Arc;
 use fsdl_graph::NodeId;
 use fsdl_nets::NetHierarchy;
 
+use crate::codec::CodecError;
+use crate::edge_sets::EdgeSets;
+use crate::label::Label;
 use crate::oracle::ForbiddenSetOracle;
+use crate::params::SchemeParams;
 use crate::store::{self, Manifest, OpenMode, Segment, StoreError};
 
 /// File name of the sidecar committed with store generation `generation`
@@ -438,7 +445,8 @@ pub fn write_shard_stores(
         plan.num_vertices()
     );
     let graph_fp = store::graph_fingerprint(g);
-    let encoded = oracle.encoded_labels()?;
+    let edge_sets = EdgeSets::from_labeling(oracle.labeling()).encode();
+    let records = oracle.point_records();
     std::fs::create_dir_all(dir).map_err(|e| StoreError::Io {
         path: dir.to_path_buf(),
         message: e.to_string(),
@@ -447,7 +455,7 @@ pub fn write_shard_stores(
     let mut reports = Vec::with_capacity(plan.num_shards() as usize);
     for shard in 0..plan.num_shards() {
         let sub = dir.join(shard_dir_name(shard));
-        let staged = stage_shard(oracle, &sub, plan, shard, graph_fp, &encoded)?;
+        let staged = stage_shard(oracle, &sub, plan, shard, graph_fp, &edge_sets, &records)?;
         store::write_manifest(&sub, &Manifest::static_store(staged.generation))?;
         store::prune_generations(&sub, staged.generation);
         reports.push(staged);
@@ -472,24 +480,23 @@ fn stage_shard(
     plan: &PartitionPlan,
     shard: u32,
     graph_fp: u64,
-    encoded: &[(Vec<u8>, usize)],
+    edge_sets: &[u8],
+    records: &[Vec<u8>],
 ) -> Result<ShardReport, PartitionError> {
     std::fs::create_dir_all(sub).map_err(|e| StoreError::Io {
         path: sub.to_path_buf(),
         message: e.to_string(),
     })?;
     let vertices = plan.vertices_of(shard);
-    let shard_encoded: Vec<(&[u8], usize)> = vertices
-        .iter()
-        .map(|v| (encoded[v.index()].0.as_slice(), encoded[v.index()].1))
-        .collect();
+    let shard_records: Vec<&[u8]> = vertices.iter().map(|v| &records[v.index()][..]).collect();
     let generation = store::next_generation(sub);
     let segment_bytes = store::write_segment(
         sub,
         generation,
         oracle.labeling().params(),
         shard_fingerprint(graph_fp, shard, plan.num_shards()),
-        &shard_encoded,
+        edge_sets,
+        &shard_records,
     )?;
     let (tag, level) = plan.strategy().tag();
     let mut out = Vec::with_capacity(49 + 4 * vertices.len());
@@ -516,9 +523,9 @@ fn stage_shard(
 
 /// One shard's persisted slice of the label plane, opened for serving:
 /// the current segment (via the manifest) plus the sidecar's global-id
-/// directory. Serves **raw encoded label bytes by global vertex id**;
-/// decoding happens wherever the bytes are consumed (router-side, against
-/// the global id width).
+/// directory. Serves the generation's edge sets and **points records by
+/// global vertex id**; a router derives labels from the two, and
+/// [`ShardStore::label`] derives one here (what `label-fetch` encodes).
 pub struct ShardStore {
     shard: u32,
     num_shards: u32,
@@ -543,10 +550,10 @@ impl ShardStore {
         ShardStore::open_with(dir, OpenMode::Eager)
     }
 
-    /// Opens `dir` in `mode` ([`OpenMode::Lazy`] defers payload
-    /// validation to first fetch of each label — a corrupt untouched
-    /// label is then surfaced by the *decoder* at the router, still a
-    /// typed failure).
+    /// Opens `dir` in `mode` ([`OpenMode::Lazy`] defers each points
+    /// record's validation to its first fetch — a corrupt untouched record
+    /// is then surfaced by the *derivation* at the router or here, still a
+    /// typed failure; the level blocks are verified at open either way).
     ///
     /// # Errors
     ///
@@ -618,6 +625,16 @@ impl ShardStore {
                 segment.num_labels()
             )));
         }
+        let params = SchemeParams::with_c(segment.epsilon(), segment.c(), total as usize);
+        segment
+            .edge_sets()
+            .check_schedule(&params)
+            .map_err(|message| {
+                PartitionError::Store(StoreError::SegmentCorrupt {
+                    path: segment.path().to_path_buf(),
+                    message,
+                })
+            })?;
         // The segment's fingerprint is the graph fingerprint *mixed with the
         // shard coordinates*, so a segment can never pass as another shard,
         // another shard count, or the unsharded store.
@@ -641,11 +658,35 @@ impl ShardStore {
         })
     }
 
-    /// The raw encoded label bytes and bit length of *global* vertex `v`,
-    /// or `None` when this shard does not own `v`.
-    pub fn fetch(&self, v: u32) -> Option<(&[u8], usize)> {
+    /// The stored points record of *global* vertex `v` (unverified: the
+    /// derivation checks it), or `None` when this shard does not own `v`.
+    pub fn points(&self, v: u32) -> Option<&[u8]> {
         let at = self.vertices.binary_search(&v).ok()?;
-        self.segment.encoded_label(at)
+        self.segment.points(at)
+    }
+
+    /// The label of *global* vertex `v`, derived from its points record,
+    /// or `None` when this shard does not own `v`.
+    ///
+    /// # Errors
+    ///
+    /// The inner [`CodecError`] when the record is corrupt or is not
+    /// `v`'s.
+    pub fn label(&self, v: u32) -> Option<Result<Label, CodecError>> {
+        let label = self.segment.edge_sets().label(self.points(v)?);
+        Some(label.and_then(|label| {
+            if label.owner.raw() == v {
+                Ok(label)
+            } else {
+                let message = format!("the record stored for v{v} is {}'s", label.owner);
+                Err(CodecError::new(0, message))
+            }
+        }))
+    }
+
+    /// The edge sets' bytes as stored: the body of an `edge-sets` reply.
+    pub fn edge_sets_bytes(&self) -> &[u8] {
+        self.segment.edge_sets_bytes()
     }
 
     /// Whether this shard owns global vertex `v`.
@@ -798,7 +839,7 @@ mod tests {
             assert!((2..=64).contains(&c));
             assert_eq!(n, 64);
             for v in 0..64u32 {
-                let Some((bytes, bits)) = store.fetch(v) else {
+                let Some(label) = store.label(v) else {
                     assert!(!store.owns(v));
                     continue;
                 };
@@ -806,9 +847,10 @@ mod tests {
                 seen[v as usize] = true;
                 assert_eq!(plan.shard_of(NodeId::new(v)), shard);
                 // Bit-identical to the oracle's canonical wire form.
+                let w = crate::codec::encode(&label.expect("derive"), 64);
                 let (want, want_bits) = oracle.encoded_label(NodeId::new(v)).expect("encode");
-                assert_eq!(bits, want_bits, "v{v} bit length");
-                assert_eq!(bytes, &want[..], "v{v} payload");
+                assert_eq!(w.len_bits(), want_bits, "v{v} bit length");
+                assert_eq!(w.as_bytes(), &want[..], "v{v} payload");
             }
         }
         assert!(seen.iter().all(|&b| b), "some vertex not served");
@@ -863,8 +905,10 @@ mod tests {
 
         let plan_b = PartitionPlan::contiguous(16, 4);
         let graph_fp = store::graph_fingerprint(&g);
-        let encoded = oracle.encoded_labels().expect("encode");
-        let staged = stage_shard(&oracle, &sub, &plan_b, 0, graph_fp, &encoded).expect("stage");
+        let edge_sets = EdgeSets::from_labeling(oracle.labeling()).encode();
+        let records = oracle.point_records();
+        let staged =
+            stage_shard(&oracle, &sub, &plan_b, 0, graph_fp, &edge_sets, &records).expect("stage");
         assert_eq!(staged.generation, 2);
         let old = ShardStore::open(&sub).expect("plan A's shard still opens");
         assert_eq!(

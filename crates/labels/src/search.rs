@@ -285,9 +285,6 @@ pub struct DecodeScratch {
     epoch: u64,
     plan: Plan,
     frontier: Frontier,
-    /// Buffer for the batched word-parallel varint reader used when a
-    /// label is materialized from a segment on the query path.
-    varints: crate::codec::VarintScratch,
 }
 
 impl DecodeScratch {
@@ -339,12 +336,6 @@ impl DecodeScratch {
         nodes.clear();
         heap.clear();
         (*reached, *relaxed) = (0, 0);
-    }
-
-    /// The varint batch buffer, for materializing segment labels on the
-    /// query path without allocating per label.
-    pub(crate) fn varints_mut(&mut self) -> &mut crate::codec::VarintScratch {
-        &mut self.varints
     }
 
     /// Resets, then records who provides level graphs and what is

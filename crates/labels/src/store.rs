@@ -1,10 +1,13 @@
 //! On-disk, versioned label store with atomic snapshots.
 //!
 //! The labeling scheme's selling point is that labels are built once and
-//! then served cheaply — so the serialized label bytes themselves are the
-//! service's unit of storage. This module persists an oracle's label table
-//! as an immutable, checksummed **segment** file plus a tiny **manifest**
-//! naming the current generation, in the LSM tradition:
+//! then served cheaply. A label is its point lists plus its levels' edge
+//! sets restricted to them, and the edge sets are shared by every label
+//! of a generation ([`crate::edge_sets`]), so a store keeps each level's
+//! edge set once and a points record per vertex, and derives labels from
+//! the two. This module persists an oracle's labeling as an immutable,
+//! checksummed **segment** file plus a tiny **manifest** naming the
+//! current generation, in the LSM tradition:
 //!
 //! * a segment is written to a temp file, `fsync`ed, and atomically
 //!   renamed into place; only then is the manifest (same protocol)
@@ -13,14 +16,25 @@
 //!   only an ignored temp file;
 //! * every segment carries a magic, a format version, the
 //!   [`SchemeParams`] fingerprint (`ε`, `c`, `n`), a graph fingerprint,
-//!   a per-label offset index, and a whole-file checksum layered over
-//!   the per-label checksums the codec already embeds;
+//!   a per-vertex offset index, one checksummed block per level holding
+//!   its edge set, a checksummed points record per vertex, and a
+//!   whole-file checksum;
 //! * old generations are pruned only *after* the manifest swap.
 //!
 //! Every byte read from disk is untrusted: parsing is fully fallible and
-//! surfaces a typed [`StoreError`] — never a panic, and (because label
-//! payloads are re-validated structurally on decode) never an unsound
-//! answer.
+//! surfaces a typed [`StoreError`] — never a panic, and (because every
+//! derived label is re-validated structurally) never an unsound answer.
+//!
+//! ```text
+//! segment := magic:8 version:u32 epsilon_bits:u64 c:u32 n:u64
+//!            graph_fingerprint:u64 payload_len:u64        (48 bytes)
+//!            (offset:u64 len:u64)^n                       (the index)
+//!            index_crc:u32 payload crc:u32
+//! payload := edge_sets_len:u64 edge_sets[edge_sets_len] record^n
+//! ```
+//!
+//! Index offsets count from the payload's start; `edge_sets` and each
+//! `record` are [`crate::edge_sets`]'s byte forms.
 
 use std::fs;
 use std::io::Write;
@@ -29,21 +43,25 @@ use std::path::{Path, PathBuf};
 use fsdl_graph::{FaultSet, Graph, NodeId};
 use fsdl_mmap::{ByteSource, SourceKind};
 
-use crate::codec::{self, CodecError, VarintScratch};
+use std::sync::Arc;
+
+use crate::codec::CodecError;
 use crate::crash::{self, CrashPoint};
+use crate::edge_sets::EdgeSets;
 use crate::label::Label;
 use crate::params::SchemeParams;
 use crate::wal::{self, WalError};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"FSDLSEG1";
-/// Current segment format version. Version 2 adds a dedicated checksum
+/// Current segment format version. Version 2 added a dedicated checksum
 /// over the header + offset index (between the index and the payload),
 /// so a lazy open can certify the index without faulting in the payload.
-/// Version 3 holds labels in the codec's row layout (edges as row lengths
-/// plus zigzag target deltas); a version-2 segment is refused rather than
-/// re-encoded — stores are derived from the graph and are rebuilt.
-pub const FORMAT_VERSION: u32 = 3;
+/// Version 3 held self-contained labels in the codec's row layout.
+/// Version 4 holds one edge-set block per level and a points record per
+/// vertex instead. Any other version is refused rather than re-encoded —
+/// stores are derived from the graph and are rebuilt.
+pub const FORMAT_VERSION: u32 = 4;
 /// The manifest file name inside a store directory.
 pub const MANIFEST_NAME: &str = "MANIFEST";
 /// Header line (format + version) opening every manifest.
@@ -54,7 +72,7 @@ const TMP_PREFIX: &str = ".tmp-";
 /// Fixed segment header length in bytes (magic, version, ε bits, `c`,
 /// `n`, graph fingerprint, payload length).
 const HEADER_BYTES: usize = 8 + 4 + 8 + 4 + 8 + 8 + 8;
-/// Bytes per index entry (byte offset + bit length).
+/// Bytes per index entry (byte offset + byte length of a points record).
 const INDEX_ENTRY_BYTES: usize = 16;
 /// Checksum over header + index, sitting between index and payload.
 const INDEX_CRC_BYTES: usize = 4;
@@ -67,12 +85,13 @@ const CRC_BYTES: usize = 4;
 ///   verifies the whole-file checksum before returning — the strongest
 ///   up-front guarantee, at O(file size) open cost.
 /// * [`OpenMode::Lazy`] memory-maps the file (owned-read fallback on
-///   platforms or filesystems without mmap) and verifies only the header
-///   and the index checksum; label payload bytes are left on disk and
-///   validated per label — by the codec's embedded 32-bit checksum and
-///   structural checks — at first touch. Cold-start cost is O(touched
-///   labels), and a corrupted untouched label surfaces as a typed
-///   [`CodecError`] the first time it is decoded, never a panic.
+///   platforms or filesystems without mmap) and verifies the header, the
+///   index checksum and the level blocks (each checksummed, read at every
+///   open in both modes); points records are left on disk and validated
+///   per record — by their embedded checksum and the structural checks of
+///   the derivation — at first touch. Cold-start cost is the blocks plus
+///   O(touched labels), and a corrupted untouched record surfaces as a
+///   typed [`CodecError`] the first time it is read, never a panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OpenMode {
     /// Full read + whole-file checksum at open.
@@ -497,10 +516,10 @@ pub fn write_manifest(dir: &Path, manifest: &Manifest) -> Result<(), StoreError>
 /// a crash (or a deliberate stop, as the crash-consistency tests do)
 /// after this call leaves the previous generation current and openable.
 ///
-/// `encoded` holds each vertex's label encoding, in vertex order, as
-/// `(bytes, bit_len)` pairs produced by [`codec::try_encode`] — owned or
-/// borrowed (`&[u8]`), so a writer of a subset (a shard) need not copy
-/// the labels it picks.
+/// `edge_sets` is [`EdgeSets::encode`]'s bytes; `records` holds each
+/// vertex's [`crate::edge_sets::points_record`], in vertex order — owned
+/// or borrowed, so a writer of a subset (a shard) need not copy the
+/// records it picks.
 ///
 /// Returns the segment's size in bytes.
 pub fn write_segment<B: AsRef<[u8]>>(
@@ -508,10 +527,11 @@ pub fn write_segment<B: AsRef<[u8]>>(
     generation: u64,
     params: &SchemeParams,
     graph_fingerprint: u64,
-    encoded: &[(B, usize)],
+    edge_sets: &[u8],
+    records: &[B],
 ) -> Result<u64, StoreError> {
-    let n = encoded.len();
-    let payload_len: usize = encoded.iter().map(|(b, _)| b.as_ref().len()).sum();
+    let n = records.len();
+    let payload_len = 8 + edge_sets.len() + records.iter().map(|r| r.as_ref().len()).sum::<usize>();
     let mut out = Vec::with_capacity(
         HEADER_BYTES + n * INDEX_ENTRY_BYTES + INDEX_CRC_BYTES + payload_len + CRC_BYTES,
     );
@@ -522,17 +542,20 @@ pub fn write_segment<B: AsRef<[u8]>>(
     out.extend_from_slice(&(n as u64).to_le_bytes());
     out.extend_from_slice(&graph_fingerprint.to_le_bytes());
     out.extend_from_slice(&(payload_len as u64).to_le_bytes());
-    let mut offset = 0u64;
-    for (bytes, bit_len) in encoded {
+    let mut offset = (8 + edge_sets.len()) as u64;
+    for record in records {
+        let len = record.as_ref().len() as u64;
         out.extend_from_slice(&offset.to_le_bytes());
-        out.extend_from_slice(&(*bit_len as u64).to_le_bytes());
-        offset += bytes.as_ref().len() as u64;
+        out.extend_from_slice(&len.to_le_bytes());
+        offset += len;
     }
     // Index checksum: covers header + index so a lazy open can certify
     // the offsets it will trust without reading the payload.
     out.extend_from_slice(&fnv32(&out).to_le_bytes());
-    for (bytes, _) in encoded {
-        out.extend_from_slice(bytes.as_ref());
+    out.extend_from_slice(&(edge_sets.len() as u64).to_le_bytes());
+    out.extend_from_slice(edge_sets);
+    for record in records {
+        out.extend_from_slice(record.as_ref());
     }
     out.extend_from_slice(&fnv32(&out).to_le_bytes());
     let size = out.len() as u64;
@@ -592,11 +615,13 @@ pub fn next_generation(dir: &Path) -> u64 {
 /// Writes one complete generation: segment first (durable), then the
 /// manifest swap (the commit point), then pruning of older generations.
 /// The generation number is allocated with [`next_generation`].
+#[allow(clippy::too_many_arguments)]
 pub fn write_generation(
     dir: &Path,
     params: &SchemeParams,
     graph_fingerprint: u64,
-    encoded: &[(Vec<u8>, usize)],
+    edge_sets: &[u8],
+    records: &[Vec<u8>],
     baked: &FaultSet,
     buffer: &FaultSet,
     threshold: Option<usize>,
@@ -604,7 +629,14 @@ pub fn write_generation(
     fs::create_dir_all(dir).map_err(|e| io_err(dir, &e))?;
     let generation = next_generation(dir);
     fire(CrashPoint::BeforeSegmentWrite)?;
-    let segment_bytes = write_segment(dir, generation, params, graph_fingerprint, encoded)?;
+    let segment_bytes = write_segment(
+        dir,
+        generation,
+        params,
+        graph_fingerprint,
+        edge_sets,
+        records,
+    )?;
     let manifest = Manifest {
         generation,
         segment: segment_file_name(generation),
@@ -619,20 +651,20 @@ pub fn write_generation(
     Ok(StoreReport {
         generation,
         segment_bytes,
-        labels: encoded.len(),
+        labels: records.len(),
     })
 }
 
-/// One parsed, checksum-verified segment: the label payload plus the
-/// per-label offset index. Labels decode lazily ([`Segment::decode_label`])
-/// so opening a store is cheap and serving pays decode cost only for the
-/// labels it touches.
+/// One parsed, checksum-verified segment: the level edge sets, read at
+/// open, plus the per-vertex index of points records. Labels are derived
+/// lazily ([`Segment::decode_label`]), so opening a store costs the
+/// blocks and serving pays only for the labels it touches.
 ///
-/// The payload bytes live in a [`ByteSource`]: an owned buffer under
+/// The file's bytes live in a [`ByteSource`]: an owned buffer under
 /// [`OpenMode::Eager`], a read-only memory map (with an owned fallback)
-/// under [`OpenMode::Lazy`]. Either way [`Segment::decode_label`] reads
-/// the label's bits *in place* — the only copies made are the decoded
-/// [`Label`] structures themselves.
+/// under [`OpenMode::Lazy`]. Points records are read *in place*; the
+/// derived labels share the edge sets' rows wherever a level stores its
+/// whole net.
 #[derive(Debug)]
 pub struct Segment {
     path: PathBuf,
@@ -640,27 +672,30 @@ pub struct Segment {
     epsilon: f64,
     c: u32,
     graph_fingerprint: u64,
-    /// Per-vertex `(byte offset into payload, bit length)`.
+    /// Per-vertex `(byte offset into payload, byte length)`.
     index: Vec<(usize, usize)>,
     /// The whole segment file's bytes, mapped or owned.
     source: Box<dyn ByteSource>,
     /// Byte offset of the payload within `source`.
     payload_start: usize,
-    /// Payload length in bytes (on-disk label bytes, excluding header,
+    /// Payload length in bytes (edge sets and records, excluding header,
     /// index, and checksums).
     payload_len: usize,
+    /// The edge sets' bytes: `payload[8..edge_sets_end]`.
+    edge_sets_end: usize,
+    edge_sets: Arc<EdgeSets>,
     mode: OpenMode,
 }
 
 impl Segment {
     /// Opens and structurally validates the segment at `path`: magic,
-    /// version, header consistency, the index checksum, and every index
-    /// entry (offsets and bit lengths must lie within the payload, so
-    /// later lazy decodes can never read out of bounds). Under
-    /// [`OpenMode::Eager`] the whole-file checksum is verified too; under
-    /// [`OpenMode::Lazy`] payload bytes are not touched at open — each
-    /// label's embedded checksum and structural validation run at first
-    /// decode instead.
+    /// version, header consistency, the index checksum, every index
+    /// entry (a record must lie within the payload, after the edge sets,
+    /// so later lazy reads can never go out of bounds) and every level
+    /// block. Under [`OpenMode::Eager`] the whole-file checksum is
+    /// verified too; under [`OpenMode::Lazy`] points records are not
+    /// touched at open — each record's checksum and structural
+    /// validation run at first read instead.
     ///
     /// # Errors
     ///
@@ -727,7 +762,7 @@ impl Segment {
         }
         // The index checksum certifies header + index alone, so the lazy
         // path can trust the offsets it serves from without faulting in
-        // the payload pages.
+        // the records.
         let recorded_index = u32_at(index_end);
         let computed_index = fnv32(&bytes[..index_end]);
         if recorded_index != computed_index {
@@ -756,25 +791,36 @@ impl Segment {
                 message: format!("implausible parameter c = {c}"),
             });
         }
+        let payload_start = index_end + INDEX_CRC_BYTES;
+        let payload = &bytes[payload_start..payload_start + payload_len];
+        let edge_sets_end = payload
+            .get(..8)
+            .map(|len| u64::from_le_bytes(len.try_into().unwrap()))
+            .and_then(|len| usize::try_from(len).ok())
+            .and_then(|len| len.checked_add(8))
+            .filter(|&end| end <= payload_len)
+            .ok_or_else(|| corrupt("edge sets overrun the payload".into()))?;
+        let edge_sets = EdgeSets::decode(&payload[8..edge_sets_end])
+            .map_err(|e| corrupt(format!("level blocks: {e}")))?;
         let mut index = Vec::with_capacity(n);
         for k in 0..n {
             let at = HEADER_BYTES + k * INDEX_ENTRY_BYTES;
             let off = u64_at(at);
-            let bit_len = u64_at(at + 8);
+            let len = u64_at(at + 8);
             let off = usize::try_from(off)
                 .map_err(|_| corrupt(format!("label {k}: offset {off} overflows")))?;
-            let bit_len = usize::try_from(bit_len)
-                .map_err(|_| corrupt(format!("label {k}: bit length {bit_len} overflows")))?;
-            let byte_len = bit_len.div_ceil(8);
+            let len = usize::try_from(len)
+                .map_err(|_| corrupt(format!("label {k}: length {len} overflows")))?;
             let end = off
-                .checked_add(byte_len)
+                .checked_add(len)
                 .ok_or_else(|| corrupt(format!("label {k}: extent overflows")))?;
-            if end > payload_len {
+            if off < edge_sets_end || end > payload_len {
                 return Err(corrupt(format!(
-                    "label {k}: claims bytes {off}..{end} of a {payload_len}-byte payload"
+                    "label {k}: claims bytes {off}..{end} of a {payload_len}-byte payload \
+                     whose records start at {edge_sets_end}"
                 )));
             }
-            index.push((off, bit_len));
+            index.push((off, len));
         }
         Ok(Segment {
             path: path.to_path_buf(),
@@ -784,8 +830,10 @@ impl Segment {
             graph_fingerprint: graph_fp,
             index,
             source,
-            payload_start: index_end + INDEX_CRC_BYTES,
+            payload_start,
             payload_len,
+            edge_sets_end,
+            edge_sets: Arc::new(edge_sets),
             mode,
         })
     }
@@ -806,8 +854,9 @@ impl Segment {
         self.source.kind() == SourceKind::Mapped
     }
 
-    /// On-disk label payload size in bytes (excluding header, index, and
-    /// checksums) — the denominator of resident-vs-on-disk accounting.
+    /// On-disk payload size in bytes — edge sets and points records,
+    /// excluding header, index, and checksums: the denominator of
+    /// resident-vs-on-disk accounting.
     pub fn payload_bytes(&self) -> u64 {
         self.payload_len as u64
     }
@@ -837,56 +886,46 @@ impl Segment {
         Ok(SchemeParams::with_c(self.epsilon, self.c, self.n))
     }
 
-    /// Decodes the label of `v` from the payload. Untrusted-input safe:
-    /// any malformed payload yields a [`CodecError`], never a panic.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] when `v` is out of range for the segment or the
-    /// payload bits fail structural validation / checksum.
-    pub fn decode_label(&self, v: NodeId) -> Result<Label, CodecError> {
-        let mut scratch = VarintScratch::new();
-        self.decode_label_with(v, &mut scratch)
+    /// The generation's level edge sets, read and verified at open.
+    pub fn edge_sets(&self) -> &Arc<EdgeSets> {
+        &self.edge_sets
     }
 
-    /// [`Segment::decode_label`] with a caller-owned [`VarintScratch`],
-    /// keeping the hot serving path allocation-free across labels (the
-    /// batched word-parallel varint reader fills the scratch buffer in
-    /// place).
+    /// The edge sets' bytes exactly as stored ([`EdgeSets::encode`]'s
+    /// form): what a shard serves to a router's handshake.
+    pub fn edge_sets_bytes(&self) -> &[u8] {
+        &self.payload()[8..self.edge_sets_end]
+    }
+
+    /// The points record of the `k`-th stored vertex, unverified (the
+    /// derivation checks it), or `None` when `k` is out of range. A shard
+    /// segment stores its own vertices only, so there `k` is a position
+    /// in the shard, not a global id.
+    pub fn points(&self, k: usize) -> Option<&[u8]> {
+        let &(off, len) = self.index.get(k)?;
+        Some(&self.payload()[off..off + len])
+    }
+
+    /// Derives the label of `v` from its points record and the edge sets.
+    /// Untrusted-input safe: any malformed record yields a
+    /// [`CodecError`], never a panic.
     ///
     /// # Errors
     ///
-    /// [`CodecError`] when `v` is out of range for the segment or the
-    /// payload bits fail structural validation / checksum.
-    pub fn decode_label_with(
-        &self,
-        v: NodeId,
-        scratch: &mut VarintScratch,
-    ) -> Result<Label, CodecError> {
-        let Some(&(off, bit_len)) = self.index.get(v.index()) else {
-            return Err(CodecError::new(
+    /// [`CodecError`] when `v` is out of range for the segment or its
+    /// record fails its checksum or structural validation.
+    pub fn decode_label(&self, v: NodeId) -> Result<Label, CodecError> {
+        let record = self.points(v.index()).ok_or_else(|| {
+            CodecError::new(
                 0,
                 format!(
                     "label index {} out of range for {} labels",
                     v.index(),
                     self.n
                 ),
-            ));
-        };
-        let bytes = &self.payload()[off..off + bit_len.div_ceil(8)];
-        codec::decode_with(bytes, bit_len, self.n, scratch)
-    }
-
-    /// The raw encoded payload bytes and bit length of the `k`-th label,
-    /// or `None` when `k` is out of range. This is the sharded label
-    /// plane's serving primitive: a shard ships these bytes verbatim over
-    /// the wire and the router decodes them against the *global* vertex-id
-    /// space (a shard segment's own label count is its shard size, not the
-    /// graph's `n`, so [`Segment::decode_label`] would use the wrong id
-    /// width there).
-    pub fn encoded_label(&self, k: usize) -> Option<(&[u8], usize)> {
-        let &(off, bit_len) = self.index.get(k)?;
-        Some((&self.payload()[off..off + bit_len.div_ceil(8)], bit_len))
+            )
+        })?;
+        self.edge_sets.label(record)
     }
 
     /// The `ε` recorded in the header (pre-validated positive finite at

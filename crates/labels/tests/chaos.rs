@@ -13,11 +13,13 @@
 //! 3. pure byte-noise fuzzing of the decoder.
 //!
 //! Every attack goes through `codec::decode_with` — the batched decoder
-//! every serving path runs (`Segment::decode_label_with`, the router's
-//! gather) — with one `VarintScratch` reused across mutants, so a
-//! rejected mutant's leftovers are what the next decode starts from.
-//! `codec::decode` is only its differential reference (`codec` unit
-//! tests).
+//! a reader of `label-fetch` bytes runs — with one `VarintScratch` reused
+//! across mutants, so a rejected mutant's leftovers are what the next
+//! decode starts from. `codec::decode` is only its differential reference
+//! (`codec` unit tests). Stores and the router no longer decode
+//! self-contained labels: they derive them from level blocks and points
+//! records, whose corruptions `store_chaos.rs`, `shard_router.rs` and the
+//! `edge_sets` unit tests sweep.
 
 use fsdl_graph::{bfs, generators, FaultSet, Graph, NodeId};
 use fsdl_labels::codec::{self, VarintScratch};

@@ -530,3 +530,78 @@ fn answer_is_independent_of_fault_label_order() {
         });
     }
 }
+
+/// Labels per family that [`labels_derived_from_a_segment_equal_the_built_ones`]
+/// audits.
+const AUDITED_PER_FAMILY: usize = 24;
+
+/// The families of `family_matrix.rs` at its epsilons, and the four graphs
+/// `benchmark/` runs (at epsilon 1).
+fn matrix_and_benchmark_families() -> Vec<(&'static str, Graph, f64)> {
+    vec![
+        ("matrix torus 3x3x4", generators::torus3d(3, 3, 4), 2.0),
+        (
+            "matrix grid 8x8 with holes",
+            generators::grid2d_with_holes(8, 8, |x, y| (3..5).contains(&x) && (3..5).contains(&y)),
+            1.0,
+        ),
+        ("matrix ladder 16", generators::ladder(16), 0.5),
+        ("matrix lollipop", generators::lollipop(6, 10), 1.0),
+        ("matrix barbell", generators::barbell(5, 4), 1.0),
+        ("matrix linf grid", generators::grid_linf(4, 3), 2.0),
+        ("matrix half grid", generators::half_grid(4, 4), 3.0),
+        ("matrix hypercube 4", generators::hypercube(4), 2.0),
+        ("matrix star 24", generators::star(24), 1.0),
+        (
+            "matrix erdos-renyi 40",
+            generators::erdos_renyi(40, 0.12, 5),
+            1.0,
+        ),
+        ("bench grid 16x16", generators::grid2d(16, 16), 1.0),
+        ("bench grid 20x20", generators::grid2d(20, 20), 1.0),
+        ("bench ladder 256", generators::ladder(256), 1.0),
+        ("bench grid 12x12", generators::grid2d(12, 12), 1.0),
+    ]
+}
+
+/// A store keeps the level edge sets once and a points record per vertex;
+/// the label it derives from the two must be the builder's: `codec::encode`
+/// writes the same bits, and the completeness audit passes on it. Every
+/// label of every family is compared whole; the encoding and the audit (a
+/// BFS per stored waypoint) run on evenly spaced ones.
+#[test]
+fn labels_derived_from_a_segment_equal_the_built_ones() {
+    use fsdl_labels::{audit, codec, store, OpenMode};
+    let dir = std::env::temp_dir().join(format!("fsdl-derive-{}", std::process::id()));
+    for (name, g, eps) in families()
+        .into_iter()
+        .chain(matrix_and_benchmark_families())
+    {
+        let _ = std::fs::remove_dir_all(&dir);
+        let oracle = ForbiddenSetOracle::new(&g, eps);
+        oracle.save(&dir).expect("save");
+        let manifest = store::read_manifest(&dir).expect("manifest");
+        let segment =
+            store::Segment::open(&dir.join(&manifest.segment), OpenMode::Lazy).expect("open");
+        let n = g.num_vertices();
+        let stride = n.div_ceil(AUDITED_PER_FAMILY);
+        let mut report = audit::AuditReport::default();
+        for v in 0..n {
+            let built = oracle.label(NodeId::from_index(v));
+            let derived = segment
+                .decode_label(NodeId::from_index(v))
+                .unwrap_or_else(|e| panic!("{name}: v{v} does not derive: {e}"));
+            // Equal labels encode to equal bits; the encoding is compared
+            // outright on the audited ones.
+            assert_eq!(derived, *built, "{name}: v{v}");
+            if v % stride == 0 {
+                let (want, got) = (codec::encode(&built, n), codec::encode(&derived, n));
+                assert_eq!(got.len_bits(), want.len_bits(), "{name}: v{v}");
+                assert_eq!(got.as_bytes(), want.as_bytes(), "{name}: v{v}");
+                audit::audit_label(oracle.labeling(), &derived, &mut report);
+            }
+        }
+        assert!(report.passed(), "{name}: {:?}", report.violations);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -112,16 +112,16 @@ fn lazy_open_materializes_only_touched_labels() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Finds the payload byte range of label `v` by parsing the segment
-/// header/index directly (n at 24..32, index entries of 16 bytes from
-/// 48, payload after the 4-byte index CRC).
+/// Finds the byte range of label `v`'s points record by parsing the
+/// segment header/index directly (n at 24..32, index entries of 16 bytes
+/// — offset, length — from 48, payload after the 4-byte index CRC).
 fn label_extent(bytes: &[u8], v: usize) -> (usize, usize) {
     let n = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
     let at = 48 + v * 16;
     let off = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-    let bit_len = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap()) as usize;
+    let len = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap()) as usize;
     let payload_start = 48 + n * 16 + 4;
-    (payload_start + off, bit_len.div_ceil(8))
+    (payload_start + off, len)
 }
 
 /// A corruption confined to one label's payload bytes survives a lazy

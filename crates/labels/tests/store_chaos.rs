@@ -176,12 +176,14 @@ fn patch_version(seg_path: &std::path::Path, version: u32) {
     std::fs::write(seg_path, &bytes).unwrap();
 }
 
-/// A future format version is refused up front, and so is format 2: its
-/// labels are in the pre-row codec layout, and a store is a derived
-/// artifact that is rebuilt, never read under the wrong layout.
+/// A future format version is refused up front, and so are formats 2 and
+/// 3: they hold self-contained labels (format 2 in the pre-row codec
+/// layout) where format 4 holds level blocks and points records, and a
+/// store is a derived artifact that is rebuilt, never read under the
+/// wrong layout.
 #[test]
 fn version_skew_is_refused() {
-    for found in [2u32, 7] {
+    for found in [2u32, 3, 7] {
         let (g, _oracle, dir) = build_store("version");
         let seg_path = dir.join(&store::read_manifest(&dir).unwrap().segment);
         patch_version(&seg_path, found);
@@ -191,8 +193,8 @@ fn version_skew_is_refused() {
     }
 }
 
-/// A shard directory written at format 2 is refused the same way when a
-/// shard server opens it.
+/// A shard directory written at format 2 (or 3) is refused the same way
+/// when a shard server opens it.
 #[test]
 fn format_2_shard_directory_is_refused() {
     let (_g, oracle, dir) = build_store("shard-version");
@@ -200,18 +202,20 @@ fn format_2_shard_directory_is_refused() {
     write_shard_stores(&oracle, &shards, &PartitionPlan::contiguous(25, 2)).expect("shards");
     let shard = shards.join(partition::shard_dir_name(0));
     let seg_path = shard.join(&store::read_manifest(&shard).unwrap().segment);
-    patch_version(&seg_path, 2);
-    for mode in [OpenMode::Eager, OpenMode::Lazy] {
-        let Err(err) = ShardStore::open_with(&shard, mode) else {
-            panic!("format 2 must not open");
-        };
-        assert!(
-            matches!(
-                err,
-                PartitionError::Store(StoreError::VersionUnsupported { found: 2 })
-            ),
-            "{err:?}"
-        );
+    for found in [2u32, 3] {
+        patch_version(&seg_path, found);
+        for mode in [OpenMode::Eager, OpenMode::Lazy] {
+            let Err(err) = ShardStore::open_with(&shard, mode) else {
+                panic!("format {found} must not open");
+            };
+            assert!(
+                matches!(
+                    err,
+                    PartitionError::Store(StoreError::VersionUnsupported { found: f }) if f == found
+                ),
+                "{err:?}"
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -305,4 +309,116 @@ fn mutation_schedule_is_deterministic_and_diverse() {
         }
     }
     assert_eq!(kinds, [true; 3]);
+}
+
+/// Where a segment's level blocks and points records lie: `(edge sets,
+/// records)` as byte ranges of the file (header, index and index CRC
+/// before them; the file CRC after).
+fn payload_regions(bytes: &[u8]) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
+    let n = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
+    let payload = 48 + n * 16 + 4;
+    let sets_len = u64::from_le_bytes(bytes[payload..payload + 8].try_into().unwrap()) as usize;
+    let records = payload + 8 + sets_len;
+    (payload..records, records..bytes.len() - 4)
+}
+
+/// Every single-bit flip in a lazily opened store's level blocks and
+/// points records, byte by byte: a flip in a block is refused typed at
+/// open (blocks are checksummed and read at every open), a flip in a
+/// record opens and fails that record's checksum at first touch, where the
+/// oracle recomputes the label — so every probe answers bit-identically.
+#[test]
+fn every_block_and_record_flip_is_typed_or_identical_under_lazy_open() {
+    let g = generators::grid2d(3, 4);
+    let dir = scratch_dir("region-sweep");
+    ForbiddenSetOracle::new(&g, 1.0).save(&dir).expect("save");
+    let scratch = scratch_dir("region-sweep-scratch");
+    let seg_path = dir.join(&store::read_manifest(&dir).unwrap().segment);
+    let (blocks, records) = payload_regions(&std::fs::read(&seg_path).unwrap());
+    let probes: Vec<(NodeId, NodeId)> = (0..12)
+        .map(|s| (NodeId::from_index(s), NodeId::from_index((s * 5 + 7) % 12)))
+        .collect();
+    for (region, range) in [("blocks", blocks), ("records", records)] {
+        let flips: Vec<corrupt::StoreMutation> = range
+            .map(|byte| corrupt::StoreMutation::FlipByteBit {
+                byte,
+                bit: (byte % 8) as u8,
+            })
+            .collect();
+        let stats = corrupt::store_mutation_sweep(
+            &dir,
+            &scratch,
+            &g,
+            &probes,
+            &flips,
+            OpenMode::Lazy,
+            region,
+        );
+        assert_eq!(stats.attempted, flips.len(), "{region}");
+        let (typed, identical) = match region {
+            "blocks" => (flips.len(), 0),
+            _ => (0, flips.len()),
+        };
+        assert_eq!(
+            (stats.rejected, stats.opened_sound),
+            (typed, identical),
+            "{region}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// A points record or the edge sets cut short in place — its length in
+/// the index (or the edge sets' length prefix) shrunk and every checksum
+/// refreshed, so only the structure can object: a record fails at first
+/// touch and is recomputed, the edge sets fail at open; never a panic or
+/// a different answer, in either open mode.
+#[test]
+fn shortened_blocks_and_records_are_typed_or_identical() {
+    let (g, oracle, dir) = build_store("shorten");
+    let seg_path = dir.join(&store::read_manifest(&dir).unwrap().segment);
+    let pristine = std::fs::read(&seg_path).unwrap();
+    let n = g.num_vertices();
+    let (blocks, _) = payload_regions(&pristine);
+    let empty = fsdl_graph::FaultSet::empty();
+    let mut cases = Vec::new();
+    for v in [0usize, 7, 24] {
+        let len_at = 48 + v * 16 + 8;
+        let len = u64::from_le_bytes(pristine[len_at..len_at + 8].try_into().unwrap());
+        for cut in [1, 8, 9, len] {
+            let mut bytes = pristine.clone();
+            bytes[len_at..len_at + 8].copy_from_slice(&(len - cut).to_le_bytes());
+            cases.push((format!("record {v} short by {cut}"), bytes, false));
+        }
+    }
+    let sets_len = (blocks.len() - 8) as u64;
+    for cut in [1, 8, sets_len] {
+        let mut bytes = pristine.clone();
+        bytes[blocks.start..blocks.start + 8].copy_from_slice(&(sets_len - cut).to_le_bytes());
+        cases.push((format!("edge sets short by {cut}"), bytes, true));
+    }
+    for (case, mut bytes, must_refuse) in cases {
+        refresh_crc(&mut bytes);
+        std::fs::write(&seg_path, &bytes).unwrap();
+        for mode in [OpenMode::Eager, OpenMode::Lazy] {
+            match ForbiddenSetOracle::open_with(&dir, &g, mode) {
+                Err(err) => {
+                    assert!(must_refuse, "{case}: {err}");
+                    assert!(
+                        matches!(err, StoreError::SegmentCorrupt { .. }),
+                        "{case}: {err}"
+                    );
+                }
+                Ok(opened) => {
+                    assert!(!must_refuse, "{case} opened");
+                    for s in (0..n).step_by(2) {
+                        let (s, t) = (NodeId::from_index(s), NodeId::from_index(n - 1 - s));
+                        assert_eq!(opened.query(s, t, &empty), oracle.query(s, t, &empty));
+                    }
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -118,19 +118,16 @@ fn crash_between_segment_write_and_manifest_swap_keeps_previous_generation() {
     // Simulate the crashed writer: generation 2's segment lands fully on
     // disk (as `write_generation` would put it there), but the process
     // dies before `write_manifest` — the commit point — runs.
-    let encoded: Vec<(Vec<u8>, usize)> = (0..g.num_vertices())
-        .map(|v| {
-            let label = cold.label(NodeId::from_index(v));
-            let w = fsdl_labels::codec::try_encode(&label, g.num_vertices()).unwrap();
-            (w.as_bytes().to_vec(), w.len_bits())
-        })
+    let records: Vec<Vec<u8>> = (0..g.num_vertices())
+        .map(|v| fsdl_labels::edge_sets::points_record(&cold.label(NodeId::from_index(v))))
         .collect();
     store::write_segment(
         &dir,
         2,
         cold.params(),
         store::graph_fingerprint(&g),
-        &encoded,
+        &fsdl_labels::EdgeSets::from_labeling(cold.labeling()).encode(),
+        &records,
     )
     .expect("segment write");
 

@@ -11,8 +11,9 @@ use std::time::Duration;
 
 use crate::plane::Stream;
 use crate::protocol::{
-    self, BatchItem, ErrorReply, FrameError, FrameRead, LabelFetchReply, QueryReply, Request,
-    Response, RouteReply, StatsReply, UpdateOp, WireError, WireFaults,
+    self, BatchItem, EdgeSetsReply, ErrorReply, FrameError, FrameRead, LabelFetchReply,
+    PointFetchReply, QueryReply, Request, Response, RouteReply, StatsReply, UpdateOp, WireError,
+    WireFaults,
 };
 use crate::server::Endpoint;
 
@@ -212,9 +213,8 @@ impl Client {
         })
     }
 
-    /// Raw encoded labels by global vertex id (shard servers only). An
-    /// empty id list is the handshake form: the reply still carries the
-    /// shard's generation and decode parameters.
+    /// Self-contained encoded labels by global vertex id (shard and
+    /// static servers).
     ///
     /// Servers answer with the longest request prefix under their byte
     /// budget (see [`protocol::LabelFetchReply`]); this helper
@@ -226,45 +226,56 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn label_fetch(&mut self, vertices: Vec<u32>) -> Result<LabelFetchReply, ClientError> {
+        self.fetch_all(vertices)
+    }
+
+    /// The generation's level edge sets and the shard's identity (shard
+    /// and static servers; the router's handshake).
+    ///
+    /// # Errors
+    ///
+    /// See [`ClientError`].
+    pub fn edge_sets(&mut self) -> Result<EdgeSetsReply, ClientError> {
+        match self.roundtrip_with(&Request::EdgeSets, protocol::MAX_LABEL_FRAME)? {
+            Response::EdgeSets(reply) => Ok(reply),
+            Response::Error(e) => Err(ClientError::Server(e)),
+            other => Err(ClientError::Unexpected(other.kind_name())),
+        }
+    }
+
+    /// Points records by global vertex id (shard and static servers),
+    /// assembled from short replies like [`Client::label_fetch`]'s and
+    /// erroring if the generation changes between chunks.
+    ///
+    /// # Errors
+    ///
+    /// See [`ClientError`].
+    pub fn point_fetch(&mut self, vertices: Vec<u32>) -> Result<PointFetchReply, ClientError> {
+        self.fetch_all(vertices)
+    }
+
+    /// Fetches `vertices` chunk by chunk: each reply must be a non-empty
+    /// prefix of what is still wanted, and the rest is asked for again.
+    fn fetch_all<R: PrefixReply>(&mut self, vertices: Vec<u32>) -> Result<R, ClientError> {
         let mut remaining = vertices;
-        let mut assembled: Option<LabelFetchReply> = None;
+        let mut assembled: Option<R> = None;
         loop {
-            let request = Request::LabelFetch {
-                vertices: remaining.clone(),
-            };
+            let request = R::request(remaining.clone());
             let reply = match self.roundtrip_with(&request, protocol::MAX_LABEL_FRAME)? {
                 Response::Error(e) => return Err(ClientError::Server(e)),
-                Response::LabelFetch(reply) => reply,
-                other => return Err(ClientError::Unexpected(other.kind_name())),
+                other => R::from_response(other)?,
             };
-            let served = reply.labels.len();
-            let is_prefix = served <= remaining.len()
-                && reply
-                    .labels
-                    .iter()
-                    .zip(&remaining)
-                    .all(|(lb, &v)| lb.vertex == v);
-            if !is_prefix || (served == 0 && !remaining.is_empty()) {
+            let served = reply.served();
+            if !remaining.starts_with(&served) || (served.is_empty() && !remaining.is_empty()) {
                 return Err(ClientError::Unexpected(
-                    "label-fetch reply was not a prefix of the request",
+                    "fetch reply was not a prefix of the request",
                 ));
             }
             match assembled.as_mut() {
                 None => assembled = Some(reply),
-                Some(acc) => {
-                    let same_identity = reply.generation == acc.generation
-                        && reply.epsilon_bits == acc.epsilon_bits
-                        && reply.c == acc.c
-                        && reply.vertices == acc.vertices;
-                    if !same_identity {
-                        return Err(ClientError::Unexpected(
-                            "label plane changed identity between fetch chunks",
-                        ));
-                    }
-                    acc.labels.extend(reply.labels);
-                }
+                Some(acc) => acc.extend(reply)?,
             }
-            remaining.drain(..served);
+            remaining.drain(..served.len());
             if remaining.is_empty() {
                 return Ok(assembled.take().expect("assembled reply"));
             }
@@ -281,5 +292,73 @@ impl Client {
             Response::Shutdown => Ok(()),
             other => Err(other.kind_name()),
         })
+    }
+}
+
+/// A label-plane fetch reply, which a server may cut short of its request
+/// (see [`Client::fetch_all`]).
+trait PrefixReply: Sized {
+    /// The request for `vertices`.
+    fn request(vertices: Vec<u32>) -> Request;
+    /// The reply, if `response` is one.
+    fn from_response(response: Response) -> Result<Self, ClientError>;
+    /// The ids served, in order.
+    fn served(&self) -> Vec<u32>;
+    /// Appends a later chunk, refusing one from another label plane.
+    fn extend(&mut self, chunk: Self) -> Result<(), ClientError>;
+}
+
+impl PrefixReply for LabelFetchReply {
+    fn request(vertices: Vec<u32>) -> Request {
+        Request::LabelFetch { vertices }
+    }
+
+    fn from_response(response: Response) -> Result<Self, ClientError> {
+        match response {
+            Response::LabelFetch(reply) => Ok(reply),
+            other => Err(ClientError::Unexpected(other.kind_name())),
+        }
+    }
+
+    fn served(&self) -> Vec<u32> {
+        self.labels.iter().map(|label| label.vertex).collect()
+    }
+
+    fn extend(&mut self, chunk: Self) -> Result<(), ClientError> {
+        let identity = |r: &Self| (r.generation, r.epsilon_bits, r.c, r.vertices);
+        if identity(&chunk) != identity(self) {
+            return Err(ClientError::Unexpected(
+                "label plane changed identity between fetch chunks",
+            ));
+        }
+        self.labels.extend(chunk.labels);
+        Ok(())
+    }
+}
+
+impl PrefixReply for PointFetchReply {
+    fn request(vertices: Vec<u32>) -> Request {
+        Request::PointFetch { vertices }
+    }
+
+    fn from_response(response: Response) -> Result<Self, ClientError> {
+        match response {
+            Response::PointFetch(reply) => Ok(reply),
+            other => Err(ClientError::Unexpected(other.kind_name())),
+        }
+    }
+
+    fn served(&self) -> Vec<u32> {
+        self.records.iter().map(|record| record.vertex).collect()
+    }
+
+    fn extend(&mut self, chunk: Self) -> Result<(), ClientError> {
+        if chunk.generation != self.generation {
+            return Err(ClientError::Unexpected(
+                "label plane changed generation between fetch chunks",
+            ));
+        }
+        self.records.extend(chunk.records);
+        Ok(())
     }
 }

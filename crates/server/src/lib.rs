@@ -9,7 +9,7 @@
 //!
 //! - [`protocol`] — a small length-prefixed binary protocol
 //!   (`query` / `batch` / `route` / `update` / `stats` / `shutdown` /
-//!   `label-fetch`),
+//!   `label-fetch` / `edge-sets` / `point-fetch`),
 //!   little-endian, distances on the wire as raw `u32` with
 //!   `u32::MAX` = unreachable so answers round-trip bit-identically.
 //!   Every decode path is bounds-checked and panic-free on arbitrary
@@ -26,9 +26,10 @@
 //!   [`fsdl_labels::DynamicOracle`] (draining any background rebuild on
 //!   shutdown), or one shard of a partitioned label store.
 //! - [`router`] — [`router::Router`]: the same front over a shard fleet:
-//!   scatters `label-fetch` frames to the shards owning a query's
-//!   `2 + |F|` labels, gathers, and decodes on its workers —
-//!   bit-identical to the single-process server.
+//!   holds the level edge sets it fetched at bind, scatters `point-fetch`
+//!   frames to the shards owning a query's `2 + |F|` labels, gathers, and
+//!   derives the labels on its workers — bit-identical to the
+//!   single-process server.
 //! - [`client`] — [`client::Client`]: a blocking connection with typed
 //!   helpers, used by the CLI, the load generator, and the tests.
 //!
@@ -65,9 +66,10 @@ pub mod server;
 
 pub use client::{Client, ClientError};
 pub use protocol::{
-    BatchItem, ErrorCode, ErrorReply, FrameAssembler, FrameStep, LabelBytes, LabelFetchReply,
-    QueryReply, Request, Response, RouteReply, StatsReply, UpdateOp, WireError, WireFaults,
-    WriteBuffer, MAX_BATCH, MAX_FRAME, MAX_LABEL_FETCH,
+    BatchItem, EdgeSetsReply, ErrorCode, ErrorReply, FrameAssembler, FrameStep, LabelBytes,
+    LabelFetchReply, PointFetchReply, PointRecord, QueryReply, Request, Response, RouteReply,
+    StatsReply, UpdateOp, WireError, WireFaults, WriteBuffer, MAX_BATCH, MAX_FRAME,
+    MAX_LABEL_FETCH,
 };
 pub use router::{Router, RouterConfig, RouterError, RouterReport};
 pub use server::{Endpoint, ServeEngine, ServeReport, Server, ServerConfig, ShutdownHandle};

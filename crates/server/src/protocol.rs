@@ -30,20 +30,44 @@
 //! sentinel, which is consistent: an unrepresentably large distance *is*
 //! effectively infinite.) Values below the sentinel are always exact.
 //!
-//! ## Label fetch
+//! ## The label plane: label-fetch, edge-sets, point-fetch
 //!
-//! The `label-fetch` op (0x07) is the shard-serving primitive: the router
-//! asks a shard for the **raw encoded label bytes** of a set of global
-//! vertex ids, and decodes them itself against the global id width. The
-//! reply carries the shard's store generation plus the decode parameters
-//! `(epsilon_bits, c, n)` so a router can validate shard agreement and
-//! reconstruct `SchemeParams` without filesystem access:
+//! A label is its point lists plus its generation's level edge sets
+//! restricted to them (`fsdl_labels::EdgeSets`). Shards store the edge
+//! sets once and a points record per vertex, and serve three ops over
+//! them; a static server serves the same three as a one-shard backend:
+//!
+//! - `label-fetch` (0x07) returns **self-contained encoded labels** by
+//!   global vertex id: each derived from its record and then encoded by
+//!   `fsdl_labels::codec`, so its bytes are exactly the builder's label's.
+//!   It is the paper's object — what the size experiments measure and what
+//!   a client outside the fleet reads. The reply carries the store
+//!   generation and the decode parameters `(epsilon_bits, c, n)`.
+//! - `edge-sets` (0x08) returns the generation's edge sets, with the
+//!   parameters, the fingerprint of the graph the shard was cut from, the
+//!   shard's index and count, and a checksum over the edge-set bytes. It
+//!   is the router's handshake: the router keeps the edge sets for the
+//!   generation and refuses a fleet that disagrees on any of it.
+//! - `point-fetch` (0x09) returns **points records** by global vertex id
+//!   (a few hundred bytes each, where a label is tens of kilobytes) with
+//!   the generation; the router derives the labels a query reads from
+//!   them and the edge sets it holds.
 //!
 //! ```text
 //! request  := 0x07 count:u32 vertex:u32 ...
 //! reply    := 0x00 0x07 generation:u64 epsilon_bits:u64 c:u32 n:u64
 //!             count:u32 (vertex:u32 bit_len:u32 bytes[ceil(bit_len/8)]) ...
+//! request  := 0x08
+//! reply    := 0x00 0x08 generation:u64 epsilon_bits:u64 c:u32 n:u64
+//!             graph_fingerprint:u64 shard:u32 shards:u32 checksum:u64
+//!             len:u32 edge_sets[len]
+//! request  := 0x09 count:u32 vertex:u32 ...
+//! reply    := 0x00 0x09 generation:u64
+//!             count:u32 (vertex:u32 len:u32 record[len]) ...
 //! ```
+//!
+//! Fetch replies may be short (see [`LABEL_FETCH_BYTE_BUDGET`]): a reader
+//! re-requests the tail.
 
 use std::io::{Read, Write};
 
@@ -98,6 +122,8 @@ mod op {
     pub const STATS: u8 = 0x05;
     pub const SHUTDOWN: u8 = 0x06;
     pub const LABEL_FETCH: u8 = 0x07;
+    pub const EDGE_SETS: u8 = 0x08;
+    pub const POINT_FETCH: u8 = 0x09;
 }
 
 /// Reply status bytes.
@@ -315,6 +341,15 @@ pub enum Request {
         /// Global vertex ids to fetch, at most [`MAX_LABEL_FETCH`].
         vertices: Vec<u32>,
     },
+    /// The generation's level edge sets plus the shard's identity (shard
+    /// or static mode; the router's handshake).
+    EdgeSets,
+    /// Points records by global vertex id (shard or static mode; what the
+    /// router gathers per query).
+    PointFetch {
+        /// Global vertex ids to fetch, at most [`MAX_LABEL_FETCH`].
+        vertices: Vec<u32>,
+    },
 }
 
 /// Narrows a counter to its `u32` wire field, saturating to the
@@ -428,7 +463,8 @@ pub struct StatsReply {
     /// Connections closed for stalling mid-frame past the server's
     /// frame-completion deadline (slow-loris protection).
     pub deadline_closes: u64,
-    /// Label-fetch requests answered (shard mode; 0 elsewhere).
+    /// `label-fetch` and `point-fetch` requests answered (shard and
+    /// static modes; 0 elsewhere).
     pub label_fetches: u64,
 }
 
@@ -470,6 +506,49 @@ pub struct LabelFetchReply {
     pub labels: Vec<LabelBytes>,
 }
 
+/// The reply to a [`Request::EdgeSets`]: a generation's level edge sets
+/// and everything a router checks a fleet's agreement on.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct EdgeSetsReply {
+    /// The store generation the edge sets belong to.
+    pub generation: u64,
+    /// `f64::to_bits` of the scheme's epsilon.
+    pub epsilon_bits: u64,
+    /// The scheme's `c` parameter.
+    pub c: u32,
+    /// The *global* vertex count.
+    pub vertices: u64,
+    /// Fingerprint of the (unsharded) graph the labels were built on.
+    pub graph_fingerprint: u64,
+    /// This shard's index in its partition (0 for a static server).
+    pub shard: u32,
+    /// Shards in the partition (1 for a static server).
+    pub num_shards: u32,
+    /// `fsdl_labels::edge_sets::checksum` of `edge_sets`.
+    pub checksum: u64,
+    /// `fsdl_labels::EdgeSets::encode`'s bytes.
+    pub edge_sets: Vec<u8>,
+}
+
+/// One points record in a point-fetch reply.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PointRecord {
+    /// The global vertex id the record belongs to.
+    pub vertex: u32,
+    /// `fsdl_labels::edge_sets::points_record`'s bytes, as stored.
+    pub bytes: Vec<u8>,
+}
+
+/// The reply to a [`Request::PointFetch`]: a request prefix of points
+/// records (short under the byte budget, like [`LabelFetchReply`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PointFetchReply {
+    /// The store generation these records were served from.
+    pub generation: u64,
+    /// The fetched records, in request order.
+    pub records: Vec<PointRecord>,
+}
+
 /// An error reply: the typed code plus a human-readable message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ErrorReply {
@@ -508,6 +587,10 @@ pub enum Response {
     Shutdown,
     /// Answer to [`Request::LabelFetch`].
     LabelFetch(LabelFetchReply),
+    /// Answer to [`Request::EdgeSets`].
+    EdgeSets(EdgeSetsReply),
+    /// Answer to [`Request::PointFetch`].
+    PointFetch(PointFetchReply),
     /// A typed error.
     Error(ErrorReply),
 }
@@ -599,6 +682,11 @@ impl Request {
                 buf.push(op::LABEL_FETCH);
                 put_ids(buf, vertices);
             }
+            Request::EdgeSets => buf.push(op::EDGE_SETS),
+            Request::PointFetch { vertices } => {
+                buf.push(op::POINT_FETCH);
+                put_ids(buf, vertices);
+            }
         }
     }
 
@@ -656,17 +744,13 @@ impl Request {
             }
             op::STATS => Request::Stats,
             op::SHUTDOWN => Request::Shutdown,
-            op::LABEL_FETCH => {
-                let vertices = r.ids("label_fetch.vertices")?;
-                if vertices.len() > MAX_LABEL_FETCH as usize {
-                    return Err(WireError::TooMany {
-                        what: "label-fetch vertices",
-                        count: vertices.len() as u64,
-                        max: u64::from(MAX_LABEL_FETCH),
-                    });
-                }
-                Request::LabelFetch { vertices }
-            }
+            op::LABEL_FETCH => Request::LabelFetch {
+                vertices: r.fetch_ids("label-fetch vertices")?,
+            },
+            op::EDGE_SETS => Request::EdgeSets,
+            op::POINT_FETCH => Request::PointFetch {
+                vertices: r.fetch_ids("point-fetch vertices")?,
+            },
             other => return Err(WireError::UnknownOpcode(other)),
         };
         r.finish()?;
@@ -686,6 +770,8 @@ impl Response {
             Response::Stats(_) => "stats",
             Response::Shutdown => "shutdown",
             Response::LabelFetch(_) => "label-fetch",
+            Response::EdgeSets(_) => "edge-sets",
+            Response::PointFetch(_) => "point-fetch",
             Response::Error(_) => "error",
         }
     }
@@ -772,6 +858,31 @@ impl Response {
                     put_u32(buf, label.vertex);
                     put_u32(buf, label.bit_len);
                     buf.extend_from_slice(&label.bytes);
+                }
+            }
+            Response::EdgeSets(reply) => {
+                buf.push(status::OK);
+                buf.push(op::EDGE_SETS);
+                put_u64(buf, reply.generation);
+                put_u64(buf, reply.epsilon_bits);
+                put_u32(buf, reply.c);
+                put_u64(buf, reply.vertices);
+                put_u64(buf, reply.graph_fingerprint);
+                put_u32(buf, reply.shard);
+                put_u32(buf, reply.num_shards);
+                put_u64(buf, reply.checksum);
+                put_u32(buf, reply.edge_sets.len() as u32);
+                buf.extend_from_slice(&reply.edge_sets);
+            }
+            Response::PointFetch(reply) => {
+                buf.push(status::OK);
+                buf.push(op::POINT_FETCH);
+                put_u64(buf, reply.generation);
+                put_u32(buf, reply.records.len() as u32);
+                for record in &reply.records {
+                    put_u32(buf, record.vertex);
+                    put_u32(buf, record.bytes.len() as u32);
+                    buf.extend_from_slice(&record.bytes);
                 }
             }
             Response::Error(e) => {
@@ -890,6 +1001,42 @@ impl Response {
                             labels,
                         })
                     }
+                    op::EDGE_SETS => Response::EdgeSets(EdgeSetsReply {
+                        generation: r.u64("reply.edge_sets.generation")?,
+                        epsilon_bits: r.u64("reply.edge_sets.epsilon_bits")?,
+                        c: r.u32("reply.edge_sets.c")?,
+                        vertices: r.u64("reply.edge_sets.vertices")?,
+                        graph_fingerprint: r.u64("reply.edge_sets.graph_fingerprint")?,
+                        shard: r.u32("reply.edge_sets.shard")?,
+                        num_shards: r.u32("reply.edge_sets.num_shards")?,
+                        checksum: r.u64("reply.edge_sets.checksum")?,
+                        edge_sets: {
+                            let len = r.u32("reply.edge_sets.len")?;
+                            r.take(len as usize, "reply.edge_sets.bytes")?.to_vec()
+                        },
+                    }),
+                    op::POINT_FETCH => {
+                        let generation = r.u64("reply.points.generation")?;
+                        let count = r.u32("reply.points.count")?;
+                        if count > MAX_LABEL_FETCH {
+                            return Err(WireError::TooMany {
+                                what: "point-fetch records",
+                                count: u64::from(count),
+                                max: u64::from(MAX_LABEL_FETCH),
+                            });
+                        }
+                        let mut records = Vec::with_capacity(count as usize);
+                        for _ in 0..count {
+                            let vertex = r.u32("reply.points.vertex")?;
+                            let len = r.u32("reply.points.len")?;
+                            let bytes = r.take(len as usize, "reply.points.bytes")?.to_vec();
+                            records.push(PointRecord { vertex, bytes });
+                        }
+                        Response::PointFetch(PointFetchReply {
+                            generation,
+                            records,
+                        })
+                    }
                     other => return Err(WireError::UnknownOpcode(other)),
                 }
             }
@@ -979,6 +1126,19 @@ impl<'a> Reader<'a> {
             ids.push(self.u32(field)?);
         }
         Ok(ids)
+    }
+
+    /// The id list of a fetch request, at most [`MAX_LABEL_FETCH`] long.
+    fn fetch_ids(&mut self, what: &'static str) -> Result<Vec<u32>, WireError> {
+        let vertices = self.ids(what)?;
+        if vertices.len() > MAX_LABEL_FETCH as usize {
+            return Err(WireError::TooMany {
+                what,
+                count: vertices.len() as u64,
+                max: u64::from(MAX_LABEL_FETCH),
+            });
+        }
+        Ok(vertices)
     }
 
     fn str(&mut self, field: &'static str) -> Result<String, WireError> {
@@ -1363,6 +1523,10 @@ mod tests {
         roundtrip_request(&Request::LabelFetch {
             vertices: vec![0, 7, u32::MAX],
         });
+        roundtrip_request(&Request::EdgeSets);
+        roundtrip_request(&Request::PointFetch {
+            vertices: vec![3, u32::MAX],
+        });
         fsdl_testkit::check("request_roundtrip", 200, |rng| {
             let faults = sample_faults(rng);
             let req = match rng.gen_range(0..5u32) {
@@ -1464,6 +1628,30 @@ mod tests {
                 LabelBytes {
                     vertex: 4095,
                     bit_len: 0,
+                    bytes: vec![],
+                },
+            ],
+        }));
+        roundtrip_response(&Response::EdgeSets(EdgeSetsReply {
+            generation: 3,
+            epsilon_bits: 1.0f64.to_bits(),
+            c: 5,
+            vertices: 400,
+            graph_fingerprint: 0xDEAD_BEEF_0123_4567,
+            shard: 1,
+            num_shards: 2,
+            checksum: u64::MAX,
+            edge_sets: vec![1, 2, 3, 4, 5],
+        }));
+        roundtrip_response(&Response::PointFetch(PointFetchReply {
+            generation: 3,
+            records: vec![
+                PointRecord {
+                    vertex: 9,
+                    bytes: vec![0x80, 0x01, 7],
+                },
+                PointRecord {
+                    vertex: 10,
                     bytes: vec![],
                 },
             ],

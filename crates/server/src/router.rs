@@ -13,20 +13,28 @@
 //!    and drain [`crate::Server`] runs (DESIGN.md §4.5). The router is a
 //!    handler on it that answers `stats` / `shutdown` / typed rejections
 //!    inline and owns the upstream shard sockets on the plane's poller.
-//! 2. **Scatter**: map each needed vertex id to its shard through the
-//!    [`PartitionPlan`], and send `label-fetch` frames over pooled
+//! 2. **Handshake**: at bind, fetch every shard's `edge-sets` — the
+//!    generation's level edge sets ([`EdgeSets`]) with the shard's
+//!    identity — and refuse a fleet that disagrees on the parameters,
+//!    the graph fingerprint, the edge sets or the shard numbering. The
+//!    router keeps one copy of the edge sets for every query after.
+//! 3. **Scatter**: map each needed vertex id to its shard through the
+//!    [`PartitionPlan`], and send `point-fetch` frames over pooled
 //!    nonblocking upstream connections (chunked at
-//!    [`MAX_LABEL_FETCH`] ids per frame).
-//! 3. **Gather**: per-request join state counts outstanding chunks;
+//!    [`MAX_LABEL_FETCH`] ids per frame). A points record is a few
+//!    hundred bytes where a self-contained label is tens of kilobytes.
+//! 4. **Gather**: per-request join state counts outstanding chunks;
 //!    each upstream connection answers in FIFO order (the protocol is
 //!    strictly request/reply per connection), so replies are matched to
 //!    requests without ids on the wire.
-//! 4. **Decode + answer locally**: a worker pool decodes the gathered
-//!    raw labels with the per-worker [`DecodeScratch`] fast path and
-//!    answers through the code the single-process server answers
-//!    through — `QueryFrame::answer` over [`fsdl_labels::resolve`] and
-//!    [`fsdl_labels::query_with_scratch`] — so answers are bit-identical:
-//!    same distances, same sketch sizes, same witness paths.
+//! 5. **Derive + answer locally**: a worker derives each gathered label
+//!    from its record and the edge sets ([`EdgeSets::label`]; a level that
+//!    stores the whole net shares the edge set's rows) and answers through
+//!    the code the single-process server answers through —
+//!    `QueryFrame::answer` over [`fsdl_labels::resolve`] and
+//!    [`fsdl_labels::query_with_scratch`] with the per-worker
+//!    [`DecodeScratch`] — so answers are bit-identical: same distances,
+//!    same sketch sizes, same witness paths.
 //!
 //! ## Failure semantics
 //!
@@ -52,7 +60,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fsdl_graph::NodeId;
-use fsdl_labels::codec::{self, VarintScratch};
+use fsdl_labels::edge_sets::{self, EdgeSets};
 use fsdl_labels::partition::PartitionPlan;
 use fsdl_labels::resolve::{resolve, LabelSource, Malformed};
 use fsdl_labels::{query_with_scratch, DecodeScratch, Label, OracleError, SchemeParams};
@@ -61,13 +69,13 @@ use fsdl_reactor::{Interest, Poller};
 use crate::client::{Client, ClientError};
 use crate::plane::{handler_token, ConnPlane, Core, Handler, PlaneConfig, PlaneCounters, Wire};
 use crate::protocol::{
-    error_reply, ErrorCode, ErrorReply, FrameStep, Request, Response, StatsReply, WireError,
-    MAX_LABEL_FETCH, MAX_LABEL_FRAME,
+    error_reply, EdgeSetsReply, ErrorCode, ErrorReply, FrameStep, Request, Response, StatsReply,
+    WireError, MAX_LABEL_FETCH, MAX_LABEL_FRAME,
 };
 use crate::server::{Endpoint, QueryFrame, ShutdownHandle};
 
 /// How long [`Router::bind`] waits for each shard to accept the
-/// handshake `label-fetch` before giving up.
+/// handshake `edge-sets` before giving up.
 const HANDSHAKE_BUDGET: Duration = Duration::from_secs(10);
 /// Minimum pause between redial attempts to a dead shard.
 const REDIAL_INTERVAL: Duration = Duration::from_millis(500);
@@ -100,7 +108,8 @@ impl Default for RouterConfig {
 pub enum RouterError {
     /// Listener or reactor setup failed.
     Io(std::io::Error),
-    /// A shard rejected or failed the handshake `label-fetch`.
+    /// A shard rejected or failed the handshake `edge-sets`, or sent edge
+    /// sets that fail their checksum or do not parse.
     Handshake {
         /// The shard index that failed.
         shard: usize,
@@ -108,7 +117,7 @@ pub enum RouterError {
         message: String,
     },
     /// The partition plan and the shard fleet disagree (count, vertex
-    /// space, or decode parameters).
+    /// space, decode parameters, graph, edge sets, or a shard's index).
     Plan(String),
 }
 
@@ -141,8 +150,10 @@ pub struct RouterReport {
     pub queries: u64,
     /// Queries answered inside batch frames.
     pub batch_queries: u64,
-    /// `label-fetch` frames sent upstream.
+    /// `point-fetch` frames sent upstream.
     pub upstream_fetches: u64,
+    /// Reply bytes read from shards after the handshake (frame payloads).
+    pub upstream_bytes: u64,
     /// Typed error replies sent to clients.
     pub protocol_errors: u64,
     /// Upstream connection failures (dial, mid-flight error, generation
@@ -159,6 +170,7 @@ struct Counters {
     queries: AtomicU64,
     batch_queries: AtomicU64,
     upstream_fetches: AtomicU64,
+    upstream_bytes: AtomicU64,
     shard_failures: AtomicU64,
 }
 
@@ -169,6 +181,7 @@ impl Counters {
             queries: self.queries.load(Ordering::Relaxed),
             batch_queries: self.batch_queries.load(Ordering::Relaxed),
             upstream_fetches: self.upstream_fetches.load(Ordering::Relaxed),
+            upstream_bytes: self.upstream_bytes.load(Ordering::Relaxed),
             protocol_errors: self.plane.protocol_errors.load(Ordering::Relaxed),
             shard_failures: self.shard_failures.load(Ordering::Relaxed),
             deadline_closes: self.plane.deadline_closes.load(Ordering::Relaxed),
@@ -176,17 +189,16 @@ impl Counters {
     }
 }
 
-/// What one shard fleet member looks like after the handshake.
-#[derive(Clone, Debug)]
-struct ShardIdentity {
-    generation: u64,
-    epsilon_bits: u64,
-    c: u32,
-    vertices: u64,
+/// What the fleet agreed on at the handshake.
+struct Fleet {
+    /// Each shard's store generation, which its fetch replies must keep.
+    generations: Vec<u64>,
+    params: SchemeParams,
+    edge_sets: Arc<EdgeSets>,
 }
 
-/// vertex id -> (encoded bytes, bit length), filled as chunks land.
-type EncodedLabels = HashMap<u32, (Vec<u8>, u32)>;
+/// vertex id -> points record, filled as chunks land.
+type PointRecords = HashMap<u32, Vec<u8>>;
 
 /// Join state for one in-flight scatter-gather.
 struct Pending {
@@ -204,7 +216,7 @@ struct GatherJob {
     frame: QueryFrame,
     /// Every id the frame's answer reads, as [`needed_ids`] planned it.
     ids: Vec<u32>,
-    labels: EncodedLabels,
+    records: PointRecords,
 }
 
 /// One pooled upstream connection to a shard, registered on the plane's
@@ -235,9 +247,10 @@ pub struct Router {
 }
 
 impl Router {
-    /// Binds the client listener, handshakes every shard (learning and
-    /// cross-checking generation, epsilon, `c`, and the global vertex
-    /// count), and opens the upstream connection pool.
+    /// Binds the client listener, handshakes every shard (fetching the
+    /// edge sets and cross-checking generation, epsilon, `c`, the global
+    /// vertex count, the graph fingerprint, the edge sets and each shard's
+    /// index), and opens the upstream connection pool.
     ///
     /// # Errors
     ///
@@ -257,22 +270,7 @@ impl Router {
                 shard_endpoints.len()
             )));
         }
-        let identity = Router::handshake_fleet(&shard_endpoints)?;
-        let n = identity[0].vertices;
-        if n != plan.num_vertices() as u64 {
-            return Err(RouterError::Plan(format!(
-                "shards serve {} vertices but the plan covers {}",
-                n,
-                plan.num_vertices()
-            )));
-        }
-        let epsilon = f64::from_bits(identity[0].epsilon_bits);
-        if !epsilon.is_finite() || epsilon <= 0.0 || n == 0 {
-            return Err(RouterError::Plan(format!(
-                "shards report unusable decode parameters (epsilon={epsilon}, n={n})"
-            )));
-        }
-        let params = Arc::new(SchemeParams::with_c(epsilon, identity[0].c, n as usize));
+        let fleet = Router::handshake_fleet(&shard_endpoints, &plan)?;
         let mut core = Core::bind(
             endpoint,
             PlaneConfig {
@@ -303,8 +301,9 @@ impl Router {
         let gather = Gather {
             rr: vec![0; shard_endpoints.len()],
             plan,
-            params,
-            expected_generation: identity.iter().map(|i| i.generation).collect(),
+            params: Arc::new(fleet.params),
+            edge_sets: fleet.edge_sets,
+            expected_generation: fleet.generations,
             counters: Arc::new(Counters {
                 plane: Arc::clone(&core.counters),
                 ..Counters::default()
@@ -318,37 +317,82 @@ impl Router {
         })
     }
 
-    /// Blocking handshake with each shard: an empty `label-fetch` is the
-    /// identity probe (generation + decode parameters, no labels). All
-    /// shards must agree on everything but the generation.
-    fn handshake_fleet(shard_endpoints: &[Endpoint]) -> Result<Vec<ShardIdentity>, RouterError> {
-        let mut identity = Vec::with_capacity(shard_endpoints.len());
+    /// Blocking handshake with each shard: its `edge-sets` reply. Every
+    /// shard must send edge sets that match their checksum and parse, sit
+    /// at its own position of the plan, and agree with shard 0 on the
+    /// decode parameters, the graph fingerprint and the edge sets — a
+    /// fleet cut from two graphs with the same vertex count is refused
+    /// here, not answered from mixed labels.
+    fn handshake_fleet(
+        shard_endpoints: &[Endpoint],
+        plan: &PartitionPlan,
+    ) -> Result<Fleet, RouterError> {
+        let mut replies = Vec::with_capacity(shard_endpoints.len());
         for (shard, ep) in shard_endpoints.iter().enumerate() {
+            let handshake = |message: String| RouterError::Handshake { shard, message };
             let reply = Client::connect_with_retry(ep, HANDSHAKE_BUDGET)
-                .and_then(|mut c| c.label_fetch(Vec::new()))
-                .map_err(|e: ClientError| RouterError::Handshake {
-                    shard,
-                    message: e.to_string(),
-                })?;
-            identity.push(ShardIdentity {
-                generation: reply.generation,
-                epsilon_bits: reply.epsilon_bits,
-                c: reply.c,
-                vertices: reply.vertices,
-            });
-        }
-        let first = &identity[0];
-        for (shard, id) in identity.iter().enumerate() {
-            if (id.epsilon_bits, id.c, id.vertices) != (first.epsilon_bits, first.c, first.vertices)
-            {
+                .and_then(|mut c| c.edge_sets())
+                .map_err(|e: ClientError| handshake(e.to_string()))?;
+            if edge_sets::checksum(&reply.edge_sets) != reply.checksum {
+                return Err(handshake("edge sets fail their checksum".into()));
+            }
+            if (reply.shard, reply.num_shards) != (shard as u32, plan.num_shards()) {
                 return Err(RouterError::Plan(format!(
-                    "shard {shard} disagrees with shard 0: \
-                     (epsilon_bits, c, n) = ({}, {}, {}) vs ({}, {}, {})",
-                    id.epsilon_bits, id.c, id.vertices, first.epsilon_bits, first.c, first.vertices
+                    "the endpoint at position {shard} of {} serves shard {} of {}",
+                    plan.num_shards(),
+                    reply.shard,
+                    reply.num_shards
+                )));
+            }
+            replies.push(reply);
+        }
+        let first = &replies[0];
+        let identity = |r: &EdgeSetsReply| {
+            (
+                r.epsilon_bits,
+                r.c,
+                r.vertices,
+                r.graph_fingerprint,
+                r.checksum,
+            )
+        };
+        for (shard, reply) in replies.iter().enumerate() {
+            if identity(reply) != identity(first) {
+                return Err(RouterError::Plan(format!(
+                    "shard {shard} disagrees with shard 0: (epsilon_bits, c, n, graph \
+                     fingerprint, edge-set checksum) = {:?} vs {:?}",
+                    identity(reply),
+                    identity(first)
                 )));
             }
         }
-        Ok(identity)
+        let n = first.vertices;
+        if n != plan.num_vertices() as u64 {
+            return Err(RouterError::Plan(format!(
+                "shards serve {n} vertices but the plan covers {}",
+                plan.num_vertices()
+            )));
+        }
+        let epsilon = f64::from_bits(first.epsilon_bits);
+        if !epsilon.is_finite() || epsilon <= 0.0 || !(2..=64).contains(&first.c) || n == 0 {
+            return Err(RouterError::Plan(format!(
+                "shards report unusable decode parameters (epsilon={epsilon}, c={}, n={n})",
+                first.c
+            )));
+        }
+        let params = SchemeParams::with_c(epsilon, first.c, n as usize);
+        let edge_sets = EdgeSets::decode(&first.edge_sets).map_err(|e| RouterError::Handshake {
+            shard: 0,
+            message: format!("edge sets do not parse: {e}"),
+        })?;
+        edge_sets
+            .check_schedule(&params)
+            .map_err(RouterError::Plan)?;
+        Ok(Fleet {
+            generations: replies.iter().map(|r| r.generation).collect(),
+            params,
+            edge_sets: Arc::new(edge_sets),
+        })
     }
 
     /// The client endpoint actually bound (port 0 resolved).
@@ -376,6 +420,7 @@ impl Router {
 struct Gather {
     plan: PartitionPlan,
     params: Arc<SchemeParams>,
+    edge_sets: Arc<EdgeSets>,
     expected_generation: Vec<u64>,
     counters: Arc<Counters>,
     upstreams: Vec<Upstream>,
@@ -391,9 +436,9 @@ struct Gather {
 /// One decode worker's state, kept for its lifetime.
 struct GatherWorker {
     params: Arc<SchemeParams>,
+    edge_sets: Arc<EdgeSets>,
     counters: Arc<Counters>,
     scratch: DecodeScratch,
-    varints: VarintScratch,
 }
 
 impl Handler for Gather {
@@ -403,9 +448,9 @@ impl Handler for Gather {
     fn worker(&self) -> GatherWorker {
         GatherWorker {
             params: Arc::clone(&self.params),
+            edge_sets: Arc::clone(&self.edge_sets),
             counters: Arc::clone(&self.counters),
             scratch: DecodeScratch::new(),
-            varints: VarintScratch::new(),
         }
     }
 
@@ -450,10 +495,12 @@ impl Handler for Gather {
                 ErrorCode::UnsupportedInMode,
                 "update requires a dynamic oracle; the router fronts immutable shards",
             ),
-            Ok(Request::LabelFetch { .. }) => error_reply(
-                ErrorCode::UnsupportedInMode,
-                "label-fetch is the shard-facing op; send query or batch frames here",
-            ),
+            Ok(Request::LabelFetch { .. } | Request::EdgeSets | Request::PointFetch { .. }) => {
+                error_reply(
+                    ErrorCode::UnsupportedInMode,
+                    "the label-plane ops are shard-facing; send query or batch frames here",
+                )
+            }
         };
         core.reply(token, &reply);
     }
@@ -470,7 +517,12 @@ impl Handler for Gather {
         // reply can exceed the client-facing frame ceiling.
         while let Some(wire) = self.upstreams[idx].wire.as_mut() {
             let reply = match wire.assembler.next_frame(MAX_LABEL_FRAME) {
-                FrameStep::Frame(payload) => Response::decode(payload),
+                FrameStep::Frame(payload) => {
+                    self.counters
+                        .upstream_bytes
+                        .fetch_add(payload.len() as u64, Ordering::Relaxed);
+                    Response::decode(payload)
+                }
                 FrameStep::Incomplete => break,
                 FrameStep::Oversized { .. } => {
                     dead = true;
@@ -499,14 +551,14 @@ impl Gather {
         self.upstreams.len() / self.rr.len().max(1)
     }
 
-    /// Queues one `label-fetch` for `ids` on upstream `idx`, owed to
+    /// Queues one `point-fetch` for `ids` on upstream `idx`, owed to
     /// pending request `pending_id`.
     fn enqueue_fetch(&mut self, idx: usize, pending_id: u64, ids: Vec<u32>) {
         self.counters
             .upstream_fetches
             .fetch_add(1, Ordering::Relaxed);
         let mut payload = Vec::new();
-        Request::LabelFetch {
+        Request::PointFetch {
             vertices: ids.clone(),
         }
         .encode(&mut payload);
@@ -555,7 +607,7 @@ impl Gather {
                 client: token,
                 job: GatherJob {
                     frame,
-                    labels: HashMap::with_capacity(ids.len()),
+                    records: HashMap::with_capacity(ids.len()),
                     ids,
                 },
                 outstanding: routes.len(),
@@ -602,7 +654,7 @@ impl Gather {
             return false;
         };
         let outcome = match reply {
-            Ok(Response::LabelFetch(reply)) => {
+            Ok(Response::PointFetch(reply)) => {
                 if reply.generation != self.expected_generation[shard] {
                     self.counters.shard_failures.fetch_add(1, Ordering::Relaxed);
                     Err(ErrorReply {
@@ -612,13 +664,13 @@ impl Gather {
                             self.expected_generation[shard], reply.generation
                         ),
                     })
-                } else if reply.labels.len() > requested.len()
-                    || (reply.labels.is_empty() && !requested.is_empty())
+                } else if reply.records.len() > requested.len()
+                    || (reply.records.is_empty() && !requested.is_empty())
                     || reply
-                        .labels
+                        .records
                         .iter()
                         .zip(&requested)
-                        .any(|(lb, &v)| lb.vertex != v)
+                        .any(|(record, &v)| record.vertex != v)
                 {
                     // Replies must be a non-empty request prefix (short
                     // when the shard packed to its byte budget): anything
@@ -626,24 +678,24 @@ impl Gather {
                     Err(ErrorReply {
                         code: ErrorCode::Internal,
                         message: format!(
-                            "shard {shard} label-fetch reply was not a prefix of the request"
+                            "shard {shard} point-fetch reply was not a prefix of the request"
                         ),
                     })
                 } else {
-                    Ok(reply.labels)
+                    Ok(reply.records)
                 }
             }
             Ok(Response::Error(e)) => Err(ErrorReply {
                 code: ErrorCode::Internal,
                 message: format!(
-                    "shard {shard} rejected a label-fetch [{}]: {}",
+                    "shard {shard} rejected a point-fetch [{}]: {}",
                     e.code, e.message
                 ),
             }),
             Ok(other) => Err(ErrorReply {
                 code: ErrorCode::Internal,
                 message: format!(
-                    "shard {shard} answered a label-fetch with {}",
+                    "shard {shard} answered a point-fetch with {}",
                     other.kind_name()
                 ),
             }),
@@ -661,12 +713,12 @@ impl Gather {
         };
         let mut short_tail = None;
         match outcome {
-            Ok(labels) => {
-                if labels.len() < requested.len() {
-                    short_tail = Some(requested[labels.len()..].to_vec());
+            Ok(records) => {
+                if records.len() < requested.len() {
+                    short_tail = Some(requested[records.len()..].to_vec());
                 }
-                for lb in labels {
-                    pending.job.labels.insert(lb.vertex, (lb.bytes, lb.bit_len));
+                for record in records {
+                    pending.job.records.insert(record.vertex, record.bytes);
                 }
             }
             Err(e) => {
@@ -779,7 +831,7 @@ impl<'a> LabelSource for Gathered<'a> {
     fn label(&mut self, v: NodeId) -> &'a Label {
         self.0
             .get(&v.raw())
-            .expect("decode_gathered decoded every id this same walk planned")
+            .expect("derive_gathered derived every id this same walk planned")
     }
 
     fn is_edge(&self, a: NodeId, b: NodeId, label_a: &&'a Label) -> bool {
@@ -805,24 +857,23 @@ fn needed_ids(n: usize, frame: &QueryFrame) -> Result<Vec<u32>, Response> {
     Ok(planned.0)
 }
 
-/// Decodes the label of every planned id once and checks its owner — a
-/// shard that returns bytes for the wrong vertex, a corrupt label or one
-/// in an older codec layout is a typed `Internal` error, never a wrong
-/// answer. The decoder returns only labels that pass `Label::validate`.
-fn decode_gathered(
+/// Derives the label of every planned id once from its gathered record
+/// and checks its owner — a shard that returns a record for the wrong
+/// vertex, or a corrupt one, is a typed `Internal` error, never a wrong
+/// answer. Derivation returns only labels that pass `Label::validate`.
+fn derive_gathered(
     ids: &[u32],
-    labels: &EncodedLabels,
-    n: usize,
-    varints: &mut VarintScratch,
+    records: &PointRecords,
+    edge_sets: &EdgeSets,
 ) -> Result<HashMap<u32, Label>, Response> {
     let mut decoded = HashMap::with_capacity(ids.len());
     for &v in ids {
-        let Some((bytes, bit_len)) = labels.get(&v) else {
-            let message = format!("gathered label set is missing vertex {v}");
+        let Some(record) = records.get(&v) else {
+            let message = format!("gathered record set is missing vertex {v}");
             return Err(error_reply(ErrorCode::Internal, message));
         };
-        let label = codec::decode_with(bytes, *bit_len as usize, n, varints).map_err(|e| {
-            let message = format!("label for vertex {v} failed to decode: {e}");
+        let label = edge_sets.label(record).map_err(|e| {
+            let message = format!("record for vertex {v} failed to derive: {e}");
             error_reply(ErrorCode::Internal, message)
         })?;
         if label.owner != NodeId::new(v) {
@@ -834,19 +885,19 @@ fn decode_gathered(
     Ok(decoded)
 }
 
-/// The worker-side terminal: decode the gathered labels, then answer the
+/// The worker-side terminal: derive the gathered labels, then answer the
 /// frame as the single-process server does — [`QueryFrame::answer`] over
 /// the same [`resolve`] and the same [`query_with_scratch`], fed the same
 /// labels in the same order, so the answer is bit-identical.
 fn compute_answer(job: &GatherJob, worker: &mut GatherWorker) -> Response {
     let GatherWorker {
         params,
+        edge_sets,
         counters,
         scratch,
-        varints,
     } = worker;
     let n = params.n();
-    let decoded = match decode_gathered(&job.ids, &job.labels, n, varints) {
+    let decoded = match derive_gathered(&job.ids, &job.records, edge_sets) {
         Ok(d) => d,
         Err(resp) => return resp,
     };

@@ -33,15 +33,17 @@ use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use fsdl_graph::{FaultSet, NodeId};
+use fsdl_labels::edge_sets::{self, EdgeSets};
 use fsdl_labels::partition::ShardStore;
 use fsdl_labels::resolve::check_vertex;
-use fsdl_labels::{DecodeScratch, DynamicOracle, QueryAnswer};
+use fsdl_labels::{codec, store, DecodeScratch, DynamicOracle, QueryAnswer};
 use fsdl_routing::Network;
 
 use crate::plane::{ConnPlane, Core, Handler, PlaneConfig, PlaneCounters};
 use crate::protocol::{
-    self, error_reply, sat_u32, BatchItem, ErrorCode, LabelBytes, LabelFetchReply, QueryReply,
-    Request, Response, RouteReply, StatsReply, UpdateOp, WireFaults,
+    self, error_reply, sat_u32, BatchItem, EdgeSetsReply, ErrorCode, LabelBytes, LabelFetchReply,
+    PointFetchReply, PointRecord, QueryReply, Request, Response, RouteReply, StatsReply, UpdateOp,
+    WireFaults,
 };
 
 /// Where a server listens or a client connects.
@@ -100,9 +102,10 @@ pub enum ServeEngine {
     /// answers under the *current* fault set (per-query forbidden sets
     /// are rejected — the dynamic oracle's fault set is server state).
     Dynamic(Arc<RwLock<DynamicOracle>>),
-    /// One shard of a partitioned label plane: serves only `label-fetch`
-    /// (raw encoded labels by global id) and `stats`/`shutdown`; queries
-    /// belong at the router, which holds the full partition plan.
+    /// One shard of a partitioned label plane: serves only the label
+    /// plane — `edge-sets`, `point-fetch` and `label-fetch` by global id —
+    /// and `stats`/`shutdown`; queries belong at the router, which holds
+    /// the full partition plan.
     Shard(Arc<ShardStore>),
 }
 
@@ -188,7 +191,8 @@ pub struct ServeReport {
     /// Connections closed for stalling mid-frame past the frame
     /// deadline (slow-loris protection).
     pub deadline_closes: u64,
-    /// Label-fetch requests answered (shard mode).
+    /// `label-fetch` and `point-fetch` requests answered (shard and static
+    /// modes).
     pub label_fetches: u64,
 }
 
@@ -385,31 +389,50 @@ impl QueryFrame {
     }
 }
 
-/// Packs the longest prefix of `vertices` whose encoded labels fit the
-/// byte budget (but never an empty reply for a non-empty request):
-/// labels are poly(1/eps, log n) bytes each, so an id count alone bounds
-/// nothing. The caller re-requests the unserved tail — see
+/// Packs the longest prefix of `vertices` whose fetched bytes fit the
+/// byte budget (but never an empty reply for a non-empty request): labels
+/// are poly(1/eps, log n) bytes each, so an id count alone bounds
+/// nothing. `fetch` returns a vertex's bytes and bit length, `wrap` makes
+/// the reply entry. The caller re-requests the unserved tail — see
 /// [`LabelFetchReply`].
-fn pack_label_prefix<'a>(
+fn pack_prefix<'a, T>(
     vertices: &[u32],
     budget: usize,
     mut fetch: impl FnMut(u32) -> Result<(Cow<'a, [u8]>, usize), Response>,
-) -> Result<Vec<LabelBytes>, Response> {
-    let mut labels = Vec::with_capacity(vertices.len());
+    wrap: impl Fn(u32, Vec<u8>, usize) -> T,
+) -> Result<Vec<T>, Response> {
+    let mut packed = Vec::with_capacity(vertices.len());
     let mut used = 0usize;
     for &v in vertices {
         let (bytes, bit_len) = fetch(v)?;
-        if !labels.is_empty() && used.saturating_add(bytes.len()) > budget {
+        if !packed.is_empty() && used.saturating_add(bytes.len()) > budget {
             break;
         }
         used += bytes.len();
-        labels.push(LabelBytes {
-            vertex: v,
-            bit_len: sat_u32(bit_len),
-            bytes: bytes.into_owned(),
-        });
+        packed.push(wrap(v, bytes.into_owned(), bit_len));
     }
-    Ok(labels)
+    Ok(packed)
+}
+
+/// The typed reply to a fetch of a vertex this shard does not own.
+fn not_owned(store: &ShardStore, v: u32) -> Response {
+    let message = format!(
+        "shard {}/{} does not own vertex {v}",
+        store.shard(),
+        store.num_shards()
+    );
+    error_reply(ErrorCode::BadRequest, message)
+}
+
+/// The typed reply to a label-plane op a dynamic server cannot serve.
+fn immutable_labels_only(op: &str) -> Response {
+    error_reply(
+        ErrorCode::UnsupportedInMode,
+        format!(
+            "{op} serves immutable labels; the dynamic oracle re-encodes across generations \
+             and cannot be sharded"
+        ),
+    )
 }
 
 impl Serve {
@@ -448,6 +471,161 @@ impl Serve {
                 "a shard serves label-fetch only; send queries to the router",
             ),
         }
+    }
+
+    /// `label-fetch`: self-contained labels, encoded by the codec — on a
+    /// shard derived from the stored points records, on a static server
+    /// read from the oracle (a valid one-shard backend).
+    fn label_fetch(&self, vertices: &[u32]) -> Response {
+        let budget = self.label_fetch_budget;
+        let wrap = |vertex, bytes, bit_len| LabelBytes {
+            vertex,
+            bit_len: sat_u32(bit_len),
+            bytes,
+        };
+        let (packed, generation, (epsilon_bits, c, n)) = match &self.engine {
+            ServeEngine::Shard(store) => {
+                let n = store.total_vertices() as usize;
+                let packed = pack_prefix(
+                    vertices,
+                    budget,
+                    |v| {
+                        let label = store.label(v).ok_or_else(|| not_owned(store, v))?;
+                        let w = label.and_then(|label| codec::try_encode(&label, n));
+                        let w = w.map_err(|e| {
+                            let message = format!("stored label of vertex {v} is corrupt: {e}");
+                            error_reply(ErrorCode::Internal, message)
+                        })?;
+                        Ok((Cow::Owned(w.as_bytes().to_vec()), w.len_bits()))
+                    },
+                    wrap,
+                );
+                (packed, store.generation(), store.wire_params())
+            }
+            ServeEngine::Static(net) => {
+                let oracle = net.oracle();
+                let n = oracle.labeling().graph().num_vertices();
+                let params = oracle.labeling().params();
+                let packed = pack_prefix(
+                    vertices,
+                    budget,
+                    |v| {
+                        let v = NodeId::new(v);
+                        check_vertex(n, v)
+                            .map_err(|e| error_reply(ErrorCode::BadRequest, e.to_string()))?;
+                        let (bytes, bit_len) = oracle
+                            .encoded_label(v)
+                            .map_err(|e| error_reply(ErrorCode::Internal, e.to_string()))?;
+                        Ok((Cow::Owned(bytes), bit_len))
+                    },
+                    wrap,
+                );
+                let wire_params = (params.epsilon().to_bits(), params.c(), n as u64);
+                (packed, 0, wire_params)
+            }
+            ServeEngine::Dynamic(_) => return immutable_labels_only("label-fetch"),
+        };
+        packed.map_or_else(
+            |rejected| rejected,
+            |labels| {
+                self.counters.label_fetches.fetch_add(1, Ordering::Relaxed);
+                Response::LabelFetch(LabelFetchReply {
+                    generation,
+                    epsilon_bits,
+                    c,
+                    vertices: n,
+                    labels,
+                })
+            },
+        )
+    }
+
+    /// `edge-sets`: the generation's level edge sets and the identity a
+    /// router checks a fleet against. A static server is shard 0 of 1 at
+    /// generation 0.
+    fn edge_sets(&self) -> Response {
+        let reply = match &self.engine {
+            ServeEngine::Shard(store) => {
+                let (epsilon_bits, c, vertices) = store.wire_params();
+                let bytes = store.edge_sets_bytes();
+                EdgeSetsReply {
+                    generation: store.generation(),
+                    epsilon_bits,
+                    c,
+                    vertices,
+                    graph_fingerprint: store.graph_fingerprint(),
+                    shard: store.shard(),
+                    num_shards: store.num_shards(),
+                    checksum: edge_sets::checksum(bytes),
+                    edge_sets: bytes.to_vec(),
+                }
+            }
+            ServeEngine::Static(net) => {
+                let labeling = net.oracle().labeling();
+                let bytes = EdgeSets::from_labeling(labeling).encode();
+                EdgeSetsReply {
+                    generation: 0,
+                    epsilon_bits: labeling.params().epsilon().to_bits(),
+                    c: labeling.params().c(),
+                    vertices: labeling.graph().num_vertices() as u64,
+                    graph_fingerprint: store::graph_fingerprint(labeling.graph()),
+                    shard: 0,
+                    num_shards: 1,
+                    checksum: edge_sets::checksum(&bytes),
+                    edge_sets: bytes,
+                }
+            }
+            ServeEngine::Dynamic(_) => return immutable_labels_only("edge-sets"),
+        };
+        Response::EdgeSets(reply)
+    }
+
+    /// `point-fetch`: points records, as stored on a shard, made from the
+    /// oracle's labels on a static server.
+    fn point_fetch(&self, vertices: &[u32]) -> Response {
+        let budget = self.label_fetch_budget;
+        let wrap = |vertex, bytes, _| PointRecord { vertex, bytes };
+        let (packed, generation) = match &self.engine {
+            ServeEngine::Shard(store) => {
+                let packed = pack_prefix(
+                    vertices,
+                    budget,
+                    |v| {
+                        let record = store.points(v).ok_or_else(|| not_owned(store, v))?;
+                        Ok((Cow::Borrowed(record), 0))
+                    },
+                    wrap,
+                );
+                (packed, store.generation())
+            }
+            ServeEngine::Static(net) => {
+                let oracle = net.oracle();
+                let n = oracle.labeling().graph().num_vertices();
+                let packed = pack_prefix(
+                    vertices,
+                    budget,
+                    |v| {
+                        let v = NodeId::new(v);
+                        check_vertex(n, v)
+                            .map_err(|e| error_reply(ErrorCode::BadRequest, e.to_string()))?;
+                        Ok((Cow::Owned(edge_sets::points_record(&oracle.label(v))), 0))
+                    },
+                    wrap,
+                );
+                (packed, 0)
+            }
+            ServeEngine::Dynamic(_) => return immutable_labels_only("point-fetch"),
+        };
+        packed.map_or_else(
+            |rejected| rejected,
+            |records| {
+                self.counters.label_fetches.fetch_add(1, Ordering::Relaxed);
+                Response::PointFetch(PointFetchReply {
+                    generation,
+                    records,
+                })
+            },
+        )
     }
 
     /// Dispatches one decoded request against the engine.
@@ -533,66 +711,9 @@ impl Serve {
                 })
             }
             Request::Shutdown => Response::Shutdown,
-            Request::LabelFetch { vertices } => {
-                let budget = self.label_fetch_budget;
-                let (packed, generation, (epsilon_bits, c, n)) = match engine {
-                    ServeEngine::Shard(store) => {
-                        let packed = pack_label_prefix(&vertices, budget, |v| {
-                            let (bytes, bit_len) = store.fetch(v).ok_or_else(|| {
-                                error_reply(
-                                    ErrorCode::BadRequest,
-                                    format!(
-                                        "shard {}/{} does not own vertex {v}",
-                                        store.shard(),
-                                        store.num_shards()
-                                    ),
-                                )
-                            })?;
-                            Ok((Cow::Borrowed(bytes), bit_len))
-                        });
-                        (packed, store.generation(), store.wire_params())
-                    }
-                    ServeEngine::Static(net) => {
-                        // A single unsharded oracle is a valid 1-shard
-                        // backend: the router's differential tests lean on
-                        // this.
-                        let oracle = net.oracle();
-                        let n = oracle.labeling().graph().num_vertices();
-                        let params = oracle.labeling().params();
-                        let packed = pack_label_prefix(&vertices, budget, |v| {
-                            let v = NodeId::new(v);
-                            check_vertex(n, v)
-                                .map_err(|e| error_reply(ErrorCode::BadRequest, e.to_string()))?;
-                            let (bytes, bit_len) = oracle
-                                .encoded_label(v)
-                                .map_err(|e| error_reply(ErrorCode::Internal, e.to_string()))?;
-                            Ok((Cow::Owned(bytes), bit_len))
-                        });
-                        let wire_params = (params.epsilon().to_bits(), params.c(), n as u64);
-                        (packed, 0, wire_params)
-                    }
-                    ServeEngine::Dynamic(_) => {
-                        return error_reply(
-                            ErrorCode::UnsupportedInMode,
-                            "label-fetch serves immutable labels; the dynamic oracle re-encodes \
-                             across generations and cannot be sharded",
-                        );
-                    }
-                };
-                match packed {
-                    Ok(labels) => {
-                        counters.label_fetches.fetch_add(1, Ordering::Relaxed);
-                        Response::LabelFetch(LabelFetchReply {
-                            generation,
-                            epsilon_bits,
-                            c,
-                            vertices: n,
-                            labels,
-                        })
-                    }
-                    Err(rejected) => rejected,
-                }
-            }
+            Request::LabelFetch { vertices } => self.label_fetch(&vertices),
+            Request::EdgeSets => self.edge_sets(),
+            Request::PointFetch { vertices } => self.point_fetch(&vertices),
         }
     }
 }

@@ -17,12 +17,15 @@ use std::time::{Duration, Instant};
 
 use fsdl_graph::{generators, FaultSet, Graph, NodeId};
 use fsdl_labels::partition::{shard_dir_name, PartitionPlan, ShardStore};
-use fsdl_labels::{write_shard_stores, DecodeScratch, ForbiddenSetOracle, SchemeParams};
+use fsdl_labels::{
+    audit, codec, edge_sets, store, write_shard_stores, DecodeScratch, EdgeSets,
+    ForbiddenSetOracle, Labeling, SchemeParams,
+};
 use fsdl_routing::Network;
 use fsdl_server::{
-    protocol, Client, ClientError, Endpoint, ErrorCode, LabelFetchReply, Response, Router,
-    RouterConfig, ServeEngine, ServeReport, Server, ServerConfig, ShutdownHandle, WireFaults,
-    MAX_FRAME,
+    protocol, Client, ClientError, EdgeSetsReply, Endpoint, ErrorCode, PointFetchReply,
+    PointRecord, Request, Response, Router, RouterConfig, RouterError, ServeEngine, ServeReport,
+    Server, ServerConfig, ShutdownHandle, WireFaults, MAX_FRAME,
 };
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -123,6 +126,280 @@ fn spawn_router(
 
 fn connect(endpoint: &Endpoint) -> Client {
     Client::connect_with_retry(endpoint, Duration::from_secs(5)).expect("connect")
+}
+
+/// The `edge-sets` reply a one-shard fleet over `g` sends at `generation`.
+fn edge_sets_reply(g: &Graph, epsilon: f64, generation: u64) -> EdgeSetsReply {
+    let labeling = Labeling::build(g, SchemeParams::new(epsilon, g.num_vertices()));
+    let bytes = EdgeSets::from_labeling(&labeling).encode();
+    EdgeSetsReply {
+        generation,
+        epsilon_bits: epsilon.to_bits(),
+        c: labeling.params().c(),
+        vertices: g.num_vertices() as u64,
+        graph_fingerprint: store::graph_fingerprint(g),
+        shard: 0,
+        num_shards: 1,
+        checksum: edge_sets::checksum(&bytes),
+        edge_sets: bytes,
+    }
+}
+
+/// Answers a router's pool connection, one reply per request frame.
+type FakeReply = Box<dyn Fn(Request) -> Response + Send>;
+
+/// A fake shard on `listener`: answers the handshake connection with
+/// `handshake`, then — given a `reply` — answers every frame on the
+/// router's one pool connection with it. Returns after the handshake
+/// without one, else when the router hangs up.
+fn fake_shard(
+    listener: UnixListener,
+    handshake: Response,
+    reply: Option<FakeReply>,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let mut buf = Vec::new();
+        let (mut conn, _) = listener.accept().expect("handshake connection");
+        protocol::read_frame(&mut conn, MAX_FRAME, &mut buf).expect("handshake request");
+        protocol::send_response(&mut conn, &handshake, &mut buf).expect("handshake reply");
+        drop(conn);
+        let Some(reply) = reply else {
+            return;
+        };
+        let (mut pooled, _) = listener.accept().expect("pool connection");
+        while let Ok(protocol::FrameRead::Frame) =
+            protocol::read_frame(&mut pooled, MAX_FRAME, &mut buf)
+        {
+            let request = Request::decode(&buf).expect("router sends well-formed frames");
+            if protocol::send_response(&mut pooled, &reply(request), &mut buf).is_err() {
+                return;
+            }
+        }
+    })
+}
+
+fn bind_one_pooled(shards: Vec<Endpoint>, plan: PartitionPlan) -> Result<Router, RouterError> {
+    Router::bind(
+        &Endpoint::Tcp("127.0.0.1:0".into()),
+        shards,
+        plan,
+        RouterConfig {
+            pool_per_shard: 1,
+            ..RouterConfig::default()
+        },
+    )
+}
+
+/// Two graphs with the same vertex count, cut into two shards each, then
+/// served as one fleet: shard 0 of one and shard 1 of the other. Their
+/// `(epsilon, c, n)` agree, so a handshake that compares only those binds
+/// and answers from mixed labels. The graph fingerprint and the edge sets
+/// tell them apart, and the router refuses the fleet. So does a fleet
+/// whose endpoints are listed out of shard order.
+#[test]
+fn router_refuses_a_fleet_cut_from_different_graphs() {
+    let dir = TempDir::new("mixed");
+    let plan = PartitionPlan::contiguous(24, 2);
+    let mut fleets = Vec::new();
+    for (tag, g) in [
+        ("a", generators::grid2d(4, 6)),
+        ("b", generators::grid2d(6, 4)),
+    ] {
+        let oracle = ForbiddenSetOracle::new(&g, 1.0);
+        fleets.push(ShardFleet::spawn(&oracle, &dir.path().join(tag), &plan));
+    }
+    let mixed = vec![
+        fleets[0].endpoints[0].clone(),
+        fleets[1].endpoints[1].clone(),
+    ];
+    match bind_one_pooled(mixed, plan.clone()) {
+        Err(RouterError::Plan(message)) => assert!(message.contains("disagrees"), "{message}"),
+        Err(other) => panic!("expected a plan mismatch, got {other}"),
+        Ok(_) => panic!("a fleet cut from two graphs must not bind"),
+    }
+    let reversed = fleets[0].endpoints.iter().rev().cloned().collect();
+    match bind_one_pooled(reversed, plan.clone()) {
+        Err(RouterError::Plan(message)) => assert!(message.contains("serves shard"), "{message}"),
+        Err(other) => panic!("expected a plan mismatch, got {other}"),
+        Ok(_) => panic!("shards out of order must not bind"),
+    }
+    // The same fleet in order binds.
+    let router = bind_one_pooled(fleets[0].endpoints.clone(), plan).expect("a whole fleet binds");
+    drop(router);
+    for fleet in fleets {
+        fleet.stop();
+    }
+}
+
+/// Edge sets that fail their checksum, or that match a checksum but do
+/// not parse, fail the bind with a typed handshake error.
+#[test]
+fn corrupt_edge_sets_fail_the_bind_typed() {
+    let dir = TempDir::new("bad-blocks");
+    let good = edge_sets_reply(&generators::grid2d(4, 3), 1.0, 1);
+    let len = good.edge_sets.len();
+    for (k, at) in [0, 9, 20, len / 2, len - 3].into_iter().enumerate() {
+        for fix_checksum in [false, true] {
+            let mut reply = good.clone();
+            reply.edge_sets[at] ^= 0x04;
+            if fix_checksum {
+                reply.checksum = edge_sets::checksum(&reply.edge_sets);
+            }
+            let sock = dir.path().join(format!("bad-{k}-{fix_checksum}.sock"));
+            let listener = UnixListener::bind(&sock).expect("bind fake shard");
+            let shard = fake_shard(listener, Response::EdgeSets(reply), None);
+            match bind_one_pooled(vec![Endpoint::Unix(sock)], PartitionPlan::contiguous(12, 1)) {
+                Err(RouterError::Handshake { shard: 0, message }) => {
+                    assert!(message.contains("edge sets"), "{message}");
+                }
+                Err(other) => panic!("byte {at}: expected a handshake error, got {other}"),
+                Ok(_) => panic!("byte {at}: corrupt edge sets must not bind"),
+            }
+            shard.join().expect("fake shard");
+        }
+    }
+}
+
+/// A shard whose point-fetch reply carries a corrupt record: the query
+/// gets a typed `Internal` reply, never an answer.
+#[test]
+fn corrupt_point_fetch_reply_is_internal_never_an_answer() {
+    let dir = TempDir::new("bad-records");
+    let g = generators::grid2d(4, 3);
+    let oracle = ForbiddenSetOracle::new(&g, 1.0);
+    let sock = dir.path().join("fake.sock");
+    let listener = UnixListener::bind(&sock).expect("bind fake shard");
+    let records = (0..12)
+        .map(|v| edge_sets::points_record(&oracle.label(NodeId::new(v))))
+        .collect::<Vec<_>>();
+    let shard = fake_shard(
+        listener,
+        Response::EdgeSets(edge_sets_reply(&g, 1.0, 1)),
+        Some(Box::new(move |request| {
+            let Request::PointFetch { vertices } = request else {
+                panic!("the router sends point-fetch frames");
+            };
+            let records = vertices
+                .into_iter()
+                .map(|v| {
+                    let mut bytes = records[v as usize].clone();
+                    let at = bytes.len() / 2;
+                    bytes[at] ^= 0x01;
+                    PointRecord { vertex: v, bytes }
+                })
+                .collect();
+            Response::PointFetch(PointFetchReply {
+                generation: 1,
+                records,
+            })
+        })),
+    );
+    let router = bind_one_pooled(vec![Endpoint::Unix(sock)], PartitionPlan::contiguous(12, 1))
+        .expect("the handshake is sound");
+    let endpoint = router.local_endpoint().expect("router endpoint");
+    let router_thread = std::thread::spawn(move || router.run());
+    let mut client = connect(&endpoint);
+    for (s, t) in [(0, 11), (3, 3), (5, 6)] {
+        match client.query(s, t, WireFaults::empty()) {
+            Err(ClientError::Server(e)) => {
+                assert_eq!(e.code, ErrorCode::Internal, "{e:?}");
+                assert!(e.message.contains("failed to derive"), "{e:?}");
+            }
+            other => panic!("a corrupt record must not be answered, got {other:?}"),
+        }
+    }
+    client.shutdown().expect("shutdown");
+    router_thread.join().expect("router thread");
+    shard.join().expect("fake shard");
+}
+
+/// Every label a fleet hands out is the builder's, whichever way it
+/// leaves: `label-fetch` (derived on the shard, then encoded) gives the
+/// builder's bytes, and what the router does — edge sets once, then
+/// derive from `point-fetch` records — gives the builder's label, which
+/// passes the completeness audit. Over the families of
+/// `labels/tests/lazy_decode.rs` and `family_matrix.rs` and the four
+/// benchmark graphs; the encoding is compared on every fourth vertex of
+/// the large graphs (debug-build codec time), the label on every vertex.
+#[test]
+fn fleet_labels_equal_the_built_ones() {
+    let inputs = [
+        (generators::grid2d(7, 7), 1.0),
+        (generators::grid2d(5, 9), 0.5),
+        (generators::grid2d(2, 40), 1.0),
+        (generators::cycle(48), 0.5),
+        (generators::path(40), 2.0),
+        (generators::torus2d(6, 6), 1.0),
+        (generators::spider(5, 8), 1.0),
+        (generators::random_tree(60, 9), 1.0),
+        (generators::road_network(8, 8, 0.2, 3), 1.0),
+        (generators::random_geometric(70, 0.2, 11), 1.0),
+        (generators::king_grid(6, 6), 2.0),
+        (generators::erdos_renyi(40, 0.08, 5), 1.0),
+        (generators::cycle(400), 1.0),
+        (generators::grid2d(2, 160), 1.0),
+        (generators::torus3d(3, 3, 4), 2.0),
+        (
+            generators::grid2d_with_holes(8, 8, |x, y| (3..5).contains(&x) && (3..5).contains(&y)),
+            1.0,
+        ),
+        (generators::ladder(16), 0.5),
+        (generators::lollipop(6, 10), 1.0),
+        (generators::barbell(5, 4), 1.0),
+        (generators::grid_linf(4, 3), 2.0),
+        (generators::half_grid(4, 4), 3.0),
+        (generators::hypercube(4), 2.0),
+        (generators::star(24), 1.0),
+        (generators::erdos_renyi(40, 0.12, 5), 1.0),
+        (generators::grid2d(16, 16), 1.0),
+        (generators::grid2d(20, 20), 1.0),
+        (generators::ladder(256), 1.0),
+        (generators::grid2d(12, 12), 1.0),
+    ];
+    for (k, (g, eps)) in inputs.into_iter().enumerate() {
+        let n = g.num_vertices();
+        let oracle = ForbiddenSetOracle::new(&g, eps);
+        let plan = PartitionPlan::for_oracle(&oracle, 2);
+        let dir = TempDir::new(&format!("derive-{k}"));
+        let fleet = ShardFleet::spawn(&oracle, dir.path(), &plan);
+        let every = if n > 200 { 4 } else { 1 };
+        let mut report = audit::AuditReport::default();
+        for (shard, endpoint) in fleet.endpoints.iter().enumerate() {
+            let mut client = connect(endpoint);
+            let sets = client.edge_sets().expect("edge sets");
+            let sets = EdgeSets::decode(&sets.edge_sets).expect("edge sets parse");
+            let owned: Vec<u32> = plan
+                .vertices_of(shard as u32)
+                .iter()
+                .map(|v| v.raw())
+                .collect();
+            let records = client.point_fetch(owned.clone()).expect("point fetch");
+            for record in &records.records {
+                let derived = sets.label(&record.bytes).expect("derive");
+                let built = oracle.label(NodeId::new(record.vertex));
+                assert_eq!(derived, *built, "graph {k}: v{}", record.vertex);
+                if (record.vertex as usize).is_multiple_of((n / 8).max(1)) {
+                    audit::audit_label(oracle.labeling(), &derived, &mut report);
+                }
+            }
+            let sampled: Vec<u32> = owned
+                .into_iter()
+                .filter(|v| (*v as usize).is_multiple_of(every))
+                .collect();
+            for fetched in client.label_fetch(sampled).expect("label fetch").labels {
+                let built = codec::encode(&oracle.label(NodeId::new(fetched.vertex)), n);
+                assert_eq!(fetched.bit_len as usize, built.len_bits(), "graph {k}");
+                assert_eq!(
+                    fetched.bytes,
+                    built.as_bytes(),
+                    "graph {k}: v{}",
+                    fetched.vertex
+                );
+            }
+        }
+        assert!(report.passed(), "graph {k}: {:?}", report.violations);
+        fleet.stop();
+    }
 }
 
 /// The query matrix: corner-to-corner and interior pairs crossed with
@@ -423,20 +700,13 @@ fn shard_down_yields_unavailable_not_panic() {
 #[test]
 fn gather_failing_during_drain_does_not_stall_shutdown() {
     // A fake shard: answers the identity handshake, accepts the router's
-    // one pool connection, reports the label-fetch that arrives on it,
+    // one pool connection, reports the point-fetch that arrives on it,
     // and never answers; dropping the sockets is the kill.
     let dir = TempDir::new("stall");
     let sock = dir.path().join("fake.sock");
     let listener = UnixListener::bind(&sock).expect("bind fake shard");
     let n = 12usize;
-    let params = SchemeParams::new(0.5, n);
-    let identity = Response::LabelFetch(LabelFetchReply {
-        generation: 1,
-        epsilon_bits: params.epsilon().to_bits(),
-        c: params.c(),
-        vertices: n as u64,
-        labels: Vec::new(),
-    });
+    let identity = Response::EdgeSets(edge_sets_reply(&generators::path(n), 0.5, 1));
     let (fetch_seen_tx, fetch_seen_rx) = mpsc::channel::<()>();
     let (kill_tx, kill_rx) = mpsc::channel::<()>();
     let fake_shard = std::thread::spawn(move || {
@@ -445,7 +715,7 @@ fn gather_failing_during_drain_does_not_stall_shutdown() {
         protocol::read_frame(&mut handshake, MAX_FRAME, &mut buf).expect("handshake request");
         protocol::send_response(&mut handshake, &identity, &mut buf).expect("handshake reply");
         let (mut pooled, _) = listener.accept().expect("pool connection");
-        protocol::read_frame(&mut pooled, MAX_FRAME, &mut buf).expect("label-fetch request");
+        protocol::read_frame(&mut pooled, MAX_FRAME, &mut buf).expect("point-fetch request");
         fetch_seen_tx.send(()).expect("test is waiting");
         kill_rx.recv().expect("test sends the kill");
     });
