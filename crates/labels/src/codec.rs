@@ -25,9 +25,13 @@
 //!   therefore fail the checksum instead of being parsed as this one.
 //!
 //! `encode → decode` is the identity (property-tested), so reported sizes
-//! are honest: every bit needed to reconstruct the label is counted. Both
-//! decoders turn the row lengths into the level's row offsets and fill the
-//! rows in place; only the transpose is built (`EdgeRows::from_rows`).
+//! are honest: every bit needed to reconstruct the label is counted. The
+//! decoder reads one varint at a time, turns the row lengths into the
+//! level's row offsets and fills the rows in place; only the transpose is
+//! built (`EdgeRows::from_rows`). No serving path runs it: stores, shards
+//! and the router derive labels from points records (`crate::edge_sets`),
+//! so its readers are `label-fetch` clients and the benchmark's traced
+//! layer pass.
 //!
 //! # Robustness contract
 //!
@@ -281,39 +285,6 @@ impl<'a> BitReader<'a> {
     /// Returns a [`CodecError`] on truncation or on encodings longer than
     /// [`MAX_VARINT_GROUPS`] groups (10 bytes).
     pub fn read_varint(&mut self) -> Result<u64, CodecError> {
-        // Fast path: one unaligned 16-byte load yields 64 usable bits
-        // after the sub-byte shift — enough for 12 five-bit groups,
-        // which covers every varint below 2^48. Longer varints and
-        // reads near the end of the slice take the per-group loop.
-        let byte = self.pos / 8;
-        let off = (self.pos % 8) as u32;
-        if let Some(window) = self.bytes.get(byte..byte + 16) {
-            let word = u128::from_le_bytes(window.try_into().expect("16-byte window"));
-            let mut wide = (word >> off) as u64;
-            let mut value = 0u64;
-            let mut shift = 0u32;
-            let mut used = 0usize;
-            let avail = self.bit_len - self.pos;
-            while used + 5 <= 60 {
-                if used + 5 > avail {
-                    return Err(CodecError::new(
-                        self.pos + used,
-                        format!("need 5 bits, {} remain", avail - used),
-                    ));
-                }
-                let chunk = wide & 0x1F;
-                wide >>= 5;
-                used += 5;
-                value |= (chunk >> 1) << shift;
-                shift += 4;
-                if chunk & 1 == 0 {
-                    self.pos += used;
-                    return Ok(value);
-                }
-            }
-            // Still continuing after 12 groups: rare — decode from the
-            // original position with the general loop instead.
-        }
         let mut value = 0u64;
         let mut shift = 0u32;
         let mut groups = 0u32;
@@ -339,99 +310,6 @@ impl<'a> BitReader<'a> {
             }
         }
     }
-
-    /// Reads `count` varints into `out` (cleared first), decoding as many
-    /// as possible per 16-byte window load instead of reloading the
-    /// window for every varint. Bit-identical to `count` successive
-    /// [`BitReader::read_varint`] calls: same values, same final
-    /// position, and an error exactly when the sequential reads would
-    /// error (long varints and slice tails fall back to the per-varint
-    /// reader, so every edge case shares one implementation).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] on truncation or overlong varints; `out`
-    /// then holds the values decoded before the failure.
-    pub fn read_varint_batch(
-        &mut self,
-        count: usize,
-        out: &mut Vec<u64>,
-    ) -> Result<(), CodecError> {
-        out.clear();
-        out.resize(count, 0);
-        let mut filled = 0usize;
-        while filled < count {
-            let byte = self.pos / 8;
-            let off = (self.pos % 8) as u32;
-            let Some(window) = self.bytes.get(byte..byte + 16) else {
-                // Too close to the end of the slice for a full window.
-                out.truncate(filled);
-                let v = self.read_varint()?;
-                out.push(v);
-                out.resize(count, 0);
-                filled += 1;
-                continue;
-            };
-            let word = u128::from_le_bytes(window.try_into().expect("16-byte window"));
-            let wide = (word >> off) as u64;
-            // 12 five-bit groups fit the 60-bit budget; `budget` caps it
-            // at the declared bit length so truncation is never read past.
-            let budget = (self.bit_len - self.pos).min(60);
-            // Bit 0 of every 5-bit group — the continuation bits. One
-            // `!wide & MASK` exposes every group that *ends* a varint up
-            // front, so the per-varint loop is just a shift and a
-            // `trailing_zeros` — no per-group branch, no window reload.
-            const CONT_MASK: u64 = 0x1084_2108_4210_8421;
-            // Set bits of `e` are the positions of every varint-ending
-            // group in the window; the loop walks them with `e &= e - 1`,
-            // so the only loop-carried dependency is one and+sub —
-            // everything else runs ahead out of order.
-            let mut e = !wide & CONT_MASK;
-            let dst = &mut out[..count];
-            let start = filled;
-            let mut begin = 0usize;
-            while filled < count && e != 0 {
-                // `tz` is the end group's bit position; the varint
-                // occupies [begin, tz + 5).
-                let tz = e.trailing_zeros() as usize;
-                if tz + 5 > budget {
-                    break;
-                }
-                let w = wide >> begin;
-                // Gather the 4 value bits of each group; the common one-,
-                // two-, and three-group cases are straight-line.
-                let value = match tz - begin {
-                    0 => (w >> 1) & 0xF,
-                    5 => ((w >> 1) & 0xF) | (((w >> 6) & 0xF) << 4),
-                    10 => ((w >> 1) & 0xF) | (((w >> 6) & 0xF) << 4) | (((w >> 11) & 0xF) << 8),
-                    span => {
-                        let mut v = 0u64;
-                        for k in 0..=span / 5 {
-                            v |= ((w >> (5 * k + 1)) & 0xF) << (4 * k);
-                        }
-                        v
-                    }
-                };
-                dst[filled] = value;
-                filled += 1;
-                begin = tz + 5;
-                e &= e - 1;
-            }
-            self.pos += begin;
-            if filled < count && filled == start {
-                // This varint cannot complete inside a fresh window: it
-                // is longer than 12 groups, truncated, or past the
-                // window — the per-varint reader resolves all three with
-                // its exact typed errors.
-                out.truncate(filled);
-                let v = self.read_varint()?;
-                out.push(v);
-                out.resize(count, 0);
-                filled += 1;
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Hard cap on varint length: 16 five-bit groups = 64 value bits = 10
@@ -440,16 +318,13 @@ impl<'a> BitReader<'a> {
 /// caught only by downstream plausibility checks.
 pub const MAX_VARINT_GROUPS: u32 = 16;
 
-/// Reusable buffer for [`BitReader::read_varint_batch`], owned by the
-/// caller (threaded through `DecodeScratch` on the serving path) so the
-/// batched decode allocates nothing per label once warmed up.
+/// The scratch argument of [`decode_with`]. It holds nothing: [`decode`]
+/// needs no buffer.
 #[derive(Debug, Default)]
-pub struct VarintScratch {
-    buf: Vec<u64>,
-}
+pub struct VarintScratch {}
 
 impl VarintScratch {
-    /// An empty scratch; the buffer grows to the largest batch seen.
+    /// An empty scratch.
     pub fn new() -> Self {
         VarintScratch::default()
     }
@@ -464,7 +339,7 @@ fn id_width(n: usize) -> u32 {
 pub const CHECKSUM_BITS: u32 = 32;
 
 /// The label layout this codec writes (rows of zigzag target deltas),
-/// the `tag` of every checksum [`encode`] writes and the decoders verify.
+/// the `tag` of every checksum [`encode`] writes and [`decode`] verifies.
 /// The layout before it — three independent varints per edge, store
 /// format 2 — checksummed with tag 0, so its bytes fail verification here
 /// instead of being parsed as this layout, even where both layouts would
@@ -552,7 +427,7 @@ fn encode_level(level: &LevelLabel, w: &mut BitWriter) {
 /// as the zigzag delta of its target from the previous target in its row
 /// (from the row index for the first), followed by what `payload` writes.
 /// A point list shortened after the level was built leaves edges outside
-/// the rows written or targets past it, and the decoders reject both.
+/// the rows written or targets past it, and [`decode`] rejects both.
 fn encode_rows<T: RowArc>(
     rows: &EdgeRows<T>,
     num_points: usize,
@@ -625,8 +500,6 @@ pub fn encoded_bits_fixed(label: &Label, n: usize) -> usize {
 /// in 32 bits, so anything past 64 is corruption).
 const MAX_PLAUSIBLE_LEVEL: u64 = 64;
 
-const U32_MAX: u64 = u32::MAX as u64;
-
 /// Decodes a label from its canonical bit string.
 ///
 /// The input is treated as untrusted: this function never panics.
@@ -648,41 +521,6 @@ const U32_MAX: u64 = u32::MAX as u64;
 /// Returns a [`CodecError`] on truncated, malformed, corrupt, or
 /// oversized input.
 pub fn decode(bytes: &[u8], bit_len: usize, n: usize) -> Result<Label, CodecError> {
-    decode_label(bytes, bit_len, n, decode_level)
-}
-
-/// [`decode`] rebuilt on batched word-parallel varint reads: each level's
-/// point stream, row lengths and edge streams are pulled with
-/// [`BitReader::read_varint_batch`] into the caller-owned
-/// [`VarintScratch`], then validated. Accepts exactly the inputs
-/// [`decode`] accepts and returns bit-identical labels (differentially
-/// asserted in the test suite); only the bit offset recorded in a
-/// [`CodecError`] may differ, because validation runs after the batch
-/// read instead of interleaved with it.
-///
-/// # Errors
-///
-/// Returns a [`CodecError`] on truncated, malformed, corrupt, or
-/// oversized input — the same accept/reject set as [`decode`].
-pub fn decode_with(
-    bytes: &[u8],
-    bit_len: usize,
-    n: usize,
-    scratch: &mut VarintScratch,
-) -> Result<Label, CodecError> {
-    decode_label(bytes, bit_len, n, |r, n| {
-        decode_level_batched(r, n, scratch)
-    })
-}
-
-/// The label frame both decoders share — owner, levels, checksum trailer —
-/// with each level read by `level`.
-fn decode_label(
-    bytes: &[u8],
-    bit_len: usize,
-    n: usize,
-    mut level: impl FnMut(&mut BitReader<'_>, usize) -> Result<LevelLabel, CodecError>,
-) -> Result<Label, CodecError> {
     let w_id = id_width(n);
     let mut r = BitReader::try_new(bytes, bit_len)?;
     let owner_raw = r.read_bits(w_id)?;
@@ -704,7 +542,7 @@ fn decode_label(
     }
     let mut levels = Vec::with_capacity(num_levels);
     for _ in 0..num_levels {
-        levels.push(level(&mut r, n)?);
+        levels.push(decode_level(&mut r, n)?);
     }
     let payload_bits = r.position();
     let expected = prefix_checksum(bytes, payload_bits, LAYOUT_TAG);
@@ -727,6 +565,20 @@ fn decode_label(
         first_level,
         levels,
     })
+}
+
+/// [`decode`], with `scratch` ignored: a shim for callers that pass one.
+///
+/// # Errors
+///
+/// Exactly those of [`decode`].
+pub fn decode_with(
+    bytes: &[u8],
+    bit_len: usize,
+    n: usize,
+    _scratch: &mut VarintScratch,
+) -> Result<Label, CodecError> {
+    decode(bytes, bit_len, n)
 }
 
 /// Reads a varint that must be a plausible net/scale level (`<= 64`).
@@ -817,7 +669,7 @@ fn decode_level(r: &mut BitReader<'_>, n: usize) -> Result<LevelLabel, CodecErro
 
 /// Reads one edge section written by [`encode_rows`] a varint at a time,
 /// checking each field as it is read, straight into rows; `arc` reads
-/// what follows a target. The reference for [`read_rows_batched`].
+/// what follows a target.
 fn read_rows<T: RowArc>(
     r: &mut BitReader<'_>,
     num_points: usize,
@@ -896,144 +748,6 @@ fn read_u32(r: &mut BitReader<'_>, what: &str) -> Result<u32, CodecError> {
     let v = r.read_varint()?;
     u32::try_from(v)
         .map_err(|_| CodecError::new(r.position(), format!("{what} {v} exceeds u32 range")))
-}
-
-/// [`decode_level`] on batched reads: the point stream, each edge
-/// section's row lengths and its edge stream are one `read_varint_batch`
-/// call each into the scratch, validated afterwards with exactly the
-/// checks the sequential path applies — same accept set, same decoded
-/// values, possibly different error offsets on reject.
-fn decode_level_batched(
-    r: &mut BitReader<'_>,
-    n: usize,
-    VarintScratch { buf }: &mut VarintScratch,
-) -> Result<LevelLabel, CodecError> {
-    let num_points = read_count(r, POINT_MIN_BITS, "point")?;
-    r.read_varint_batch(num_points * 3, buf)?;
-    // Delta-decode and build in one pass, folding every validity
-    // condition into flags checked after the scan — branch-light, and
-    // the buffer is walked once. Same accept/reject set as the
-    // sequential path; only the reported offset and message wording
-    // differ. (`prev` starting at 0 makes the first id `0 + delta`,
-    // which can never overflow, so no first-element special case.)
-    let mut prev = 0u64;
-    let mut overflow = false;
-    let mut repeated = false;
-    let mut bad_id = false;
-    let mut bad_dist = false;
-    let mut bad_level = false;
-    let points: Vec<LabelPoint> = buf
-        .chunks_exact(3)
-        .enumerate()
-        .map(|(k, c)| {
-            let (id, o) = prev.overflowing_add(c[0]);
-            overflow |= o;
-            repeated |= (k > 0) & (c[0] == 0);
-            prev = id;
-            bad_id |= id >= n as u64;
-            bad_dist |= c[1] > U32_MAX;
-            bad_level |= c[2] > MAX_PLAUSIBLE_LEVEL;
-            LabelPoint {
-                vertex: NodeId::new(id as u32),
-                dist: c[1] as u32,
-                net_level: c[2] as u32,
-            }
-        })
-        .collect();
-    if overflow {
-        return Err(CodecError::new(r.position(), "point id delta overflows"));
-    }
-    if repeated {
-        return Err(CodecError::new(r.position(), "repeated point id"));
-    }
-    if bad_id {
-        return Err(CodecError::new(
-            r.position(),
-            format!("point id out of range for n={n}"),
-        ));
-    }
-    if bad_dist {
-        return Err(CodecError::new(
-            r.position(),
-            "point distance exceeds u32 range",
-        ));
-    }
-    if bad_level {
-        return Err(CodecError::new(r.position(), "implausible point net level"));
-    }
-    let virt = read_rows_batched(
-        r,
-        num_points,
-        VIRTUAL_EDGE_MIN_BITS,
-        "virtual edge",
-        2,
-        buf,
-        |b, c| {
-            (c[1] <= U32_MAX).then_some(VirtualArc {
-                b,
-                dist: c[1] as u32,
-            })
-        },
-    )?;
-    let real = read_rows_batched(
-        r,
-        num_points,
-        REAL_EDGE_MIN_BITS,
-        "real edge",
-        1,
-        buf,
-        |b, _| Some(b),
-    )?;
-    Ok(LevelLabel {
-        points,
-        virt: Arc::new(virt),
-        real: Arc::new(real),
-    })
-}
-
-/// [`read_rows`] on batched reads: the row lengths are one
-/// `read_varint_batch` call, then each row's edges — `stride` varints per
-/// edge, the zigzag target delta first — are one more, written straight
-/// into the row's slots (a row's batch stays in cache; a whole level's
-/// would not). `arc` makes the stored arc from the target and the edge's
-/// varints, or `None` when a varint is out of range; every condition is
-/// folded into one flag checked after the walk.
-fn read_rows_batched<T: RowArc>(
-    r: &mut BitReader<'_>,
-    num_points: usize,
-    min_bits: usize,
-    what: &str,
-    stride: usize,
-    buf: &mut Vec<u64>,
-    arc: impl Fn(u32, &[u64]) -> Option<T>,
-) -> Result<EdgeRows<T>, CodecError> {
-    let count = read_count(r, min_bits, what)?;
-    if count == 0 {
-        return Ok(EdgeRows::default());
-    }
-    r.read_varint_batch(num_points, buf)?;
-    let off = row_offsets(r, buf, count, what)?;
-    let mut fwd = vec![T::default(); count];
-    let mut invalid = false;
-    for (a, w) in off.windows(2).enumerate() {
-        let row = &mut fwd[w[0] as usize..w[1] as usize];
-        r.read_varint_batch(row.len() * stride, buf)?;
-        let mut prev = a as u64;
-        for (slot, c) in row.iter_mut().zip(buf.chunks_exact(stride)) {
-            let b = prev.wrapping_add(unzigzag(c[0]));
-            let made = arc(b as u32, c);
-            invalid |= (b >= num_points as u64) | (b == a as u64) | made.is_none();
-            *slot = made.unwrap_or_default();
-            prev = b;
-        }
-    }
-    if invalid {
-        return Err(CodecError::new(
-            r.position(),
-            format!("{what} target or distance out of range, or a self-loop"),
-        ));
-    }
-    Ok(EdgeRows::from_rows(off, fwd))
 }
 
 #[cfg(test)]
@@ -1242,7 +956,6 @@ mod tests {
         bad.levels[0].points.pop();
         let w = encode(&bad, 50);
         assert!(decode(w.as_bytes(), w.len_bits(), 50).is_err());
-        assert!(decode_with(w.as_bytes(), w.len_bits(), 50, &mut VarintScratch::new()).is_err());
     }
 
     #[test]
@@ -1307,64 +1020,57 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// A batch of one to 23 varints of one to sixteen groups each, written
+    /// back to back after a random misalignment so they start mid-byte.
+    /// Returns the lead width, the values and the writer.
+    fn varint_batch(rng: &mut fsdl_testkit::Rng) -> (u32, Vec<u64>, BitWriter) {
+        let mut w = BitWriter::new();
+        let lead = rng.gen_range(0..8u32);
+        w.write_bits(0, lead).unwrap();
+        let count = rng.gen_range(1..24usize);
+        let mut values = Vec::with_capacity(count);
+        for _ in 0..count {
+            // One to sixteen groups: the top set bit picks the length.
+            let groups = rng.gen_range(1..17u32);
+            let v = match groups {
+                1 => rng.gen_range(0..16u64),
+                16 => rng.next_u64() | 1 << 63,
+                g => (rng.next_u64() >> (68 - 4 * g)) | 1 << (4 * g - 4),
+            };
+            values.push(v);
+            w.write_varint(v);
+        }
+        (lead, values, w)
+    }
+
     #[test]
     fn varint_batch_matches_sequential_reads() {
-        fsdl_testkit::check("varint batch differential", 400, |rng| {
-            let count = rng.gen_range(0..40usize);
-            let mut w = BitWriter::new();
-            // Random leading misalignment so windows start mid-byte.
-            let lead = rng.gen_range(0..7u32);
-            w.write_bits(0, lead).unwrap();
-            let mut values = Vec::with_capacity(count);
-            for _ in 0..count {
-                // Mix tiny values (1 group) with full-range ones (up to
-                // 16 groups) so batches straddle window boundaries.
-                let v = match rng.gen_range(0..4u32) {
-                    0 => rng.gen_range(0..16u64),
-                    1 => rng.gen_range(0..4096u64),
-                    2 => rng.next_u64() & 0xFFFF_FFFF,
-                    _ => rng.next_u64(),
-                };
-                values.push(v);
-                w.write_varint(v);
+        fsdl_testkit::check("varint batch at any offset", 400, |rng| {
+            let (lead, values, w) = varint_batch(rng);
+            let end = w.len_bits();
+            let mut r = BitReader::new(w.as_bytes(), end);
+            r.read_bits(lead).unwrap();
+            for &v in &values {
+                assert_eq!(r.read_varint().unwrap(), v);
             }
-            let mut seq = BitReader::new(w.as_bytes(), w.len_bits());
-            seq.read_bits(lead).unwrap();
-            let mut batch = seq.clone();
-            let mut seq_vals = Vec::new();
-            for _ in 0..count {
-                seq_vals.push(seq.read_varint().unwrap());
-            }
-            let mut out = Vec::new();
-            batch.read_varint_batch(count, &mut out).unwrap();
-            assert_eq!(out, seq_vals);
-            assert_eq!(out, values);
-            assert_eq!(batch.position(), seq.position());
+            assert_eq!(r.position(), end);
         });
     }
 
     #[test]
     fn varint_batch_truncation_matches_sequential() {
-        fsdl_testkit::check("varint batch truncation differential", 300, |rng| {
-            let count = rng.gen_range(1..20usize);
-            let mut w = BitWriter::new();
-            for _ in 0..count {
-                w.write_varint(rng.next_u64() >> rng.gen_range(0..64u32));
-            }
-            let cut = rng.gen_range(0..w.len_bits());
-            let mut seq = BitReader::new(w.as_bytes(), cut);
-            let mut batch = seq.clone();
-            let seq_result: Result<Vec<u64>, CodecError> =
-                (0..count).map(|_| seq.read_varint()).collect();
-            let mut out = Vec::new();
-            let batch_result = batch.read_varint_batch(count, &mut out);
-            match (seq_result, batch_result) {
-                (Ok(vals), Ok(())) => {
-                    assert_eq!(out, vals);
-                    assert_eq!(batch.position(), seq.position());
-                }
-                (Err(_), Err(_)) => {}
-                (s, b) => panic!("sequential {s:?} but batch {b:?} at cut {cut}"),
+        fsdl_testkit::check("varint batch truncation", 400, |rng| {
+            let (lead, values, w) = varint_batch(rng);
+            let end = w.len_bits();
+            // Every shorter declared length: a typed error on some varint,
+            // never a panic and never a value past the cut.
+            for cut in lead as usize..end {
+                let mut r = BitReader::new(w.as_bytes(), cut);
+                r.read_bits(lead).unwrap();
+                let read: Result<Vec<u64>, CodecError> =
+                    values.iter().map(|_| r.read_varint()).collect();
+                assert!(read.is_err(), "cut {cut} of {end} read every varint");
+                assert!(r.position() <= cut);
             }
         });
     }
@@ -1372,7 +1078,7 @@ mod tests {
     #[test]
     fn varint_rejects_more_than_16_groups() {
         // 17 all-continuation groups: a >10-byte varint must be a typed
-        // error, in the slow loop and through the batch reader alike.
+        // error.
         let mut w = BitWriter::new();
         for _ in 0..17 {
             w.write_bits(0b00001, 5).unwrap(); // cont=1, group=0
@@ -1381,58 +1087,12 @@ mod tests {
         let mut r = BitReader::new(w.as_bytes(), w.len_bits());
         let err = r.read_varint().unwrap_err();
         assert!(err.message.contains("exceeds 16 groups"), "{err}");
-        let mut r = BitReader::new(w.as_bytes(), w.len_bits());
-        let mut out = Vec::new();
-        assert!(r.read_varint_batch(1, &mut out).is_err());
         // 16 groups exactly (u64::MAX) is the legal maximum.
         let mut w = BitWriter::new();
         w.write_varint(u64::MAX);
         assert_eq!(w.len_bits(), 16 * 5);
         let mut r = BitReader::new(w.as_bytes(), w.len_bits());
         assert_eq!(r.read_varint().unwrap(), u64::MAX);
-    }
-
-    #[test]
-    fn decode_with_matches_decode_on_valid_labels() {
-        let label = sample_label();
-        let w = encode(&label, 50);
-        let mut scratch = VarintScratch::new();
-        let batched = decode_with(w.as_bytes(), w.len_bits(), 50, &mut scratch).unwrap();
-        let sequential = decode(w.as_bytes(), w.len_bits(), 50).unwrap();
-        assert_eq!(batched, sequential);
-        assert_eq!(batched, label);
-    }
-
-    #[test]
-    fn decode_with_matches_decode_under_mutation() {
-        // Differential chaos: on every single-bit flip the batched and
-        // sequential decoders must agree on accept vs. reject (both are
-        // checksum-guarded, so in practice both reject).
-        let label = sample_label();
-        let w = encode(&label, 50);
-        let bits = w.len_bits();
-        let mut scratch = VarintScratch::new();
-        for flip in 0..bits {
-            let mut bytes = w.as_bytes().to_vec();
-            bytes[flip / 8] ^= 1 << (flip % 8);
-            let sequential = decode(&bytes, bits, 50);
-            let batched = decode_with(&bytes, bits, 50, &mut scratch);
-            match (&sequential, &batched) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "flip {flip}"),
-                (Err(_), Err(_)) => {}
-                _ => panic!("flip {flip}: sequential {sequential:?} vs batched {batched:?}"),
-            }
-        }
-        // Truncation sweep: same agreement at every declared length.
-        for cut in 0..bits {
-            let sequential = decode(w.as_bytes(), cut, 50);
-            let batched = decode_with(w.as_bytes(), cut, 50, &mut scratch);
-            assert_eq!(
-                sequential.is_ok(),
-                batched.is_ok(),
-                "cut {cut}: sequential {sequential:?} vs batched {batched:?}"
-            );
-        }
     }
 
     /// The first `payload_bits` bits of `bytes` followed by the checksum
@@ -1448,22 +1108,6 @@ mod tests {
         let checksum = prefix_checksum(w.as_bytes(), w.len_bits(), tag);
         w.write_bits(u64::from(checksum), CHECKSUM_BITS).unwrap();
         (w.as_bytes().to_vec(), w.len_bits())
-    }
-
-    /// Both decoders on `(bytes, bits)`: equal results, and any label they
-    /// accept passes [`Label::validate`].
-    fn decode_both(bytes: &[u8], bits: usize, n: usize) -> Result<Label, CodecError> {
-        let sequential = decode(bytes, bits, n);
-        let batched = decode_with(bytes, bits, n, &mut VarintScratch::new());
-        match (&sequential, &batched) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a, b);
-                assert_eq!(a.validate(), Ok(()));
-            }
-            (Err(_), Err(_)) => {}
-            _ => panic!("sequential {sequential:?} vs batched {batched:?}"),
-        }
-        sequential
     }
 
     fn point(v: u32, dist: u32) -> LabelPoint {
@@ -1495,10 +1139,7 @@ mod tests {
         let level = LevelLabel::new(points, virtual_edges, real_edges).unwrap();
         let label = one_level(level);
         let w = encode(&label, 40);
-        assert_eq!(
-            decode_both(w.as_bytes(), w.len_bits(), 40),
-            Ok(label.clone())
-        );
+        assert_eq!(decode(w.as_bytes(), w.len_bits(), 40), Ok(label.clone()));
         assert_eq!(
             label.levels[0].virtual_edges().collect::<Vec<_>>(),
             virtual_edges,
@@ -1528,14 +1169,14 @@ mod tests {
             edge_bits < 64 * 15 + 64 * 10 + 10 * num_edges + 10,
             "{edge_bits} bits for {num_edges} edges"
         );
-        assert_eq!(decode_both(w.as_bytes(), w.len_bits(), 64), Ok(label));
+        assert_eq!(decode(w.as_bytes(), w.len_bits(), 64), Ok(label));
     }
 
     #[test]
     fn repeated_points_and_self_loops_are_rejected() {
         let repeated = LevelLabel::new(vec![point(3, 1), point(3, 1)], [], []).unwrap();
         let w = encode(&one_level(repeated), 8);
-        let err = decode_both(w.as_bytes(), w.len_bits(), 8).unwrap_err();
+        let err = decode(w.as_bytes(), w.len_bits(), 8).unwrap_err();
         assert!(err.message.contains("repeated point"), "{err}");
         let points = vec![point(1, 1), point(2, 2)];
         let virtual_loop = [VirtualEdge {
@@ -1549,7 +1190,7 @@ mod tests {
             LevelLabel::new(points.clone(), [], real_loop).unwrap(),
         ] {
             let w = encode(&one_level(level), 8);
-            assert!(decode_both(w.as_bytes(), w.len_bits(), 8).is_err());
+            assert!(decode(w.as_bytes(), w.len_bits(), 8).is_err());
         }
     }
 
@@ -1564,15 +1205,12 @@ mod tests {
         let (old, bits) = reseal(w.as_bytes(), payload, 0);
         let err = decode(&old, bits, 50).unwrap_err();
         assert!(err.message.contains("checksum"), "{err}");
-        let err = decode_with(&old, bits, 50, &mut VarintScratch::new()).unwrap_err();
-        assert!(err.message.contains("checksum"), "{err}");
     }
 
     #[test]
     fn resealed_payload_flips_are_rejected_or_valid_alike() {
         // Every payload bit flipped with the checksum fixed up: the
-        // structural checks alone must keep the two decoders in step and
-        // every accepted label valid.
+        // structural checks alone must keep every accepted label valid.
         let points = (0..6).map(|v| point(v * 3, v)).collect::<Vec<_>>();
         let e = |a, b, dist| VirtualEdge { a, b, dist };
         let virtual_edges = [e(0, 2, 4), e(0, 5, 9), e(1, 3, 2), e(4, 0, 7)];
@@ -1585,7 +1223,10 @@ mod tests {
             let mut bytes = w.as_bytes().to_vec();
             bytes[flip / 8] ^= 1 << (flip % 8);
             let (bytes, bits) = reseal(&bytes, payload, LAYOUT_TAG);
-            accepted += usize::from(decode_both(&bytes, bits, 20).is_ok());
+            if let Ok(decoded) = decode(&bytes, bits, 20) {
+                assert_eq!(decoded.validate(), Ok(()), "flip {flip}");
+                accepted += 1;
+            }
         }
         // Distance and net-level bits can flip to other valid labels.
         assert!(

@@ -7,11 +7,11 @@
 //! them as untrusted bytes. The contract enforced here, for *any*
 //! mutation of an encoded label:
 //!
-//! 1. [`crate::codec::decode_with`] — the batched decoder every serving
-//!    path runs, here with one scratch reused across mutants — returns
-//!    `Err(CodecError)` or `Ok(label)`: it never panics and never loops;
+//! 1. [`crate::codec::decode`] — the decoder a reader of `label-fetch`
+//!    bytes runs — returns `Err(CodecError)` or `Ok(label)`: it never
+//!    panics and never loops;
 //! 2. if it decodes, the label passes [`crate::Label::validate`] (no
-//!    serving path re-checks it), and running the query with the decoded
+//!    reader re-checks it), and running the query with the decoded
 //!    label in the fault set never *underestimates* `d_{G∖F'}(s,t)`,
 //!    where `F'` is the fault set actually decoded (safety is relative to the labels
 //!    received: a corruption that survives the checksum is
@@ -243,7 +243,6 @@ pub fn corruption_sweep(
     let field_offset = fsdl_nets::ceil_log2(n).max(1) as usize;
 
     let mut stats = SweepStats::default();
-    let mut varints = codec::VarintScratch::new();
     for (idx, m) in mutation_schedule(enc.len_bits(), field_offset, count, seed)
         .into_iter()
         .enumerate()
@@ -257,7 +256,7 @@ pub fn corruption_sweep(
             continue; // identity (e.g. a splice that reassembled the input)
         }
         stats.attempted += 1;
-        match codec::decode_with(&bytes, bits, n, &mut varints) {
+        match codec::decode(&bytes, bits, n) {
             Err(_) => stats.rejected += 1,
             Ok(decoded) => {
                 // The mutation survived the checksum: by construction this

@@ -181,7 +181,7 @@ impl EdgeSets {
         })
     }
 
-    /// Derives the label a points record ([`points_record`]) describes:
+    /// Derives `v`'s label from a points record ([`points_record`]):
     /// each level's points, `Eᵢ` restricted to them — the builder's own
     /// restriction — and their net levels from the blocks. A level holding
     /// the whole net shares `Eᵢ`'s rows. The label equals the builder's for
@@ -190,12 +190,15 @@ impl EdgeSets {
     /// # Errors
     ///
     /// A [`CodecError`] when the record fails its checksum, does not
-    /// parse, or names a point that is not a strictly ascending member of
-    /// its level's net; never panics.
-    pub fn label(&self, record: &[u8]) -> Result<Label, CodecError> {
+    /// parse, belongs to a vertex other than `v`, or names a point that is
+    /// not a strictly ascending member of its level's net; never panics.
+    pub fn label(&self, v: NodeId, record: &[u8]) -> Result<Label, CodecError> {
         let body = verified(record, 0, "points record")?;
         let mut r = Reader::new(body, 0);
         let owner = NodeId::new(r.varint_u32("owner")?);
+        if owner != v {
+            return Err(r.fail(format!("the record is {owner}'s, not {v}'s")));
+        }
         let owner_net_level = self
             .levels
             .first()
@@ -546,7 +549,9 @@ mod tests {
             let other = SchemeParams::new(eps, g.num_vertices() + 1);
             assert!(back.check_schedule(&other).is_err());
             for label in &labels {
-                let derived = back.label(&points_record(label)).expect("derive");
+                let derived = back
+                    .label(label.owner, &points_record(label))
+                    .expect("derive");
                 assert_eq!(&derived, label);
                 assert_eq!(derived.validate(), Ok(()));
             }
@@ -557,7 +562,9 @@ mod tests {
     fn whole_net_levels_share_the_decoded_rows() {
         let (sets, labels) = sets_and_labels(&generators::grid2d(6, 6), 1.0);
         let sets = EdgeSets::decode(&sets.encode()).unwrap();
-        let derived = sets.label(&points_record(&labels[7])).unwrap();
+        let derived = sets
+            .label(NodeId::new(7), &points_record(&labels[7]))
+            .unwrap();
         for (k, level) in derived.levels.iter().enumerate() {
             if level.points.len() == sets.levels[k].points.len() {
                 assert!(Arc::ptr_eq(&level.virt, &sets.levels[k].virt));
@@ -586,11 +593,12 @@ mod tests {
     fn corrupt_records_and_blocks_are_typed_errors() {
         let (sets, labels) = sets_and_labels(&generators::ladder(40), 1.0);
         let record = points_record(&labels[5]);
+        let v = labels[5].owner;
         for at in 0..record.len() {
             let mut bad = record.clone();
             bad[at] ^= 0x10;
-            assert!(sets.label(&bad).is_err(), "flip at byte {at}");
-            assert!(sets.label(&record[..at]).is_err(), "cut at byte {at}");
+            assert!(sets.label(v, &bad).is_err(), "flip at byte {at}");
+            assert!(sets.label(v, &record[..at]).is_err(), "cut at byte {at}");
         }
         let bytes = sets.encode();
         for at in (0..bytes.len()).step_by(7) {
@@ -599,6 +607,19 @@ mod tests {
             assert!(EdgeSets::decode(&bad).is_err(), "flip at byte {at}");
             assert!(EdgeSets::decode(&bytes[..at]).is_err(), "cut at byte {at}");
         }
+    }
+
+    /// An intact record derives only as its own vertex's label.
+    #[test]
+    fn a_record_derived_as_another_vertex_is_refused() {
+        let (sets, labels) = sets_and_labels(&generators::grid2d(6, 6), 1.0);
+        let record = points_record(&labels[7]);
+        assert_eq!(sets.label(NodeId::new(7), &record).as_ref(), Ok(&labels[7]));
+        let err = sets.label(NodeId::new(8), &record).unwrap_err();
+        assert!(
+            err.message.contains("the record is v7's, not v8's"),
+            "{err}"
+        );
     }
 
     /// A record whose checksum is right but whose points are not a
@@ -621,7 +642,7 @@ mod tests {
         let forged = |edit: &dyn Fn(&mut Label)| {
             let mut l = label.clone();
             edit(&mut l);
-            sets.label(&points_record(&l))
+            sets.label(l.owner, &points_record(&l))
         };
         let net1 = &sets.levels[k];
         let outside = (0..512u32)

@@ -325,15 +325,14 @@ impl ForbiddenSetOracle {
     /// `None` (so callers fall back to in-memory materialization — still
     /// sound, merely slower) when there is no segment, the points record
     /// fails its checksum or derivation (which covers every
-    /// [`Label::validate`] condition), or the derived label is not
-    /// actually `v`'s: on-disk bytes are untrusted even after the segment
-    /// checksum passed. Under a lazy open this is the first-touch
+    /// [`Label::validate`] condition and refuses a record that is not
+    /// `v`'s: on-disk bytes are untrusted even after the segment checksum
+    /// passed). Under a lazy open this is the first-touch
     /// validation point: corrupt record bytes surface as a typed failure
     /// here, never a panic, and the fallback keeps the answer
     /// bit-identical.
     fn segment_label(&self, v: NodeId) -> Option<Label> {
-        let label = self.segment.as_deref()?.decode_label(v).ok()?;
-        (label.owner == v).then_some(label)
+        self.segment.as_deref()?.decode_label(v).ok()
     }
 
     /// Residency snapshot: materialized labels and bytes versus the

@@ -673,15 +673,8 @@ impl ShardStore {
     /// The inner [`CodecError`] when the record is corrupt or is not
     /// `v`'s.
     pub fn label(&self, v: u32) -> Option<Result<Label, CodecError>> {
-        let label = self.segment.edge_sets().label(self.points(v)?);
-        Some(label.and_then(|label| {
-            if label.owner.raw() == v {
-                Ok(label)
-            } else {
-                let message = format!("the record stored for v{v} is {}'s", label.owner);
-                Err(CodecError::new(0, message))
-            }
-        }))
+        let record = self.points(v)?;
+        Some(self.segment.edge_sets().label(NodeId::new(v), record))
     }
 
     /// The edge sets' bytes as stored: the body of an `edge-sets` reply.

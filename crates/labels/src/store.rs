@@ -913,7 +913,8 @@ impl Segment {
     /// # Errors
     ///
     /// [`CodecError`] when `v` is out of range for the segment or its
-    /// record fails its checksum or structural validation.
+    /// record fails its checksum or structural validation, or is not
+    /// `v`'s.
     pub fn decode_label(&self, v: NodeId) -> Result<Label, CodecError> {
         let record = self.points(v.index()).ok_or_else(|| {
             CodecError::new(
@@ -925,7 +926,7 @@ impl Segment {
                 ),
             )
         })?;
-        self.edge_sets.label(record)
+        self.edge_sets.label(v, record)
     }
 
     /// The `ε` recorded in the header (pre-validated positive finite at

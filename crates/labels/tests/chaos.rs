@@ -12,17 +12,15 @@
 //!    and varint-boundary hits, checked against BFS ground truth;
 //! 3. pure byte-noise fuzzing of the decoder.
 //!
-//! Every attack goes through `codec::decode_with` — the batched decoder
-//! a reader of `label-fetch` bytes runs — with one `VarintScratch` reused
-//! across mutants, so a rejected mutant's leftovers are what the next
-//! decode starts from. `codec::decode` is only its differential reference
-//! (`codec` unit tests). Stores and the router no longer decode
-//! self-contained labels: they derive them from level blocks and points
-//! records, whose corruptions `store_chaos.rs`, `shard_router.rs` and the
-//! `edge_sets` unit tests sweep.
+//! Every attack goes through `codec::decode`, the one decoder of
+//! self-contained labels — what a reader of `label-fetch` bytes runs.
+//! Stores, shards and the router do not decode such labels: they derive
+//! them from level blocks and points records, whose corruptions
+//! `store_chaos.rs`, `shard_router.rs` and the `edge_sets` unit tests
+//! sweep.
 
 use fsdl_graph::{bfs, generators, FaultSet, Graph, NodeId};
-use fsdl_labels::codec::{self, VarintScratch};
+use fsdl_labels::codec;
 use fsdl_labels::{corrupt, query, ForbiddenSetOracle, QueryLabels};
 use fsdl_testkit::Rng;
 
@@ -37,12 +35,11 @@ fn assert_decode_or_sound(
     bits: usize,
     s: NodeId,
     t: NodeId,
-    varints: &mut VarintScratch,
     context: &str,
 ) -> bool {
     let g = oracle.labeling().graph();
     let n = g.num_vertices();
-    match codec::decode_with(bytes, bits, n, varints) {
+    match codec::decode(bytes, bits, n) {
         Err(_) => false,
         Ok(decoded) => {
             assert_eq!(
@@ -79,7 +76,6 @@ fn exhaustive_bit_flips_grid() {
     let oracle = ForbiddenSetOracle::new(&g, 1.0);
     let n = g.num_vertices();
     let (s, t) = (NodeId::new(0), NodeId::new(24));
-    let mut varints = VarintScratch::new();
     let mut decoded_ok = 0usize;
     for v in 0..n {
         let enc = codec::encode(&oracle.label(NodeId::from_index(v)), n);
@@ -93,7 +89,6 @@ fn exhaustive_bit_flips_grid() {
                 bits,
                 s,
                 t,
-                &mut varints,
                 &format!("label {v} bit {flip}"),
             ) {
                 decoded_ok += 1;
@@ -112,14 +107,13 @@ fn exhaustive_truncations_cycle() {
     let g = generators::cycle(32);
     let oracle = ForbiddenSetOracle::new(&g, 1.0);
     let n = g.num_vertices();
-    let mut varints = VarintScratch::new();
     for v in [0u32, 7, 19] {
         let enc = codec::encode(&oracle.label(NodeId::new(v)), n);
         for keep in 0..enc.len_bits() {
             let (bytes, bits) =
                 corrupt::Mutation::Truncate(keep).apply(enc.as_bytes(), enc.len_bits(), None);
             assert!(
-                codec::decode_with(&bytes, bits, n, &mut varints).is_err(),
+                codec::decode(&bytes, bits, n).is_err(),
                 "label {v}: truncation to {keep} bits decoded"
             );
         }
@@ -133,7 +127,6 @@ fn trailing_garbage_rejected() {
     let oracle = ForbiddenSetOracle::new(&g, 1.0);
     let n = g.num_vertices();
     let enc = codec::encode(&oracle.label(NodeId::new(5)), n);
-    let mut varints = VarintScratch::new();
     for extra in 1..80usize {
         let m = corrupt::Mutation::Extend {
             extra_bits: extra,
@@ -141,7 +134,7 @@ fn trailing_garbage_rejected() {
         };
         let (bytes, bits) = m.apply(enc.as_bytes(), enc.len_bits(), None);
         assert!(
-            codec::decode_with(&bytes, bits, n, &mut varints).is_err(),
+            codec::decode(&bytes, bits, n).is_err(),
             "{extra} trailing bits decoded"
         );
     }
@@ -158,7 +151,6 @@ fn splice_matrix_stays_sound() {
     let (s, t) = (NodeId::new(2), NodeId::new(22));
     let victim = codec::encode(&oracle.label(NodeId::new(12)), n);
     let donor = codec::encode(&oracle.label(NodeId::new(17)), n);
-    let mut varints = VarintScratch::new();
     let mut survivors = 0usize;
     for prefix in (0..victim.len_bits()).step_by(5) {
         for skip in (0..donor.len_bits()).step_by(35) {
@@ -177,7 +169,6 @@ fn splice_matrix_stays_sound() {
                 bits,
                 s,
                 t,
-                &mut varints,
                 &format!("splice prefix={prefix} skip={skip}"),
             ) {
                 survivors += 1;
@@ -212,11 +203,10 @@ fn scheduled_sweeps_random_pairs() {
     }
 }
 
-/// Pure byte-noise fuzzing: `decode_with` on arbitrary bytes with arbitrary
+/// Pure byte-noise fuzzing: `decode` on arbitrary bytes with arbitrary
 /// declared lengths must return (never panic, never hang).
 #[test]
 fn random_bytes_never_panic() {
-    let mut varints = VarintScratch::new();
     fsdl_testkit::check("random_bytes_never_panic", 2000, |rng| {
         let len = rng.gen_range(0..200usize);
         let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u32) as u8).collect();
@@ -224,7 +214,7 @@ fn random_bytes_never_panic() {
         // not panic) or undershoot it.
         let bits = rng.gen_range(0..=len * 8 + 64);
         let n = rng.gen_range(1..2000usize);
-        if let Ok(label) = codec::decode_with(&bytes, bits, n, &mut varints) {
+        if let Ok(label) = codec::decode(&bytes, bits, n) {
             assert_eq!(label.validate(), Ok(()));
         }
     });

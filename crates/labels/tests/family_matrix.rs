@@ -4,20 +4,17 @@
 //! is "generate-only".
 
 use fsdl_graph::{bfs, generators, FaultSet, Graph, NodeId};
-use fsdl_labels::codec::{self, VarintScratch};
+use fsdl_labels::codec;
 use fsdl_labels::{corrupt, ForbiddenSetOracle};
 
-/// Codec round trip of every label of the family, through both decoders:
-/// `decode_with(encode(L)) == decode(encode(L)) == L`.
+/// Codec round trip of every label of the family:
+/// `decode(encode(L)) == L`.
 fn roundtrip_family(oracle: &ForbiddenSetOracle, n: usize) {
-    let mut varints = VarintScratch::new();
     for v in 0..n {
         let label = oracle.label(NodeId::from_index(v));
         let w = codec::encode(&label, n);
-        let batched = codec::decode_with(w.as_bytes(), w.len_bits(), n, &mut varints);
-        let sequential = codec::decode(w.as_bytes(), w.len_bits(), n);
-        assert_eq!(batched.as_ref(), Ok(&*label), "label {v}: decode_with");
-        assert_eq!(sequential.as_ref(), Ok(&*label), "label {v}: decode");
+        let back = codec::decode(w.as_bytes(), w.len_bits(), n);
+        assert_eq!(back.as_ref(), Ok(&*label), "label {v}");
     }
 }
 

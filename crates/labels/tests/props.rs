@@ -3,7 +3,7 @@
 //! with arbitrary fault sets.
 
 use fsdl_graph::{bfs, FaultSet, Graph, GraphBuilder, NodeId};
-use fsdl_labels::codec::{decode, decode_with, encode, VarintScratch};
+use fsdl_labels::codec::{decode, encode};
 use fsdl_labels::failure_free::{query_failure_free, FailureFreeLabeling};
 use fsdl_labels::{ForbiddenSetOracle, Label, LabelPoint, LevelLabel, RealEdge, VirtualEdge};
 use fsdl_testkit::Rng;
@@ -91,9 +91,6 @@ fn codec_roundtrip_arbitrary_labels() {
         assert_eq!(label.validate(), Ok(()));
         let w = encode(&label, 500);
         let back = decode(w.as_bytes(), w.len_bits(), 500).expect("roundtrip");
-        assert_eq!(back, label);
-        let mut varints = VarintScratch::new();
-        let back = decode_with(w.as_bytes(), w.len_bits(), 500, &mut varints).expect("roundtrip");
         assert_eq!(back, label);
     });
 }

@@ -109,8 +109,9 @@ impl RoutingTable {
     /// Decodes a table written by [`RoutingTable::encode`]. The input is
     /// untrusted (tables may arrive over the wire or from disk): every
     /// failure mode — a byte slice shorter than the declared bit length,
-    /// truncation mid-entry, target ids overflowing or out of range —
-    /// surfaces as a typed codec error, never a panic.
+    /// truncation mid-entry, an owner or target id out of range, a target
+    /// id overflowing or repeated, bits after the last entry — surfaces as
+    /// a typed codec error at the offending bit, never a panic.
     ///
     /// # Errors
     ///
@@ -125,7 +126,14 @@ impl RoutingTable {
         let id_w = ceil_log2(n).max(1);
         let port_w = ceil_log2(max_degree.max(2)).max(1);
         let mut r = BitReader::try_new(bytes, bit_len)?;
-        let owner = NodeId::new(r.read_bits(id_w)? as u32);
+        let owner = r.read_bits(id_w)?;
+        if owner >= n as u64 {
+            return Err(CodecError {
+                bit_offset: r.position(),
+                message: format!("owner id {owner} out of range for {n} vertices"),
+            });
+        }
+        let owner = NodeId::new(owner as u32);
         let count = r.read_varint()? as usize;
         let mut ports = HashMap::with_capacity(count.min(n));
         let mut prev = 0u64;
@@ -133,21 +141,32 @@ impl RoutingTable {
             let delta = r.read_varint()?;
             let id = if k == 0 {
                 delta
+            } else if delta == 0 {
+                return Err(CodecError {
+                    bit_offset: r.position(),
+                    message: format!("repeated target id at entry {k}"),
+                });
             } else {
                 prev.checked_add(delta).ok_or_else(|| CodecError {
-                    bit_offset: bit_len,
+                    bit_offset: r.position(),
                     message: format!("target id overflows at entry {k}"),
                 })?
             };
             prev = id;
             if id >= n as u64 {
                 return Err(CodecError {
-                    bit_offset: bit_len,
+                    bit_offset: r.position(),
                     message: format!("target id {id} out of range for {n} vertices at entry {k}"),
                 });
             }
             let port = r.read_bits(port_w)? as u32;
             ports.insert(NodeId::new(id as u32), port);
+        }
+        if r.remaining() != 0 {
+            return Err(CodecError {
+                bit_offset: r.position(),
+                message: format!("{} trailing bits after the last entry", r.remaining()),
+            });
         }
         Ok(RoutingTable { owner, ports })
     }
@@ -370,6 +389,35 @@ mod tests {
         let junk = vec![0xFFu8; 64];
         assert!(RoutingTable::decode(&junk, 512, 36, max_deg).is_err());
         assert!(RoutingTable::decode(&[], 0, 36, max_deg).is_err());
+        // Hand-written 36-vertex tables (6 id bits, 1 port bit), each
+        // well-formed but for one field, rejected at the offending bit.
+        let table = |owner: u64, deltas: &[u64], trailing: u32| {
+            let mut w = fsdl_labels::codec::BitWriter::new();
+            w.write_bits(owner, 6).unwrap();
+            w.write_varint(deltas.len() as u64);
+            for &d in deltas {
+                w.write_varint(d);
+                w.write_bits(1, 1).unwrap();
+            }
+            w.write_bits(0, trailing).unwrap();
+            w
+        };
+        let w = table(14, &[3, 5], 0);
+        let ok = RoutingTable::decode(w.as_bytes(), w.len_bits(), 36, 2).unwrap();
+        assert_eq!((ok.owner(), ok.len()), (NodeId::new(14), 2));
+        for (w, offset, what) in [
+            (table(63, &[3, 5], 0), 6, "owner id 63"),
+            (table(14, &[3, 0], 0), 6 + 5 + 5 + 1 + 5, "repeated target"),
+            (
+                table(14, &[3, 5], 4),
+                6 + 5 + 2 * (5 + 1),
+                "4 trailing bits",
+            ),
+        ] {
+            let err = RoutingTable::decode(w.as_bytes(), w.len_bits(), 36, 2).unwrap_err();
+            assert!(err.message.contains(what), "{err}");
+            assert_eq!(err.bit_offset, offset, "{err}");
+        }
     }
 
     #[test]

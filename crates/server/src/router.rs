@@ -872,14 +872,10 @@ fn derive_gathered(
             let message = format!("gathered record set is missing vertex {v}");
             return Err(error_reply(ErrorCode::Internal, message));
         };
-        let label = edge_sets.label(record).map_err(|e| {
+        let label = edge_sets.label(NodeId::new(v), record).map_err(|e| {
             let message = format!("record for vertex {v} failed to derive: {e}");
             error_reply(ErrorCode::Internal, message)
         })?;
-        if label.owner != NodeId::new(v) {
-            let message = format!("shard returned an inconsistent label for vertex {v}");
-            return Err(error_reply(ErrorCode::Internal, message));
-        }
         decoded.insert(v, label);
     }
     Ok(decoded)

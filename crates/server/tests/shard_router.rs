@@ -260,11 +260,12 @@ fn corrupt_edge_sets_fail_the_bind_typed() {
     }
 }
 
-/// A shard whose point-fetch reply carries a corrupt record: the query
-/// gets a typed `Internal` reply, never an answer.
-#[test]
-fn corrupt_point_fetch_reply_is_internal_never_an_answer() {
-    let dir = TempDir::new("bad-records");
+/// A one-shard fleet on a 12-vertex grid whose fake shard answers a
+/// point fetch of `v` with `record(v, records)`, `records` being every
+/// vertex's intact record: each query gets a typed `Internal` reply whose
+/// message contains `expected`, never an answer.
+fn records_get_internal(tag: &str, record: fn(u32, &[Vec<u8>]) -> Vec<u8>, expected: &str) {
+    let dir = TempDir::new(tag);
     let g = generators::grid2d(4, 3);
     let oracle = ForbiddenSetOracle::new(&g, 1.0);
     let sock = dir.path().join("fake.sock");
@@ -281,11 +282,9 @@ fn corrupt_point_fetch_reply_is_internal_never_an_answer() {
             };
             let records = vertices
                 .into_iter()
-                .map(|v| {
-                    let mut bytes = records[v as usize].clone();
-                    let at = bytes.len() / 2;
-                    bytes[at] ^= 0x01;
-                    PointRecord { vertex: v, bytes }
+                .map(|v| PointRecord {
+                    vertex: v,
+                    bytes: record(v, &records),
                 })
                 .collect();
             Response::PointFetch(PointFetchReply {
@@ -303,14 +302,42 @@ fn corrupt_point_fetch_reply_is_internal_never_an_answer() {
         match client.query(s, t, WireFaults::empty()) {
             Err(ClientError::Server(e)) => {
                 assert_eq!(e.code, ErrorCode::Internal, "{e:?}");
-                assert!(e.message.contains("failed to derive"), "{e:?}");
+                assert!(e.message.contains(expected), "{e:?}");
             }
-            other => panic!("a corrupt record must not be answered, got {other:?}"),
+            other => panic!("{tag}: the record must not be answered, got {other:?}"),
         }
     }
     client.shutdown().expect("shutdown");
     router_thread.join().expect("router thread");
     shard.join().expect("fake shard");
+}
+
+/// A shard whose point-fetch reply carries a corrupt record: the query
+/// gets a typed `Internal` reply, never an answer.
+#[test]
+fn corrupt_point_fetch_reply_is_internal_never_an_answer() {
+    records_get_internal(
+        "bad-records",
+        |v, records| {
+            let mut bytes = records[v as usize].clone();
+            let at = bytes.len() / 2;
+            bytes[at] ^= 0x01;
+            bytes
+        },
+        "failed to derive",
+    );
+}
+
+/// A shard that serves another vertex's intact record for `v`: the
+/// checksum passes, the derivation refuses the owner, and the query gets
+/// a typed `Internal` reply, never an answer from the wrong label.
+#[test]
+fn another_vertexs_record_is_internal_never_an_answer() {
+    records_get_internal(
+        "swapped-records",
+        |v, records| records[(v as usize + 1) % records.len()].clone(),
+        "the record is v",
+    );
 }
 
 /// Every label a fleet hands out is the builder's, whichever way it
@@ -375,7 +402,9 @@ fn fleet_labels_equal_the_built_ones() {
                 .collect();
             let records = client.point_fetch(owned.clone()).expect("point fetch");
             for record in &records.records {
-                let derived = sets.label(&record.bytes).expect("derive");
+                let derived = sets
+                    .label(NodeId::new(record.vertex), &record.bytes)
+                    .expect("derive");
                 let built = oracle.label(NodeId::new(record.vertex));
                 assert_eq!(derived, *built, "graph {k}: v{}", record.vertex);
                 if (record.vertex as usize).is_multiple_of((n / 8).max(1)) {
