@@ -5,8 +5,8 @@
 //! the net hierarchy (`Labeling::build`, parallelized over levels); the
 //! first label of a fresh labeling, which also enumerates every level's
 //! edge set once; a later label (the mean of seven more), which is one
-//! ball BFS per level plus the restriction of those edge sets to its
-//! points; and, for `n ≤ 4096`, every label of another fresh labeling
+//! ball BFS per level plus locating its points in those edge sets; and,
+//! for `n ≤ 4096`, every label of another fresh labeling
 //! built on one thread (`materialize_all_workers(1)`) — measured, not
 //! `n ×` a label, because the first label pays for the rest. Expected
 //! shape: every phase grows near-linearly in `n · polylog` on paths and

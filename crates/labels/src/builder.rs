@@ -11,7 +11,8 @@
 //!
 //! Whether two stored points are joined in `H_i(v)` depends on the pair
 //! alone, so the edges of `L_i(v)` are one per-level edge set `Eᵢ`
-//! restricted to `v`'s points:
+//! restricted to `v`'s points, and a level is its points plus their rows
+//! in `Eᵢ`:
 //!
 //! 1. `Eᵢ` is enumerated once per labeling, by the first label that needs
 //!    it, over the whole stored net `N_{i−c−1}`: a BFS truncated at `λᵢ`
@@ -20,17 +21,17 @@
 //!    off the adjacency lists;
 //! 2. `L_i(v)` is one BFS of `B(v, rᵢ)` from `v`, which gives the stored
 //!    points `N_{i−c−1} ∩ B(v, rᵢ)` with exact distances — the paper's
-//!    vertex set of `H_i(v)` (plus the implicit owner edges) — and `Eᵢ`
-//!    restricted to them. A ball that holds the whole net gets `Eᵢ`'s
-//!    rows themselves, shared.
+//!    vertex set of `H_i(v)` (plus the implicit owner edges) — and the
+//!    row of each in `Eᵢ`, whose rows every level shares.
 //!
 //! The edge sets cost `Σ_i Σ_{x ∈ N_{i−c}} |B(x, λᵢ)|` BFS work, paid by
 //! the first label of a labeling; every label then costs
-//! `Σ_i |B(v, rᵢ)|` BFS work plus one scan of each of its points' rows of
-//! `Eᵢ` — polynomial, and measured by `exp_t10_preproc`. The same
-//! restriction derives a label from a stored points record
-//! ([`crate::EdgeSets`]): a store keeps `Eᵢ` once per generation and only
-//! the point lists per vertex.
+//! `Σ_i |B(v, rᵢ)|` BFS work plus a binary search per point —
+//! polynomial, and measured by `exp_t10_preproc`. The same
+//! [`LevelLabel::restricted_to`] derives a label from a stored points
+//! record ([`crate::EdgeSets`]): a store keeps `Eᵢ` once per generation
+//! and only the point lists per vertex, and a labeling that wraps a store
+//! builds its net hierarchy only if a label must be rebuilt.
 
 use std::sync::OnceLock;
 
@@ -125,7 +126,9 @@ pub struct LevelReport {
 pub struct Labeling {
     graph: Graph,
     params: SchemeParams,
-    nets: NetHierarchy,
+    /// Built by [`Labeling::try_build`]; left for the first reader by a
+    /// labeling that wraps a store, whose served labels need no net.
+    pub(crate) nets: OnceLock<NetHierarchy>,
     all_pairs: bool,
     /// Per label level `i`: `Eᵢ`, once enumerated (see the module docs).
     edge_sets: Vec<OnceLock<LevelLabel>>,
@@ -195,6 +198,19 @@ impl Labeling {
         params: SchemeParams,
         options: LabelingOptions,
     ) -> Result<Self, BuildError> {
+        let labeling = Self::without_nets(g, params, options)?;
+        labeling.nets();
+        Ok(labeling)
+    }
+
+    /// [`Labeling::try_build_with_options`] without building the net
+    /// hierarchy: the first reader of [`Labeling::nets`] builds it. For a
+    /// labeling that wraps a store, whose labels are derived, not built.
+    pub(crate) fn without_nets(
+        g: &Graph,
+        params: SchemeParams,
+        options: LabelingOptions,
+    ) -> Result<Self, BuildError> {
         if g.num_vertices() == 0 {
             return Err(BuildError::EmptyGraph);
         }
@@ -207,12 +223,11 @@ impl Labeling {
         params
             .verify_invariants()
             .map_err(BuildError::InvalidSchedule)?;
-        let nets = NetHierarchy::build(g);
         let edge_sets = params.levels().map(|_| OnceLock::new()).collect();
         Ok(Labeling {
             graph: g.clone(),
             params,
-            nets,
+            nets: OnceLock::new(),
             all_pairs: options.all_pairs,
             edge_sets,
         })
@@ -223,9 +238,10 @@ impl Labeling {
         &self.params
     }
 
-    /// The underlying net hierarchy.
+    /// The underlying net hierarchy (built here first for a labeling that
+    /// wraps a store).
     pub fn nets(&self) -> &NetHierarchy {
-        &self.nets
+        self.nets.get_or_init(|| NetHierarchy::build(&self.graph))
     }
 
     /// The graph this labeling was built for (an owned copy of the input;
@@ -237,12 +253,14 @@ impl Labeling {
     /// Net level whose points are stored at label level `i`, clamped to the
     /// hierarchy's top (relevant only for graphs smaller than `2^{c+1}`).
     pub(crate) fn stored_net(&self, i: u32) -> u32 {
-        self.params.stored_net_level(i).min(self.nets.top_level())
+        self.params.stored_net_level(i).min(self.nets().top_level())
     }
 
     /// Waypoint net level at label level `i`, clamped likewise.
     pub(crate) fn waypoint_net(&self, i: u32) -> u32 {
-        self.params.waypoint_net_level(i).min(self.nets.top_level())
+        self.params
+            .waypoint_net_level(i)
+            .min(self.nets().top_level())
     }
 
     /// Whether every pair of stored points within `λᵢ` is an edge, not only
@@ -277,7 +295,7 @@ impl Labeling {
         }
         Label {
             owner: v,
-            owner_net_level: self.nets.level_of(v),
+            owner_net_level: self.nets().level_of(v),
             first_level,
             levels,
         }
@@ -308,18 +326,18 @@ impl Labeling {
     }
 
     /// `L_i(v)`: the stored points of `B(v, rᵢ)`, sorted by vertex id, and
-    /// `Eᵢ` restricted to them.
+    /// their rows in `Eᵢ`.
     fn build_level(&self, v: NodeId, i: u32, scratch: &mut BfsScratch) -> LevelLabel {
+        let (nets, stored_net) = (self.nets(), self.stored_net(i));
         let r_i = clamp_radius(self.params.r(i), self.graph.num_vertices());
-        let stored_net = self.stored_net(i);
         let ball = bfs::ball(&self.graph, v, r_i, scratch);
         let mut points: Vec<LabelPoint> = ball
             .iter()
-            .filter(|m| self.nets.is_in_net(m.vertex, stored_net))
+            .filter(|m| nets.is_in_net(m.vertex, stored_net))
             .map(|m| LabelPoint {
                 vertex: m.vertex,
                 dist: m.dist,
-                net_level: self.nets.level_of(m.vertex),
+                net_level: nets.level_of(m.vertex),
             })
             .collect();
         points.sort_unstable_by_key(|p| p.vertex);
@@ -328,8 +346,10 @@ impl Labeling {
             .expect("a ball's stored points are distinct points of the stored net")
     }
 
-    /// `Eᵢ`, enumerated by the first label that needs it (never in
-    /// [`Labeling::try_build`]: opening a store builds a labeling).
+    /// `Eᵢ`, as the level over the whole stored net whose rows every built
+    /// level of `i` indexes; enumerated by the first label built that
+    /// needs it, never by [`Labeling::try_build`]. A labeling that wraps a
+    /// store enumerates it only to rebuild a label whose record failed.
     pub(crate) fn level_edges(&self, i: u32) -> &LevelLabel {
         self.edge_sets[(i - self.params.c() - 1) as usize]
             .get_or_init(|| self.enumerate_level_edges(i))
@@ -344,14 +364,13 @@ impl Labeling {
     fn enumerate_level_edges(&self, i: u32) -> LevelLabel {
         let n = self.graph.num_vertices();
         let lambda_i = clamp_radius(self.params.lambda(i), n);
-        let waypoint_net = self.waypoint_net(i);
-        let points: Vec<LabelPoint> = self
-            .nets
+        let (nets, waypoint_net) = (self.nets(), self.waypoint_net(i));
+        let points: Vec<LabelPoint> = nets
             .net_points(self.stored_net(i))
             .map(|x| LabelPoint {
                 vertex: x,
                 dist: 0,
-                net_level: self.nets.level_of(x),
+                net_level: nets.level_of(x),
             })
             .collect();
         let mut index_of = vec![u32::MAX; n];
@@ -596,8 +615,9 @@ mod tests {
         use std::sync::Arc;
         // Every ball of the 8x8 grid holds the whole net at every level;
         // the ladder's balls hold it at some levels of some labels only.
-        // Whichever worker builds a label, a level that stores the whole net
-        // has the level's edge rows themselves, and no other level does.
+        // Whichever worker builds a label, every level has the level's edge
+        // rows themselves, and only a level that stores part of the net
+        // keeps a row list.
         for (g, all_whole) in [
             (generators::grid2d(8, 8), true),
             (generators::ladder(256), false),
@@ -615,9 +635,9 @@ mod tests {
                     for label in &labels {
                         let level = label.level(i).unwrap();
                         let is_whole = level.points.len() == set.points.len();
-                        let shares = Arc::ptr_eq(&level.virt, &set.virt);
-                        assert_eq!(shares, is_whole, "{n} vertices, {workers} workers");
-                        assert_eq!(Arc::ptr_eq(&level.real, &set.real), is_whole);
+                        assert!(Arc::ptr_eq(&level.virt, &set.virt));
+                        assert!(Arc::ptr_eq(&level.real, &set.real));
+                        assert_eq!(level.rows.is_none(), is_whole, "{n}, {workers} workers");
                         *(if is_whole { &mut whole } else { &mut partial }) += 1;
                     }
                 }
@@ -627,8 +647,8 @@ mod tests {
                 );
             }
         }
-        // Shared or restricted, a label reads the same as on a fresh
-        // labeling, whose first label enumerates the edge sets.
+        // Whole or partial, a label reads the same as on a fresh labeling,
+        // whose first label enumerates the edge sets.
         let g = generators::grid2d(8, 8);
         let labeling = Labeling::build(&g, SchemeParams::new(1.0, 64));
         let _ = labeling.label_of(NodeId::new(0));
@@ -642,7 +662,7 @@ mod tests {
             labeling.label_of(NodeId::new(10)),
             labeling.label_of(NodeId::new(200)),
         );
-        assert!(!Arc::ptr_eq(&a.levels[0].virt, &b.levels[0].virt));
+        assert_ne!(a.levels[0].rows, b.levels[0].rows);
         assert_ne!(
             a.levels[0].virtual_edges().count(),
             b.levels[0].virtual_edges().count()
@@ -651,10 +671,12 @@ mod tests {
 
     #[test]
     fn resident_bytes_stay_within_the_flat_edge_layout() {
-        // The rows-plus-transpose layout must cost what flat `(a, b, dist)`
-        // and `(a, b)` structs did — 12 and 8 bytes an edge — plus a term
-        // in the points (the point itself and four row offsets) and a
-        // constant per level.
+        // The rows-plus-transpose layout of an edge set must cost what flat
+        // `(a, b, dist)` and `(a, b)` structs did — 12 and 8 bytes an edge
+        // — plus a term in the points (the point itself and four row
+        // offsets) and a constant per level. A label holds only its points
+        // and, at a level that stores part of the net, their rows.
+        use std::mem::size_of;
         for g in [
             generators::grid2d(8, 8),
             generators::path(200),
@@ -664,19 +686,23 @@ mod tests {
             let labeling = Labeling::build(&g, SchemeParams::new(1.0, n));
             for v in [0, n / 2, n - 1] {
                 let label = labeling.label_of(NodeId::from_index(v));
-                let stats = label.stats();
-                let bound = 12 * stats.virtual_edges
-                    + 8 * stats.real_edges
-                    + (12 + 4 * 4) * stats.points
-                    + 256 * stats.levels
-                    + 64;
+                let rows = |l: &LevelLabel| l.rows.as_deref().map_or(0, <[u32]>::len);
+                let own =
+                    |l: &LevelLabel| size_of::<LevelLabel>() + 12 * l.points.len() + 4 * rows(l);
+                let own: usize = label.levels.iter().map(own).sum();
+                assert_eq!(label.resident_bytes(), (size_of::<Label>() + own) as u64);
+            }
+            for i in labeling.params.levels() {
+                let set = labeling.level_edges(i);
+                let (virt, real) = (set.num_virtual_edges(), set.num_real_edges());
+                let bound = 12 * virt + 8 * real + (12 + 4 * 4) * set.points.len() + 256 + 64;
+                let bytes = set.resident_bytes(true);
                 assert!(
-                    label.resident_bytes() <= bound as u64,
-                    "n={n} v={v}: {} bytes resident, bound {bound} for {stats:?}",
-                    label.resident_bytes()
+                    bytes <= bound as u64,
+                    "n={n} level {i}: {bytes} bytes resident, bound {bound}"
                 );
                 // And not wildly below it either: the accounting sees the rows.
-                assert!(label.resident_bytes() >= (12 * stats.virtual_edges) as u64);
+                assert!(bytes >= (12 * virt + 8 * real) as u64);
             }
         }
     }

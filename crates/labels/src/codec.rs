@@ -46,11 +46,9 @@
 //! out of bounds downstream. This contract is enforced by the corruption
 //! chaos harness (`labels/tests/chaos.rs` and [`crate::corrupt`]).
 
-use std::sync::Arc;
-
 use fsdl_graph::NodeId;
 
-use crate::label::{EdgeRows, Label, LabelPoint, LevelLabel, RowArc, VirtualArc};
+use crate::label::{EdgeRows, Label, LabelPoint, LevelLabel, LevelRows, RowArc, VirtualArc};
 
 /// Errors produced when encoding to or decoding from a bit string.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -416,10 +414,10 @@ fn encode_level(level: &LevelLabel, w: &mut BitWriter) {
         w.write_varint(u64::from(p.net_level));
     }
     let num_points = level.points.len();
-    encode_rows(&level.virt, num_points, w, |w, arc| {
+    encode_rows(level.virtual_rows(), num_points, w, |w, arc| {
         w.write_varint(u64::from(arc.dist));
     });
-    encode_rows(&level.real, num_points, w, |_, _| {});
+    encode_rows(level.real_rows(), num_points, w, |_, _| {});
 }
 
 /// Writes one edge section: the edge count, then — unless it is zero —
@@ -429,21 +427,22 @@ fn encode_level(level: &LevelLabel, w: &mut BitWriter) {
 /// A point list shortened after the level was built leaves edges outside
 /// the rows written or targets past it, and [`decode`] rejects both.
 fn encode_rows<T: RowArc>(
-    rows: &EdgeRows<T>,
+    rows: LevelRows<'_, T>,
     num_points: usize,
     w: &mut BitWriter,
     payload: impl Fn(&mut BitWriter, T),
 ) {
-    w.write_varint(rows.len() as u64);
-    if rows.len() == 0 {
+    let count = rows.len();
+    w.write_varint(count as u64);
+    if count == 0 {
         return;
     }
     for a in 0..num_points {
-        w.write_varint(rows.outgoing(a).len() as u64);
+        w.write_varint(rows.row_len(a) as u64);
     }
     for a in 0..num_points {
         let mut prev = a as u32;
-        for &arc in rows.outgoing(a) {
+        for arc in rows.outgoing(a) {
             w.write_varint(zigzag(i64::from(arc.target()) - i64::from(prev)));
             payload(w, arc);
             prev = arc.target();
@@ -660,11 +659,7 @@ fn decode_level(r: &mut BitReader<'_>, n: usize) -> Result<LevelLabel, CodecErro
         },
     )?;
     let real = read_rows(r, num_points, REAL_EDGE_MIN_BITS, "real edge", |_, b| Ok(b))?;
-    Ok(LevelLabel {
-        points,
-        virt: Arc::new(virt),
-        real: Arc::new(real),
-    })
+    Ok(LevelLabel::with_own_rows(points, virt, real))
 }
 
 /// Reads one edge section written by [`encode_rows`] a varint at a time,

@@ -7,13 +7,13 @@
 //! `v` — plus one edge set `Eᵢ` per level that every label of the
 //! generation shares (see [`crate::Labeling`]). [`EdgeSets`] is the shared
 //! part; a *points record* ([`points_record`]) is the per-vertex part;
-//! [`EdgeSets::label`] derives the self-contained label from the two. The
-//! derived label equals the one the builder materializes, so
-//! [`crate::codec`] encodes it to the same bytes: the self-contained label
-//! stays the paper's unit of size, and stops being the unit of storage and
-//! transfer. A store segment holds one copy of the edge sets and a points
-//! record per vertex ([`crate::store`]); a shard serves both over the wire
-//! and the router derives the labels a query reads.
+//! [`EdgeSets::label`] derives the label from the two: its points, and per
+//! point its row in `Eᵢ`. The derived label equals the one the builder
+//! materializes, so [`crate::codec`] encodes it to the same bytes: the
+//! self-contained label stays the paper's unit of size, and stops being the
+//! unit of storage and transfer. A store segment holds one copy of the edge
+//! sets and a points record per vertex ([`crate::store`]); a shard serves
+//! both over the wire and the router derives the labels a query reads.
 //!
 //! ## Byte forms
 //!
@@ -43,8 +43,6 @@
 //! record changes under any single-bit flip, and the structural checks
 //! (ids ascending, rows in range and above their row, points a subset of
 //! the net) make a derived label pass [`Label::validate`] by construction.
-
-use std::sync::Arc;
 
 use fsdl_graph::NodeId;
 
@@ -86,6 +84,12 @@ impl EdgeSets {
                 .map(|i| labeling.level_edges(i).clone())
                 .collect(),
         }
+    }
+
+    /// Bytes held: every level's points and edge rows (see
+    /// [`crate::LabelPlaneStats`]).
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        self.levels.iter().map(|set| set.resident_bytes(true)).sum()
     }
 
     /// Points of the lowest level's net, `N_0 = V`: the vertex count of the
@@ -182,10 +186,10 @@ impl EdgeSets {
     }
 
     /// Derives `v`'s label from a points record ([`points_record`]):
-    /// each level's points, `Eᵢ` restricted to them — the builder's own
-    /// restriction — and their net levels from the blocks. A level holding
-    /// the whole net shares `Eᵢ`'s rows. The label equals the builder's for
-    /// the same vertex, bit for bit.
+    /// each level's points, with their net levels from the blocks and their
+    /// rows in `Eᵢ`, whose rows the level shares — the builder's own
+    /// [`LevelLabel::restricted_to`]; nothing else is computed. The label
+    /// equals the builder's for the same vertex, bit for bit.
     ///
     /// # Errors
     ///
@@ -353,11 +357,7 @@ fn decode_block(block: &[u8], at: usize) -> Result<LevelLabel, CodecError> {
     })?;
     let real = read_rows(&mut r, num_points, "real", false, |b, _| b)?;
     r.finish()?;
-    Ok(LevelLabel {
-        points,
-        virt: Arc::new(virt),
-        real: Arc::new(real),
-    })
+    Ok(LevelLabel::with_own_rows(points, virt, real))
 }
 
 fn put_rows<T: RowArc>(out: &mut Vec<u8>, rows: &EdgeRows<T>, weight: impl Fn(T) -> Option<u32>) {
@@ -527,6 +527,7 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
     use fsdl_graph::generators;
+    use std::sync::Arc;
 
     fn sets_and_labels(g: &fsdl_graph::Graph, eps: f64) -> (EdgeSets, Vec<Label>) {
         let labeling = Labeling::build(g, SchemeParams::new(eps, g.num_vertices()));
@@ -560,15 +561,16 @@ mod tests {
 
     #[test]
     fn whole_net_levels_share_the_decoded_rows() {
-        let (sets, labels) = sets_and_labels(&generators::grid2d(6, 6), 1.0);
-        let sets = EdgeSets::decode(&sets.encode()).unwrap();
-        let derived = sets
-            .label(NodeId::new(7), &points_record(&labels[7]))
-            .unwrap();
-        for (k, level) in derived.levels.iter().enumerate() {
-            if level.points.len() == sets.levels[k].points.len() {
-                assert!(Arc::ptr_eq(&level.virt, &sets.levels[k].virt));
-                assert!(Arc::ptr_eq(&level.real, &sets.levels[k].real));
+        // Every derived level shares the decoded rows; only one that holds
+        // part of its net (the ladder has some) keeps a row list.
+        for g in [generators::grid2d(6, 6), generators::ladder(64)] {
+            let (sets, labels) = sets_and_labels(&g, 1.0);
+            let sets = EdgeSets::decode(&sets.encode()).unwrap();
+            let derived = sets.label(NodeId::new(7), &points_record(&labels[7]));
+            for (level, set) in derived.unwrap().levels.iter().zip(&sets.levels) {
+                assert!(Arc::ptr_eq(&level.virt, &set.virt));
+                assert!(Arc::ptr_eq(&level.real, &set.real));
+                assert_eq!(level.rows.is_none(), level.points.len() == set.points.len());
             }
         }
     }
@@ -623,7 +625,7 @@ mod tests {
     }
 
     /// A record whose checksum is right but whose points are not a
-    /// strictly ascending subset of the net is refused by the restriction:
+    /// strictly ascending subset of the net is refused by `restricted_to`:
     /// not in the net, repeated, descending, or the whole net's count with
     /// one wrong id.
     #[test]

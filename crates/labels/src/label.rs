@@ -19,10 +19,12 @@
 //! Both kinds of edge are held as rows by first endpoint plus a transpose
 //! (`EdgeRows`), not as flat lists: the decoder expands one vertex at a
 //! time and needs that vertex's edges, in both directions, without walking
-//! the level. [`LevelLabel::new`] builds the rows (the codec writes them
-//! row by row and fills them back the same way);
-//! [`LevelLabel::virtual_edges`] and [`LevelLabel::real_edges`] read the
-//! flat lists back.
+//! the level. A built or derived level holds no rows of its own: it is its
+//! points plus, per point, that point's row in its level's one edge set
+//! `Eᵢ` ([`crate::EdgeSets`]), and its edges are `Eᵢ`'s arcs between two
+//! of its points. Only [`LevelLabel::new`] and the codec's decoder build
+//! rows over a level's own points. [`LevelLabel::virtual_edges`] and
+//! [`LevelLabel::real_edges`] read the flat lists back.
 
 use std::sync::Arc;
 
@@ -69,6 +71,8 @@ pub struct RealEdge {
 pub(crate) trait RowArc: Copy + Default {
     /// The edge's second endpoint `b` (an index into the point list).
     fn target(self) -> u32;
+    /// The same arc with second endpoint `b`.
+    fn with_target(self, b: u32) -> Self;
 }
 
 /// A virtual edge `(a, b, dist)` seen from its row `a`.
@@ -82,12 +86,20 @@ impl RowArc for VirtualArc {
     fn target(self) -> u32 {
         self.b
     }
+
+    fn with_target(self, b: u32) -> Self {
+        VirtualArc { b, ..self }
+    }
 }
 
 /// A real edge `(a, b)` seen from its row `a` is just `b`.
 impl RowArc for u32 {
     fn target(self) -> u32 {
         self
+    }
+
+    fn with_target(self, b: u32) -> Self {
+        b
     }
 }
 
@@ -116,47 +128,32 @@ pub(crate) struct EdgeRows<T> {
 
 impl<T: RowArc> EdgeRows<T> {
     /// Groups `edges` (pairs of row index `a` and arc) into rows by a
-    /// stable counting sort and builds the transpose. Builder- and
-    /// codec-made lists arrive sorted by `(a, b)`: they are rows already,
-    /// keep exactly that order, and cost one walk over the input.
-    fn build<I>(num_points: usize, edges: I) -> Result<Self, String>
-    where
-        I: Iterator<Item = (u32, T)> + Clone,
-    {
-        let mut off = vec![0u32; num_points + 1];
-        let mut fwd = Vec::with_capacity(edges.size_hint().0);
-        let (mut in_rows, mut last_a) = (true, 0);
-        for (a, arc) in edges.clone() {
+    /// stable sort on `a` and builds the transpose: a list already sorted
+    /// by `a`, as the builder's is, keeps exactly its order.
+    fn build(num_points: usize, edges: impl Iterator<Item = (u32, T)>) -> Result<Self, String> {
+        let mut edges: Vec<(u32, T)> = edges.collect();
+        let past = |&(a, arc): &(u32, T)| a.max(arc.target()) as usize >= num_points;
+        if let Some(&(a, arc)) = edges.iter().find(|e| past(e)) {
             let b = arc.target();
-            if a as usize >= num_points || b as usize >= num_points {
-                return Err(format!(
-                    "edge ({a}, {b}) indexes past the {num_points} stored points"
-                ));
-            }
-            if fwd.len() == u32::MAX as usize {
-                return Err("more than u32::MAX edges at one level".into());
-            }
+            return Err(format!(
+                "edge ({a}, {b}) indexes past the {num_points} stored points"
+            ));
+        }
+        if edges.len() > u32::MAX as usize {
+            return Err("more than u32::MAX edges at one level".into());
+        }
+        edges.sort_by_key(|&(a, _)| a);
+        let mut off = vec![0u32; num_points + 1];
+        for &(a, _) in &edges {
             off[a as usize + 1] += 1;
-            in_rows &= last_a <= a;
-            last_a = a;
-            fwd.push(arc);
         }
-        if fwd.is_empty() {
-            return Ok(EdgeRows::default());
-        }
-        fwd.shrink_to_fit();
         for k in 1..=num_points {
             off[k] += off[k - 1];
         }
-        if !in_rows {
-            let mut cursor = off.clone();
-            for (a, arc) in edges {
-                let at = &mut cursor[a as usize];
-                fwd[*at as usize] = arc;
-                *at += 1;
-            }
-        }
-        Ok(EdgeRows::from_rows(off, fwd))
+        Ok(EdgeRows::from_rows(
+            off,
+            edges.into_iter().map(|(_, arc)| arc).collect(),
+        ))
     }
 
     /// Rows already laid out — `off` with `P + 1` non-decreasing entries
@@ -214,8 +211,8 @@ impl<T: RowArc> EdgeRows<T> {
     /// The slice of `items` that `offsets` assigns to row `row` (empty for
     /// a row the level was not built with).
     fn row<'a, U>(offsets: &[u32], items: &'a [U], row: usize) -> &'a [U] {
-        match (offsets.get(row), offsets.get(row + 1)) {
-            (Some(&lo), Some(&hi)) => &items[lo as usize..hi as usize],
+        match offsets.get(row..).and_then(|o| o.get(..2)) {
+            Some(&[lo, hi]) => &items[lo as usize..hi as usize],
             _ => &[],
         }
     }
@@ -225,28 +222,24 @@ impl<T: RowArc> EdgeRows<T> {
         Self::row(&self.off, &self.fwd, a)
     }
 
-    /// The edges `(·, b)`, as `(a, arc)` with `a` ascending. `a` is
-    /// recovered from the row offsets by a cursor that only moves forward
-    /// (positions within a transpose row ascend), so a whole scan costs
-    /// the in-degree plus at most one pass over the offsets.
-    pub(crate) fn incoming(&self, b: usize) -> impl Iterator<Item = (u32, T)> + '_ {
-        let mut a = 0usize;
-        Self::row(&self.tin_off, &self.tin, b)
-            .iter()
-            .map(move |&pos| {
-                while self.off[a + 1] <= pos {
-                    a += 1;
-                }
-                (a as u32, self.fwd[pos as usize])
-            })
-    }
-
-    /// Every edge as `(a, arc)`, row by row.
-    fn iter(&self) -> impl Iterator<Item = (u32, T)> + '_ {
-        self.off.windows(2).enumerate().flat_map(move |(a, w)| {
-            self.fwd[w[0] as usize..w[1] as usize]
-                .iter()
-                .map(move |&arc| (a as u32, arc))
+    /// The edges `(·, b)` out of rows `from` and above, as `(a, arc)` with
+    /// `a` ascending. `a` is recovered from the row offsets by a cursor
+    /// that starts at `from` and only moves forward (positions within a
+    /// transpose row ascend), so a whole scan costs the in-degree plus at
+    /// most one pass over the offsets from `from` on.
+    pub(crate) fn incoming(&self, b: usize, from: usize) -> impl Iterator<Item = (u32, T)> + '_ {
+        let positions = Self::row(&self.tin_off, &self.tin, b);
+        let skip = match self.off.get(from) {
+            Some(_) if from == 0 => 0,
+            Some(&start) => positions.partition_point(|&pos| pos < start),
+            None => positions.len(),
+        };
+        let mut a = from;
+        positions[skip..].iter().map(move |&pos| {
+            while self.off[a + 1] <= pos {
+                a += 1;
+            }
+            (a as u32, self.fwd[pos as usize])
         })
     }
 
@@ -260,49 +253,124 @@ impl<T: RowArc> EdgeRows<T> {
     }
 }
 
-/// The rows `rows` of `set`, in that order, each keeping the arcs `keep`
-/// maps to `Some` (renumbered as it says) — the edge rows of a
-/// restriction, written straight into [`EdgeRows::from_rows`].
-fn restrict_rows<T: RowArc>(
-    set: &EdgeRows<T>,
-    rows: &[usize],
-    mut keep: impl FnMut(T) -> Option<T>,
-) -> EdgeRows<T> {
-    if set.len() == 0 {
-        return EdgeRows::default();
+/// One edge kind of a level as the level sees it: row `a` is point `a`'s
+/// row in `set`, keeping the arcs whose other end is one of the level's
+/// points, renumbered to its index. Without a row list (own rows, or a
+/// whole net's) this is `set` itself.
+#[derive(Clone, Copy)]
+pub(crate) struct LevelRows<'a, T> {
+    set: &'a EdgeRows<T>,
+    rows: Option<&'a [u32]>,
+}
+
+impl<'a, T: RowArc> LevelRows<'a, T> {
+    /// The row of point `a` in `set`; past every row if there is no
+    /// point `a`.
+    fn net_row(self, a: usize) -> usize {
+        self.rows
+            .map_or(a, |rows| rows.get(a).map_or(usize::MAX, |&r| r as usize))
     }
-    let mut off = Vec::with_capacity(rows.len() + 1);
-    let mut fwd = Vec::new();
-    off.push(0);
-    for &row in rows {
-        fwd.extend(set.outgoing(row).iter().filter_map(|&arc| keep(arc)));
-        off.push(fwd.len() as u32);
+
+    /// The arcs of the edges `(a, ·)`, in stored order.
+    pub(crate) fn outgoing(self, a: usize) -> impl Iterator<Item = T> + 'a {
+        let arcs = self.set.outgoing(self.net_row(a));
+        // An edge set's row holds targets above the row, ascending.
+        let mut from = a + 1;
+        arcs.iter().filter_map(move |&arc| {
+            Some(arc.with_target(seek(self.rows, &mut from, arc.target())?))
+        })
     }
-    fwd.shrink_to_fit();
-    EdgeRows::from_rows(off, fwd)
+
+    /// The edges `(·, b)`, as `(a, arc)` with `a` ascending.
+    pub(crate) fn incoming(self, b: usize) -> impl Iterator<Item = (u32, T)> + 'a {
+        // No arc from below the level's first row can be the level's.
+        let first = self
+            .rows
+            .and_then(<[u32]>::first)
+            .map_or(0, |&r| r as usize);
+        let mut from = 0;
+        let arcs = self.set.incoming(self.net_row(b), first);
+        arcs.filter_map(move |(a, arc)| {
+            Some((seek(self.rows, &mut from, a)?, arc.with_target(b as u32)))
+        })
+    }
+
+    /// Every edge as `(a, arc)`, row by row.
+    pub(crate) fn iter(self) -> impl Iterator<Item = (u32, T)> + 'a {
+        let num_rows = self.set.offsets().len().saturating_sub(1);
+        (0..self.rows.map_or(num_rows, <[u32]>::len))
+            .flat_map(move |a| self.outgoing(a).map(move |arc| (a as u32, arc)))
+    }
+
+    /// Number of edges.
+    pub(crate) fn len(self) -> usize {
+        self.rows.map_or(self.set.len(), |_| self.iter().count())
+    }
+
+    /// Number of edges `(a, ·)`.
+    pub(crate) fn row_len(self, a: usize) -> usize {
+        self.rows
+            .map_or(self.set.outgoing(a).len(), |_| self.outgoing(a).count())
+    }
+}
+
+/// The index of `row` in the ascending `rows` (`row` itself without a
+/// row list), looked for from `*from` on, which moves past `row`:
+/// ascending lookups from one cursor, each costing the logarithm of the
+/// entries it skips.
+fn seek(rows: Option<&[u32]>, from: &mut usize, row: u32) -> Option<u32> {
+    let Some(rows) = rows else {
+        return Some(row);
+    };
+    if rows.get(*from) != Some(&row) {
+        // Gallop: probe `rest[0], rest[1], rest[3], rest[7], …` while they
+        // are below `row`, then search between the last two probes.
+        let rest = rows.get(*from..).unwrap_or_default();
+        let mut bound = 1;
+        while bound <= rest.len() && rest[bound - 1] < row {
+            bound *= 2;
+        }
+        let lo = bound / 2;
+        *from += lo + rest[lo..rest.len().min(bound - 1)].partition_point(|&r| r < row);
+        if rows.get(*from) != Some(&row) {
+            return None;
+        }
+    }
+    *from += 1;
+    Some(*from as u32 - 1)
 }
 
 /// The level-`i` slice `L_i(v)` of a label, encoding `H_i(v)`.
 ///
 /// The point list is public and indexable; the edges refer to it by index
-/// and are stored as rows, so the decoder's search can scan one point's
-/// edges in either direction; they are read back through
-/// [`LevelLabel::virtual_edges`] and [`LevelLabel::real_edges`]. The rows
-/// sit behind an [`Arc`] because a built level's edges are its level's one
-/// edge set restricted to its points: a level that stores the whole net
-/// has that set's rows themselves, and every such level of every label
-/// of one generation gets the same rows — only the distance column
-/// differs. That holds for labels the builder materializes and for labels
-/// derived from a stored or fetched points record ([`crate::EdgeSets`]);
-/// only a self-contained label read back by [`crate::codec`] owns its rows.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// and are read back through [`LevelLabel::virtual_edges`] and
+/// [`LevelLabel::real_edges`]. A level the builder materializes or derives
+/// from a points record ([`crate::EdgeSets`]) is its points plus, per
+/// point, its row in the level's one edge set `Eᵢ`, whose rows it shares
+/// behind an [`Arc`] with every level of the generation: its edges are
+/// `Eᵢ`'s arcs between two of its points. A level that stores the whole
+/// net needs no row list (point `k` is row `k`). Only [`LevelLabel::new`]
+/// and a label read back by [`crate::codec`] own rows over their own
+/// points. Levels compare by points and edges, not by how they are held.
+#[derive(Clone, Debug, Default)]
 pub struct LevelLabel {
     /// Stored points, sorted by vertex id (canonical order for encoding).
     pub points: Vec<LabelPoint>,
-    /// Virtual edges between stored points.
+    /// Per point, its row in `virt` and `real`, ascending; `None` when
+    /// point `k` is row `k`.
+    pub(crate) rows: Option<Box<[u32]>>,
+    /// Virtual edges, as rows.
     pub(crate) virt: Arc<EdgeRows<VirtualArc>>,
     /// Real edges of `G` (lowest level only; empty at other levels).
     pub(crate) real: Arc<EdgeRows<u32>>,
+}
+
+impl PartialEq for LevelLabel {
+    fn eq(&self, other: &Self) -> bool {
+        self.points == other.points
+            && self.virtual_edges().eq(other.virtual_edges())
+            && self.real_edges().eq(other.real_edges())
+    }
 }
 
 impl LevelLabel {
@@ -338,9 +406,7 @@ impl LevelLabel {
     ) -> Result<Self, LabelInvalid>
     where
         V: IntoIterator<Item = VirtualEdge>,
-        V::IntoIter: Clone,
         R: IntoIterator<Item = RealEdge>,
-        R::IntoIter: Clone,
     {
         let fail = |kind: &str, message: String| LabelInvalid {
             level_index: 0,
@@ -361,26 +427,36 @@ impl LevelLabel {
         .map_err(|m| fail("virtual", m))?;
         let real = EdgeRows::build(points.len(), real_edges.into_iter().map(|e| (e.a, e.b)))
             .map_err(|m| fail("real", m))?;
-        Ok(LevelLabel {
-            points,
-            virt: Arc::new(virt),
-            real: Arc::new(real),
-        })
+        Ok(Self::with_own_rows(points, virt, real))
     }
 
-    /// The level `points` induce: `self`'s edges between them, renumbered.
-    /// `self` is a level edge set — its points are a whole stored net in
-    /// id order — and `points` must be a strictly ascending subset of it;
-    /// each point's `net_level` is taken from `self` (what the caller put
-    /// there is ignored), its `dist` is kept. A point's row keeps its
-    /// order, so rows sorted by target stay sorted. A list that is the
-    /// whole net gets `self`'s rows, shared behind the same [`Arc`]s —
-    /// once every id has been checked, never on the count alone.
+    /// A level whose rows are over its own points (no row list).
+    pub(crate) fn with_own_rows(
+        points: Vec<LabelPoint>,
+        virt: EdgeRows<VirtualArc>,
+        real: EdgeRows<u32>,
+    ) -> Self {
+        LevelLabel {
+            points,
+            rows: None,
+            virt: Arc::new(virt),
+            real: Arc::new(real),
+        }
+    }
+
+    /// The level `points` induce in `self`, a level edge set — its points
+    /// are a whole stored net in id order, over its own rows: `points`
+    /// must be a strictly ascending subset of it. Each point's `net_level`
+    /// is taken from `self` (what the caller put there is ignored), its
+    /// `dist` is kept. The level shares `self`'s rows behind the same
+    /// [`Arc`]s and records each point's row; a list that is the whole net
+    /// records none — once every id has been checked, never on the count
+    /// alone.
     ///
     /// This is the inner loop of label derivation from untrusted bytes
     /// ([`crate::EdgeSets::label`]) as well as of the builder, so it
-    /// trusts nothing: one binary search per point, a dense map from the
-    /// net's rows to local indices, and one scan of each kept row.
+    /// trusts nothing: one binary search per point, from a cursor that
+    /// only moves forward.
     ///
     /// # Errors
     ///
@@ -391,8 +467,9 @@ impl LevelLabel {
         &self,
         mut points: Vec<LabelPoint>,
     ) -> Result<LevelLabel, CodecError> {
+        debug_assert!(self.rows.is_none(), "an edge set indexes its own rows");
         let net = &self.points;
-        if points.len() == net.len() {
+        let rows = if points.len() == net.len() {
             for (p, q) in points.iter_mut().zip(net) {
                 if p.vertex != q.vertex {
                     return Err(CodecError::new(
@@ -405,50 +482,53 @@ impl LevelLabel {
                 }
                 p.net_level = q.net_level;
             }
-            return Ok(LevelLabel {
-                points,
-                virt: Arc::clone(&self.virt),
-                real: Arc::clone(&self.real),
-            });
-        }
-        // `local[row]` is the index in `points` of the net's `row`-th
-        // point, `u32::MAX` when it is not one of them.
-        let mut local = vec![u32::MAX; net.len()];
-        let mut rows = Vec::with_capacity(points.len());
-        let mut next = 0usize;
-        for (k, p) in (0u32..).zip(points.iter_mut()) {
-            let Ok(at) = net[next..].binary_search_by_key(&p.vertex, |q| q.vertex) else {
-                let message = if net.binary_search_by_key(&p.vertex, |q| q.vertex).is_ok() {
-                    format!("point {} is not above its predecessor", p.vertex)
-                } else {
-                    format!("point {} is not in the level's net", p.vertex)
+            None
+        } else {
+            let mut rows = Vec::with_capacity(points.len());
+            let mut next = 0usize;
+            for p in &mut points {
+                let Ok(at) = net[next..].binary_search_by_key(&p.vertex, |q| q.vertex) else {
+                    let message = if net.binary_search_by_key(&p.vertex, |q| q.vertex).is_ok() {
+                        format!("point {} is not above its predecessor", p.vertex)
+                    } else {
+                        format!("point {} is not in the level's net", p.vertex)
+                    };
+                    return Err(CodecError::new(0, message));
                 };
-                return Err(CodecError::new(0, message));
-            };
-            let row = next + at;
-            p.net_level = net[row].net_level;
-            local[row] = k;
-            rows.push(row);
-            next = row + 1;
-        }
-        let virt = restrict_rows(&self.virt, &rows, |arc: VirtualArc| {
-            let b = local[arc.b as usize];
-            (b != u32::MAX).then_some(VirtualArc { b, dist: arc.dist })
-        });
-        let real = restrict_rows(&self.real, &rows, |b: u32| {
-            let b = local[b as usize];
-            (b != u32::MAX).then_some(b)
-        });
+                let row = next + at;
+                p.net_level = net[row].net_level;
+                rows.push(row as u32);
+                next = row + 1;
+            }
+            Some(rows.into_boxed_slice())
+        };
         Ok(LevelLabel {
             points,
-            virt: Arc::new(virt),
-            real: Arc::new(real),
+            rows,
+            virt: Arc::clone(&self.virt),
+            real: Arc::clone(&self.real),
         })
+    }
+
+    /// The virtual edges as rows over this level's points.
+    pub(crate) fn virtual_rows(&self) -> LevelRows<'_, VirtualArc> {
+        LevelRows {
+            set: &self.virt,
+            rows: self.rows.as_deref(),
+        }
+    }
+
+    /// The real edges as rows over this level's points.
+    pub(crate) fn real_rows(&self) -> LevelRows<'_, u32> {
+        LevelRows {
+            set: &self.real,
+            rows: self.rows.as_deref(),
+        }
     }
 
     /// The virtual edges, grouped by first endpoint index.
     pub fn virtual_edges(&self) -> impl Iterator<Item = VirtualEdge> + '_ {
-        self.virt.iter().map(|(a, arc)| VirtualEdge {
+        self.virtual_rows().iter().map(|(a, arc)| VirtualEdge {
             a,
             b: arc.b,
             dist: arc.dist,
@@ -457,17 +537,17 @@ impl LevelLabel {
 
     /// Number of virtual edges.
     pub fn num_virtual_edges(&self) -> usize {
-        self.virt.len()
+        self.virtual_rows().len()
     }
 
     /// The real edges, grouped by first endpoint index.
     pub fn real_edges(&self) -> impl Iterator<Item = RealEdge> + '_ {
-        self.real.iter().map(|(a, b)| RealEdge { a, b })
+        self.real_rows().iter().map(|(a, b)| RealEdge { a, b })
     }
 
     /// Number of real edges.
     pub fn num_real_edges(&self) -> usize {
-        self.real.len()
+        self.real_rows().len()
     }
 
     /// Whether `{a, b}` is stored as a real edge at this level. At the
@@ -481,8 +561,18 @@ impl LevelLabel {
         };
         // Builder-made rows run low index -> high; an untrusted label may
         // store either direction.
-        self.real.outgoing(ia).contains(&(ib as u32))
-            || self.real.outgoing(ib).contains(&(ia as u32))
+        let joins =
+            |from: usize, to: usize| self.real_rows().outgoing(from).any(|b| b == to as u32);
+        joins(ia, ib) || joins(ib, ia)
+    }
+
+    /// Bytes held: the struct, the point list and the row list (by
+    /// length), plus the edge rows it indexes when `with_edges`.
+    pub(crate) fn resident_bytes(&self, with_edges: bool) -> u64 {
+        let rows = self.rows.as_deref().map_or(0, <[u32]>::len);
+        let own = std::mem::size_of::<LevelLabel>() + 12 * self.points.len() + 4 * rows;
+        let edges = self.virt.resident_bytes() + self.real.resident_bytes();
+        own as u64 + u64::from(with_edges) * edges
     }
 
     /// Looks up a stored point by vertex id (binary search: points are
@@ -615,37 +705,15 @@ impl Label {
         s
     }
 
-    /// Estimated heap footprint of this materialized label in bytes:
-    /// the struct itself plus every level's point vector and edge rows —
-    /// 12 bytes per virtual edge, 8 per real edge, and two row-offset
-    /// arrays per edge kind a level actually has (by length, not capacity
-    /// — a stable estimate independent of allocator growth policy). Edge
-    /// rows shared with other labels are counted in full, as if this label
-    /// were the only one alive.
+    /// Estimated heap footprint of what this label holds itself, in
+    /// bytes: the struct, and per level its point list and row list (by
+    /// length, not capacity — a stable estimate independent of allocator
+    /// growth policy). The edge rows its levels index are not counted:
+    /// a built or derived label shares its generation's level edge sets,
+    /// which [`crate::LabelPlaneStats`] counts once.
     pub fn resident_bytes(&self) -> u64 {
-        self.resident_bytes_where(&mut |_| true)
-    }
-
-    /// [`Label::resident_bytes`], counting a level's edge rows only when
-    /// `first_sighting` of their address says so — how a holder of many
-    /// labels ([`crate::LabelPlaneStats`]) counts shared rows once.
-    pub(crate) fn resident_bytes_where(
-        &self,
-        first_sighting: &mut impl FnMut(usize) -> bool,
-    ) -> u64 {
-        use std::mem::size_of;
-        let mut bytes = size_of::<Label>() as u64;
-        for l in &self.levels {
-            bytes += size_of::<LevelLabel>() as u64;
-            bytes += (l.points.len() * size_of::<LabelPoint>()) as u64;
-            if first_sighting(Arc::as_ptr(&l.virt) as usize) {
-                bytes += l.virt.resident_bytes();
-            }
-            if first_sighting(Arc::as_ptr(&l.real) as usize) {
-                bytes += l.real.resident_bytes();
-            }
-        }
-        bytes
+        let levels: u64 = self.levels.iter().map(|l| l.resident_bytes(false)).sum();
+        std::mem::size_of::<Label>() as u64 + levels
     }
 }
 
@@ -676,23 +744,22 @@ mod tests {
     use super::*;
 
     fn sample_points() -> Vec<LabelPoint> {
-        vec![
-            LabelPoint {
-                vertex: NodeId::new(2),
-                dist: 0,
-                net_level: 4,
-            },
-            LabelPoint {
-                vertex: NodeId::new(5),
-                dist: 3,
-                net_level: 1,
-            },
-            LabelPoint {
-                vertex: NodeId::new(9),
-                dist: 7,
-                net_level: 2,
-            },
-        ]
+        let point = |v, dist, net_level| LabelPoint {
+            vertex: NodeId::new(v),
+            dist,
+            net_level,
+        };
+        vec![point(2, 0, 4), point(5, 3, 1), point(9, 7, 2)]
+    }
+
+    /// A label of vertex 2 from level 3 on.
+    fn label_of(levels: Vec<LevelLabel>) -> Label {
+        Label {
+            owner: NodeId::new(2),
+            owner_net_level: 4,
+            first_level: 3,
+            levels,
+        }
     }
 
     const SAMPLE_EDGE: VirtualEdge = VirtualEdge {
@@ -715,12 +782,7 @@ mod tests {
 
     #[test]
     fn label_level_indexing() {
-        let label = Label {
-            owner: NodeId::new(2),
-            owner_net_level: 4,
-            first_level: 3,
-            levels: vec![sample_level(), LevelLabel::default()],
-        };
+        let label = label_of(vec![sample_level(), LevelLabel::default()]);
         assert!(label.level(2).is_none());
         assert!(label.level(3).is_some());
         assert!(label.level(4).is_some());
@@ -731,12 +793,7 @@ mod tests {
 
     #[test]
     fn validate_accepts_well_formed() {
-        let label = Label {
-            owner: NodeId::new(2),
-            owner_net_level: 4,
-            first_level: 3,
-            levels: vec![sample_level()],
-        };
+        let label = label_of(vec![sample_level()]);
         assert_eq!(label.validate(), Ok(()));
     }
 
@@ -744,12 +801,7 @@ mod tests {
     fn validate_rejects_unsorted_points() {
         let mut level = sample_level();
         level.points.swap(0, 2);
-        let label = Label {
-            owner: NodeId::new(2),
-            owner_net_level: 4,
-            first_level: 3,
-            levels: vec![level],
-        };
+        let label = label_of(vec![level]);
         let err = label.validate().unwrap_err();
         assert!(err.message.contains("sorted"), "{err}");
     }
@@ -773,20 +825,10 @@ mod tests {
         // is shortened.
         let mut level = sample_level();
         level.points.pop();
-        let label = Label {
-            owner: NodeId::new(2),
-            owner_net_level: 4,
-            first_level: 3,
-            levels: vec![level],
-        };
+        let label = label_of(vec![level]);
         assert!(label.validate().is_err());
         let level = LevelLabel::new(sample_points(), [], [RealEdge { a: 1, b: 1 }]).unwrap();
-        let label = Label {
-            owner: NodeId::new(2),
-            owner_net_level: 4,
-            first_level: 3,
-            levels: vec![level],
-        };
+        let label = label_of(vec![level]);
         assert!(label.validate().unwrap_err().message.contains("self-loop"));
     }
 
@@ -810,24 +852,65 @@ mod tests {
         let arc = |b, dist| VirtualArc { b, dist };
         assert_eq!(out(0), [arc(2, 7), arc(1, 3)]);
         assert_eq!(out(3), []);
-        let inc = |b| level.virt.incoming(b).collect::<Vec<_>>();
+        let inc = |b| level.virt.incoming(b, 0).collect::<Vec<_>>();
         assert_eq!(inc(0), [(2, arc(0, 7))]);
         assert_eq!(inc(1), [(0, arc(1, 3)), (1, arc(1, 0))]);
         assert_eq!(inc(2), [(0, arc(2, 7))]);
         assert_eq!(inc(3), []);
+        // Arcs out of rows below `from` are skipped.
+        assert_eq!(
+            level.virt.incoming(1, 1).collect::<Vec<_>>(),
+            [(1, arc(1, 0))]
+        );
+        assert_eq!(level.virt.incoming(0, 3).count(), 0);
         // No edges, no rows: equal to the default level with these points.
         let bare = LevelLabel::new(sample_points(), [], []).unwrap();
         assert_eq!(*bare.virt, EdgeRows::default());
     }
 
+    /// A level with a row list sees, in both directions, exactly the set's
+    /// arcs between two of its points, renumbered, in the set's order.
+    #[test]
+    fn a_row_list_filters_the_set_rows_in_both_directions() {
+        let point = |v| LabelPoint {
+            vertex: NodeId::new(v),
+            dist: 0,
+            net_level: 0,
+        };
+        let e = |a, b| VirtualEdge { a, b, dist: a + b };
+        let edges = [
+            e(0, 2),
+            e(0, 3),
+            e(1, 2),
+            e(1, 4),
+            e(2, 3),
+            e(2, 4),
+            e(3, 5),
+            e(4, 5),
+        ];
+        let set = LevelLabel::new((0..6).map(point).collect(), edges, []).unwrap();
+        let level = set
+            .restricted_to(vec![point(1), point(2), point(4)])
+            .unwrap();
+        assert_eq!(level.rows.as_deref(), Some(&[1, 2, 4][..]));
+        let arc = |b, dist| VirtualArc { b, dist };
+        let rows = level.virtual_rows();
+        let out = |a| rows.outgoing(a).collect::<Vec<_>>();
+        assert_eq!(
+            [out(0), out(1), out(2), out(3)],
+            [vec![arc(1, 3), arc(2, 5)], vec![arc(2, 6)], vec![], vec![]]
+        );
+        let inc = |b| rows.incoming(b).collect::<Vec<_>>();
+        assert_eq!(inc(1), [(0, arc(1, 3))]);
+        assert_eq!(inc(2), [(0, arc(2, 5)), (1, arc(2, 6))]);
+        assert_eq!((inc(0), inc(3)), (vec![], vec![]));
+        assert_eq!(level.num_virtual_edges(), 3);
+        assert!(!level.virtual_edges().any(|e| e.a == e.b));
+    }
+
     #[test]
     fn stats_accumulate() {
-        let label = Label {
-            owner: NodeId::new(0),
-            owner_net_level: 0,
-            first_level: 3,
-            levels: vec![sample_level(), sample_level()],
-        };
+        let label = label_of(vec![sample_level(), sample_level()]);
         let s = label.stats();
         assert_eq!(s.levels, 2);
         assert_eq!(s.points, 6);

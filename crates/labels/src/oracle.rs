@@ -34,7 +34,7 @@ use std::sync::{Arc, OnceLock};
 
 use fsdl_graph::{Dist, FaultSet, Graph, NodeId};
 
-use crate::builder::Labeling;
+use crate::builder::{Labeling, LabelingOptions};
 use crate::decode::{self, DecodeScratch, QueryAnswer, QueryLabels};
 use crate::edge_sets::{self, EdgeSets};
 use crate::label::Label;
@@ -85,20 +85,12 @@ impl LabelArena {
         &self.lines[k / SLOTS_PER_LINE].0[k % SLOTS_PER_LINE]
     }
 
-    /// `(materialized labels, estimated heap bytes)` currently resident.
+    /// `(materialized labels, their own bytes)` currently resident.
     fn resident(&self) -> (u64, u64) {
-        let mut labels = 0u64;
-        let mut bytes = 0u64;
-        // Labels of one labeling share the edge rows of every level that
-        // stores the whole net: count each allocation once.
-        let mut seen = std::collections::HashSet::new();
-        for k in 0..self.len {
-            if let Some(label) = self.slot(k).get() {
-                labels += 1;
-                bytes += label.resident_bytes_where(&mut |rows| seen.insert(rows));
-            }
-        }
-        (labels, bytes)
+        let labels = (0..self.len).filter_map(|k| self.slot(k).get());
+        labels.fold((0, 0), |(count, bytes), label| {
+            (count + 1, bytes + label.resident_bytes())
+        })
     }
 }
 
@@ -111,7 +103,11 @@ impl LabelArena {
 pub struct LabelPlaneStats {
     /// Labels currently materialized in the arena.
     pub resident_labels: u64,
-    /// Estimated heap bytes of the materialized labels.
+    /// Estimated heap bytes of the materialized labels: each label's own
+    /// point and row lists ([`Label::resident_bytes`]), plus — once any
+    /// label is resident — the generation's level edge sets they index,
+    /// counted once: the segment's, or the labeling's for an in-memory
+    /// build.
     pub resident_label_bytes: u64,
     /// On-disk label payload bytes (0 for in-memory builds).
     pub on_disk_label_bytes: u64,
@@ -254,9 +250,14 @@ impl ForbiddenSetOracle {
                 path: segment.path().to_path_buf(),
                 message,
             })?;
-        let labeling = Labeling::try_build(g, params).map_err(|e| StoreError::ParamsInvalid {
-            message: e.to_string(),
-        })?;
+        // Served labels are derived from the segment: the net hierarchy
+        // is built only if a failed record makes a label be rebuilt.
+        let labeling =
+            Labeling::without_nets(g, params, LabelingOptions::default()).map_err(|e| {
+                StoreError::ParamsInvalid {
+                    message: e.to_string(),
+                }
+            })?;
         let n = g.num_vertices();
         Ok(ForbiddenSetOracle {
             labeling,
@@ -336,10 +337,17 @@ impl ForbiddenSetOracle {
     }
 
     /// Residency snapshot: materialized labels and bytes versus the
-    /// on-disk payload. The scan is O(n) over the arena but touches only
-    /// slot headers, not label contents.
+    /// on-disk payload (see [`LabelPlaneStats`]). O(n) over the arena plus
+    /// the levels of every resident label.
     pub fn label_plane_stats(&self) -> LabelPlaneStats {
-        let (resident_labels, resident_label_bytes) = self.slots.resident();
+        let (resident_labels, mut resident_label_bytes) = self.slots.resident();
+        if resident_labels > 0 {
+            resident_label_bytes += match self.segment.as_deref() {
+                Some(segment) => segment.edge_sets().resident_bytes(),
+                // Every level's set is enumerated once a label is built.
+                None => EdgeSets::from_labeling(&self.labeling).resident_bytes(),
+            };
+        }
         LabelPlaneStats {
             resident_labels,
             resident_label_bytes,
@@ -758,22 +766,52 @@ mod tests {
 
     #[test]
     fn resident_bytes_count_shared_edge_rows_once() {
-        // Every level of the 5x5 grid is saturated, so all 25 labels share
-        // one set of edge rows per level.
-        let g = generators::grid2d(5, 5);
-        let oracle = ForbiddenSetOracle::new(&g, 1.0);
-        oracle.prewarm_workers(1);
-        let stats = oracle.label_plane_stats();
-        let standalone: u64 = (0..25u32)
-            .map(|v| oracle.label(NodeId::new(v)).resident_bytes())
-            .sum();
-        assert_eq!(stats.resident_labels, 25);
-        assert!(
-            stats.resident_label_bytes < standalone / 2,
-            "{} resident vs {standalone} if nothing were shared",
-            stats.resident_label_bytes
-        );
-        assert!(stats.resident_label_bytes >= oracle.label(NodeId::new(0)).resident_bytes());
+        // Every label indexes its level's one edge set: the plane counts
+        // each label's points and row lists, and the edge sets once.
+        for g in [generators::grid2d(5, 5), generators::ladder(64)] {
+            let oracle = ForbiddenSetOracle::new(&g, 1.0);
+            assert_eq!(oracle.label_plane_stats().resident_label_bytes, 0);
+            oracle.prewarm_workers(1);
+            let stats = oracle.label_plane_stats();
+            let n = g.num_vertices();
+            let own: u64 = (0..n)
+                .map(|v| oracle.label(NodeId::from_index(v)).resident_bytes())
+                .sum();
+            let sets = EdgeSets::from_labeling(oracle.labeling()).resident_bytes();
+            assert_eq!(stats.resident_labels, n as u64);
+            assert_eq!(stats.resident_label_bytes, own + sets);
+        }
+    }
+
+    /// A lazy open builds no net hierarchy, nor does a query on intact
+    /// records; a record that fails makes the recompute fallback build
+    /// it, and the answer is the in-memory build's, bit for bit.
+    #[test]
+    fn only_the_recompute_fallback_builds_the_hierarchy() {
+        let g = generators::ladder(32);
+        let built = ForbiddenSetOracle::new(&g, 1.0);
+        let dir = std::env::temp_dir().join(format!("fsdl-oracle-nets-{}", std::process::id()));
+        built.save(&dir).unwrap();
+        let (s, t, victim) = (NodeId::new(3), NodeId::new(60), NodeId::new(20));
+        let f = FaultSet::from_vertices([victim]);
+        let lazy = ForbiddenSetOracle::open_with(&dir, &g, OpenMode::Lazy).unwrap();
+        assert_eq!(lazy.query(s, t, &f), built.query(s, t, &f));
+        assert!(lazy.labeling.nets.get().is_none());
+        drop(lazy);
+        // Flip a byte of the victim's points record (header and index
+        // layout: `crate::store`).
+        let path = dir.join(store::read_manifest(&dir).unwrap().segment);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let at = 48 + word(24) * 16 + 4 + word(48 + victim.index() * 16);
+        bytes[at + 1] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        let lazy = ForbiddenSetOracle::open_with(&dir, &g, OpenMode::Lazy).unwrap();
+        assert!(lazy.segment_label(victim).is_none());
+        assert!(lazy.labeling.nets.get().is_none());
+        assert_eq!(lazy.query(s, t, &f), built.query(s, t, &f));
+        assert!(lazy.labeling.nets.get().is_some());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

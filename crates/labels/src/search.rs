@@ -662,12 +662,16 @@ impl Expansion<'_, '_, '_> {
                     {
                         relax(label.owner, u64::from(p.dist));
                     }
-                    // Virtual edges. Endpoint indices were in range when
-                    // the level was built; skip (never index past the
-                    // point list) if it has been shortened since.
+                    // Virtual edges: the rows of the level's points in its
+                    // edge set, each arc's other end mapped to its index
+                    // by a search of the level's row list. Endpoint indices
+                    // were in range when the level was built; skip (never
+                    // index past the point list) if it has been shortened
+                    // since.
                     if !plan.veto && disjoint(near_x, masks.all()) {
-                        let out = level.virt.outgoing(px).iter().map(|arc| (arc.b, arc.dist));
-                        let inc = level.virt.incoming(px).map(|(a, arc)| (a, arc.dist));
+                        let rows = level.virtual_rows();
+                        let out = rows.outgoing(px).map(|arc| (arc.b, arc.dist));
+                        let inc = rows.incoming(px).map(|(a, arc)| (a, arc.dist));
                         for (other, dist) in out.chain(inc) {
                             if let Some(q) = points.get(other as usize) {
                                 if disjoint(near_x, masks.point(other as usize)) {
@@ -678,8 +682,9 @@ impl Expansion<'_, '_, '_> {
                     }
                     // Lowest-level real edges: admitted when untouched by F.
                     if !x_forbidden {
-                        let out = level.real.outgoing(px).iter().copied();
-                        let inc = level.real.incoming(px).map(|(a, _)| a);
+                        let rows = level.real_rows();
+                        let out = rows.outgoing(px);
+                        let inc = rows.incoming(px).map(|(a, _)| a);
                         for other in out.chain(inc) {
                             let Some(q) = points.get(other as usize) else {
                                 continue;

@@ -1,8 +1,8 @@
 //! On-disk, versioned label store with atomic snapshots.
 //!
 //! The labeling scheme's selling point is that labels are built once and
-//! then served cheaply. A label is its point lists plus its levels' edge
-//! sets restricted to them, and the edge sets are shared by every label
+//! then served cheaply. A label is its point lists plus their rows in its
+//! levels' edge sets, and the edge sets are shared by every label
 //! of a generation ([`crate::edge_sets`]), so a store keeps each level's
 //! edge set once and a points record per vertex, and derives labels from
 //! the two. This module persists an oracle's labeling as an immutable,

@@ -605,3 +605,121 @@ fn labels_derived_from_a_segment_equal_the_built_ones() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One level block of the edge sets' bytes, read naively (the layout is
+/// in the `edge_sets` module docs): the net's ids in order, and per edge
+/// kind each net row's arcs as `(target row, dist)` (`dist` 0 for a real
+/// edge).
+struct NaiveSet {
+    net: Vec<u32>,
+    virt: Vec<Vec<(u32, u32)>>,
+    real: Vec<Vec<(u32, u32)>>,
+}
+
+fn naive_sets(bytes: &[u8]) -> Vec<NaiveSet> {
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let mut at = 16; // first level, level count, header checksum
+    let mut sets = Vec::new();
+    for _ in 0..word(4) {
+        let next = at + 8 + word(at); // block length (a u64 below 2^32)
+        let p = word(at + 8);
+        let net = (0..p).map(|k| word(at + 12 + 4 * k) as u32).collect();
+        let mut pos = at + 12 + 8 * p;
+        let mut rows = |weighted: bool| {
+            let edges = word(pos);
+            pos += 4;
+            let mut rows = vec![Vec::new(); p];
+            if edges > 0 {
+                let (off, targets) = (pos, pos + 4 * (p + 1));
+                let dists = targets + 4 * edges;
+                for (a, row) in rows.iter_mut().enumerate() {
+                    for k in word(off + 4 * a)..word(off + 4 * a + 4) {
+                        let dist = if weighted { word(dists + 4 * k) } else { 0 };
+                        row.push((word(targets + 4 * k) as u32, dist as u32));
+                    }
+                }
+                pos = dists + if weighted { 4 * edges } else { 0 };
+            }
+            rows
+        };
+        let (virt, real) = (rows(true), rows(false));
+        sets.push(NaiveSet { net, virt, real });
+        at = next;
+    }
+    sets
+}
+
+/// A derived level is its points and their rows in the level's edge set:
+/// its edges must be that set's arcs between two of its points,
+/// renumbered, row by row — a filter the test does on the edge sets'
+/// bytes. The derived label encodes to the built one's bits, and a
+/// partial level compares equal to a self-contained level with the same
+/// points and edges, and unequal once one edge differs.
+#[test]
+fn derived_levels_are_a_naive_restriction_of_the_edge_sets() {
+    use fsdl_labels::{codec, store, OpenMode};
+    let dir = std::env::temp_dir().join(format!("fsdl-naive-{}", std::process::id()));
+    let mut partial_levels = 0;
+    for (name, g, eps) in matrix_and_benchmark_families() {
+        let _ = std::fs::remove_dir_all(&dir);
+        let oracle = ForbiddenSetOracle::new(&g, eps);
+        oracle.save(&dir).expect("save");
+        let manifest = store::read_manifest(&dir).expect("manifest");
+        let segment =
+            store::Segment::open(&dir.join(&manifest.segment), OpenMode::Lazy).expect("open");
+        let sets = naive_sets(segment.edge_sets_bytes());
+        let n = g.num_vertices();
+        for v in (0..n).step_by(n.div_ceil(8)) {
+            let built = oracle.label(NodeId::from_index(v));
+            let derived = segment.decode_label(NodeId::from_index(v)).expect("derive");
+            let (want, got) = (codec::try_encode(&built, n), codec::try_encode(&derived, n));
+            let (want, got) = (want.expect("encode"), got.expect("encode"));
+            assert_eq!(got.len_bits(), want.len_bits(), "{name}: v{v}");
+            assert_eq!(got.as_bytes(), want.as_bytes(), "{name}: v{v}");
+            for (k, (level, set)) in derived.levels.iter().zip(&sets).enumerate() {
+                let row_of = |p: &fsdl_labels::LabelPoint| {
+                    set.net.binary_search(&p.vertex.raw()).expect("a net point")
+                };
+                let local = |row: u32| {
+                    let row = row as usize;
+                    level.points.iter().position(|p| row_of(p) == row)
+                };
+                let restrict = |rows: &[Vec<(u32, u32)>]| {
+                    let mut edges = Vec::new();
+                    for (a, p) in level.points.iter().enumerate() {
+                        for &(b, dist) in &rows[row_of(p)] {
+                            if let Some(b) = local(b) {
+                                edges.push((a as u32, b as u32, dist));
+                            }
+                        }
+                    }
+                    edges
+                };
+                let virt: Vec<_> = level.virtual_edges().map(|e| (e.a, e.b, e.dist)).collect();
+                let real: Vec<_> = level.real_edges().map(|e| (e.a, e.b, 0)).collect();
+                assert_eq!(virt, restrict(&set.virt), "{name}: v{v} level {k}");
+                assert_eq!(real, restrict(&set.real), "{name}: v{v} level {k}");
+                let Some(first) = level.virtual_edges().next() else {
+                    continue;
+                };
+                if level.points.len() == set.net.len() {
+                    continue;
+                }
+                partial_levels += 1;
+                let own = |edit: u32| {
+                    let edges = level.virtual_edges().map(|e| VirtualEdge {
+                        dist: e.dist + u32::from(e == first) * edit,
+                        ..e
+                    });
+                    let edges: Vec<_> = edges.collect();
+                    let real: Vec<_> = level.real_edges().collect();
+                    LevelLabel::new(level.points.clone(), edges, real).expect("in range")
+                };
+                assert_eq!(own(0), *level, "{name}: v{v} level {k}");
+                assert_ne!(own(1), *level, "{name}: v{v} level {k}");
+            }
+        }
+    }
+    assert!(partial_levels > 0, "no family stores part of a net");
+    let _ = std::fs::remove_dir_all(&dir);
+}
