@@ -3,19 +3,30 @@
 //!
 //! Grammar: `fsdl <command> [positionals...] [--flag value]...`. Flags may
 //! appear anywhere after the command; `--flag=value` is also accepted.
+//!
+//! A command reads every flag and positional it takes through the
+//! accessors below, then calls [`ParsedArgs::finish`], which refuses
+//! whatever it did not read, before it acts.
 
-use std::collections::HashMap;
+use std::cell::{Cell, RefCell};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A parsed command line: the command word, positional arguments, and
-/// `--key value` options.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// `--key value` options, plus which of them the command has read.
+#[derive(Clone, Debug, Default)]
 pub struct ParsedArgs {
     /// The command word (`gen`, `stats`, `label`, `query`, `route`).
     pub command: String,
     /// Positional arguments in order.
     pub positionals: Vec<String>,
     /// Options by key (without the leading `--`).
-    pub options: HashMap<String, String>,
+    pub options: BTreeMap<String, String>,
+    /// Keys read through an accessor.
+    read: RefCell<BTreeSet<String>>,
+    /// Keys read as `yes`/`no` booleans.
+    booleans: RefCell<BTreeSet<String>>,
+    /// How many leading positionals have been read.
+    positionals_read: Cell<usize>,
 }
 
 /// Errors from argument parsing or validation.
@@ -65,7 +76,15 @@ impl ParsedArgs {
 
     /// The value of `--key`, if present.
     pub fn option(&self, key: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(key.to_string());
         self.options.get(key).map(String::as_str)
+    }
+
+    /// A boolean `--key yes|no` flag, false when absent. A value other
+    /// than `yes` or `no` is refused by [`ParsedArgs::finish`].
+    pub fn flag(&self, key: &str) -> bool {
+        self.booleans.borrow_mut().insert(key.to_string());
+        self.option(key) == Some("yes")
     }
 
     /// A required `--key` value.
@@ -78,18 +97,23 @@ impl ParsedArgs {
             .ok_or_else(|| ArgError(format!("missing required option --{key}")))
     }
 
+    /// Parses `--key` as `T`, if present; an error if unparsable.
+    pub fn parse_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, ArgError> {
+        self.option(key)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| ArgError(format!("invalid value '{raw}' for --{key}")))
+            })
+            .transpose()
+    }
+
     /// Parses `--key` as `T`, with a default when absent.
     ///
     /// # Errors
     ///
     /// Returns an [`ArgError`] when present but unparsable.
     pub fn parse_option<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
-        match self.option(key) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| ArgError(format!("invalid value '{raw}' for --{key}"))),
-        }
+        Ok(self.parse_opt(key)?.unwrap_or(default))
     }
 
     /// Parses a required `--key` as `T`.
@@ -109,10 +133,37 @@ impl ParsedArgs {
     ///
     /// Returns an [`ArgError`] when absent.
     pub fn positional(&self, index: usize, name: &str) -> Result<&str, ArgError> {
+        self.positionals_read
+            .set(self.positionals_read.get().max(index + 1));
         self.positionals
             .get(index)
             .map(String::as_str)
             .ok_or_else(|| ArgError(format!("missing <{name}> argument")))
+    }
+
+    /// Ends the parse: refuses, naming the command, the first flag or
+    /// positional the command did not read, or a boolean flag whose value
+    /// is not `yes` or `no`.
+    pub fn finish(&self) -> Result<(), ArgError> {
+        let cmd = &self.command;
+        let read = self.read.borrow();
+        if let Some(key) = self.options.keys().find(|k| !read.contains(*k)) {
+            return Err(ArgError(format!("{cmd} does not take --{key}")));
+        }
+        if let Some(extra) = self.positionals.get(self.positionals_read.get()) {
+            return Err(ArgError(format!("{cmd} does not take argument '{extra}'")));
+        }
+        for key in self.booleans.borrow().iter() {
+            match self.options.get(key).map(String::as_str) {
+                None | Some("yes" | "no") => {}
+                Some(raw) => {
+                    return Err(ArgError(format!(
+                        "{cmd}: --{key} takes yes or no (got '{raw}')"
+                    )))
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -195,6 +246,25 @@ mod tests {
         assert!(p.parse_option::<usize>("eps", 0).is_err());
         assert!(p.parse_required::<f64>("eps").is_ok());
         assert!(p.parse_required::<f64>("nope").is_err());
+    }
+
+    #[test]
+    fn finish_refuses_what_was_not_read() {
+        let p = parse(&["query", "g.txt", "--forbidd", "1", "--exact", "no"]).unwrap();
+        p.positional(0, "graph-file").unwrap();
+        assert!(!p.flag("exact"));
+        assert_eq!(p.finish().unwrap_err().0, "query does not take --forbidd");
+        p.option("forbidd");
+        assert!(p.finish().is_ok());
+        let p = parse(&["gen", "path", "4", "5", "--x", "maybe"]).unwrap();
+        p.positional(1, "N").unwrap();
+        assert!(!p.flag("x"));
+        assert_eq!(p.finish().unwrap_err().0, "gen does not take argument '5'");
+        p.positional(2, "extra").unwrap();
+        assert_eq!(
+            p.finish().unwrap_err().0,
+            "gen: --x takes yes or no (got 'maybe')"
+        );
     }
 
     #[test]

@@ -62,7 +62,6 @@
 pub mod audit;
 mod builder;
 pub mod codec;
-pub mod corrupt;
 pub mod crash;
 pub mod decode;
 mod dynamic;

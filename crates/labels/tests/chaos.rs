@@ -21,8 +21,11 @@
 
 use fsdl_graph::{bfs, generators, FaultSet, Graph, NodeId};
 use fsdl_labels::codec;
-use fsdl_labels::{corrupt, query, ForbiddenSetOracle, QueryLabels};
+use fsdl_labels::{query, ForbiddenSetOracle, QueryLabels};
 use fsdl_testkit::Rng;
+
+mod common;
+use common::corrupt;
 
 /// Asserts the decode-or-sound contract for one mutated bit string,
 /// using `(s, t)` as the query pair: a mutant the decoder accepts is a
@@ -243,4 +246,78 @@ fn soak_corruption_sweep() {
             "round {round} seed {seed:#x}"
         );
     }
+}
+
+// The harness's own checks: each mutation class changes its input, and
+// a sweep on a small graph rejects nearly everything it attempts.
+
+#[test]
+fn flips_truncations_and_extensions_change_the_string() {
+    let bytes = [0b1010_1010u8, 0b0101_0101];
+    for m in [
+        corrupt::Mutation::FlipBit(0),
+        corrupt::Mutation::FlipBit(15),
+        corrupt::Mutation::Truncate(7),
+        corrupt::Mutation::Extend {
+            extra_bits: 3,
+            seed: 1,
+        },
+    ] {
+        let (out, bits) = m.apply(&bytes, 16, None);
+        assert!(
+            out != bytes.as_slice() || bits != 16,
+            "{m:?} left the input unchanged"
+        );
+    }
+}
+
+#[test]
+fn splice_of_whole_donor_reproduces_donor() {
+    let victim = [0xFFu8];
+    let donor = [0x0Fu8, 0x01];
+    let m = corrupt::Mutation::Splice {
+        prefix_bits: 0,
+        donor_skip: 0,
+    };
+    let (out, bits) = m.apply(&victim, 8, Some((&donor, 9)));
+    assert_eq!(bits, 9);
+    assert_eq!(out, vec![0x0F, 0x01]);
+}
+
+#[test]
+fn schedule_is_deterministic_and_covers_classes() {
+    let a = corrupt::mutation_schedule(200, 6, 500, 42);
+    let b = corrupt::mutation_schedule(200, 6, 500, 42);
+    assert_eq!(a, b);
+    assert_eq!(a.len(), 500);
+    assert!(a.iter().any(|m| matches!(m, corrupt::Mutation::FlipBit(_))));
+    assert!(a
+        .iter()
+        .any(|m| matches!(m, corrupt::Mutation::Truncate(_))));
+    assert!(a
+        .iter()
+        .any(|m| matches!(m, corrupt::Mutation::VarintBoundary { .. })));
+    assert!(a
+        .iter()
+        .any(|m| matches!(m, corrupt::Mutation::Splice { .. })));
+    assert_ne!(a, corrupt::mutation_schedule(200, 6, 500, 43));
+}
+
+#[test]
+fn sweep_on_a_small_cycle_rejects_or_stays_sound() {
+    let g = generators::cycle(20);
+    let oracle = ForbiddenSetOracle::new(&g, 1.0);
+    let stats = corrupt::corruption_sweep(
+        &oracle,
+        NodeId::new(0),
+        NodeId::new(9),
+        NodeId::new(4),
+        NodeId::new(13),
+        400,
+        0xC0FFEE,
+    );
+    assert!(stats.attempted >= 390);
+    // The checksum should reject essentially everything except
+    // whole-label splices.
+    assert!(stats.rejected * 10 >= stats.attempted * 9);
 }

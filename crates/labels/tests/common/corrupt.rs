@@ -7,10 +7,10 @@
 //! them as untrusted bytes. The contract enforced here, for *any*
 //! mutation of an encoded label:
 //!
-//! 1. [`crate::codec::decode`] — the decoder a reader of `label-fetch`
+//! 1. [`codec::decode`] — the decoder a reader of `label-fetch`
 //!    bytes runs — returns `Err(CodecError)` or `Ok(label)`: it never
 //!    panics and never loops;
-//! 2. if it decodes, the label passes [`crate::Label::validate`] (no
+//! 2. if it decodes, the label passes [`fsdl_labels::Label::validate`] (no
 //!    reader re-checks it), and running the query with the decoded
 //!    label in the fault set never *underestimates* `d_{G∖F'}(s,t)`,
 //!    where `F'` is the fault set actually decoded (safety is relative to the labels
@@ -25,13 +25,11 @@
 //! mutation on any violation.
 
 use fsdl_graph::{bfs, FaultSet, NodeId};
+use fsdl_labels::{
+    codec, query, store, wal, DynamicOracle, ForbiddenSetOracle, OpenMode, QueryLabels,
+};
 use fsdl_testkit::rng::splitmix64;
 use fsdl_testkit::Rng;
-
-use crate::codec;
-use crate::decode::{query, QueryLabels};
-use crate::oracle::ForbiddenSetOracle;
-use crate::store::OpenMode;
 
 /// One corruption applied to an encoded label bit string.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -217,7 +215,7 @@ pub struct SweepStats {
 /// # Panics
 ///
 /// Panics — with the seed and the exact mutation in the message — when a
-/// mutated label decodes to a label that fails [`crate::Label::validate`],
+/// mutated label decodes to a label that fails [`fsdl_labels::Label::validate`],
 /// or the resulting query answer underestimates
 /// the true `d_{G∖F'}(s,t)` for the decoded fault set `F'`. Decoder
 /// panics propagate as-is (the chaos tests treat any panic as failure).
@@ -375,7 +373,7 @@ pub fn store_mutation_schedule(len: usize, count: usize, seed: u64) -> Vec<Store
 pub struct StoreSweepStats {
     /// Mutations applied (identity mutations are skipped).
     pub attempted: usize,
-    /// Mutations rejected at open time with a typed [`crate::StoreError`].
+    /// Mutations rejected at open time with a typed [`fsdl_labels::StoreError`].
     pub rejected: usize,
     /// Mutations that still opened (e.g. a flip inside an ignored region
     /// that survived the checksum — astronomically rare) whose probe
@@ -387,7 +385,7 @@ pub struct StoreSweepStats {
 /// corruptions of the current segment file, each in a fresh copy of the
 /// store under `scratch`, and asserts the robustness contract:
 /// [`ForbiddenSetOracle::open`] either fails with a typed
-/// [`crate::StoreError`] — never a panic — or serves answers
+/// [`fsdl_labels::StoreError`] — never a panic — or serves answers
 /// bit-identical to the pristine store's for every probe pair.
 ///
 /// # Panics
@@ -432,7 +430,7 @@ pub fn store_corruption_sweep_with(
     seed: u64,
     mode: OpenMode,
 ) -> StoreSweepStats {
-    let segment = crate::store::read_manifest(dir).expect("pristine store must have a manifest");
+    let segment = store::read_manifest(dir).expect("pristine store must have a manifest");
     let len = std::fs::metadata(dir.join(&segment.segment))
         .expect("pristine segment must be readable")
         .len() as usize;
@@ -461,8 +459,6 @@ pub fn store_mutation_sweep(
     mode: OpenMode,
     context: &str,
 ) -> StoreSweepStats {
-    use crate::store;
-
     let manifest = store::read_manifest(dir).expect("pristine store must have a manifest");
     let segment_path = dir.join(&manifest.segment);
     let segment_bytes = std::fs::read(&segment_path).expect("pristine segment must be readable");
@@ -510,7 +506,7 @@ pub fn store_mutation_sweep(
 /// Chaos sweep over the write-ahead log of a dynamic-oracle store: applies
 /// `count` scheduled corruptions of the current WAL file, each in a fresh
 /// copy of the store under `scratch`, and asserts the recovery contract:
-/// [`crate::DynamicOracle::open`] either fails with a typed error — never
+/// [`DynamicOracle::open`] either fails with a typed error — never
 /// a panic — or recovers exactly a *prefix of the true update history*
 /// (the records surviving the scan must equal a prefix of the pristine
 /// log) and then answers every probe bit-identically to a reference
@@ -536,10 +532,6 @@ pub fn wal_corruption_sweep(
     count: usize,
     seed: u64,
 ) -> StoreSweepStats {
-    use crate::dynamic::DynamicOracle;
-    use crate::store;
-    use crate::wal;
-
     let manifest = store::read_manifest(dir).expect("pristine store must have a manifest");
     let segment_bytes =
         std::fs::read(dir.join(&manifest.segment)).expect("pristine segment must be readable");
@@ -621,77 +613,4 @@ pub fn wal_corruption_sweep(
         let _ = std::fs::remove_dir_all(&case_dir);
     }
     stats
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use fsdl_graph::generators;
-
-    #[test]
-    fn flips_truncations_and_extensions_change_the_string() {
-        let bytes = [0b1010_1010u8, 0b0101_0101];
-        for m in [
-            Mutation::FlipBit(0),
-            Mutation::FlipBit(15),
-            Mutation::Truncate(7),
-            Mutation::Extend {
-                extra_bits: 3,
-                seed: 1,
-            },
-        ] {
-            let (out, bits) = m.apply(&bytes, 16, None);
-            assert!(
-                out != bytes.as_slice() || bits != 16,
-                "{m:?} left the input unchanged"
-            );
-        }
-    }
-
-    #[test]
-    fn splice_of_whole_donor_reproduces_donor() {
-        let victim = [0xFFu8];
-        let donor = [0x0Fu8, 0x01];
-        let m = Mutation::Splice {
-            prefix_bits: 0,
-            donor_skip: 0,
-        };
-        let (out, bits) = m.apply(&victim, 8, Some((&donor, 9)));
-        assert_eq!(bits, 9);
-        assert_eq!(out, vec![0x0F, 0x01]);
-    }
-
-    #[test]
-    fn schedule_is_deterministic_and_covers_classes() {
-        let a = mutation_schedule(200, 6, 500, 42);
-        let b = mutation_schedule(200, 6, 500, 42);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 500);
-        assert!(a.iter().any(|m| matches!(m, Mutation::FlipBit(_))));
-        assert!(a.iter().any(|m| matches!(m, Mutation::Truncate(_))));
-        assert!(a
-            .iter()
-            .any(|m| matches!(m, Mutation::VarintBoundary { .. })));
-        assert!(a.iter().any(|m| matches!(m, Mutation::Splice { .. })));
-        assert_ne!(a, mutation_schedule(200, 6, 500, 43));
-    }
-
-    #[test]
-    fn sweep_on_a_small_cycle_rejects_or_stays_sound() {
-        let g = generators::cycle(20);
-        let oracle = ForbiddenSetOracle::new(&g, 1.0);
-        let stats = corruption_sweep(
-            &oracle,
-            NodeId::new(0),
-            NodeId::new(9),
-            NodeId::new(4),
-            NodeId::new(13),
-            400,
-            0xC0FFEE,
-        );
-        assert!(stats.attempted >= 390);
-        // The checksum should reject essentially everything except
-        // whole-label splices.
-        assert!(stats.rejected * 10 >= stats.attempted * 9);
-    }
 }

@@ -2,37 +2,19 @@
 //! update/query interleavings, the weighted oracle against Dijkstra, and
 //! the pruned-vs-all-pairs label equivalence.
 
-use fsdl_graph::{bfs, generators, FaultSet, Graph, GraphBuilder, NodeId};
+use fsdl_graph::{bfs, generators, FaultSet, NodeId};
 use fsdl_labels::{
     DynamicConfig, DynamicError, DynamicOracle, ForbiddenSetOracle, Labeling, LabelingOptions,
     RebuildMode, SchemeParams, WeightedFaults, WeightedOracle,
 };
-use fsdl_testkit::Rng;
 
-/// A random connected graph on `3..max_n` vertices: a random spanning
-/// tree plus a handful of extra edges.
-fn random_connected_graph(rng: &mut Rng, max_n: usize) -> Graph {
-    let n = rng.gen_range(3..max_n);
-    let mut b = GraphBuilder::new(n);
-    for i in 1..n {
-        let p = rng.gen_range(0..i);
-        b.add_edge(p as u32, i as u32).expect("in range");
-    }
-    let extra = rng.gen_range(0..14usize);
-    for _ in 0..extra {
-        let a = rng.gen_range(0..n as u32);
-        let c = rng.gen_range(0..n as u32);
-        if a != c {
-            b.add_edge(a, c).expect("in range");
-        }
-    }
-    b.build()
-}
+mod common;
+use common::random_connected_graph;
 
 #[test]
 fn dynamic_oracle_tracks_truth() {
     fsdl_testkit::check("dynamic_oracle_tracks_truth", 16, |rng| {
-        let g = random_connected_graph(rng, 18);
+        let g = random_connected_graph(rng, 18, 14);
         let n = g.num_vertices() as u32;
         let threshold = rng.gen_range(1usize..6);
         let mut oracle = DynamicOracle::with_threshold(&g, 1.0, threshold);
@@ -88,7 +70,7 @@ fn dynamic_oracle_tracks_truth() {
 #[test]
 fn dynamic_update_errors_leave_oracle_usable() {
     fsdl_testkit::check("dynamic_update_errors_leave_oracle_usable", 8, |rng| {
-        let g = random_connected_graph(rng, 14);
+        let g = random_connected_graph(rng, 14, 14);
         let n = g.num_vertices() as u32;
         let mut oracle = DynamicOracle::new(&g, 1.0);
 
@@ -221,7 +203,7 @@ fn blocking_fold_overlapping_background_rebuild_keeps_every_delete() {
 #[test]
 fn weighted_oracle_matches_dijkstra() {
     fsdl_testkit::check("weighted_oracle_matches_dijkstra", 16, |rng| {
-        let g = random_connected_graph(rng, 14);
+        let g = random_connected_graph(rng, 14, 14);
         let n = g.num_vertices();
         let edges: Vec<(u32, u32, u32)> = g
             .edges()
@@ -287,7 +269,7 @@ fn all_pairs_labels_never_worse() {
     fsdl_testkit::check("all_pairs_labels_never_worse", 16, |rng| {
         // The paper-literal all-pairs labels produce a superset sketch, so
         // their answers are <= the pruned answers, and both stay sound.
-        let g = random_connected_graph(rng, 14);
+        let g = random_connected_graph(rng, 14, 14);
         let n = g.num_vertices() as u32;
         let params = SchemeParams::new(1.0, n as usize);
         let pruned = ForbiddenSetOracle::from_labeling(Labeling::build_with_options(

@@ -5,7 +5,10 @@
 
 use fsdl_graph::{bfs, generators, FaultSet, Graph, NodeId};
 use fsdl_labels::codec;
-use fsdl_labels::{corrupt, ForbiddenSetOracle};
+use fsdl_labels::ForbiddenSetOracle;
+
+mod common;
+use common::corrupt;
 
 /// Codec round trip of every label of the family:
 /// `decode(encode(L)) == L`.

@@ -5,21 +5,12 @@
 //! label as a typed error at first touch — never a panic, and never a
 //! wrong answer through the oracle (which recomputes from the graph).
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use fsdl_graph::{generators, FaultSet, Graph, NodeId};
 use fsdl_labels::{store, ForbiddenSetOracle, OpenMode};
 use fsdl_testkit::Rng;
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let k = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("fsdl-lazy-open-{tag}-{}-{k}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
+use common::scratch_dir;
 
 /// Probes every (s, t) pair on a stride with a deterministic mix of
 /// vertex and edge faults, asserting the two oracles agree bit for bit.

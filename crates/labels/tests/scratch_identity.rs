@@ -7,11 +7,14 @@
 
 use fsdl_graph::{generators, Graph, NodeId};
 use fsdl_labels::{
-    codec, corrupt, query, query_many_reference, query_many_with_scratch, query_with_scratch,
-    DecodeScratch, ForbiddenSetOracle, Label, QueryLabels,
+    codec, query, query_many_reference, query_many_with_scratch, query_with_scratch, DecodeScratch,
+    ForbiddenSetOracle, Label, QueryLabels,
 };
 use fsdl_testkit::Rng;
 use std::sync::Arc;
+
+mod common;
+use common::corrupt;
 
 /// The interleaved forbidden-set sizes the tentpole cares about.
 const FAULT_SIZES: [usize; 4] = [0, 1, 4, 16];

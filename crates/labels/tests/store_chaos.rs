@@ -5,23 +5,16 @@
 //! must answer queries exactly like the pristine one.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use fsdl_graph::{generators, NodeId};
 use fsdl_labels::{
-    corrupt, partition, store, write_shard_stores, ForbiddenSetOracle, OpenMode, PartitionError,
+    partition, store, write_shard_stores, ForbiddenSetOracle, OpenMode, PartitionError,
     PartitionPlan, ShardStore, StoreError,
 };
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let k = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir =
-        std::env::temp_dir().join(format!("fsdl-store-chaos-{tag}-{}-{k}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
+use common::corrupt;
+use common::scratch_dir;
 
 /// Mirrors the store's whole-file checksum (FNV-1a 64 folded to 32
 /// bits) so adversarial tests can patch bytes *and* fix the checksum,

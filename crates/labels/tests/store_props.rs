@@ -4,43 +4,11 @@
 //! mid-churn from disk with exactly the answers it would have given in
 //! memory.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use fsdl_graph::{bfs, generators, FaultSet, Graph, GraphBuilder, NodeId};
+use fsdl_graph::{bfs, generators, FaultSet, Graph, NodeId};
 use fsdl_labels::{store, DynamicError, DynamicOracle, ForbiddenSetOracle, StoreError};
-use fsdl_testkit::Rng;
 
-/// A fresh scratch directory under the system temp dir, unique per call.
-fn scratch_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let k = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir =
-        std::env::temp_dir().join(format!("fsdl-store-props-{tag}-{}-{k}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// A random connected graph on `3..max_n` vertices: a random spanning
-/// tree plus a handful of extra edges.
-fn random_connected_graph(rng: &mut Rng, max_n: usize) -> Graph {
-    let n = rng.gen_range(3..max_n);
-    let mut b = GraphBuilder::new(n);
-    for i in 1..n {
-        let p = rng.gen_range(0..i);
-        b.add_edge(p as u32, i as u32).expect("in range");
-    }
-    let extra = rng.gen_range(0..14usize);
-    for _ in 0..extra {
-        let a = rng.gen_range(0..n as u32);
-        let c = rng.gen_range(0..n as u32);
-        if a != c {
-            b.add_edge(a, c).expect("in range");
-        }
-    }
-    b.build()
-}
+mod common;
+use common::{random_connected_graph, scratch_dir};
 
 /// Asserts that `cold` (in-memory build) and `warm` (opened from disk)
 /// answer a probe matrix bit-identically: labels decode to the same
@@ -189,7 +157,7 @@ fn open_against_wrong_graph_is_a_typed_mismatch() {
 #[test]
 fn random_graph_roundtrips_bit_identically() {
     fsdl_testkit::check("random_graph_roundtrips_bit_identically", 8, |rng| {
-        let g = random_connected_graph(rng, 20);
+        let g = random_connected_graph(rng, 20, 14);
         let dir = scratch_dir("prop");
         let cold = ForbiddenSetOracle::new(&g, 1.0);
         cold.save(&dir).expect("save");
@@ -207,7 +175,7 @@ fn random_graph_roundtrips_bit_identically() {
 #[test]
 fn dynamic_churn_with_mid_churn_persistence() {
     fsdl_testkit::check("dynamic_churn_with_mid_churn_persistence", 6, |rng| {
-        let g = random_connected_graph(rng, 16);
+        let g = random_connected_graph(rng, 16, 14);
         let n = g.num_vertices() as u32;
         let threshold = rng.gen_range(1usize..4);
         let mut oracle = DynamicOracle::with_threshold(&g, 1.0, threshold);

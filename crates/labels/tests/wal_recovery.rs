@@ -9,14 +9,16 @@
 //! iterates the points sequentially inside one test.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use fsdl_graph::{bfs, generators, FaultSet, Graph, GraphBuilder, NodeId};
-use fsdl_labels::corrupt::wal_corruption_sweep;
 use fsdl_labels::crash::{self, CrashPoint, ALL_CRASH_POINTS};
 use fsdl_labels::{DynamicConfig, DynamicError, DynamicOracle, RebuildMode};
 use fsdl_testkit::Rng;
+
+mod common;
+use common::corrupt::wal_corruption_sweep;
+use common::{random_connected_graph, scratch_dir};
 
 /// Serializes every store-touching test in this binary: the crash
 /// injection in [`fsdl_labels::crash`] is global, and a concurrent
@@ -24,38 +26,6 @@ use fsdl_testkit::Rng;
 fn harness_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// A fresh scratch directory under the system temp dir, unique per call.
-fn scratch_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let k = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "fsdl-wal-recovery-{tag}-{}-{k}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// A random connected graph on `3..max_n` vertices: a random spanning
-/// tree plus a handful of extra edges.
-fn random_connected_graph(rng: &mut Rng, max_n: usize) -> Graph {
-    let n = rng.gen_range(3..max_n);
-    let mut b = GraphBuilder::new(n);
-    for i in 1..n {
-        let p = rng.gen_range(0..i);
-        b.add_edge(p as u32, i as u32).expect("in range");
-    }
-    for _ in 0..rng.gen_range(0..10usize) {
-        let a = rng.gen_range(0..n as u32);
-        let c = rng.gen_range(0..n as u32);
-        if a != c {
-            b.add_edge(a, c).expect("in range");
-        }
-    }
-    b.build()
 }
 
 /// Asserts `got` and `expected` answer every ordered pair identically
@@ -176,7 +146,7 @@ fn randomized_crash_recovery_matches_surviving_prefix() {
 }
 
 fn run_randomized_case(rng: &mut Rng, seed: u64) {
-    let g = random_connected_graph(rng, 20);
+    let g = random_connected_graph(rng, 20, 10);
     let n = g.num_vertices();
     let threshold = rng.gen_range(1..4usize);
     let dir = scratch_dir(&format!("rand-{seed}"));

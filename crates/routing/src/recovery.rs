@@ -152,7 +152,7 @@ impl RecoverySim {
     ///
     /// Panics if `s` or `t` is out of range.
     pub fn send(&mut self, s: NodeId, t: NodeId) -> Result<PacketOutcome, RouteFailure> {
-        let g = self.network.labeling().graph().clone();
+        let g = self.network.labeling().graph();
         assert!(g.contains(s) && g.contains(t), "endpoint out of range");
         if self.ground_truth.is_vertex_faulty(s) || self.ground_truth.is_vertex_faulty(t) {
             return Err(RouteFailure::ForbiddenEndpoint);
@@ -187,16 +187,7 @@ impl RecoverySim {
                         }
                         continue 'replan;
                     }
-                    let table = self.network.table(cur);
-                    let Some(port) = table.port_toward(waypoint) else {
-                        return Err(RouteFailure::MissingTableEntry { at: cur, waypoint });
-                    };
-                    let Some(next) = g.neighbor_at_port(cur, port as usize) else {
-                        return Err(RouteFailure::InvalidPort {
-                            at: cur,
-                            port: port as usize,
-                        });
-                    };
+                    let next = self.network.next_hop(cur, waypoint)?;
                     if self.ground_truth.blocks_traversal(cur, next) {
                         // Probe failed: discover and replan from here.
                         if self.ground_truth.is_vertex_faulty(next) {

@@ -185,6 +185,20 @@ impl Network {
             .clone()
     }
 
+    /// One forwarding step: the neighbour of `at` behind the port its
+    /// table names toward `waypoint`. Callers apply their own fault check
+    /// to the step.
+    pub(crate) fn next_hop(&self, at: NodeId, waypoint: NodeId) -> Result<NodeId, RouteFailure> {
+        let port = self
+            .table(at)
+            .port_toward(waypoint)
+            .ok_or(RouteFailure::MissingTableEntry { at, waypoint })?;
+        let port = port as usize;
+        let g = self.oracle.labeling().graph();
+        g.neighbor_at_port(at, port)
+            .ok_or(RouteFailure::InvalidPort { at, port })
+    }
+
     /// Routes a packet from `s` to `t` under forbidden set `F`.
     ///
     /// # Errors
@@ -216,16 +230,7 @@ impl Network {
         let mut cur = s;
         for &waypoint in header.iter().skip(1) {
             while cur != waypoint {
-                let table = self.table(cur);
-                let Some(port) = table.port_toward(waypoint) else {
-                    return Err(RouteFailure::MissingTableEntry { at: cur, waypoint });
-                };
-                let Some(next) = g.neighbor_at_port(cur, port as usize) else {
-                    return Err(RouteFailure::InvalidPort {
-                        at: cur,
-                        port: port as usize,
-                    });
-                };
+                let next = self.next_hop(cur, waypoint)?;
                 if faults.blocks_traversal(cur, next) {
                     return Err(RouteFailure::TraversedFault {
                         from: cur,
@@ -293,16 +298,7 @@ impl Network {
             }
             for &waypoint in answer.path.iter().skip(1) {
                 while cur != waypoint {
-                    let table = self.table(cur);
-                    let Some(port) = table.port_toward(waypoint) else {
-                        return Err(RouteFailure::MissingTableEntry { at: cur, waypoint });
-                    };
-                    let Some(next) = g.neighbor_at_port(cur, port as usize) else {
-                        return Err(RouteFailure::InvalidPort {
-                            at: cur,
-                            port: port as usize,
-                        });
-                    };
+                    let next = self.next_hop(cur, waypoint)?;
                     if ground_truth.blocks_traversal(cur, next) {
                         // Discover what blocked us and replan from here.
                         let mut learned = false;

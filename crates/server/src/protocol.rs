@@ -1664,7 +1664,8 @@ mod tests {
 
     /// Any mutation of a valid encoding must decode to a typed error or a
     /// (different or equal) valid message — never panic. Mirrors the
-    /// `labels::corrupt` chaos discipline at the wire layer.
+    /// label corruption sweeps (`crates/labels/tests/chaos.rs`) at the
+    /// wire layer.
     #[test]
     fn mutated_payloads_never_panic() {
         fsdl_testkit::check("mutated_request_payloads", 400, |rng| {

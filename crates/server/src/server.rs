@@ -14,8 +14,8 @@
 //! - **Typed errors.** A malformed payload gets a typed
 //!   [`Response::Error`] on the same connection and the connection keeps
 //!   serving. Nothing in the serving path panics on untrusted input — the
-//!   decode layer is the panic-free path proven by the `labels::corrupt`
-//!   harnesses.
+//!   decode layer is the panic-free path proven by the corruption
+//!   harnesses in `crates/labels/tests/common/`.
 //! - **One query reply path.** `QueryFrame::answer` turns a `query` or
 //!   `batch` frame into its reply for this handler's workers and the
 //!   router's alike. Which `(s, t, F)` is malformed is not decided here
