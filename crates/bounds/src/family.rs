@@ -8,8 +8,8 @@
 //! `2^{|E(G)|−|E(H)|} = 2^{Ω(2^{α/2} n)}` members — which forces
 //! `Ω(2^{α/2})`-bit labels for forbidden-set connectivity.
 
+use fsdl_graph::rng::Rng;
 use fsdl_graph::{generators, Graph, GraphBuilder, NodeId};
-use fsdl_testkit::Rng;
 
 /// The lower-bound family `F_{n,α}` with parameters `(p, d)`.
 ///

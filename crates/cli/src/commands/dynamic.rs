@@ -35,7 +35,7 @@ impl<'a> DynamicStore<'a> {
 
     pub(super) fn open(&self, g: &Graph) -> Result<DynamicOracle, ArgError> {
         let dir = Path::new(self.dir);
-        let mut oracle = if dir.join(fsdl_labels::store::MANIFEST_NAME).exists() {
+        let oracle = if dir.join(fsdl_labels::store::MANIFEST_NAME).exists() {
             require(
                 self.eps.is_none() && self.threshold.is_none(),
                 "--eps/--threshold conflict with an existing store (both are recorded in it)",

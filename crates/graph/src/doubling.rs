@@ -11,7 +11,7 @@
 //! really has the doubling dimension its generator advertises before
 //! attributing measured label sizes to `α`.
 
-use fsdl_testkit::Rng;
+use crate::rng::Rng;
 
 use crate::bfs::{self, BfsScratch};
 use crate::csr::Graph;

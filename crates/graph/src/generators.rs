@@ -11,7 +11,7 @@
 //! All randomized generators take an explicit seed and are fully
 //! deterministic.
 
-use fsdl_testkit::Rng;
+use crate::rng::Rng;
 
 use crate::csr::{Graph, GraphBuilder};
 

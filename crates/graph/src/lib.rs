@@ -19,7 +19,7 @@
 //!   trees, contrast families);
 //! * an empirical [doubling-dimension estimator](doubling) used to audit the
 //!   workloads;
-//! * text [`io`] for workload snapshots.
+//! * text [`io`] for workload snapshots; the generators draw from the seeded [`rng`].
 //!
 //! ## Example
 //!
@@ -47,6 +47,7 @@ mod ids;
 mod intern;
 pub mod io;
 pub mod render;
+pub mod rng;
 mod sketch;
 mod stats;
 pub mod subgraph;

@@ -6,7 +6,7 @@
 //! *not* cryptographic: the goal is fast, portable, reproducible streams
 //! for graph generation and property tests. The same seed produces the
 //! same stream on every platform and every run, which is the entire
-//! hermeticity contract of this crate.
+//! hermeticity contract of this module.
 //!
 //! The API mirrors the subset of `rand::Rng` this workspace actually
 //! uses (`gen_range` over half-open and inclusive integer ranges,
@@ -31,7 +31,7 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 /// A small, fast, seedable PRNG (xoshiro256**).
 ///
 /// Construct with [`Rng::seed_from_u64`]; identical seeds yield
-/// identical streams forever (the algorithm is part of this crate's
+/// identical streams forever (the algorithm is part of this module's
 /// compatibility contract — changing it would invalidate every
 /// seed-pinned test in the workspace).
 #[derive(Clone, Debug)]

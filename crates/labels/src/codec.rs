@@ -44,7 +44,7 @@
 //! (e.g. a flipped distance bit that still parses) vanishingly unlikely;
 //! the structural checks make it impossible for a decoded label to index
 //! out of bounds downstream. This contract is enforced by the corruption
-//! chaos harness (`labels/tests/chaos.rs` and [`crate::corrupt`]).
+//! chaos harness (`labels/tests/chaos.rs` and `labels/tests/common/corrupt.rs`).
 
 use fsdl_graph::NodeId;
 

@@ -836,7 +836,7 @@ impl DynamicOracle {
     /// Switches the rebuild scheduling mode (takes effect at the next
     /// threshold crossing; an in-flight background rebuild finishes
     /// regardless).
-    pub fn set_rebuild_mode(&mut self, mode: RebuildMode) {
+    pub fn set_rebuild_mode(&self, mode: RebuildMode) {
         self.inner
             .background
             .store(mode == RebuildMode::Background, Ordering::SeqCst);
@@ -971,9 +971,13 @@ impl DynamicOracle {
             })
     }
 
-    /// [`DynamicOracle::apply`], then surfaces a background failure
-    /// recorded since the last update, per the degradation contract.
-    fn update(&self, record: WalRecord) -> Result<(), DynamicError> {
+    /// Applies one update as [`DynamicOracle::delete_vertex`] and its
+    /// siblings do, through `&self`: updates serialize inside the oracle.
+    ///
+    /// # Errors
+    ///
+    /// Theirs, or a recorded background failure (degradation contract).
+    pub fn update(&self, record: WalRecord) -> Result<(), DynamicError> {
         self.apply(record)?;
         match self.inner.lock_rebuild().failure.take() {
             Some(message) => Err(DynamicError::RebuildFailed { message }),
@@ -1145,7 +1149,7 @@ impl DynamicOracle {
     /// fold is still WAL-logged so a post-crash replay reproduces the
     /// same baked/buffered split; a WAL failure here is recorded and
     /// surfaces from the next update.
-    pub fn rebuild(&mut self) {
+    pub fn rebuild(&self) {
         self.wait_for_rebuild();
         let folded = self.apply(WalRecord::Fold);
         debug_assert!(

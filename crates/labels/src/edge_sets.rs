@@ -188,7 +188,7 @@ impl EdgeSets {
     /// Derives `v`'s label from a points record ([`points_record`]):
     /// each level's points, with their net levels from the blocks and their
     /// rows in `Eᵢ`, whose rows the level shares — the builder's own
-    /// [`LevelLabel::restricted_to`]; nothing else is computed. The label
+    /// `LevelLabel::restricted_to`; nothing else is computed. The label
     /// equals the builder's for the same vertex, bit for bit.
     ///
     /// # Errors

@@ -65,6 +65,7 @@ pub mod router;
 pub mod server;
 
 pub use client::{Client, ClientError};
+pub use plane::Totals;
 pub use protocol::{
     BatchItem, EdgeSetsReply, ErrorCode, ErrorReply, FrameAssembler, FrameStep, LabelBytes,
     LabelFetchReply, PointFetchReply, PointRecord, QueryReply, Request, Response, RouteReply,

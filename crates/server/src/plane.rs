@@ -41,8 +41,14 @@
 //! connection that starts a frame and stalls past the frame deadline (a
 //! slow-loris client) gets a typed [`ErrorCode::DeadlineExceeded`] reply,
 //! one flush attempt, and a close, counted in
-//! [`PlaneCounters::deadline_closes`]. An idle connection (no partial
-//! frame) is never policed.
+//! [`Totals::deadline_closes`]. An idle connection (no partial frame) is
+//! never policed.
+//!
+//! ## Totals
+//!
+//! The plane owns the front's live [`Counters`]; the handler and its
+//! workers count into the same ones, a `stats` reply reads them, and
+//! [`ConnPlane::run`] returns their [`Totals`].
 //!
 //! ## Shutdown
 //!
@@ -321,15 +327,69 @@ impl PlaneConfig {
     }
 }
 
-/// The counters the plane itself maintains; handlers add their own.
-#[derive(Debug, Default)]
-pub(crate) struct PlaneCounters {
+/// Declares each lifetime counter once: a field of [`Totals`] and of the
+/// live [`Counters`], and its copy in [`Counters::snapshot`].
+macro_rules! totals {
+    ($($(#[doc = $doc:literal])+ $field:ident,)+) => {
+        /// Lifetime totals of one serving front, a [`crate::Server`] or a
+        /// [`crate::Router`]: what its `run` returns and its `stats`
+        /// replies carry. A field the front never counts reads 0.
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct Totals {
+            $($(#[doc = $doc])+ pub $field: u64,)+
+        }
+
+        /// The live counters behind [`Totals`], shared by the event loop,
+        /// the handler and the workers.
+        #[derive(Debug, Default)]
+        pub(crate) struct Counters {
+            $(pub(crate) $field: AtomicU64,)+
+        }
+
+        impl Counters {
+            /// The totals so far.
+            pub(crate) fn snapshot(&self) -> Totals {
+                Totals {
+                    $($field: self.$field.load(Ordering::Relaxed),)+
+                }
+            }
+        }
+    };
+}
+
+totals! {
     /// Connections accepted.
-    pub(crate) connections: AtomicU64,
-    /// Typed error replies queued (by the plane, a handler or a worker).
-    pub(crate) protocol_errors: AtomicU64,
-    /// Connections closed for stalling mid-frame past the deadline.
-    pub(crate) deadline_closes: AtomicU64,
+    connections,
+    /// Single queries answered.
+    queries,
+    /// Queries answered inside batch frames.
+    batch_queries,
+    /// Routes computed (static server).
+    routes,
+    /// Updates applied (dynamic server).
+    updates,
+    /// Typed error replies sent, by the plane, a handler or a worker.
+    protocol_errors,
+    /// Connections closed for stalling mid-frame past the frame deadline
+    /// (slow-loris protection).
+    deadline_closes,
+    /// `label-fetch` and `point-fetch` requests answered (shard and
+    /// static servers).
+    label_fetches,
+    /// `point-fetch` frames sent upstream (router).
+    upstream_fetches,
+    /// Reply bytes read from shards after the handshake, frame payloads
+    /// only (router).
+    upstream_bytes,
+    /// Upstream connection failures (dial, mid-flight error, generation
+    /// change) that surfaced as `Unavailable` or triggered a redial
+    /// (router).
+    shard_failures,
+}
+
+/// Adds `k` to a live counter: `Relaxed`, as counters order no other memory.
+pub(crate) fn add(counter: &AtomicU64, k: u64) {
+    counter.fetch_add(k, Ordering::Relaxed);
 }
 
 /// What differs between the fronts. Statically dispatched: a
@@ -406,7 +466,7 @@ pub(crate) struct Core<W> {
     /// The one poller; handlers register their own sockets on it under
     /// [`handler_token`]s.
     pub(crate) poller: Poller,
-    pub(crate) counters: Arc<PlaneCounters>,
+    pub(crate) counters: Arc<Counters>,
     listener: Listener,
     wake_rx: UnixStream,
     wake_tx: Arc<UnixStream>,
@@ -446,7 +506,7 @@ impl<W> Core<W> {
         let (jobs, job_rx) = std::sync::mpsc::channel();
         Ok(Core {
             poller,
-            counters: Arc::new(PlaneCounters::default()),
+            counters: Arc::new(Counters::default()),
             listener,
             wake_rx,
             wake_tx: Arc::new(wake_tx),
@@ -494,9 +554,7 @@ impl<W> Core<W> {
             return;
         };
         if matches!(response, Response::Error(_)) {
-            self.counters
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
+            add(&self.counters.protocol_errors, 1);
         }
         let is_shutdown = matches!(response, Response::Shutdown);
         if is_shutdown {
@@ -611,7 +669,7 @@ impl<W> Core<W> {
             self.free.push(slot);
             return;
         };
-        self.counters.connections.fetch_add(1, Ordering::Relaxed);
+        add(&self.counters.connections, 1);
         self.slab[slot] = Some(Conn {
             wire,
             token,
@@ -743,9 +801,7 @@ impl<W> Core<W> {
                     // The length header itself is untrustworthy, so the
                     // stream cannot be re-synchronized: typed error, then
                     // close.
-                    self.counters
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
+                    add(&self.counters.protocol_errors, 1);
                     conn.wire
                         .write_buf
                         .queue_response(&Response::Error(ErrorReply {
@@ -854,9 +910,7 @@ impl<W> Core<W> {
             if !expired {
                 continue;
             }
-            self.counters
-                .deadline_closes
-                .fetch_add(1, Ordering::Relaxed);
+            add(&self.counters.deadline_closes, 1);
             let message = format!(
                 "frame not completed within {:?}; closing",
                 self.config.frame_deadline
@@ -902,13 +956,14 @@ impl<H: Handler> ConnPlane<H> {
 
     /// Runs the event loop on the calling thread until shutdown has
     /// drained, joins the workers, lets the handler finish
-    /// ([`Handler::on_drained`]), removes a unix socket file, and hands the
-    /// handler back for its totals.
-    pub(crate) fn run(self) -> H {
+    /// ([`Handler::on_drained`]), removes a unix socket file, and returns
+    /// the lifetime totals.
+    pub(crate) fn run(self) -> Totals {
         let ConnPlane {
             mut handler,
             mut core,
         } = self;
+        let counters = Arc::clone(&core.counters);
         let socket_path = match &core.listener {
             Listener::Unix(_, path) => Some(path.clone()),
             Listener::Tcp(_) => None,
@@ -928,7 +983,7 @@ impl<H: Handler> ConnPlane<H> {
                     let Ok(job) = job else { break };
                     let response = H::work(&mut worker, job.work);
                     if matches!(response, Response::Error(_)) {
-                        counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                        add(&counters.protocol_errors, 1);
                     }
                     let mut payload = Vec::new();
                     response.encode(&mut payload);
@@ -953,7 +1008,7 @@ impl<H: Handler> ConnPlane<H> {
         if let Some(path) = socket_path {
             let _ = std::fs::remove_file(path);
         }
-        handler
+        counters.snapshot()
     }
 }
 

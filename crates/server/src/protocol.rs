@@ -74,6 +74,8 @@ use std::io::{Read, Write};
 use fsdl_graph::{Dist, FaultSet, NodeId};
 use fsdl_labels::QueryAnswer;
 
+use crate::plane::Totals;
+
 /// Hard ceiling on a frame's payload length. A frame claiming more than
 /// this is a protocol error: the connection's framing can no longer be
 /// trusted (the length itself may be corrupt), so servers answer with a
@@ -464,8 +466,29 @@ pub struct StatsReply {
     /// frame-completion deadline (slow-loris protection).
     pub deadline_closes: u64,
     /// `label-fetch` and `point-fetch` requests answered (shard and
-    /// static modes; 0 elsewhere).
+    /// static modes), or on a router those sent upstream.
     pub label_fetches: u64,
+}
+
+impl StatsReply {
+    /// The `stats` reply of every front: its id space, a dynamic oracle's
+    /// active `faults`, and its `totals`. A front counts fetches answered
+    /// or sent upstream, never both, so their sum fills `label_fetches`.
+    pub(crate) fn new(vertices: usize, faults: Option<usize>, totals: &Totals) -> StatsReply {
+        StatsReply {
+            vertices: vertices as u64,
+            dynamic: u8::from(faults.is_some()),
+            active_faults: faults.map_or(0, |k| k as u64),
+            connections: totals.connections,
+            queries: totals.queries,
+            batch_queries: totals.batch_queries,
+            routes: totals.routes,
+            updates: totals.updates,
+            protocol_errors: totals.protocol_errors,
+            deadline_closes: totals.deadline_closes,
+            label_fetches: totals.label_fetches + totals.upstream_fetches,
+        }
+    }
 }
 
 /// One raw encoded label in a label-fetch reply.
@@ -1660,6 +1683,166 @@ mod tests {
             code: ErrorCode::UnsupportedInMode,
             message: "route requires a static oracle".into(),
         }));
+    }
+
+    /// One instance of every message kind, each field a distinct value,
+    /// with its encoding as captured from the codec: a change to either
+    /// half of the codec, even a symmetric one that `*_roundtrips` cannot
+    /// see, shows here as a changed byte.
+    #[test]
+    fn every_message_encodes_to_its_golden_bytes() {
+        let faults = WireFaults {
+            vertices: vec![7, 300],
+            edges: vec![(1, 2)],
+        };
+        let requests = [
+            (
+                Request::Query {
+                    s: 1,
+                    t: 2,
+                    faults: faults.clone(),
+                },
+                "01010000000200000002000100070000002c0100000100000002000000",
+            ),
+            (
+                Request::Batch(vec![(3, 4, WireFaults::empty()), (5, 6, faults.clone())]),
+                "0202000000030000000400000000000000050000000600000002000100070000002c0100000100000002000000",
+            ),
+            (
+                Request::Route {
+                    s: 9,
+                    t: u32::MAX,
+                    faults,
+                },
+                "0309000000ffffffff02000100070000002c0100000100000002000000",
+            ),
+            (Request::Update(UpdateOp::DeleteVertex(11)), "04000b00000000000000"),
+            (Request::Update(UpdateOp::DeleteEdge(12, 13)), "04010c0000000d000000"),
+            (Request::Update(UpdateOp::RestoreVertex(14)), "04020e00000000000000"),
+            (Request::Update(UpdateOp::RestoreEdge(15, 16)), "04030f00000010000000"),
+            (Request::Stats, "05"),
+            (Request::Shutdown, "06"),
+            (
+                Request::LabelFetch {
+                    vertices: vec![17, 18],
+                },
+                "07020000001100000012000000",
+            ),
+            (Request::EdgeSets, "08"),
+            (
+                Request::PointFetch {
+                    vertices: vec![19, 0x0102_0304],
+                },
+                "09020000001300000004030201",
+            ),
+        ];
+        let responses = [
+            (
+                Response::Query(QueryReply {
+                    distance: 21,
+                    sketch_vertices: 22,
+                    sketch_edges: 23,
+                    path: vec![24, 25],
+                }),
+                "0001150000001600000017000000020000001800000019000000",
+            ),
+            (
+                Response::Batch(vec![BatchItem {
+                    distance: u32::MAX,
+                    sketch_vertices: 26,
+                    sketch_edges: 27,
+                }]),
+                "000201000000ffffffff1a0000001b000000",
+            ),
+            (
+                Response::Route(RouteReply::Delivered {
+                    hops: 28,
+                    header_bits: 29,
+                    path: vec![30, 31],
+                }),
+                "0003011c0000001d000000020000001e0000001f000000",
+            ),
+            (
+                Response::Route(RouteReply::Failed("no".into())),
+                "00030002006e6f",
+            ),
+            (Response::Update { active_faults: 32 }, "000420000000"),
+            (
+                Response::Stats(StatsReply {
+                    vertices: 41,
+                    dynamic: 42,
+                    active_faults: 43,
+                    connections: 44,
+                    queries: 45,
+                    batch_queries: 46,
+                    routes: 47,
+                    updates: 48,
+                    protocol_errors: 49,
+                    deadline_closes: 50,
+                    label_fetches: 0x0102_0304_0506_0708,
+                }),
+                "000529000000000000002a2b000000000000002c000000000000002d000000000000002e000000000000002f000000000000003000000000000000310000000000000032000000000000000807060504030201",
+            ),
+            (Response::Shutdown, "0006"),
+            (
+                Response::LabelFetch(LabelFetchReply {
+                    generation: 51,
+                    epsilon_bits: 0.5f64.to_bits(),
+                    c: 52,
+                    vertices: 53,
+                    labels: vec![LabelBytes {
+                        vertex: 54,
+                        bit_len: 12,
+                        bytes: vec![0xAB, 0x0C],
+                    }],
+                }),
+                "00073300000000000000000000000000e03f34000000350000000000000001000000360000000c000000ab0c",
+            ),
+            (
+                Response::EdgeSets(EdgeSetsReply {
+                    generation: 55,
+                    epsilon_bits: 1.0f64.to_bits(),
+                    c: 56,
+                    vertices: 57,
+                    graph_fingerprint: 58,
+                    shard: 59,
+                    num_shards: 60,
+                    checksum: 61,
+                    edge_sets: vec![62, 63],
+                }),
+                "00083700000000000000000000000000f03f3800000039000000000000003a000000000000003b0000003c0000003d00000000000000020000003e3f",
+            ),
+            (
+                Response::PointFetch(PointFetchReply {
+                    generation: 64,
+                    records: vec![PointRecord {
+                        vertex: 65,
+                        bytes: vec![66],
+                    }],
+                }),
+                "0009400000000000000001000000410000000100000042",
+            ),
+            (
+                Response::Error(ErrorReply {
+                    code: ErrorCode::Unavailable,
+                    message: "down".into(),
+                }),
+                "01090400646f776e",
+            ),
+        ];
+        let hex = |buf: &[u8]| buf.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        for (request, golden) in &requests {
+            let mut buf = Vec::new();
+            request.encode(&mut buf);
+            assert_eq!(hex(&buf), *golden, "{request:?}");
+            assert_eq!(Request::decode(&buf).as_ref(), Ok(request));
+        }
+        for (response, golden) in &responses {
+            let mut buf = Vec::new();
+            response.encode(&mut buf);
+            assert_eq!(hex(&buf), *golden, "{response:?}");
+            assert_eq!(Response::decode(&buf).as_ref(), Ok(response));
+        }
     }
 
     /// Any mutation of a valid encoding must decode to a typed error or a

@@ -36,6 +36,10 @@
 //!    [`DecodeScratch`] — so answers are bit-identical: same distances,
 //!    same sketch sizes, same witness paths.
 //!
+//! The router counts into the plane's [`Totals`] as the server does;
+//! `routes`, `updates` and `label_fetches` read 0, and its `stats` reply
+//! carries `upstream_fetches` in the `label_fetches` slot.
+//!
 //! ## Failure semantics
 //!
 //! - A shard connection that errors or closes fails every request
@@ -55,7 +59,6 @@
 //!   in the lowest level of `L(a)`, which stores every edge at `a`).
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -67,7 +70,9 @@ use fsdl_labels::{query_with_scratch, DecodeScratch, Label, OracleError, SchemeP
 use fsdl_reactor::{Interest, Poller};
 
 use crate::client::{Client, ClientError};
-use crate::plane::{handler_token, ConnPlane, Core, Handler, PlaneConfig, PlaneCounters, Wire};
+use crate::plane::{
+    add, handler_token, ConnPlane, Core, Counters, Handler, PlaneConfig, Totals, Wire,
+};
 use crate::protocol::{
     error_reply, EdgeSetsReply, ErrorCode, ErrorReply, FrameStep, Request, Response, StatsReply,
     WireError, MAX_LABEL_FETCH, MAX_LABEL_FRAME,
@@ -142,52 +147,7 @@ impl From<std::io::Error> for RouterError {
 }
 
 /// Totals from one [`Router::run`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RouterReport {
-    /// Client connections accepted.
-    pub connections: u64,
-    /// Single queries answered successfully.
-    pub queries: u64,
-    /// Queries answered inside batch frames.
-    pub batch_queries: u64,
-    /// `point-fetch` frames sent upstream.
-    pub upstream_fetches: u64,
-    /// Reply bytes read from shards after the handshake (frame payloads).
-    pub upstream_bytes: u64,
-    /// Typed error replies sent to clients.
-    pub protocol_errors: u64,
-    /// Upstream connection failures (dial, mid-flight error, generation
-    /// change) that surfaced as `Unavailable` or triggered a redial.
-    pub shard_failures: u64,
-    /// Client connections closed for stalling mid-frame.
-    pub deadline_closes: u64,
-}
-
-/// The gather handler's counters next to the plane's.
-#[derive(Default)]
-struct Counters {
-    plane: Arc<PlaneCounters>,
-    queries: AtomicU64,
-    batch_queries: AtomicU64,
-    upstream_fetches: AtomicU64,
-    upstream_bytes: AtomicU64,
-    shard_failures: AtomicU64,
-}
-
-impl Counters {
-    fn report(&self) -> RouterReport {
-        RouterReport {
-            connections: self.plane.connections.load(Ordering::Relaxed),
-            queries: self.queries.load(Ordering::Relaxed),
-            batch_queries: self.batch_queries.load(Ordering::Relaxed),
-            upstream_fetches: self.upstream_fetches.load(Ordering::Relaxed),
-            upstream_bytes: self.upstream_bytes.load(Ordering::Relaxed),
-            protocol_errors: self.plane.protocol_errors.load(Ordering::Relaxed),
-            shard_failures: self.shard_failures.load(Ordering::Relaxed),
-            deadline_closes: self.plane.deadline_closes.load(Ordering::Relaxed),
-        }
-    }
-}
+pub type RouterReport = Totals;
 
 /// What the fleet agreed on at the handshake.
 struct Fleet {
@@ -304,10 +264,7 @@ impl Router {
             params: Arc::new(fleet.params),
             edge_sets: fleet.edge_sets,
             expected_generation: fleet.generations,
-            counters: Arc::new(Counters {
-                plane: Arc::clone(&core.counters),
-                ..Counters::default()
-            }),
+            counters: Arc::clone(&core.counters),
             upstreams,
             pending: HashMap::new(),
             next_pending: 0,
@@ -411,7 +368,7 @@ impl Router {
 
     /// Runs the router until shutdown; blocks the calling thread.
     pub fn run(self) -> RouterReport {
-        self.plane.run().counters.report()
+        self.plane.run()
     }
 }
 
@@ -470,20 +427,8 @@ impl Handler for Gather {
                 return self.start_gather(core, token, QueryFrame::Batch(queries));
             }
             Ok(Request::Stats) => {
-                let totals = self.counters.report();
-                Response::Stats(StatsReply {
-                    vertices: self.plan.num_vertices() as u64,
-                    dynamic: 0,
-                    active_faults: 0,
-                    connections: totals.connections,
-                    queries: totals.queries,
-                    batch_queries: totals.batch_queries,
-                    routes: 0,
-                    updates: 0,
-                    protocol_errors: totals.protocol_errors,
-                    deadline_closes: totals.deadline_closes,
-                    label_fetches: totals.upstream_fetches,
-                })
+                let totals = self.counters.snapshot();
+                Response::Stats(StatsReply::new(self.plan.num_vertices(), None, &totals))
             }
             Ok(Request::Shutdown) => Response::Shutdown,
             Ok(Request::Route { .. }) => error_reply(
@@ -518,9 +463,7 @@ impl Handler for Gather {
         while let Some(wire) = self.upstreams[idx].wire.as_mut() {
             let reply = match wire.assembler.next_frame(MAX_LABEL_FRAME) {
                 FrameStep::Frame(payload) => {
-                    self.counters
-                        .upstream_bytes
-                        .fetch_add(payload.len() as u64, Ordering::Relaxed);
+                    add(&self.counters.upstream_bytes, payload.len() as u64);
                     Response::decode(payload)
                 }
                 FrameStep::Incomplete => break,
@@ -554,9 +497,7 @@ impl Gather {
     /// Queues one `point-fetch` for `ids` on upstream `idx`, owed to
     /// pending request `pending_id`.
     fn enqueue_fetch(&mut self, idx: usize, pending_id: u64, ids: Vec<u32>) {
-        self.counters
-            .upstream_fetches
-            .fetch_add(1, Ordering::Relaxed);
+        add(&self.counters.upstream_fetches, 1);
         let mut payload = Vec::new();
         Request::PointFetch {
             vertices: ids.clone(),
@@ -591,7 +532,7 @@ impl Gather {
         let mut routes: Vec<(usize, Vec<u32>)> = Vec::with_capacity(by_shard.len());
         for (&shard, group) in &by_shard {
             if self.pick_upstream(shard as usize).is_none() {
-                self.counters.shard_failures.fetch_add(1, Ordering::Relaxed);
+                add(&self.counters.shard_failures, 1);
                 let message = format!("shard {shard} is unavailable");
                 return core.reply(token, &error_reply(ErrorCode::Unavailable, message));
             }
@@ -656,7 +597,7 @@ impl Gather {
         let outcome = match reply {
             Ok(Response::PointFetch(reply)) => {
                 if reply.generation != self.expected_generation[shard] {
-                    self.counters.shard_failures.fetch_add(1, Ordering::Relaxed);
+                    add(&self.counters.shard_failures, 1);
                     Err(ErrorReply {
                         code: ErrorCode::Unavailable,
                         message: format!(
@@ -776,7 +717,7 @@ impl Gather {
         let shard = up.shard;
         if let Some(wire) = up.wire.take() {
             wire.close(&mut core.poller);
-            self.counters.shard_failures.fetch_add(1, Ordering::Relaxed);
+            add(&self.counters.shard_failures, 1);
         }
         up.last_attempt = Instant::now();
         let orphans: Vec<(u64, Vec<u32>)> = up.fifo.drain(..).collect();
@@ -897,8 +838,7 @@ fn compute_answer(job: &GatherJob, worker: &mut GatherWorker) -> Response {
         Ok(d) => d,
         Err(resp) => return resp,
     };
-    let (queries, batch_queries) = (&counters.queries, &counters.batch_queries);
-    job.frame.answer(queries, batch_queries, |s, t, faults| {
+    job.frame.answer(counters, |s, t, faults| {
         let resolved = resolve(n, &mut Gathered(&decoded), s, t, faults, Malformed::Reject)?;
         let (source, target, fault_labels) = resolved.into_labels();
         Ok::<_, OracleError>(query_with_scratch(

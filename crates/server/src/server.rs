@@ -21,14 +21,19 @@
 //!   router's alike. Which `(s, t, F)` is malformed is not decided here
 //!   but by [`fsdl_labels::resolve`], whose docs state the rule; `route`
 //!   and the static `label-fetch` go through the same checks.
+//! - **Updates under the read guard.** The dynamic oracle serializes its
+//!   own updates, so a WAL `fsync` or a blocking rebuild in an `update`
+//!   holds the engine's lock only for reading, as a query does.
 //! - **Rebuild drain.** In dynamic mode, once the plane has drained, the
 //!   oracle finishes any background rebuild before the unix socket file is
 //!   removed and [`Server::run`] returns, so the WAL and store are
 //!   consistent on exit.
+//! - **Totals.** Workers count into the plane's [`Totals`], which
+//!   [`Server::run`] returns and a `stats` reply carries.
 
 use std::borrow::Cow;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
@@ -36,10 +41,10 @@ use fsdl_graph::{FaultSet, NodeId};
 use fsdl_labels::edge_sets::{self, EdgeSets};
 use fsdl_labels::partition::ShardStore;
 use fsdl_labels::resolve::check_vertex;
-use fsdl_labels::{codec, store, DecodeScratch, DynamicOracle, QueryAnswer};
+use fsdl_labels::{codec, store, DecodeScratch, DynamicOracle, QueryAnswer, WalRecord};
 use fsdl_routing::Network;
 
-use crate::plane::{ConnPlane, Core, Handler, PlaneConfig, PlaneCounters};
+use crate::plane::{add, ConnPlane, Core, Counters, Handler, PlaneConfig, Totals};
 use crate::protocol::{
     self, error_reply, sat_u32, BatchItem, EdgeSetsReply, ErrorCode, LabelBytes, LabelFetchReply,
     PointFetchReply, PointRecord, QueryReply, Request, Response, RouteReply, StatsReply, UpdateOp,
@@ -125,14 +130,20 @@ impl ServeEngine {
         ServeEngine::Shard(Arc::new(store))
     }
 
-    fn vertices(&self) -> u64 {
-        match self {
-            ServeEngine::Static(net) => net.oracle().labeling().graph().num_vertices() as u64,
-            ServeEngine::Dynamic(dyn_oracle) => read_lock(dyn_oracle).num_vertices() as u64,
+    /// The `stats` reply of a server of this engine with the `totals`.
+    fn stats(&self, totals: &Totals) -> StatsReply {
+        let (vertices, active_faults) = match self {
+            ServeEngine::Static(net) => (net.oracle().labeling().graph().num_vertices(), None),
+            ServeEngine::Dynamic(dyn_oracle) => {
+                let oracle = read_lock(dyn_oracle);
+                let faults = oracle.current_faults().len();
+                (oracle.num_vertices(), Some(faults))
+            }
             // The *global* id space: a shard answers for the whole graph's
             // ids even though it holds a slice of the labels.
-            ServeEngine::Shard(store) => store.total_vertices(),
-        }
+            ServeEngine::Shard(store) => (store.total_vertices() as usize, None),
+        };
+        StatsReply::new(vertices, active_faults, totals)
     }
 }
 
@@ -142,59 +153,8 @@ fn read_lock(lock: &RwLock<DynamicOracle>) -> std::sync::RwLockReadGuard<'_, Dyn
     lock.read().unwrap_or_else(|e| e.into_inner())
 }
 
-fn write_lock(lock: &RwLock<DynamicOracle>) -> std::sync::RwLockWriteGuard<'_, DynamicOracle> {
-    lock.write().unwrap_or_else(|e| e.into_inner())
-}
-
-/// The serve handler's counters next to the plane's; snapshotted into
-/// [`StatsReply`] frames and the final [`ServeReport`].
-#[derive(Debug, Default)]
-struct Counters {
-    plane: Arc<PlaneCounters>,
-    queries: AtomicU64,
-    batch_queries: AtomicU64,
-    routes: AtomicU64,
-    updates: AtomicU64,
-    label_fetches: AtomicU64,
-}
-
-impl Counters {
-    fn report(&self) -> ServeReport {
-        ServeReport {
-            connections: self.plane.connections.load(Ordering::Relaxed),
-            queries: self.queries.load(Ordering::Relaxed),
-            batch_queries: self.batch_queries.load(Ordering::Relaxed),
-            routes: self.routes.load(Ordering::Relaxed),
-            updates: self.updates.load(Ordering::Relaxed),
-            protocol_errors: self.plane.protocol_errors.load(Ordering::Relaxed),
-            deadline_closes: self.plane.deadline_closes.load(Ordering::Relaxed),
-            label_fetches: self.label_fetches.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Totals for one [`Server::run`] lifetime.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ServeReport {
-    /// Connections accepted.
-    pub connections: u64,
-    /// Single queries answered.
-    pub queries: u64,
-    /// Queries answered inside batch frames.
-    pub batch_queries: u64,
-    /// Routes computed.
-    pub routes: u64,
-    /// Updates applied.
-    pub updates: u64,
-    /// Typed protocol errors answered.
-    pub protocol_errors: u64,
-    /// Connections closed for stalling mid-frame past the frame
-    /// deadline (slow-loris protection).
-    pub deadline_closes: u64,
-    /// `label-fetch` and `point-fetch` requests answered (shard and static
-    /// modes).
-    pub label_fetches: u64,
-}
+pub type ServeReport = Totals;
 
 /// Signals a running server to drain and exit (the out-of-band
 /// alternative to a `shutdown` frame).
@@ -277,13 +237,9 @@ impl Server {
                 frame_deadline: config.frame_deadline,
             },
         )?;
-        let counters = Arc::new(Counters {
-            plane: Arc::clone(&core.counters),
-            ..Counters::default()
-        });
         let serve = Serve {
             engine,
-            counters,
+            counters: Arc::clone(&core.counters),
             label_fetch_budget: config.label_fetch_budget,
         };
         Ok(Server {
@@ -318,7 +274,7 @@ impl Server {
     /// Runs the event loop until shutdown, then drains and returns the
     /// totals. Blocks the calling thread (spawn it for in-process use).
     pub fn run(self) -> ServeReport {
-        self.plane.run().counters.report()
+        self.plane.run()
     }
 }
 
@@ -355,11 +311,10 @@ impl QueryFrame {
     /// Answers the frame one `(s, t, F)` at a time through `answer` (in
     /// every engine a call into the [`fsdl_labels::resolve`] front-end
     /// and the decoder), stopping at the first rejection, and counts what
-    /// was answered.
+    /// was answered in `counters`.
     pub(crate) fn answer<E: std::fmt::Display>(
         &self,
-        queries: &AtomicU64,
-        batch_queries: &AtomicU64,
+        counters: &Counters,
         mut answer: impl FnMut(NodeId, NodeId, &FaultSet) -> Result<QueryAnswer, E>,
     ) -> Response {
         let mut one = |k: usize, (s, t, faults): &(u32, u32, WireFaults)| {
@@ -369,7 +324,7 @@ impl QueryFrame {
         match self {
             QueryFrame::Query(item) => match one(0, item) {
                 Ok(answer) => {
-                    queries.fetch_add(1, Ordering::Relaxed);
+                    add(&counters.queries, 1);
                     Response::Query(QueryReply::from_answer(&answer))
                 }
                 Err(rejected) => rejected,
@@ -382,7 +337,7 @@ impl QueryFrame {
                         Err(rejected) => return rejected,
                     }
                 }
-                batch_queries.fetch_add(replies.len() as u64, Ordering::Relaxed);
+                add(&counters.batch_queries, replies.len() as u64);
                 Response::Batch(replies)
             }
         }
@@ -440,9 +395,8 @@ impl Serve {
     /// with the typed reply for a frame this mode cannot answer. A dynamic
     /// frame is answered under one read guard.
     fn answer(&self, frame: &QueryFrame, scratch: &mut DecodeScratch) -> Response {
-        let (queries, batch_queries) = (&self.counters.queries, &self.counters.batch_queries);
         match &self.engine {
-            ServeEngine::Static(net) => frame.answer(queries, batch_queries, |s, t, faults| {
+            ServeEngine::Static(net) => frame.answer(&self.counters, |s, t, faults| {
                 net.oracle().try_query_with(s, t, faults, scratch)
             }),
             ServeEngine::Dynamic(_) if frame.items().iter().any(|(_, _, f)| !f.is_empty()) => {
@@ -455,7 +409,7 @@ impl Serve {
             ServeEngine::Dynamic(dyn_oracle) => {
                 let guard = read_lock(dyn_oracle);
                 // The dynamic oracle reports the distance alone.
-                frame.answer(queries, batch_queries, |s, t, _| {
+                frame.answer(&self.counters, |s, t, _| {
                     guard
                         .try_distance_with(s, t, scratch)
                         .map(|distance| QueryAnswer {
@@ -475,8 +429,9 @@ impl Serve {
 
     /// `label-fetch`: self-contained labels, encoded by the codec — on a
     /// shard derived from the stored points records, on a static server
-    /// read from the oracle (a valid one-shard backend).
-    fn label_fetch(&self, vertices: &[u32]) -> Response {
+    /// read from the oracle (a valid one-shard backend). `Err` is the
+    /// typed rejection.
+    fn label_fetch(&self, vertices: &[u32]) -> Result<Response, Response> {
         let budget = self.label_fetch_budget;
         let wrap = |vertex, bytes, bit_len| LabelBytes {
             vertex,
@@ -523,21 +478,17 @@ impl Serve {
                 let wire_params = (params.epsilon().to_bits(), params.c(), n as u64);
                 (packed, 0, wire_params)
             }
-            ServeEngine::Dynamic(_) => return immutable_labels_only("label-fetch"),
+            ServeEngine::Dynamic(_) => return Err(immutable_labels_only("label-fetch")),
         };
-        packed.map_or_else(
-            |rejected| rejected,
-            |labels| {
-                self.counters.label_fetches.fetch_add(1, Ordering::Relaxed);
-                Response::LabelFetch(LabelFetchReply {
-                    generation,
-                    epsilon_bits,
-                    c,
-                    vertices: n,
-                    labels,
-                })
-            },
-        )
+        let labels = packed?;
+        add(&self.counters.label_fetches, 1);
+        Ok(Response::LabelFetch(LabelFetchReply {
+            generation,
+            epsilon_bits,
+            c,
+            vertices: n,
+            labels,
+        }))
     }
 
     /// `edge-sets`: the generation's level edge sets and the identity a
@@ -581,8 +532,8 @@ impl Serve {
     }
 
     /// `point-fetch`: points records, as stored on a shard, made from the
-    /// oracle's labels on a static server.
-    fn point_fetch(&self, vertices: &[u32]) -> Response {
+    /// oracle's labels on a static server. `Err` is the typed rejection.
+    fn point_fetch(&self, vertices: &[u32]) -> Result<Response, Response> {
         let budget = self.label_fetch_budget;
         let wrap = |vertex, bytes, _| PointRecord { vertex, bytes };
         let (packed, generation) = match &self.engine {
@@ -614,18 +565,14 @@ impl Serve {
                 );
                 (packed, 0)
             }
-            ServeEngine::Dynamic(_) => return immutable_labels_only("point-fetch"),
+            ServeEngine::Dynamic(_) => return Err(immutable_labels_only("point-fetch")),
         };
-        packed.map_or_else(
-            |rejected| rejected,
-            |records| {
-                self.counters.label_fetches.fetch_add(1, Ordering::Relaxed);
-                Response::PointFetch(PointFetchReply {
-                    generation,
-                    records,
-                })
-            },
-        )
+        let records = packed?;
+        add(&self.counters.label_fetches, 1);
+        Ok(Response::PointFetch(PointFetchReply {
+            generation,
+            records,
+        }))
     }
 
     /// Dispatches one decoded request against the engine.
@@ -645,7 +592,7 @@ impl Serve {
                     if let Err(e) = net.oracle().resolve(s, t, &faults) {
                         return error_reply(ErrorCode::BadRequest, e.to_string());
                     }
-                    counters.routes.fetch_add(1, Ordering::Relaxed);
+                    add(&counters.routes, 1);
                     match net.route(s, t, &faults) {
                         Ok(delivery) => Response::Route(RouteReply::Delivered {
                             hops: sat_u32(delivery.hops),
@@ -666,20 +613,16 @@ impl Serve {
                     "update requires a dynamic oracle (serve with --store and --dynamic)",
                 ),
                 ServeEngine::Dynamic(dyn_oracle) => {
-                    let mut guard = write_lock(dyn_oracle);
-                    let result = match update {
-                        UpdateOp::DeleteVertex(v) => guard.delete_vertex(NodeId::new(v)),
-                        UpdateOp::DeleteEdge(a, b) => {
-                            guard.delete_edge(NodeId::new(a), NodeId::new(b))
-                        }
-                        UpdateOp::RestoreVertex(v) => guard.restore_vertex(NodeId::new(v)),
-                        UpdateOp::RestoreEdge(a, b) => {
-                            guard.restore_edge(NodeId::new(a), NodeId::new(b))
-                        }
-                    };
-                    match result {
+                    let id = NodeId::new;
+                    let guard = read_lock(dyn_oracle);
+                    match guard.update(match update {
+                        UpdateOp::DeleteVertex(v) => WalRecord::DeleteVertex(id(v)),
+                        UpdateOp::DeleteEdge(a, b) => WalRecord::DeleteEdge(id(a), id(b)),
+                        UpdateOp::RestoreVertex(v) => WalRecord::RestoreVertex(id(v)),
+                        UpdateOp::RestoreEdge(a, b) => WalRecord::RestoreEdge(id(a), id(b)),
+                    }) {
                         Ok(()) => {
-                            counters.updates.fetch_add(1, Ordering::Relaxed);
+                            add(&counters.updates, 1);
                             Response::Update {
                                 active_faults: sat_u32(guard.current_faults().len()),
                             }
@@ -688,32 +631,11 @@ impl Serve {
                     }
                 }
             },
-            Request::Stats => {
-                let (dynamic, active_faults) = match engine {
-                    ServeEngine::Static(_) | ServeEngine::Shard(_) => (0u8, 0u64),
-                    ServeEngine::Dynamic(dyn_oracle) => {
-                        (1u8, read_lock(dyn_oracle).current_faults().len() as u64)
-                    }
-                };
-                let totals = counters.report();
-                Response::Stats(StatsReply {
-                    vertices: engine.vertices(),
-                    dynamic,
-                    active_faults,
-                    connections: totals.connections,
-                    queries: totals.queries,
-                    batch_queries: totals.batch_queries,
-                    routes: totals.routes,
-                    updates: totals.updates,
-                    protocol_errors: totals.protocol_errors,
-                    deadline_closes: totals.deadline_closes,
-                    label_fetches: totals.label_fetches,
-                })
-            }
+            Request::Stats => Response::Stats(engine.stats(&counters.snapshot())),
             Request::Shutdown => Response::Shutdown,
-            Request::LabelFetch { vertices } => self.label_fetch(&vertices),
+            Request::LabelFetch { vertices } => self.label_fetch(&vertices).unwrap_or_else(|r| r),
             Request::EdgeSets => self.edge_sets(),
-            Request::PointFetch { vertices } => self.point_fetch(&vertices),
+            Request::PointFetch { vertices } => self.point_fetch(&vertices).unwrap_or_else(|r| r),
         }
     }
 }

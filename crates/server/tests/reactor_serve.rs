@@ -4,7 +4,9 @@
 //! properties the readiness-driven event loop exists to provide and the
 //! old connection-per-worker server could not. Every case runs against
 //! both fronts of the connection plane: the single-process server and the
-//! router over a 2-shard fleet.
+//! router over a 2-shard fleet. The op matrix adds the dynamic server and
+//! a lone shard: every op gets its reply or its typed code on each, and
+//! each front's `stats` reply agrees with its drain report.
 
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
@@ -15,11 +17,11 @@ use std::time::{Duration, Instant};
 
 use fsdl_graph::{generators, NodeId};
 use fsdl_labels::partition::{shard_dir_name, PartitionPlan, ShardStore};
-use fsdl_labels::{write_shard_stores, DecodeScratch, ForbiddenSetOracle};
+use fsdl_labels::{write_shard_stores, DecodeScratch, DynamicOracle, ForbiddenSetOracle};
 use fsdl_routing::Network;
 use fsdl_server::{
-    Client, Endpoint, ErrorCode, Request, Response, Router, RouterConfig, ServeEngine, Server,
-    ServerConfig, ShutdownHandle, WireFaults,
+    Client, Endpoint, ErrorCode, Request, Response, Router, RouterConfig, ServeEngine, ServeReport,
+    Server, ServerConfig, ShutdownHandle, Totals, UpdateOp, WireFaults,
 };
 
 fn scratch_sock(tag: &str) -> PathBuf {
@@ -38,27 +40,19 @@ enum Front {
     Server,
     /// The router over two shard servers.
     Router,
+    /// One dynamic server (no store).
+    Dynamic,
+    /// One shard server: the shard of a 2-shard plan that owns vertex 0.
+    Shard,
 }
 
+/// The two fronts of the connection plane, which every plane case runs on.
 const FRONTS: [Front; 2] = [Front::Server, Front::Router];
-
-/// The totals the cases assert on, from either front's report.
-#[derive(Debug)]
-struct Totals {
-    connections: u64,
-    queries: u64,
-    batch_queries: u64,
-    protocol_errors: u64,
-    deadline_closes: u64,
-}
 
 /// A running front; `join` after the shutdown frame.
 struct Running {
     front: std::thread::JoinHandle<Totals>,
-    shards: Vec<(
-        std::thread::JoinHandle<fsdl_server::ServeReport>,
-        ShutdownHandle,
-    )>,
+    shards: Vec<(std::thread::JoinHandle<ServeReport>, ShutdownHandle)>,
     shard_dir: Option<PathBuf>,
 }
 
@@ -77,86 +71,62 @@ impl Running {
 }
 
 /// Serves the 6x6 grid behind `front` on `sock`; `config`'s loop tunables
-/// apply to the front either way.
+/// apply to the front whichever it is.
 fn spawn_front(front: Front, sock: PathBuf, config: ServerConfig) -> (Endpoint, Running) {
     let g = generators::grid2d(6, 6);
     let oracle = ForbiddenSetOracle::new(&g, 0.5);
-    match front {
-        Front::Server => {
-            let server = Server::bind(
-                &Endpoint::Unix(sock),
-                ServeEngine::Static(Arc::new(Network::from_oracle(oracle))),
-                config,
-            )
-            .expect("bind");
-            let endpoint = server.local_endpoint().expect("endpoint");
-            let front = std::thread::spawn(move || {
-                let r = server.run();
-                Totals {
-                    connections: r.connections,
-                    queries: r.queries,
-                    batch_queries: r.batch_queries,
-                    protocol_errors: r.protocol_errors,
-                    deadline_closes: r.deadline_closes,
-                }
-            });
-            let running = Running {
-                front,
-                shards: Vec::new(),
-                shard_dir: None,
-            };
-            (endpoint, running)
-        }
-        Front::Router => {
+    let endpoint = Endpoint::Unix(sock.clone());
+    let serve = |engine| {
+        let server = Server::bind(&endpoint, engine, config.clone()).expect("bind");
+        std::thread::spawn(move || server.run())
+    };
+    let (mut shards, mut shard_dir) = (Vec::new(), None);
+    let front = match front {
+        Front::Server => serve(ServeEngine::Static(Arc::new(Network::from_oracle(oracle)))),
+        Front::Dynamic => serve(ServeEngine::from_dynamic(DynamicOracle::new(&g, 0.5))),
+        Front::Router | Front::Shard => {
             let dir = sock.with_extension("shards");
             std::fs::create_dir_all(&dir).expect("shard dir");
+            shard_dir = Some(dir.clone());
             let plan = PartitionPlan::for_oracle(&oracle, 2);
-            let mut shard_endpoints = Vec::new();
-            let mut shards = Vec::new();
-            for report in write_shard_stores(&oracle, &dir, &plan).expect("write shard stores") {
-                let store = ShardStore::open(&dir.join(shard_dir_name(report.shard)))
-                    .expect("open shard store");
-                let endpoint = Endpoint::Unix(dir.join(format!("shard-{}.sock", report.shard)));
-                let shard_config = ServerConfig {
-                    workers: 1,
-                    ..ServerConfig::default()
-                };
-                let server = Server::bind(&endpoint, ServeEngine::from_shard(store), shard_config)
-                    .expect("bind shard");
-                let shutdown = server.shutdown_handle();
-                shards.push((std::thread::spawn(move || server.run()), shutdown));
-                shard_endpoints.push(endpoint);
-            }
-            let router = Router::bind(
-                &Endpoint::Unix(sock),
-                shard_endpoints,
-                plan,
-                RouterConfig {
+            let reports = write_shard_stores(&oracle, &dir, &plan).expect("write shard stores");
+            let open = |shard| {
+                let store = ShardStore::open(&dir.join(shard_dir_name(shard)));
+                ServeEngine::from_shard(store.expect("open shard store"))
+            };
+            if let Front::Shard = front {
+                serve(open(plan.shard_of(NodeId::new(0))))
+            } else {
+                let mut shard_endpoints = Vec::new();
+                for report in reports {
+                    let shard_ep = Endpoint::Unix(dir.join(format!("shard-{}.sock", report.shard)));
+                    let shard_config = ServerConfig {
+                        workers: 1,
+                        ..ServerConfig::default()
+                    };
+                    let server = Server::bind(&shard_ep, open(report.shard), shard_config)
+                        .expect("bind shard");
+                    let shutdown = server.shutdown_handle();
+                    shards.push((std::thread::spawn(move || server.run()), shutdown));
+                    shard_endpoints.push(shard_ep);
+                }
+                let router_config = RouterConfig {
                     workers: config.workers,
                     frame_deadline: config.frame_deadline,
                     ..RouterConfig::default()
-                },
-            )
-            .expect("bind router");
-            let endpoint = router.local_endpoint().expect("endpoint");
-            let front = std::thread::spawn(move || {
-                let r = router.run();
-                Totals {
-                    connections: r.connections,
-                    queries: r.queries,
-                    batch_queries: r.batch_queries,
-                    protocol_errors: r.protocol_errors,
-                    deadline_closes: r.deadline_closes,
-                }
-            });
-            let running = Running {
-                front,
-                shards,
-                shard_dir: Some(dir),
-            };
-            (endpoint, running)
+                };
+                let router = Router::bind(&endpoint, shard_endpoints, plan, router_config)
+                    .expect("bind router");
+                std::thread::spawn(move || router.run())
+            }
         }
-    }
+    };
+    let running = Running {
+        front,
+        shards,
+        shard_dir,
+    };
+    (endpoint, running)
 }
 
 fn connect_raw(endpoint: &Endpoint) -> UnixStream {
@@ -642,5 +612,109 @@ fn malformed_queries_get_the_same_reply_on_both_fronts() {
         );
         assert_eq!(report.queries, 2 * served.len() as u64, "{front:?}");
         assert_eq!(report.batch_queries, 0, "{front:?}: no batch went through");
+    }
+}
+
+/// Every op on every front: the op's own reply kind where the front serves
+/// it, a typed `UnsupportedInMode` where it does not. Then the front's
+/// `stats` reply agrees with its drain report on every counter both carry
+/// (a router's `label_fetches` slot carries its upstream fetches).
+#[test]
+fn every_op_on_every_front_gets_its_reply_or_its_typed_code() {
+    let none = WireFaults::default;
+    let ops = [
+        (
+            "query",
+            Request::Query {
+                s: 0,
+                t: 35,
+                faults: none(),
+            },
+        ),
+        (
+            "batch",
+            Request::Batch(vec![(0, 35, none()), (1, 2, none())]),
+        ),
+        (
+            "route",
+            Request::Route {
+                s: 0,
+                t: 35,
+                faults: none(),
+            },
+        ),
+        ("update", Request::Update(UpdateOp::DeleteVertex(7))),
+        ("stats", Request::Stats),
+        ("label-fetch", Request::LabelFetch { vertices: vec![0] }),
+        ("edge-sets", Request::EdgeSets),
+        ("point-fetch", Request::PointFetch { vertices: vec![0] }),
+    ];
+    let served: [(Front, &[&str]); 4] = [
+        (
+            Front::Server,
+            &[
+                "query",
+                "batch",
+                "route",
+                "stats",
+                "label-fetch",
+                "edge-sets",
+                "point-fetch",
+            ],
+        ),
+        (Front::Dynamic, &["query", "batch", "update", "stats"]),
+        (
+            Front::Shard,
+            &["stats", "label-fetch", "edge-sets", "point-fetch"],
+        ),
+        (Front::Router, &["query", "batch", "stats"]),
+    ];
+    for (front, serves) in served {
+        let (endpoint, handle) = spawn_front(front, scratch_sock("ops"), ServerConfig::default());
+        let mut client =
+            Client::connect_with_retry(&endpoint, Duration::from_secs(5)).expect("connect");
+        for (op, request) in &ops {
+            let reply = client.roundtrip(request).expect("reply");
+            let kind = match &reply {
+                Response::Error(e) => format!("error {:?}", e.code),
+                reply => reply.kind_name().to_string(),
+            };
+            let expected = if serves.contains(op) {
+                op.to_string()
+            } else {
+                format!("error {:?}", ErrorCode::UnsupportedInMode)
+            };
+            assert_eq!(kind, expected, "{front:?} {op}: {reply:?}");
+        }
+        let stats = client.stats().expect("stats");
+        client.shutdown().expect("shutdown");
+        let report = handle.join();
+        let carried = [
+            report.connections,
+            report.queries,
+            report.batch_queries,
+            report.routes,
+            report.updates,
+            report.protocol_errors,
+            report.deadline_closes,
+            report.label_fetches + report.upstream_fetches,
+        ];
+        let replied = [
+            stats.connections,
+            stats.queries,
+            stats.batch_queries,
+            stats.routes,
+            stats.updates,
+            stats.protocol_errors,
+            stats.deadline_closes,
+            stats.label_fetches,
+        ];
+        assert_eq!(replied, carried, "{front:?}: stats vs drain report");
+        assert_eq!(report.protocol_errors, (ops.len() - serves.len()) as u64);
+        let dynamic = matches!(front, Front::Dynamic);
+        assert_eq!(
+            (stats.dynamic, stats.active_faults),
+            (dynamic as u8, dynamic as u64)
+        );
     }
 }

@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use fsdl_graph::{generators, NodeId};
@@ -318,6 +318,43 @@ fn dynamic_mode_updates_queries_and_mode_gating() {
     let reopened = DynamicOracle::open(&dir, &g).expect("reopen");
     assert_eq!(reopened.current_faults().len(), 1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An update holds the engine's lock only for reading, as a query does:
+/// the dynamic oracle serializes its own updates, so a reader elsewhere
+/// (here the test thread) never holds an update frame up.
+#[test]
+fn an_update_is_answered_while_the_engine_is_read_locked() {
+    let oracle = DynamicOracle::new(&generators::grid2d(6, 4), 0.5);
+    let engine = Arc::new(RwLock::new(oracle));
+    let sock = scratch_path("dyn-read").with_extension("sock");
+    let server = Server::bind(
+        &Endpoint::Unix(sock),
+        ServeEngine::Dynamic(Arc::clone(&engine)),
+        ServerConfig::default(),
+    )
+    .expect("bind");
+    let endpoint = server.local_endpoint().expect("endpoint");
+    let handle = std::thread::spawn(move || server.run());
+    let mut client = connect(&endpoint);
+
+    let guard = engine.read().expect("read guard");
+    let (tx, rx) = std::sync::mpsc::channel();
+    let updater = std::thread::spawn(move || {
+        let _ = tx.send(client.update(UpdateOp::DeleteVertex(7)));
+        client
+    });
+    let answered = rx.recv_timeout(Duration::from_secs(2));
+    drop(guard); // lets a blocked update through, so the server can drain
+    let mut client = updater.join().expect("updater thread");
+    assert_eq!(
+        answered
+            .expect("the update waited behind a reader")
+            .expect("update"),
+        1
+    );
+    client.shutdown().expect("shutdown");
+    assert_eq!(handle.join().expect("server thread").updates, 1);
 }
 
 /// Every op of the static server that takes ids holds them to the one

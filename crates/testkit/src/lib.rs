@@ -6,8 +6,8 @@
 //! and no registry cache. It provides the two things the workspace
 //! previously pulled `rand` and `proptest` in for:
 //!
-//! - [`Rng`]: a seeded xoshiro256** PRNG with the `gen_range`-shaped
-//!   API the codebase uses ([`Rng::gen_range`], [`Rng::gen_bool`],
+//! - [`Rng`]: the seeded xoshiro256** PRNG of [`fsdl_graph::rng`], with
+//!   the `gen_range`-shaped API ([`Rng::gen_range`], [`Rng::gen_bool`],
 //!   [`Rng::gen_f64`]). Same seed ⇒ same stream, on every platform,
 //!   forever — graph generators keyed by a seed are part of the test
 //!   suite's stability contract.
@@ -24,7 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod harness;
-pub mod rng;
+pub use fsdl_graph::rng;
 
 pub use harness::{check, check_seeded, soak_multiplier, DEFAULT_BASE_SEED};
 pub use rng::{Rng, SampleRange};
