@@ -12,8 +12,8 @@ use std::time::Duration;
 use crate::plane::Stream;
 use crate::protocol::{
     self, BatchItem, EdgeSetsReply, ErrorReply, FrameError, FrameRead, LabelFetchReply,
-    PointFetchReply, QueryReply, Request, Response, RouteReply, StatsReply, UpdateOp, WireError,
-    WireFaults,
+    PointFetchReply, QueryReply, Reply, Request, Response, RouteReply, StatsReply, UpdateOp,
+    WireError, WireFaults,
 };
 use crate::server::Endpoint;
 
@@ -138,14 +138,11 @@ impl Client {
         }
     }
 
-    fn expect<T>(
-        &mut self,
-        request: &Request,
-        pick: impl FnOnce(Response) -> Result<T, &'static str>,
-    ) -> Result<T, ClientError> {
-        match self.roundtrip(request)? {
+    /// One round trip whose reply must be a `T`, read under `cap`.
+    fn expect<T: Reply>(&mut self, request: &Request, cap: u32) -> Result<T, ClientError> {
+        match self.roundtrip_with(request, cap)? {
             Response::Error(e) => Err(ClientError::Server(e)),
-            other => pick(other).map_err(ClientError::Unexpected),
+            other => T::from_response(other).map_err(|r| ClientError::Unexpected(r.kind_name())),
         }
     }
 
@@ -155,10 +152,7 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn query(&mut self, s: u32, t: u32, faults: WireFaults) -> Result<QueryReply, ClientError> {
-        self.expect(&Request::Query { s, t, faults }, |r| match r {
-            Response::Query(q) => Ok(q),
-            other => Err(other.kind_name()),
-        })
+        self.expect(&Request::Query { s, t, faults }, protocol::MAX_FRAME)
     }
 
     /// A batch of queries answered in one frame.
@@ -170,10 +164,7 @@ impl Client {
         &mut self,
         queries: Vec<(u32, u32, WireFaults)>,
     ) -> Result<Vec<BatchItem>, ClientError> {
-        self.expect(&Request::Batch(queries), |r| match r {
-            Response::Batch(items) => Ok(items),
-            other => Err(other.kind_name()),
-        })
+        self.expect(&Request::Batch(queries), protocol::MAX_FRAME)
     }
 
     /// One routing simulation (static servers only).
@@ -182,10 +173,7 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn route(&mut self, s: u32, t: u32, faults: WireFaults) -> Result<RouteReply, ClientError> {
-        self.expect(&Request::Route { s, t, faults }, |r| match r {
-            Response::Route(reply) => Ok(reply),
-            other => Err(other.kind_name()),
-        })
+        self.expect(&Request::Route { s, t, faults }, protocol::MAX_FRAME)
     }
 
     /// One durable update (dynamic servers only); returns the active
@@ -195,10 +183,7 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn update(&mut self, op: UpdateOp) -> Result<u32, ClientError> {
-        self.expect(&Request::Update(op), |r| match r {
-            Response::Update { active_faults } => Ok(active_faults),
-            other => Err(other.kind_name()),
-        })
+        self.expect(&Request::Update(op), protocol::MAX_FRAME)
     }
 
     /// A server stats snapshot.
@@ -207,10 +192,7 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn stats(&mut self) -> Result<StatsReply, ClientError> {
-        self.expect(&Request::Stats, |r| match r {
-            Response::Stats(s) => Ok(s),
-            other => Err(other.kind_name()),
-        })
+        self.expect(&Request::Stats, protocol::MAX_FRAME)
     }
 
     /// Self-contained encoded labels by global vertex id (shard and
@@ -236,11 +218,7 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn edge_sets(&mut self) -> Result<EdgeSetsReply, ClientError> {
-        match self.roundtrip_with(&Request::EdgeSets, protocol::MAX_LABEL_FRAME)? {
-            Response::EdgeSets(reply) => Ok(reply),
-            Response::Error(e) => Err(ClientError::Server(e)),
-            other => Err(ClientError::Unexpected(other.kind_name())),
-        }
+        self.expect(&Request::EdgeSets, protocol::MAX_LABEL_FRAME)
     }
 
     /// Points records by global vertex id (shard and static servers),
@@ -260,13 +238,10 @@ impl Client {
         let mut remaining = vertices;
         let mut assembled: Option<R> = None;
         loop {
-            let request = R::request(remaining.clone());
-            let reply = match self.roundtrip_with(&request, protocol::MAX_LABEL_FRAME)? {
-                Response::Error(e) => return Err(ClientError::Server(e)),
-                other => R::from_response(other)?,
-            };
+            let reply: R =
+                self.expect(&R::request(remaining.clone()), protocol::MAX_LABEL_FRAME)?;
             let served = reply.served();
-            if !remaining.starts_with(&served) || (served.is_empty() && !remaining.is_empty()) {
+            if !protocol::is_fetch_prefix(&remaining, served.iter().copied()) {
                 return Err(ClientError::Unexpected(
                     "fetch reply was not a prefix of the request",
                 ));
@@ -288,20 +263,15 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        self.expect(&Request::Shutdown, |r| match r {
-            Response::Shutdown => Ok(()),
-            other => Err(other.kind_name()),
-        })
+        self.expect(&Request::Shutdown, protocol::MAX_FRAME)
     }
 }
 
 /// A label-plane fetch reply, which a server may cut short of its request
 /// (see [`Client::fetch_all`]).
-trait PrefixReply: Sized {
+trait PrefixReply: Reply {
     /// The request for `vertices`.
     fn request(vertices: Vec<u32>) -> Request;
-    /// The reply, if `response` is one.
-    fn from_response(response: Response) -> Result<Self, ClientError>;
     /// The ids served, in order.
     fn served(&self) -> Vec<u32>;
     /// Appends a later chunk, refusing one from another label plane.
@@ -311,13 +281,6 @@ trait PrefixReply: Sized {
 impl PrefixReply for LabelFetchReply {
     fn request(vertices: Vec<u32>) -> Request {
         Request::LabelFetch { vertices }
-    }
-
-    fn from_response(response: Response) -> Result<Self, ClientError> {
-        match response {
-            Response::LabelFetch(reply) => Ok(reply),
-            other => Err(ClientError::Unexpected(other.kind_name())),
-        }
     }
 
     fn served(&self) -> Vec<u32> {
@@ -339,13 +302,6 @@ impl PrefixReply for LabelFetchReply {
 impl PrefixReply for PointFetchReply {
     fn request(vertices: Vec<u32>) -> Request {
         Request::PointFetch { vertices }
-    }
-
-    fn from_response(response: Response) -> Result<Self, ClientError> {
-        match response {
-            Response::PointFetch(reply) => Ok(reply),
-            other => Err(ClientError::Unexpected(other.kind_name())),
-        }
     }
 
     fn served(&self) -> Vec<u32> {

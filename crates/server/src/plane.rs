@@ -44,6 +44,10 @@
 //! [`Totals::deadline_closes`]. An idle connection (no partial frame) is
 //! never policed.
 //!
+//! A worker whose work or reply encode panics answers that frame with a
+//! typed [`ErrorCode::Internal`] reply and goes on serving, so the
+//! connection owed the reply is not left waiting forever.
+//!
 //! ## Totals
 //!
 //! The plane owns the front's live [`Counters`]; the handler and its
@@ -73,6 +77,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -81,7 +86,7 @@ use std::time::{Duration, Instant};
 
 use fsdl_reactor::{Interest, Poller};
 
-use crate::protocol::{self, ErrorCode, ErrorReply, FrameError, FrameStep, Response};
+use crate::protocol::{self, error_reply, ErrorCode, ErrorReply, FrameError, FrameStep, Response};
 use crate::server::{Endpoint, ShutdownHandle};
 
 // ---- transport -------------------------------------------------------
@@ -980,23 +985,38 @@ impl<H: Handler> ConnPlane<H> {
                     // hand-off cheap; a closed channel means the event
                     // loop is gone and the queue is drained.
                     let job = job_rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
-                    let Ok(job) = job else { break };
-                    let response = H::work(&mut worker, job.work);
+                    let Ok(Job { token, work }) = job else { break };
+                    let encoded = |response: Response| {
+                        let mut payload = Vec::new();
+                        response.encode(&mut payload);
+                        (response, payload)
+                    };
+                    // A panic in the work or its encode is answered
+                    // `Internal`; the worker and the connection it owes a
+                    // reply keep serving. The worker's state is safe to
+                    // keep: its decode scratch resets at every decode.
+                    let (response, payload) =
+                        catch_unwind(AssertUnwindSafe(|| encoded(H::work(&mut worker, work))))
+                            .unwrap_or_else(|_| {
+                                let message = "the server failed answering this frame";
+                                encoded(error_reply(ErrorCode::Internal, message))
+                            });
                     if matches!(response, Response::Error(_)) {
                         add(&counters.protocol_errors, 1);
                     }
-                    let mut payload = Vec::new();
-                    response.encode(&mut payload);
                     completions
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
                         .push_back(Completion {
-                            token: job.token,
+                            token,
                             payload,
                             is_shutdown: matches!(response, Response::Shutdown),
                         });
                     // A full pipe already guarantees a pending wakeup.
                     let _ = (&*wake_tx).write(&[1]);
+                    // Freed only now, while the event loop sends the reply:
+                    // a fetch reply's label bytes are hundreds of KiB.
+                    drop(response);
                 });
             }
             core.run(&mut handler);
@@ -1077,5 +1097,66 @@ mod tests {
         assert_ne!(second, third);
         assert_eq!(first & 0xFFFF_FFFF, 42);
         assert_eq!(second & 0xFFFF_FFFF, 42);
+    }
+
+    /// Answers every frame on a worker, and panics on a `stats` frame.
+    struct PanicsOnStats;
+
+    impl Handler for PanicsOnStats {
+        type Work = Vec<u8>;
+        type Worker = ();
+
+        fn worker(&self) {}
+
+        fn work((): &mut (), frame: Vec<u8>) -> Response {
+            match protocol::Request::decode(&frame) {
+                Ok(protocol::Request::Stats) => panic!("a handler bug"),
+                Ok(protocol::Request::Shutdown) => Response::Shutdown,
+                _ => Response::Update { active_faults: 7 },
+            }
+        }
+
+        fn on_frame(&mut self, core: &mut Core<Vec<u8>>, token: u64, frame: Vec<u8>) {
+            core.submit(token, frame);
+        }
+    }
+
+    #[test]
+    fn a_panicking_worker_answers_internal_and_keeps_serving() {
+        use protocol::{FrameRead, Request, UpdateOp};
+
+        let config = PlaneConfig {
+            workers: 1,
+            frame_deadline: Duration::from_secs(5),
+        };
+        let core = Core::bind(&Endpoint::Tcp("127.0.0.1:0".into()), config).unwrap();
+        let plane = ConnPlane::new(core, PanicsOnStats);
+        let Endpoint::Tcp(addr) = plane.local_endpoint().unwrap() else {
+            unreachable!("bound over TCP")
+        };
+        let server = std::thread::spawn(move || plane.run());
+        let mut stream = TcpStream::connect(addr).unwrap();
+        // A worker that dies with its frame leaves the reply owed forever:
+        // the read times out instead of hanging the test.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut call = |request: &Request| {
+            let mut buf = Vec::new();
+            protocol::send_request(&mut stream, request, &mut buf).unwrap();
+            match protocol::read_frame(&mut stream, protocol::MAX_FRAME, &mut buf) {
+                Ok(FrameRead::Frame) => Response::decode(&buf).unwrap(),
+                other => panic!("no reply to {request:?}: {other:?}"),
+            }
+        };
+        match call(&Request::Stats) {
+            Response::Error(e) => assert_eq!(e.code, ErrorCode::Internal),
+            other => panic!("expected an internal error, got {other:?}"),
+        }
+        // The same connection, and the pool's one worker, keep serving.
+        let update = Request::Update(UpdateOp::DeleteVertex(1));
+        assert_eq!(call(&update), Response::Update { active_faults: 7 });
+        assert_eq!(call(&Request::Shutdown), Response::Shutdown);
+        assert_eq!(server.join().unwrap().protocol_errors, 1);
     }
 }

@@ -19,6 +19,30 @@
 //! frame (`decode` rejects trailing bytes, so a bit flip in a length
 //! field cannot silently desynchronize a connection).
 //!
+//! ## Where a message is declared
+//!
+//! Once, in a table; its encode, its decode and its decode errors derive
+//! from that one declaration:
+//!
+//! - the `messages!` table gives each opcode one entry: its kind name and
+//!   its [`Request`] and [`Response`] variants, with their docs and their
+//!   fields in wire order. It declares both enums, and maps each response
+//!   variant to its payload type, which [`crate::Client`]'s typed helpers
+//!   read back;
+//! - each reply struct is one `wire_struct!` entry: its fields in wire
+//!   order, with their docs;
+//! - the `error_codes!` table gives each [`ErrorCode`] its number and name.
+//!
+//! A field rides in its type's `Wire` form: integers as themselves, lists
+//! (ids, byte payloads) behind a `u32` count, strings behind a `u16`
+//! length, a [`WireFaults`] behind two `u16` counts. `[max M]` after a
+//! list field caps its count; `[len N]` says an earlier field implies it,
+//! so none is sent. Every count is checked against its cap and the bytes
+//! left before anything is allocated, and a decode error names the field
+//! it stopped at as `"<kind> <field>"` (`"label-fetch labels"`). To add a
+//! field, add its line to its entry at its wire position, and its bytes to
+//! `every_message_encodes_to_its_golden_bytes`.
+//!
 //! ## Saturation sentinel
 //!
 //! Several reply fields narrow in-memory `usize`/`u64` counters to `u32`
@@ -30,44 +54,14 @@
 //! sentinel, which is consistent: an unrepresentably large distance *is*
 //! effectively infinite.) Values below the sentinel are always exact.
 //!
-//! ## The label plane: label-fetch, edge-sets, point-fetch
+//! ## The label plane
 //!
 //! A label is its point lists plus its generation's level edge sets
 //! restricted to them (`fsdl_labels::EdgeSets`). Shards store the edge
-//! sets once and a points record per vertex, and serve three ops over
-//! them; a static server serves the same three as a one-shard backend:
-//!
-//! - `label-fetch` (0x07) returns **self-contained encoded labels** by
-//!   global vertex id: each derived from its record and then encoded by
-//!   `fsdl_labels::codec`, so its bytes are exactly the builder's label's.
-//!   It is the paper's object — what the size experiments measure and what
-//!   a client outside the fleet reads. The reply carries the store
-//!   generation and the decode parameters `(epsilon_bits, c, n)`.
-//! - `edge-sets` (0x08) returns the generation's edge sets, with the
-//!   parameters, the fingerprint of the graph the shard was cut from, the
-//!   shard's index and count, and a checksum over the edge-set bytes. It
-//!   is the router's handshake: the router keeps the edge sets for the
-//!   generation and refuses a fleet that disagrees on any of it.
-//! - `point-fetch` (0x09) returns **points records** by global vertex id
-//!   (a few hundred bytes each, where a label is tens of kilobytes) with
-//!   the generation; the router derives the labels a query reads from
-//!   them and the edge sets it holds.
-//!
-//! ```text
-//! request  := 0x07 count:u32 vertex:u32 ...
-//! reply    := 0x00 0x07 generation:u64 epsilon_bits:u64 c:u32 n:u64
-//!             count:u32 (vertex:u32 bit_len:u32 bytes[ceil(bit_len/8)]) ...
-//! request  := 0x08
-//! reply    := 0x00 0x08 generation:u64 epsilon_bits:u64 c:u32 n:u64
-//!             graph_fingerprint:u64 shard:u32 shards:u32 checksum:u64
-//!             len:u32 edge_sets[len]
-//! request  := 0x09 count:u32 vertex:u32 ...
-//! reply    := 0x00 0x09 generation:u64
-//!             count:u32 (vertex:u32 len:u32 record[len]) ...
-//! ```
-//!
-//! Fetch replies may be short (see [`LABEL_FETCH_BYTE_BUDGET`]): a reader
-//! re-requests the tail.
+//! sets once and a points record per vertex, and serve `label-fetch`,
+//! `edge-sets` and `point-fetch` over them ([`Request::LabelFetch`],
+//! [`Request::EdgeSets`] and [`Request::PointFetch`] say what each
+//! returns); a static server serves the same three as a one-shard backend.
 
 use std::io::{Read, Write};
 
@@ -115,89 +109,74 @@ pub const MAX_LABEL_FRAME: u32 = 1 << 26;
 /// [`LabelFetchReply`].
 pub const LABEL_FETCH_BYTE_BUDGET: usize = 1 << 20;
 
-/// Request opcodes (first payload byte).
-mod op {
-    pub const QUERY: u8 = 0x01;
-    pub const BATCH: u8 = 0x02;
-    pub const ROUTE: u8 = 0x03;
-    pub const UPDATE: u8 = 0x04;
-    pub const STATS: u8 = 0x05;
-    pub const SHUTDOWN: u8 = 0x06;
-    pub const LABEL_FETCH: u8 = 0x07;
-    pub const EDGE_SETS: u8 = 0x08;
-    pub const POINT_FETCH: u8 = 0x09;
-}
-
 /// Reply status bytes.
 mod status {
     pub const OK: u8 = 0x00;
     pub const ERR: u8 = 0x01;
 }
 
-/// Typed error codes carried by error replies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum ErrorCode {
+/// Declares [`ErrorCode`] once: each code's doc, wire number and name.
+macro_rules! error_codes {
+    ($($(#[doc = $doc:literal])+ $code:ident = $raw:literal $name:literal,)+) => {
+        /// Typed error codes carried by error replies.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum ErrorCode {
+            $($(#[doc = $doc])+ $code = $raw,)+
+        }
+
+        impl std::fmt::Display for ErrorCode {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.write_str(match self {
+                    $(ErrorCode::$code => $name,)+
+                })
+            }
+        }
+
+        /// The code as its number.
+        impl Wire for ErrorCode {
+            fn put(&self, buf: &mut Vec<u8>) {
+                (*self as u8).put(buf);
+            }
+
+            fn get(r: &mut Reader<'_>, field: &'static str) -> Result<Self, WireError> {
+                match u8::get(r, field)? {
+                    $($raw => Ok(ErrorCode::$code),)+
+                    raw => Err(WireError::BadDiscriminant("error code", raw)),
+                }
+            }
+        }
+    };
+}
+
+error_codes! {
     /// The payload did not parse (truncated body, trailing bytes, bad
     /// counts, bad UTF-8).
-    Malformed = 1,
+    Malformed = 1 "malformed",
     /// The frame length exceeded [`MAX_FRAME`].
-    Oversized = 2,
+    Oversized = 2 "oversized",
     /// Unknown opcode byte.
-    UnknownOpcode = 3,
+    UnknownOpcode = 3 "unknown-opcode",
     /// The request parsed but names out-of-range vertices or non-edges.
-    BadRequest = 4,
+    BadRequest = 4 "bad-request",
     /// The operation is not available in the server's mode (e.g. `update`
     /// against a static oracle).
-    UnsupportedInMode = 5,
+    UnsupportedInMode = 5 "unsupported-in-mode",
     /// A dynamic update was rejected by the oracle (typed
     /// `DynamicError`, relayed).
-    UpdateRejected = 6,
-    /// The server failed internally (never expected; present so a bug
-    /// surfaces as a reply, not a dropped connection).
-    Internal = 7,
+    UpdateRejected = 6 "update-rejected",
+    /// The server failed internally: a worker that panics answering a
+    /// frame sends this, so a bug surfaces as a reply, not a dropped or
+    /// hung connection.
+    Internal = 7 "internal",
     /// The connection started a frame but did not finish it within the
     /// server's frame-completion deadline (slow-loris protection); the
     /// server sends this and closes the connection.
-    DeadlineExceeded = 8,
+    DeadlineExceeded = 8 "deadline-exceeded",
     /// A backend this request depends on is down (a router answering for
     /// an unreachable shard). The request may succeed on retry once the
     /// backend returns; the client connection stays open.
-    Unavailable = 9,
-}
-
-impl ErrorCode {
-    fn from_u8(raw: u8) -> Option<ErrorCode> {
-        Some(match raw {
-            1 => ErrorCode::Malformed,
-            2 => ErrorCode::Oversized,
-            3 => ErrorCode::UnknownOpcode,
-            4 => ErrorCode::BadRequest,
-            5 => ErrorCode::UnsupportedInMode,
-            6 => ErrorCode::UpdateRejected,
-            7 => ErrorCode::Internal,
-            8 => ErrorCode::DeadlineExceeded,
-            9 => ErrorCode::Unavailable,
-            _ => return None,
-        })
-    }
-}
-
-impl std::fmt::Display for ErrorCode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            ErrorCode::Malformed => "malformed",
-            ErrorCode::Oversized => "oversized",
-            ErrorCode::UnknownOpcode => "unknown-opcode",
-            ErrorCode::BadRequest => "bad-request",
-            ErrorCode::UnsupportedInMode => "unsupported-in-mode",
-            ErrorCode::UpdateRejected => "update-rejected",
-            ErrorCode::Internal => "internal",
-            ErrorCode::DeadlineExceeded => "deadline-exceeded",
-            ErrorCode::Unavailable => "unavailable",
-        };
-        f.write_str(name)
-    }
+    Unavailable = 9 "unavailable",
 }
 
 /// Decode failures. Every variant is a *typed* rejection: the decoder
@@ -257,6 +236,494 @@ impl WireError {
     }
 }
 
+// ---------------------------------------------------------------------
+// Field codecs
+// ---------------------------------------------------------------------
+
+/// A field type's wire form: how one value is appended to a payload and
+/// read back. `field` names the field for the error a short payload gets.
+trait Wire: Sized {
+    /// The fewest bytes one value takes on the wire.
+    const MIN: usize = 1;
+
+    fn put(&self, buf: &mut Vec<u8>);
+
+    fn get(r: &mut Reader<'_>, field: &'static str) -> Result<Self, WireError>;
+
+    /// A run of values (bytes override it with one bulk copy).
+    fn put_all(items: &[Self], buf: &mut Vec<u8>) {
+        items.iter().for_each(|item| item.put(buf));
+    }
+
+    /// `count` values, refused as truncated before anything is allocated
+    /// when the bytes left cannot hold them (bytes override it with one
+    /// bulk copy).
+    fn get_all(
+        r: &mut Reader<'_>,
+        count: usize,
+        field: &'static str,
+    ) -> Result<Vec<Self>, WireError> {
+        if count > (r.bytes.len() - r.pos) / Self::MIN {
+            return Err(WireError::Truncated(field));
+        }
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(Self::get(r, field)?);
+        }
+        Ok(items)
+    }
+}
+
+impl Wire for u8 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(*self);
+    }
+
+    fn get(r: &mut Reader<'_>, field: &'static str) -> Result<Self, WireError> {
+        Ok(r.take(1, field)?[0])
+    }
+
+    fn put_all(bytes: &[u8], buf: &mut Vec<u8>) {
+        buf.extend_from_slice(bytes);
+    }
+
+    fn get_all(
+        r: &mut Reader<'_>,
+        count: usize,
+        field: &'static str,
+    ) -> Result<Vec<u8>, WireError> {
+        // take() bounds the count against the frame, so a corrupt length
+        // field is Truncated, not an allocation.
+        Ok(r.take(count, field)?.to_vec())
+    }
+}
+
+macro_rules! wire_int {
+    ($($int:ty),+) => {$(
+        impl Wire for $int {
+            const MIN: usize = std::mem::size_of::<$int>();
+
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn get(r: &mut Reader<'_>, field: &'static str) -> Result<Self, WireError> {
+                const N: usize = std::mem::size_of::<$int>();
+                let mut raw = [0; N];
+                raw.copy_from_slice(r.take(N, field)?);
+                Ok(<$int>::from_le_bytes(raw))
+            }
+        }
+    )+};
+}
+
+wire_int!(u16, u32, u64);
+
+macro_rules! wire_tuple {
+    ($($part:ident $index:tt),+) => {
+        impl<$($part: Wire),+> Wire for ($($part,)+) {
+            const MIN: usize = 0 $(+ $part::MIN)+;
+
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$index.put(buf);)+
+            }
+
+            fn get(r: &mut Reader<'_>, field: &'static str) -> Result<Self, WireError> {
+                Ok(($($part::get(r, field)?,)+))
+            }
+        }
+    };
+}
+
+wire_tuple!(A 0, B 1);
+wire_tuple!(A 0, B 1, C 2);
+
+/// A list behind its `u32` count: an id list, or a byte payload (one bulk
+/// copy each way). A field declared `[max M]` refuses a count over `M`.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN: usize = 4;
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        T::put_all(self, buf);
+    }
+
+    fn get(r: &mut Reader<'_>, field: &'static str) -> Result<Self, WireError> {
+        at_most(r, field, u32::MAX)
+    }
+}
+
+/// A list behind its `u32` count, of at most `max` items.
+fn at_most<T: Wire>(
+    r: &mut Reader<'_>,
+    field: &'static str,
+    max: u32,
+) -> Result<Vec<T>, WireError> {
+    let count = u32::get(r, field)?;
+    if count > max {
+        return Err(WireError::TooMany {
+            what: field,
+            count: u64::from(count),
+            max: u64::from(max),
+        });
+    }
+    T::get_all(r, count as usize, field)
+}
+
+/// A string behind its `u16` byte length. An over-long string is cut at
+/// the last char boundary at or below 65 535 bytes, so it stays UTF-8.
+impl Wire for String {
+    const MIN: usize = 2;
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        let mut len = self.len().min(usize::from(u16::MAX));
+        while !self.is_char_boundary(len) {
+            len -= 1;
+        }
+        (len as u16).put(buf);
+        buf.extend_from_slice(&self.as_bytes()[..len]);
+    }
+
+    fn get(r: &mut Reader<'_>, field: &'static str) -> Result<Self, WireError> {
+        let len = u16::get(r, field)?;
+        std::str::from_utf8(r.take(usize::from(len), field)?)
+            .map(str::to_owned)
+            .map_err(|_| WireError::BadUtf8)
+    }
+}
+
+/// The derived codec of one field list: a `wire_struct!` entry's, or a
+/// variant's in a `messages!` entry. A field is `name: Type`, then
+/// optionally `[max M]` (a list of at most `M` items) or `[len N]` (exactly
+/// `N` items and no count on the wire: an earlier field implies it). A
+/// tuple variant's one field is named too, for its decode errors.
+macro_rules! fields {
+    (@pat $enum:ident $variant:ident { $($(#[$m:meta])* $f:ident: $t:ty $([$($c:tt)+])?),* $(,)? }) => {
+        $enum::$variant { $($f),* }
+    };
+    (@pat $enum:ident $variant:ident ($f:ident: $t:ty $([$($c:tt)+])?)) => {
+        $enum::$variant($f)
+    };
+    (@any $enum:ident $variant:ident { $($body:tt)* }) => { $enum::$variant { .. } };
+    (@any $enum:ident $variant:ident ( $($body:tt)* )) => { $enum::$variant(..) };
+    (@put $buf:ident { $($(#[$m:meta])* $f:ident: $t:ty $([$($c:tt)+])?),* $(,)? }) => {
+        $(fields!(@put1 $buf $f $($($c)+)?);)*
+    };
+    (@put $buf:ident ($f:ident: $t:ty $([$($c:tt)+])?)) => {
+        fields!(@put1 $buf $f $($($c)+)?)
+    };
+    (@put1 $buf:ident $f:ident $(max $max:expr)?) => { Wire::put($f, $buf) };
+    (@put1 $buf:ident $f:ident len $len:expr) => {{
+        debug_assert_eq!($f.len(), $len, "a run's length must match its length field");
+        Wire::put_all($f, $buf)
+    }};
+    (@get $r:ident $owner:literal $enum:ident $variant:ident
+        { $($(#[$m:meta])* $f:ident: $t:ty $([$($c:tt)+])?),* $(,)? }) => {
+        $enum::$variant { $($f: fields!(@get1 $r concat!($owner, " ", stringify!($f)) $(, $($c)+)?)),* }
+    };
+    (@get $r:ident $owner:literal $enum:ident $variant:ident ($f:ident: $t:ty $([$($c:tt)+])?)) => {
+        $enum::$variant(fields!(@get1 $r concat!($owner, " ", stringify!($f)) $(, $($c)+)?))
+    };
+    (@get1 $r:ident $field:expr) => { Wire::get($r, $field)? };
+    (@get1 $r:ident $field:expr, max $max:expr) => { at_most($r, $field, $max)? };
+    (@get1 $r:ident $field:expr, len $len:expr) => { Wire::get_all($r, $len, $field)? };
+    (@reply $variant:ident $body:tt) => {
+        impl Reply for fields!(@type $body) {
+            fn from_response(response: Response) -> Result<Self, Response> {
+                match response {
+                    fields!(@pat Response $variant $body) => Ok(fields!(@value $body)),
+                    other => Err(other),
+                }
+            }
+        }
+    };
+    (@type {}) => { () };
+    (@type { $(#[$m:meta])* $f:ident: $t:ty $([$($c:tt)+])? $(,)? }) => { $t };
+    (@type ($f:ident: $t:ty $([$($c:tt)+])?)) => { $t };
+    (@value {}) => { () };
+    (@value { $(#[$m:meta])* $f:ident $($rest:tt)* }) => { $f };
+    (@value ($f:ident $($rest:tt)*)) => { $f };
+}
+
+/// Declares a wire struct once: the struct with its docs, and its
+/// [`Wire`] form, which writes and reads the fields in declaration order.
+/// Its decode errors name `"<owner> <field>"`.
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident as $owner:literal {
+            $($(#[$fmeta:meta])* pub $f:ident: $t:ty $([$($c:tt)+])?,)+
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $f: $t,)+
+        }
+
+        impl Wire for $name {
+            fn put(&self, buf: &mut Vec<u8>) {
+                let $name { $($f),+ } = self;
+                $(fields!(@put1 buf $f $($($c)+)?);)+
+            }
+
+            fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, WireError> {
+                $(let $f: $t = fields!(@get1 r concat!($owner, " ", stringify!($f)) $(, $($c)+)?);)+
+                Ok($name { $($f),+ })
+            }
+        }
+    };
+}
+
+/// Declares an enum from `messages!` variants, given as `Name {}` (a unit
+/// variant), `Name { field: Type, .. }` or `Name(field: Type)`; a field's
+/// `[max M]` or `[len N]` is for the codec and is dropped here.
+macro_rules! wire_enum {
+    ($(#[$meta:meta])* $name:ident [$($done:tt)*]) => {
+        $(#[$meta])*
+        pub enum $name { $($done)* }
+    };
+    ($(#[$meta:meta])* $name:ident [$($done:tt)*] $(#[$vm:meta])* $v:ident {} $($rest:tt)*) => {
+        wire_enum!($(#[$meta])* $name [$($done)* $(#[$vm])* $v,] $($rest)*);
+    };
+    ($(#[$meta:meta])* $name:ident [$($done:tt)*] $(#[$vm:meta])* $v:ident
+        { $($(#[$fm:meta])* $f:ident: $t:ty $([$($c:tt)+])?),+ $(,)? } $($rest:tt)*) => {
+        wire_enum!($(#[$meta])* $name [$($done)* $(#[$vm])* $v { $($(#[$fm])* $f: $t),+ },] $($rest)*);
+    };
+    ($(#[$meta:meta])* $name:ident [$($done:tt)*] $(#[$vm:meta])* $v:ident
+        ($f:ident: $t:ty $([$($c:tt)+])?) $($rest:tt)*) => {
+        wire_enum!($(#[$meta])* $name [$($done)* $(#[$vm])* $v($t),] $($rest)*);
+    };
+}
+
+/// A reply payload: what one [`Response`] variant carries.
+pub(crate) trait Reply: Sized {
+    /// The payload, or the response back when it is of another kind.
+    fn from_response(response: Response) -> Result<Self, Response>;
+}
+
+/// Declares every message once, one entry per opcode: `opcode "kind":
+/// Request-variant => Response-variant`, each with its docs and its fields
+/// in wire order. Derives both enums, `Request::{encode, decode}`,
+/// `Response::{encode, decode, kind_name}` and the [`Reply`] impl of each
+/// response payload type.
+macro_rules! messages {
+    ($(
+        $op:literal $kind:literal:
+        $(#[$qm:meta])* $request:ident $req:tt => $(#[$rm:meta])* $response:ident $resp:tt,
+    )+) => {
+        wire_enum! {
+            /// A client request.
+            #[derive(Clone, Debug, PartialEq, Eq)]
+            Request [] $($(#[$qm])* $request $req)+
+        }
+
+        wire_enum! {
+            /// A server reply.
+            #[derive(Clone, Debug, PartialEq, Eq)]
+            Response [] $($(#[$rm])* $response $resp)+
+            /// A typed error.
+            Error(error: ErrorReply)
+        }
+
+        impl Request {
+            /// Appends this request's payload bytes to `buf` (no frame header).
+            pub fn encode(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $(fields!(@pat Request $request $req) => {
+                        buf.push($op);
+                        fields!(@put buf $req);
+                    })+
+                }
+            }
+
+            /// Decodes a request payload (one whole frame, header stripped).
+            ///
+            /// # Errors
+            ///
+            /// Returns a [`WireError`] on any malformation; never panics.
+            pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
+                let r = &mut Reader::new(payload);
+                let request = match u8::get(r, "opcode")? {
+                    $($op => fields!(@get r $kind Request $request $req),)+
+                    other => return Err(WireError::UnknownOpcode(other)),
+                };
+                r.finish()?;
+                Ok(request)
+            }
+        }
+
+        impl Response {
+            /// The reply kind as a static name (for "wrong response kind"
+            /// diagnostics).
+            pub fn kind_name(&self) -> &'static str {
+                match self {
+                    $(fields!(@any Response $response $resp) => $kind,)+
+                    Response::Error(_) => "error",
+                }
+            }
+
+            /// Appends this reply's payload bytes to `buf` (no frame header).
+            pub fn encode(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $(fields!(@pat Response $response $resp) => {
+                        buf.extend_from_slice(&[status::OK, $op]);
+                        fields!(@put buf $resp);
+                    })+
+                    Response::Error(error) => {
+                        buf.push(status::ERR);
+                        error.put(buf);
+                    }
+                }
+            }
+
+            /// Decodes a reply payload (one whole frame, header stripped).
+            ///
+            /// # Errors
+            ///
+            /// Returns a [`WireError`] on any malformation; never panics.
+            pub fn decode(payload: &[u8]) -> Result<Response, WireError> {
+                let r = &mut Reader::new(payload);
+                let response = match u8::get(r, "status")? {
+                    status::OK => match u8::get(r, "reply opcode")? {
+                        $($op => fields!(@get r $kind Response $response $resp),)+
+                        other => return Err(WireError::UnknownOpcode(other)),
+                    },
+                    status::ERR => Response::Error(Wire::get(r, "error")?),
+                    other => return Err(WireError::UnknownStatus(other)),
+                };
+                r.finish()?;
+                Ok(response)
+            }
+        }
+
+        $(fields!(@reply $response $resp);)+
+    };
+}
+
+/// A bounds-checked positional reader over one frame payload.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Reader { bytes, pos: 0 }
+    }
+
+    fn take(&mut self, n: usize, field: &'static str) -> Result<&'a [u8], WireError> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&e| e <= self.bytes.len())
+            .ok_or(WireError::Truncated(field))?;
+        let slice = &self.bytes[self.pos..end];
+        self.pos = end;
+        Ok(slice)
+    }
+
+    fn finish(&self) -> Result<(), WireError> {
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(WireError::TrailingBytes(self.bytes.len() - self.pos))
+        }
+    }
+}
+
+messages! {
+    0x01 "query":
+    /// One distance query with a per-query forbidden set.
+    Query {
+        /// Source vertex id.
+        s: u32,
+        /// Target vertex id.
+        t: u32,
+        /// Per-query forbidden set.
+        faults: WireFaults,
+    } =>
+    /// Answer to [`Request::Query`].
+    Query(reply: QueryReply),
+
+    0x02 "batch":
+    /// Many queries answered in one frame (server fans them over the
+    /// same decode path as `ForbiddenSetOracle::query_batch`).
+    Batch(queries: Vec<(u32, u32, WireFaults)> [max MAX_BATCH]) =>
+    /// Answer to [`Request::Batch`].
+    Batch(replies: Vec<BatchItem> [max MAX_BATCH]),
+
+    0x03 "route":
+    /// Compute a route (static mode only).
+    Route {
+        /// Source vertex id.
+        s: u32,
+        /// Target vertex id.
+        t: u32,
+        /// Forbidden set known to the source.
+        faults: WireFaults,
+    } =>
+    /// Answer to [`Request::Route`].
+    Route(reply: RouteReply),
+
+    0x04 "update":
+    /// A durable dynamic update (dynamic mode only).
+    Update(op: UpdateOp) =>
+    /// Answer to [`Request::Update`]: active faults after the update.
+    Update {
+        /// Faults active after the update.
+        active_faults: u32,
+    },
+
+    0x05 "stats":
+    /// Server counters and identity.
+    Stats {} =>
+    /// Answer to [`Request::Stats`].
+    Stats(reply: StatsReply),
+
+    0x06 "shutdown":
+    /// Graceful shutdown: drain in-flight requests, flush, exit.
+    Shutdown {} =>
+    /// Acknowledgement of [`Request::Shutdown`] (sent before the server
+    /// begins draining).
+    Shutdown {},
+
+    0x07 "label-fetch":
+    /// Self-contained encoded labels by global vertex id (shard and
+    /// static modes): each derived from its points record and encoded by
+    /// `fsdl_labels::codec`, so its bytes are exactly the builder's
+    /// label's. It is the paper's object — what the size experiments
+    /// measure and what a client outside the fleet reads. An empty id list
+    /// is a valid handshake: the reply still carries the generation and
+    /// the decode parameters.
+    LabelFetch {
+        /// Global vertex ids to fetch, at most [`MAX_LABEL_FETCH`].
+        vertices: Vec<u32> [max MAX_LABEL_FETCH],
+    } =>
+    /// Answer to [`Request::LabelFetch`].
+    LabelFetch(reply: LabelFetchReply),
+
+    0x08 "edge-sets":
+    /// The generation's level edge sets plus the shard's identity (shard
+    /// and static modes). It is the router's handshake: the router keeps
+    /// the edge sets for the generation and refuses a fleet that
+    /// disagrees on any of [`EdgeSetsReply`].
+    EdgeSets {} =>
+    /// Answer to [`Request::EdgeSets`].
+    EdgeSets(reply: EdgeSetsReply),
+
+    0x09 "point-fetch":
+    /// Points records by global vertex id (shard and static modes), a few
+    /// hundred bytes each where a label is tens of kilobytes: what the
+    /// router gathers per query, deriving the labels a query reads from
+    /// them and the edge sets it holds.
+    PointFetch {
+        /// Global vertex ids to fetch, at most [`MAX_LABEL_FETCH`].
+        vertices: Vec<u32> [max MAX_LABEL_FETCH],
+    } =>
+    /// Answer to [`Request::PointFetch`].
+    PointFetch(reply: PointFetchReply),
+}
+
 /// A forbidden set as it rides the wire: raw vertex ids and edge pairs.
 /// Conversion to a validated [`FaultSet`] happens server-side against the
 /// actual graph (out-of-range ids become a typed [`ErrorCode::BadRequest`]
@@ -293,6 +760,28 @@ impl WireFaults {
     }
 }
 
+/// Both counts (`u16`, so at most [`MAX_WIRE_FAULTS`] each) come first,
+/// then the vertex ids, then the edge pairs.
+impl Wire for WireFaults {
+    const MIN: usize = 4;
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        debug_assert!(self.vertices.len() <= usize::from(MAX_WIRE_FAULTS));
+        debug_assert!(self.edges.len() <= usize::from(MAX_WIRE_FAULTS));
+        (self.vertices.len() as u16, self.edges.len() as u16).put(buf);
+        Wire::put_all(&self.vertices, buf);
+        Wire::put_all(&self.edges, buf);
+    }
+
+    fn get(r: &mut Reader<'_>, field: &'static str) -> Result<Self, WireError> {
+        let (vertices, edges) = <(u16, u16)>::get(r, field)?;
+        Ok(WireFaults {
+            vertices: Wire::get_all(r, usize::from(vertices), field)?,
+            edges: Wire::get_all(r, usize::from(edges), field)?,
+        })
+    }
+}
+
 /// A dynamic-oracle update operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UpdateOp {
@@ -306,52 +795,27 @@ pub enum UpdateOp {
     RestoreEdge(u32, u32),
 }
 
-/// A client request.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Request {
-    /// One distance query with a per-query forbidden set.
-    Query {
-        /// Source vertex id.
-        s: u32,
-        /// Target vertex id.
-        t: u32,
-        /// Per-query forbidden set.
-        faults: WireFaults,
-    },
-    /// Many queries answered in one frame (server fans them over the
-    /// same decode path as `ForbiddenSetOracle::query_batch`).
-    Batch(Vec<(u32, u32, WireFaults)>),
-    /// Compute a route (static mode only).
-    Route {
-        /// Source vertex id.
-        s: u32,
-        /// Target vertex id.
-        t: u32,
-        /// Forbidden set known to the source.
-        faults: WireFaults,
-    },
-    /// A durable dynamic update (dynamic mode only).
-    Update(UpdateOp),
-    /// Server counters and identity.
-    Stats,
-    /// Graceful shutdown: drain in-flight requests, flush, exit.
-    Shutdown,
-    /// Raw encoded labels by global vertex id (shard mode; the router's
-    /// scatter-gather primitive). An empty id list is a valid handshake:
-    /// the reply still carries generation and decode parameters.
-    LabelFetch {
-        /// Global vertex ids to fetch, at most [`MAX_LABEL_FETCH`].
-        vertices: Vec<u32>,
-    },
-    /// The generation's level edge sets plus the shard's identity (shard
-    /// or static mode; the router's handshake).
-    EdgeSets,
-    /// Points records by global vertex id (shard or static mode; what the
-    /// router gathers per query).
-    PointFetch {
-        /// Global vertex ids to fetch, at most [`MAX_LABEL_FETCH`].
-        vertices: Vec<u32>,
-    },
+/// `kind:u8 a:u32 b:u32`, with `b = 0` for a vertex.
+impl Wire for UpdateOp {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match *self {
+            UpdateOp::DeleteVertex(v) => (0u8, v, 0u32),
+            UpdateOp::DeleteEdge(a, b) => (1, a, b),
+            UpdateOp::RestoreVertex(v) => (2, v, 0),
+            UpdateOp::RestoreEdge(a, b) => (3, a, b),
+        }
+        .put(buf);
+    }
+
+    fn get(r: &mut Reader<'_>, field: &'static str) -> Result<Self, WireError> {
+        Ok(match <(u8, u32, u32)>::get(r, field)? {
+            (0, v, _) => UpdateOp::DeleteVertex(v),
+            (1, a, b) => UpdateOp::DeleteEdge(a, b),
+            (2, v, _) => UpdateOp::RestoreVertex(v),
+            (3, a, b) => UpdateOp::RestoreEdge(a, b),
+            (other, _, _) => return Err(WireError::BadDiscriminant("update kind", other)),
+        })
+    }
 }
 
 /// Narrows a counter to its `u32` wire field, saturating to the
@@ -361,17 +825,19 @@ pub(crate) fn sat_u32(v: usize) -> u32 {
     v.try_into().unwrap_or(u32::MAX)
 }
 
-/// The reply to a [`Request::Query`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct QueryReply {
-    /// `δ(s, t, F)` as raw bits (`u32::MAX` = infinite).
-    pub distance: u32,
-    /// Sketch vertices the decoder's search reached (0 in dynamic mode).
-    pub sketch_vertices: u32,
-    /// Admitted sketch edges the search relaxed (0 in dynamic mode).
-    pub sketch_edges: u32,
-    /// Witness path (empty when unreachable or in dynamic mode).
-    pub path: Vec<u32>,
+wire_struct! {
+    /// The reply to a [`Request::Query`].
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct QueryReply as "query" {
+        /// `δ(s, t, F)` as raw bits (`u32::MAX` = infinite).
+        pub distance: u32,
+        /// Sketch vertices the decoder's search reached (0 in dynamic mode).
+        pub sketch_vertices: u32,
+        /// Admitted sketch edges the search relaxed (0 in dynamic mode).
+        pub sketch_edges: u32,
+        /// Witness path (empty when unreachable or in dynamic mode).
+        pub path: Vec<u32>,
+    }
 }
 
 impl QueryReply {
@@ -401,17 +867,19 @@ impl QueryReply {
     }
 }
 
-/// One element of a batch reply (no witness path: batches are the
-/// throughput path, and the distance plus sketch sizes are the
-/// bit-identity witness).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BatchItem {
-    /// `δ(s, t, F)` as raw bits (`u32::MAX` = infinite).
-    pub distance: u32,
-    /// Sketch vertices the decoder's search reached.
-    pub sketch_vertices: u32,
-    /// Admitted sketch edges the search relaxed.
-    pub sketch_edges: u32,
+wire_struct! {
+    /// One element of a batch reply (no witness path: batches are the
+    /// throughput path, and the distance plus sketch sizes are the
+    /// bit-identity witness).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct BatchItem as "batch" {
+        /// `δ(s, t, F)` as raw bits (`u32::MAX` = infinite).
+        pub distance: u32,
+        /// Sketch vertices the decoder's search reached.
+        pub sketch_vertices: u32,
+        /// Admitted sketch edges the search relaxed.
+        pub sketch_edges: u32,
+    }
 }
 
 impl BatchItem {
@@ -441,33 +909,67 @@ pub enum RouteReply {
     Failed(String),
 }
 
-/// The reply to a [`Request::Stats`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct StatsReply {
-    /// Vertices in the served graph (the query id space).
-    pub vertices: u64,
-    /// 0 = static oracle, 1 = dynamic oracle.
-    pub dynamic: u8,
-    /// Active faults (dynamic mode; 0 in static mode).
-    pub active_faults: u64,
-    /// Connections accepted so far.
-    pub connections: u64,
-    /// Single queries answered.
-    pub queries: u64,
-    /// Queries answered inside batch frames.
-    pub batch_queries: u64,
-    /// Routes computed.
-    pub routes: u64,
-    /// Updates applied.
-    pub updates: u64,
-    /// Protocol errors answered (malformed frames, bad requests).
-    pub protocol_errors: u64,
-    /// Connections closed for stalling mid-frame past the server's
-    /// frame-completion deadline (slow-loris protection).
-    pub deadline_closes: u64,
-    /// `label-fetch` and `point-fetch` requests answered (shard and
-    /// static modes), or on a router those sent upstream.
-    pub label_fetches: u64,
+/// `1 hops:u32 header_bits:u32 path` when delivered, `0 reason` when not.
+impl Wire for RouteReply {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            RouteReply::Delivered {
+                hops,
+                header_bits,
+                path,
+            } => {
+                (1u8, *hops, *header_bits).put(buf);
+                path.put(buf);
+            }
+            RouteReply::Failed(reason) => {
+                0u8.put(buf);
+                reason.put(buf);
+            }
+        }
+    }
+
+    fn get(r: &mut Reader<'_>, field: &'static str) -> Result<Self, WireError> {
+        match u8::get(r, field)? {
+            1 => Ok(RouteReply::Delivered {
+                hops: u32::get(r, field)?,
+                header_bits: u32::get(r, field)?,
+                path: Wire::get(r, field)?,
+            }),
+            0 => Ok(RouteReply::Failed(Wire::get(r, field)?)),
+            other => Err(WireError::BadDiscriminant("route status", other)),
+        }
+    }
+}
+
+wire_struct! {
+    /// The reply to a [`Request::Stats`].
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct StatsReply as "stats" {
+        /// Vertices in the served graph (the query id space).
+        pub vertices: u64,
+        /// 0 = static oracle, 1 = dynamic oracle.
+        pub dynamic: u8,
+        /// Active faults (dynamic mode; 0 in static mode).
+        pub active_faults: u64,
+        /// Connections accepted so far.
+        pub connections: u64,
+        /// Single queries answered.
+        pub queries: u64,
+        /// Queries answered inside batch frames.
+        pub batch_queries: u64,
+        /// Routes computed.
+        pub routes: u64,
+        /// Updates applied.
+        pub updates: u64,
+        /// Protocol errors answered (malformed frames, bad requests).
+        pub protocol_errors: u64,
+        /// Connections closed for stalling mid-frame past the server's
+        /// frame-completion deadline (slow-loris protection).
+        pub deadline_closes: u64,
+        /// `label-fetch` and `point-fetch` requests answered (shard and
+        /// static modes), or on a router those sent upstream.
+        pub label_fetches: u64,
+    }
 }
 
 impl StatsReply {
@@ -491,94 +993,122 @@ impl StatsReply {
     }
 }
 
-/// One raw encoded label in a label-fetch reply.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LabelBytes {
-    /// The global vertex id this label belongs to.
-    pub vertex: u32,
-    /// Payload length in bits (the codec needs the exact bit count; the
-    /// byte count on the wire is `bit_len.div_ceil(8)`).
-    pub bit_len: u32,
-    /// The encoded label, exactly as the store persists it.
-    pub bytes: Vec<u8>,
+wire_struct! {
+    /// One raw encoded label in a label-fetch reply.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct LabelBytes as "label" {
+        /// The global vertex id this label belongs to.
+        pub vertex: u32,
+        /// Payload length in bits (the codec needs the exact bit count; the
+        /// byte count on the wire is `bit_len.div_ceil(8)`).
+        pub bit_len: u32,
+        /// The encoded label, exactly as the store persists it.
+        pub bytes: Vec<u8> [len bit_len.div_ceil(8) as usize],
+    }
 }
 
-/// The reply to a [`Request::LabelFetch`]: raw labels plus everything a
-/// router needs to decode them and detect shard disagreement.
-///
-/// The reply may be **short**: servers pack labels under
-/// [`LABEL_FETCH_BYTE_BUDGET`] and answer with the longest prefix of
-/// the requested ids that fits (never fewer than one for a non-empty
-/// request). `labels` is always a prefix of the request, in request
-/// order; a reader seeing `labels.len()` below its request length must
-/// re-request the remaining suffix. A reply that is not a prefix —
-/// wrong ids, wrong order, or more labels than asked — is a protocol
-/// desynchronization.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct LabelFetchReply {
-    /// The store generation these bytes were served from.
-    pub generation: u64,
-    /// `f64::to_bits` of the scheme's epsilon (bit-exact on the wire).
-    pub epsilon_bits: u64,
-    /// The scheme's `c` parameter.
-    pub c: u32,
-    /// The *global* vertex count — the id width labels decode against,
-    /// not this shard's label count.
-    pub vertices: u64,
-    /// The fetched labels, in request order.
-    pub labels: Vec<LabelBytes>,
+wire_struct! {
+    /// The reply to a [`Request::LabelFetch`]: raw labels plus everything a
+    /// router needs to decode them and detect shard disagreement.
+    ///
+    /// The reply may be **short**: servers pack labels under
+    /// [`LABEL_FETCH_BYTE_BUDGET`] and answer with the longest prefix of
+    /// the requested ids that fits (never fewer than one for a non-empty
+    /// request). `labels` is always a prefix of the request, in request
+    /// order; a reader seeing `labels.len()` below its request length must
+    /// re-request the remaining suffix. A reply that is not a prefix —
+    /// wrong ids, wrong order, or more labels than asked — is a protocol
+    /// desynchronization (`is_fetch_prefix` tells the two apart, for
+    /// [`PointFetchReply`] as well).
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct LabelFetchReply as "label-fetch" {
+        /// The store generation these bytes were served from.
+        pub generation: u64,
+        /// `f64::to_bits` of the scheme's epsilon (bit-exact on the wire).
+        pub epsilon_bits: u64,
+        /// The scheme's `c` parameter.
+        pub c: u32,
+        /// The *global* vertex count — the id width labels decode against,
+        /// not this shard's label count.
+        pub vertices: u64,
+        /// The fetched labels, in request order.
+        pub labels: Vec<LabelBytes> [max MAX_LABEL_FETCH],
+    }
 }
 
-/// The reply to a [`Request::EdgeSets`]: a generation's level edge sets
-/// and everything a router checks a fleet's agreement on.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct EdgeSetsReply {
-    /// The store generation the edge sets belong to.
-    pub generation: u64,
-    /// `f64::to_bits` of the scheme's epsilon.
-    pub epsilon_bits: u64,
-    /// The scheme's `c` parameter.
-    pub c: u32,
-    /// The *global* vertex count.
-    pub vertices: u64,
-    /// Fingerprint of the (unsharded) graph the labels were built on.
-    pub graph_fingerprint: u64,
-    /// This shard's index in its partition (0 for a static server).
-    pub shard: u32,
-    /// Shards in the partition (1 for a static server).
-    pub num_shards: u32,
-    /// `fsdl_labels::edge_sets::checksum` of `edge_sets`.
-    pub checksum: u64,
-    /// `fsdl_labels::EdgeSets::encode`'s bytes.
-    pub edge_sets: Vec<u8>,
+/// Whether the ids a fetch reply `served` may answer a fetch of
+/// `requested`: a prefix of the request, in request order, and non-empty
+/// unless the request is. Anything else means the reply no longer lines
+/// up with its request.
+pub(crate) fn is_fetch_prefix(requested: &[u32], served: impl IntoIterator<Item = u32>) -> bool {
+    let mut count = 0;
+    for vertex in served {
+        if requested.get(count) != Some(&vertex) {
+            return false;
+        }
+        count += 1;
+    }
+    count > 0 || requested.is_empty()
 }
 
-/// One points record in a point-fetch reply.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PointRecord {
-    /// The global vertex id the record belongs to.
-    pub vertex: u32,
-    /// `fsdl_labels::edge_sets::points_record`'s bytes, as stored.
-    pub bytes: Vec<u8>,
+wire_struct! {
+    /// The reply to a [`Request::EdgeSets`]: a generation's level edge sets
+    /// and everything a router checks a fleet's agreement on.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct EdgeSetsReply as "edge-sets" {
+        /// The store generation the edge sets belong to.
+        pub generation: u64,
+        /// `f64::to_bits` of the scheme's epsilon.
+        pub epsilon_bits: u64,
+        /// The scheme's `c` parameter.
+        pub c: u32,
+        /// The *global* vertex count.
+        pub vertices: u64,
+        /// Fingerprint of the (unsharded) graph the labels were built on.
+        pub graph_fingerprint: u64,
+        /// This shard's index in its partition (0 for a static server).
+        pub shard: u32,
+        /// Shards in the partition (1 for a static server).
+        pub num_shards: u32,
+        /// `fsdl_labels::edge_sets::checksum` of `edge_sets`.
+        pub checksum: u64,
+        /// `fsdl_labels::EdgeSets::encode`'s bytes.
+        pub edge_sets: Vec<u8>,
+    }
 }
 
-/// The reply to a [`Request::PointFetch`]: a request prefix of points
-/// records (short under the byte budget, like [`LabelFetchReply`]).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PointFetchReply {
-    /// The store generation these records were served from.
-    pub generation: u64,
-    /// The fetched records, in request order.
-    pub records: Vec<PointRecord>,
+wire_struct! {
+    /// One points record in a point-fetch reply.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct PointRecord as "point" {
+        /// The global vertex id the record belongs to.
+        pub vertex: u32,
+        /// `fsdl_labels::edge_sets::points_record`'s bytes, as stored.
+        pub bytes: Vec<u8>,
+    }
 }
 
-/// An error reply: the typed code plus a human-readable message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ErrorReply {
-    /// The typed error code.
-    pub code: ErrorCode,
-    /// Human-readable detail.
-    pub message: String,
+wire_struct! {
+    /// The reply to a [`Request::PointFetch`]: a request prefix of points
+    /// records (short under the byte budget, like [`LabelFetchReply`]).
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct PointFetchReply as "point-fetch" {
+        /// The store generation these records were served from.
+        pub generation: u64,
+        /// The fetched records, in request order.
+        pub records: Vec<PointRecord> [max MAX_LABEL_FETCH],
+    }
+}
+
+wire_struct! {
+    /// An error reply: the typed code plus a human-readable message.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ErrorReply as "error" {
+        /// The typed error code.
+        pub code: ErrorCode,
+        /// Human-readable detail.
+        pub message: String,
+    }
 }
 
 /// A typed error reply.
@@ -587,598 +1117,6 @@ pub(crate) fn error_reply(code: ErrorCode, message: impl Into<String>) -> Respon
         code,
         message: message.into(),
     })
-}
-
-/// A server reply.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Response {
-    /// Answer to [`Request::Query`].
-    Query(QueryReply),
-    /// Answer to [`Request::Batch`].
-    Batch(Vec<BatchItem>),
-    /// Answer to [`Request::Route`].
-    Route(RouteReply),
-    /// Answer to [`Request::Update`]: active faults after the update.
-    Update {
-        /// Faults active after the update.
-        active_faults: u32,
-    },
-    /// Answer to [`Request::Stats`].
-    Stats(StatsReply),
-    /// Acknowledgement of [`Request::Shutdown`] (sent before the server
-    /// begins draining).
-    Shutdown,
-    /// Answer to [`Request::LabelFetch`].
-    LabelFetch(LabelFetchReply),
-    /// Answer to [`Request::EdgeSets`].
-    EdgeSets(EdgeSetsReply),
-    /// Answer to [`Request::PointFetch`].
-    PointFetch(PointFetchReply),
-    /// A typed error.
-    Error(ErrorReply),
-}
-
-// ---------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_faults(buf: &mut Vec<u8>, f: &WireFaults) {
-    debug_assert!(f.vertices.len() <= usize::from(MAX_WIRE_FAULTS));
-    debug_assert!(f.edges.len() <= usize::from(MAX_WIRE_FAULTS));
-    put_u16(buf, f.vertices.len() as u16);
-    put_u16(buf, f.edges.len() as u16);
-    for &v in &f.vertices {
-        put_u32(buf, v);
-    }
-    for &(a, b) in &f.edges {
-        put_u32(buf, a);
-        put_u32(buf, b);
-    }
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(usize::from(u16::MAX));
-    put_u16(buf, len as u16);
-    buf.extend_from_slice(&bytes[..len]);
-}
-
-fn put_ids(buf: &mut Vec<u8>, ids: &[u32]) {
-    put_u32(buf, ids.len() as u32);
-    for &v in ids {
-        put_u32(buf, v);
-    }
-}
-
-impl Request {
-    /// Appends this request's payload bytes to `buf` (no frame header).
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Request::Query { s, t, faults } => {
-                buf.push(op::QUERY);
-                put_u32(buf, *s);
-                put_u32(buf, *t);
-                put_faults(buf, faults);
-            }
-            Request::Batch(queries) => {
-                buf.push(op::BATCH);
-                put_u32(buf, queries.len() as u32);
-                for (s, t, faults) in queries {
-                    put_u32(buf, *s);
-                    put_u32(buf, *t);
-                    put_faults(buf, faults);
-                }
-            }
-            Request::Route { s, t, faults } => {
-                buf.push(op::ROUTE);
-                put_u32(buf, *s);
-                put_u32(buf, *t);
-                put_faults(buf, faults);
-            }
-            Request::Update(update) => {
-                buf.push(op::UPDATE);
-                let (kind, a, b) = match *update {
-                    UpdateOp::DeleteVertex(v) => (0u8, v, 0),
-                    UpdateOp::DeleteEdge(a, b) => (1, a, b),
-                    UpdateOp::RestoreVertex(v) => (2, v, 0),
-                    UpdateOp::RestoreEdge(a, b) => (3, a, b),
-                };
-                buf.push(kind);
-                put_u32(buf, a);
-                put_u32(buf, b);
-            }
-            Request::Stats => buf.push(op::STATS),
-            Request::Shutdown => buf.push(op::SHUTDOWN),
-            Request::LabelFetch { vertices } => {
-                buf.push(op::LABEL_FETCH);
-                put_ids(buf, vertices);
-            }
-            Request::EdgeSets => buf.push(op::EDGE_SETS),
-            Request::PointFetch { vertices } => {
-                buf.push(op::POINT_FETCH);
-                put_ids(buf, vertices);
-            }
-        }
-    }
-
-    /// Decodes a request payload (one whole frame, header stripped).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] on any malformation; never panics.
-    pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
-        let mut r = Reader::new(payload);
-        let opcode = r.u8("opcode")?;
-        let req = match opcode {
-            op::QUERY => {
-                let s = r.u32("query.s")?;
-                let t = r.u32("query.t")?;
-                let faults = r.faults()?;
-                Request::Query { s, t, faults }
-            }
-            op::BATCH => {
-                let count = r.u32("batch.count")?;
-                if count > MAX_BATCH {
-                    return Err(WireError::TooMany {
-                        what: "batch queries",
-                        count: u64::from(count),
-                        max: u64::from(MAX_BATCH),
-                    });
-                }
-                let mut queries = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    let s = r.u32("batch.s")?;
-                    let t = r.u32("batch.t")?;
-                    let faults = r.faults()?;
-                    queries.push((s, t, faults));
-                }
-                Request::Batch(queries)
-            }
-            op::ROUTE => {
-                let s = r.u32("route.s")?;
-                let t = r.u32("route.t")?;
-                let faults = r.faults()?;
-                Request::Route { s, t, faults }
-            }
-            op::UPDATE => {
-                let kind = r.u8("update.kind")?;
-                let a = r.u32("update.a")?;
-                let b = r.u32("update.b")?;
-                let update = match kind {
-                    0 => UpdateOp::DeleteVertex(a),
-                    1 => UpdateOp::DeleteEdge(a, b),
-                    2 => UpdateOp::RestoreVertex(a),
-                    3 => UpdateOp::RestoreEdge(a, b),
-                    other => return Err(WireError::BadDiscriminant("update kind", other)),
-                };
-                Request::Update(update)
-            }
-            op::STATS => Request::Stats,
-            op::SHUTDOWN => Request::Shutdown,
-            op::LABEL_FETCH => Request::LabelFetch {
-                vertices: r.fetch_ids("label-fetch vertices")?,
-            },
-            op::EDGE_SETS => Request::EdgeSets,
-            op::POINT_FETCH => Request::PointFetch {
-                vertices: r.fetch_ids("point-fetch vertices")?,
-            },
-            other => return Err(WireError::UnknownOpcode(other)),
-        };
-        r.finish()?;
-        Ok(req)
-    }
-}
-
-impl Response {
-    /// The reply kind as a static name (for "wrong response kind"
-    /// diagnostics).
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Response::Query(_) => "query",
-            Response::Batch(_) => "batch",
-            Response::Route(_) => "route",
-            Response::Update { .. } => "update",
-            Response::Stats(_) => "stats",
-            Response::Shutdown => "shutdown",
-            Response::LabelFetch(_) => "label-fetch",
-            Response::EdgeSets(_) => "edge-sets",
-            Response::PointFetch(_) => "point-fetch",
-            Response::Error(_) => "error",
-        }
-    }
-
-    /// Appends this reply's payload bytes to `buf` (no frame header).
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Response::Query(q) => {
-                buf.push(status::OK);
-                buf.push(op::QUERY);
-                put_u32(buf, q.distance);
-                put_u32(buf, q.sketch_vertices);
-                put_u32(buf, q.sketch_edges);
-                put_ids(buf, &q.path);
-            }
-            Response::Batch(items) => {
-                buf.push(status::OK);
-                buf.push(op::BATCH);
-                put_u32(buf, items.len() as u32);
-                for item in items {
-                    put_u32(buf, item.distance);
-                    put_u32(buf, item.sketch_vertices);
-                    put_u32(buf, item.sketch_edges);
-                }
-            }
-            Response::Route(route) => {
-                buf.push(status::OK);
-                buf.push(op::ROUTE);
-                match route {
-                    RouteReply::Delivered {
-                        hops,
-                        header_bits,
-                        path,
-                    } => {
-                        buf.push(1);
-                        put_u32(buf, *hops);
-                        put_u32(buf, *header_bits);
-                        put_ids(buf, path);
-                    }
-                    RouteReply::Failed(reason) => {
-                        buf.push(0);
-                        put_str(buf, reason);
-                    }
-                }
-            }
-            Response::Update { active_faults } => {
-                buf.push(status::OK);
-                buf.push(op::UPDATE);
-                put_u32(buf, *active_faults);
-            }
-            Response::Stats(s) => {
-                buf.push(status::OK);
-                buf.push(op::STATS);
-                put_u64(buf, s.vertices);
-                buf.push(s.dynamic);
-                put_u64(buf, s.active_faults);
-                put_u64(buf, s.connections);
-                put_u64(buf, s.queries);
-                put_u64(buf, s.batch_queries);
-                put_u64(buf, s.routes);
-                put_u64(buf, s.updates);
-                put_u64(buf, s.protocol_errors);
-                put_u64(buf, s.deadline_closes);
-                put_u64(buf, s.label_fetches);
-            }
-            Response::Shutdown => {
-                buf.push(status::OK);
-                buf.push(op::SHUTDOWN);
-            }
-            Response::LabelFetch(reply) => {
-                buf.push(status::OK);
-                buf.push(op::LABEL_FETCH);
-                put_u64(buf, reply.generation);
-                put_u64(buf, reply.epsilon_bits);
-                put_u32(buf, reply.c);
-                put_u64(buf, reply.vertices);
-                put_u32(buf, reply.labels.len() as u32);
-                for label in &reply.labels {
-                    debug_assert_eq!(
-                        label.bytes.len(),
-                        (label.bit_len as usize).div_ceil(8),
-                        "label byte count must match its bit length"
-                    );
-                    put_u32(buf, label.vertex);
-                    put_u32(buf, label.bit_len);
-                    buf.extend_from_slice(&label.bytes);
-                }
-            }
-            Response::EdgeSets(reply) => {
-                buf.push(status::OK);
-                buf.push(op::EDGE_SETS);
-                put_u64(buf, reply.generation);
-                put_u64(buf, reply.epsilon_bits);
-                put_u32(buf, reply.c);
-                put_u64(buf, reply.vertices);
-                put_u64(buf, reply.graph_fingerprint);
-                put_u32(buf, reply.shard);
-                put_u32(buf, reply.num_shards);
-                put_u64(buf, reply.checksum);
-                put_u32(buf, reply.edge_sets.len() as u32);
-                buf.extend_from_slice(&reply.edge_sets);
-            }
-            Response::PointFetch(reply) => {
-                buf.push(status::OK);
-                buf.push(op::POINT_FETCH);
-                put_u64(buf, reply.generation);
-                put_u32(buf, reply.records.len() as u32);
-                for record in &reply.records {
-                    put_u32(buf, record.vertex);
-                    put_u32(buf, record.bytes.len() as u32);
-                    buf.extend_from_slice(&record.bytes);
-                }
-            }
-            Response::Error(e) => {
-                buf.push(status::ERR);
-                buf.push(e.code as u8);
-                put_str(buf, &e.message);
-            }
-        }
-    }
-
-    /// Decodes a reply payload (one whole frame, header stripped).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] on any malformation; never panics.
-    pub fn decode(payload: &[u8]) -> Result<Response, WireError> {
-        let mut r = Reader::new(payload);
-        let st = r.u8("status")?;
-        let resp = match st {
-            status::OK => {
-                let opcode = r.u8("reply opcode")?;
-                match opcode {
-                    op::QUERY => {
-                        let distance = r.u32("reply.distance")?;
-                        let sketch_vertices = r.u32("reply.sketch_vertices")?;
-                        let sketch_edges = r.u32("reply.sketch_edges")?;
-                        let path = r.ids("reply.path")?;
-                        Response::Query(QueryReply {
-                            distance,
-                            sketch_vertices,
-                            sketch_edges,
-                            path,
-                        })
-                    }
-                    op::BATCH => {
-                        let count = r.u32("reply.batch.count")?;
-                        if count > MAX_BATCH {
-                            return Err(WireError::TooMany {
-                                what: "batch replies",
-                                count: u64::from(count),
-                                max: u64::from(MAX_BATCH),
-                            });
-                        }
-                        let mut items = Vec::with_capacity(count as usize);
-                        for _ in 0..count {
-                            items.push(BatchItem {
-                                distance: r.u32("reply.batch.distance")?,
-                                sketch_vertices: r.u32("reply.batch.sv")?,
-                                sketch_edges: r.u32("reply.batch.se")?,
-                            });
-                        }
-                        Response::Batch(items)
-                    }
-                    op::ROUTE => match r.u8("reply.route.delivered")? {
-                        1 => Response::Route(RouteReply::Delivered {
-                            hops: r.u32("reply.route.hops")?,
-                            header_bits: r.u32("reply.route.header_bits")?,
-                            path: r.ids("reply.route.path")?,
-                        }),
-                        0 => Response::Route(RouteReply::Failed(r.str("reply.route.reason")?)),
-                        other => {
-                            return Err(WireError::BadDiscriminant("route status", other));
-                        }
-                    },
-                    op::UPDATE => Response::Update {
-                        active_faults: r.u32("reply.update.active_faults")?,
-                    },
-                    op::STATS => Response::Stats(StatsReply {
-                        vertices: r.u64("reply.stats.vertices")?,
-                        dynamic: r.u8("reply.stats.dynamic")?,
-                        active_faults: r.u64("reply.stats.active_faults")?,
-                        connections: r.u64("reply.stats.connections")?,
-                        queries: r.u64("reply.stats.queries")?,
-                        batch_queries: r.u64("reply.stats.batch_queries")?,
-                        routes: r.u64("reply.stats.routes")?,
-                        updates: r.u64("reply.stats.updates")?,
-                        protocol_errors: r.u64("reply.stats.protocol_errors")?,
-                        deadline_closes: r.u64("reply.stats.deadline_closes")?,
-                        label_fetches: r.u64("reply.stats.label_fetches")?,
-                    }),
-                    op::SHUTDOWN => Response::Shutdown,
-                    op::LABEL_FETCH => {
-                        let generation = r.u64("reply.fetch.generation")?;
-                        let epsilon_bits = r.u64("reply.fetch.epsilon_bits")?;
-                        let c = r.u32("reply.fetch.c")?;
-                        let vertices = r.u64("reply.fetch.vertices")?;
-                        let count = r.u32("reply.fetch.count")?;
-                        if count > MAX_LABEL_FETCH {
-                            return Err(WireError::TooMany {
-                                what: "label-fetch labels",
-                                count: u64::from(count),
-                                max: u64::from(MAX_LABEL_FETCH),
-                            });
-                        }
-                        let mut labels = Vec::with_capacity(count as usize);
-                        for _ in 0..count {
-                            let vertex = r.u32("reply.fetch.vertex")?;
-                            let bit_len = r.u32("reply.fetch.bit_len")?;
-                            // take() bounds the byte count against the
-                            // frame, so a corrupt bit_len is Truncated,
-                            // not an allocation.
-                            let bytes = r
-                                .take((bit_len as usize).div_ceil(8), "reply.fetch.bytes")?
-                                .to_vec();
-                            labels.push(LabelBytes {
-                                vertex,
-                                bit_len,
-                                bytes,
-                            });
-                        }
-                        Response::LabelFetch(LabelFetchReply {
-                            generation,
-                            epsilon_bits,
-                            c,
-                            vertices,
-                            labels,
-                        })
-                    }
-                    op::EDGE_SETS => Response::EdgeSets(EdgeSetsReply {
-                        generation: r.u64("reply.edge_sets.generation")?,
-                        epsilon_bits: r.u64("reply.edge_sets.epsilon_bits")?,
-                        c: r.u32("reply.edge_sets.c")?,
-                        vertices: r.u64("reply.edge_sets.vertices")?,
-                        graph_fingerprint: r.u64("reply.edge_sets.graph_fingerprint")?,
-                        shard: r.u32("reply.edge_sets.shard")?,
-                        num_shards: r.u32("reply.edge_sets.num_shards")?,
-                        checksum: r.u64("reply.edge_sets.checksum")?,
-                        edge_sets: {
-                            let len = r.u32("reply.edge_sets.len")?;
-                            r.take(len as usize, "reply.edge_sets.bytes")?.to_vec()
-                        },
-                    }),
-                    op::POINT_FETCH => {
-                        let generation = r.u64("reply.points.generation")?;
-                        let count = r.u32("reply.points.count")?;
-                        if count > MAX_LABEL_FETCH {
-                            return Err(WireError::TooMany {
-                                what: "point-fetch records",
-                                count: u64::from(count),
-                                max: u64::from(MAX_LABEL_FETCH),
-                            });
-                        }
-                        let mut records = Vec::with_capacity(count as usize);
-                        for _ in 0..count {
-                            let vertex = r.u32("reply.points.vertex")?;
-                            let len = r.u32("reply.points.len")?;
-                            let bytes = r.take(len as usize, "reply.points.bytes")?.to_vec();
-                            records.push(PointRecord { vertex, bytes });
-                        }
-                        Response::PointFetch(PointFetchReply {
-                            generation,
-                            records,
-                        })
-                    }
-                    other => return Err(WireError::UnknownOpcode(other)),
-                }
-            }
-            status::ERR => {
-                let raw = r.u8("error code")?;
-                let code =
-                    ErrorCode::from_u8(raw).ok_or(WireError::BadDiscriminant("error code", raw))?;
-                let message = r.str("error message")?;
-                Response::Error(ErrorReply { code, message })
-            }
-            other => return Err(WireError::UnknownStatus(other)),
-        };
-        r.finish()?;
-        Ok(resp)
-    }
-}
-
-/// A bounds-checked positional reader over one frame payload.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, field: &'static str) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(WireError::Truncated(field))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self, field: &'static str) -> Result<u8, WireError> {
-        Ok(self.take(1, field)?[0])
-    }
-
-    fn u16(&mut self, field: &'static str) -> Result<u16, WireError> {
-        let b = self.take(2, field)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self, field: &'static str) -> Result<u32, WireError> {
-        let b = self.take(4, field)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, field: &'static str) -> Result<u64, WireError> {
-        let b = self.take(8, field)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(u64::from_le_bytes(raw))
-    }
-
-    fn faults(&mut self) -> Result<WireFaults, WireError> {
-        let nv = self.u16("faults.vertex_count")?;
-        let ne = self.u16("faults.edge_count")?;
-        let mut vertices = Vec::with_capacity(usize::from(nv));
-        for _ in 0..nv {
-            vertices.push(self.u32("faults.vertex")?);
-        }
-        let mut edges = Vec::with_capacity(usize::from(ne));
-        for _ in 0..ne {
-            let a = self.u32("faults.edge.a")?;
-            let b = self.u32("faults.edge.b")?;
-            edges.push((a, b));
-        }
-        Ok(WireFaults { vertices, edges })
-    }
-
-    fn ids(&mut self, field: &'static str) -> Result<Vec<u32>, WireError> {
-        let count = self.u32(field)?;
-        // A path can never exceed the frame it rides in; reject early so a
-        // corrupt count cannot trigger a giant allocation.
-        let remaining = (self.bytes.len() - self.pos) / 4;
-        if count as usize > remaining {
-            return Err(WireError::Truncated(field));
-        }
-        let mut ids = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            ids.push(self.u32(field)?);
-        }
-        Ok(ids)
-    }
-
-    /// The id list of a fetch request, at most [`MAX_LABEL_FETCH`] long.
-    fn fetch_ids(&mut self, what: &'static str) -> Result<Vec<u32>, WireError> {
-        let vertices = self.ids(what)?;
-        if vertices.len() > MAX_LABEL_FETCH as usize {
-            return Err(WireError::TooMany {
-                what,
-                count: vertices.len() as u64,
-                max: u64::from(MAX_LABEL_FETCH),
-            });
-        }
-        Ok(vertices)
-    }
-
-    fn str(&mut self, field: &'static str) -> Result<String, WireError> {
-        let len = self.u16(field)?;
-        let bytes = self.take(usize::from(len), field)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| WireError::BadUtf8)
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes(self.bytes.len() - self.pos))
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1845,10 +1783,62 @@ mod tests {
         }
     }
 
+    /// One bit flip, truncation or spliced tail of a valid encoding.
+    fn mutate(rng: &mut Rng, buf: &mut Vec<u8>) {
+        match rng.gen_range(0..3u32) {
+            0 => {
+                // Bit flip.
+                let k = rng.gen_range(0..buf.len());
+                buf[k] ^= 1 << rng.gen_range(0..8u32);
+            }
+            1 => {
+                // Truncate.
+                let k = rng.gen_range(0..buf.len());
+                buf.truncate(k);
+            }
+            _ => {
+                // Splice garbage on the end.
+                let extra = rng.gen_range(1..9usize);
+                for _ in 0..extra {
+                    buf.push(rng.gen_range(0..=255u32) as u8);
+                }
+            }
+        }
+    }
+
+    /// The golden encodings of `every_message_encodes_to_its_golden_bytes`:
+    /// one of every request and every response kind.
+    const GOLDEN: [&str; 23] = [
+        "01010000000200000002000100070000002c0100000100000002000000",
+        "0202000000030000000400000000000000050000000600000002000100070000002c0100000100000002000000",
+        "0309000000ffffffff02000100070000002c0100000100000002000000",
+        "04000b00000000000000",
+        "04010c0000000d000000",
+        "04020e00000000000000",
+        "04030f00000010000000",
+        "05",
+        "06",
+        "07020000001100000012000000",
+        "08",
+        "09020000001300000004030201",
+        "0001150000001600000017000000020000001800000019000000",
+        "000201000000ffffffff1a0000001b000000",
+        "0003011c0000001d000000020000001e0000001f000000",
+        "00030002006e6f",
+        "000420000000",
+        "000529000000000000002a2b000000000000002c000000000000002d000000000000002e000000000000002f000000000000003000000000000000310000000000000032000000000000000807060504030201",
+        "0006",
+        "00073300000000000000000000000000e03f34000000350000000000000001000000360000000c000000ab0c",
+        "00083700000000000000000000000000f03f3800000039000000000000003a000000000000003b0000003c0000003d00000000000000020000003e3f",
+        "0009400000000000000001000000410000000100000042",
+        "01090400646f776e",
+    ];
+
     /// Any mutation of a valid encoding must decode to a typed error or a
     /// (different or equal) valid message — never panic. Mirrors the
     /// label corruption sweeps (`crates/labels/tests/chaos.rs`) at the
-    /// wire layer.
+    /// wire layer, over a random query and over every golden message,
+    /// each decoded as both a request and a response.
     #[test]
     fn mutated_payloads_never_panic() {
         fsdl_testkit::check("mutated_request_payloads", 400, |rng| {
@@ -1859,28 +1849,85 @@ mod tests {
                 faults: sample_faults(rng),
             }
             .encode(&mut buf);
-            match rng.gen_range(0..3u32) {
-                0 => {
-                    // Bit flip.
-                    let k = rng.gen_range(0..buf.len());
-                    buf[k] ^= 1 << rng.gen_range(0..8u32);
-                }
-                1 => {
-                    // Truncate.
-                    let k = rng.gen_range(0..buf.len());
-                    buf.truncate(k);
-                }
-                _ => {
-                    // Splice garbage on the end.
-                    let extra = rng.gen_range(1..9usize);
-                    for _ in 0..extra {
-                        buf.push(rng.gen_range(0..=255u32) as u8);
-                    }
-                }
-            }
+            mutate(rng, &mut buf);
             let _ = Request::decode(&buf);
             let _ = Response::decode(&buf);
         });
+        let golden: Vec<Vec<u8>> = GOLDEN
+            .iter()
+            .map(|hex| {
+                (0..hex.len())
+                    .step_by(2)
+                    .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                    .collect()
+            })
+            .collect();
+        for (i, buf) in golden.iter().enumerate() {
+            let requests = i < 12;
+            assert_eq!(Request::decode(buf).is_ok(), requests, "golden {i}");
+            assert_eq!(Response::decode(buf).is_ok(), !requests, "golden {i}");
+        }
+        fsdl_testkit::check("mutated_golden_payloads", 400, |rng| {
+            for original in &golden {
+                let mut buf = original.clone();
+                mutate(rng, &mut buf);
+                let _ = Request::decode(&buf);
+                let _ = Response::decode(&buf);
+            }
+        });
+    }
+
+    #[test]
+    fn decode_errors_name_their_field() {
+        let hex = |s: &str| -> Vec<u8> {
+            (0..s.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+                .collect()
+        };
+        let request = |s| Request::decode(&hex(s)).unwrap_err();
+        let response = |s| Response::decode(&hex(s)).unwrap_err();
+        use WireError::Truncated;
+        assert_eq!(request("0101000000"), Truncated("query t"));
+        assert_eq!(request("04000b000000"), Truncated("update op"));
+        assert_eq!(
+            request("0702000000110000"),
+            Truncated("label-fetch vertices")
+        );
+        assert_eq!(response("0001"), Truncated("query distance"));
+        assert_eq!(response("000733"), Truncated("label-fetch generation"));
+        let label = "00073300000000000000000000000000e03f34000000350000000000000001000000360000000c000000ab";
+        assert_eq!(response(label), Truncated("label bytes"));
+        assert_eq!(
+            response("000940000000000000000100000041"),
+            Truncated("point vertex")
+        );
+        assert_eq!(response("01"), Truncated("error code"));
+    }
+
+    #[test]
+    fn an_over_long_message_is_cut_at_a_char_boundary() {
+        let message = "é".repeat(40_000);
+        let mut buf = Vec::new();
+        error_reply(ErrorCode::Internal, message.clone()).encode(&mut buf);
+        let Ok(Response::Error(reply)) = Response::decode(&buf) else {
+            panic!("an over-long message must still decode");
+        };
+        // 65 535 bytes would split an `é`: the cut keeps 32 767 of them.
+        assert_eq!(reply.message, message[..65_534]);
+    }
+
+    #[test]
+    fn a_fetch_reply_must_be_a_non_empty_prefix_of_its_request() {
+        let requested = [4, 8, 15];
+        let served = |ids: &[u32]| is_fetch_prefix(&requested, ids.iter().copied());
+        assert!(served(&[4, 8, 15]), "exact");
+        assert!(served(&[4]), "short prefix");
+        assert!(!served(&[]), "empty reply to a non-empty request");
+        assert!(!served(&[4, 8, 15, 16]), "longer than the request");
+        assert!(!served(&[4, 9]), "wrong id");
+        assert!(!served(&[8, 4]), "reordered");
+        assert!(is_fetch_prefix(&[], std::iter::empty()), "empty to empty");
     }
 
     #[test]

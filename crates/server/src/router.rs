@@ -74,8 +74,8 @@ use crate::plane::{
     add, handler_token, ConnPlane, Core, Counters, Handler, PlaneConfig, Totals, Wire,
 };
 use crate::protocol::{
-    error_reply, EdgeSetsReply, ErrorCode, ErrorReply, FrameStep, Request, Response, StatsReply,
-    WireError, MAX_LABEL_FETCH, MAX_LABEL_FRAME,
+    error_reply, is_fetch_prefix, EdgeSetsReply, ErrorCode, ErrorReply, FrameStep, Request,
+    Response, StatsReply, WireError, MAX_LABEL_FETCH, MAX_LABEL_FRAME,
 };
 use crate::server::{Endpoint, QueryFrame, ShutdownHandle};
 
@@ -605,14 +605,7 @@ impl Gather {
                             self.expected_generation[shard], reply.generation
                         ),
                     })
-                } else if reply.records.len() > requested.len()
-                    || (reply.records.is_empty() && !requested.is_empty())
-                    || reply
-                        .records
-                        .iter()
-                        .zip(&requested)
-                        .any(|(record, &v)| record.vertex != v)
-                {
+                } else if !is_fetch_prefix(&requested, reply.records.iter().map(|r| r.vertex)) {
                     // Replies must be a non-empty request prefix (short
                     // when the shard packed to its byte budget): anything
                     // else means the stream no longer lines up.
